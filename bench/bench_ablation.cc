@@ -32,8 +32,8 @@ void EncoderAblation() {
     auto rb = ValueOrDie(b.Implement(rtl::Virtex4LX200()), "implement");
     std::printf("%8d %8zu | %10.0f %9d | %10.0f %9d\n", copies,
                 a.grammar().NumTokens(), ra.timing.fmax_mhz,
-                a.hardware().index_latency, rb.timing.fmax_mhz,
-                b.hardware().index_latency);
+                a.hardware().value()->index_latency, rb.timing.fmax_mhz,
+                b.hardware().value()->index_latency);
   }
   std::printf(
       "\nExpected shape (paper §3.4: a CASE-statement encoder \"is almost\n"

@@ -72,9 +72,8 @@ void Run(bool smoke) {
   std::printf(
       "Context-gated NIDS vs context-free signatures\n"
       "(decoy traffic: every signature hit is a false positive)\n\n");
-  std::printf("%8s | %12s %12s | %14s %14s %14s %14s\n", "rules",
-              "naive FPs", "context FPs", "scan MB/s", "fused MB/s",
-              "lazy MB/s", "engine4 MB/s");
+  std::printf("%8s | %12s %12s | %14s %14s\n", "rules", "naive FPs",
+              "context FPs", "scan MB/s", "engine4 MB/s");
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   for (int nrules : {4, 16, 64}) {
@@ -83,14 +82,6 @@ void Run(bool smoke) {
     opt.tagger.arm_mode = tagger::ArmMode::kResync;
     auto filter = ValueOrDie(
         nids::ContextFilter::Create(g->Clone(), rules, opt), "filter");
-    // The same filter with the fused tagging backend behind Scan().
-    opt.tagger.backend = tagger::TaggerBackend::kFused;
-    auto fused_filter = ValueOrDie(
-        nids::ContextFilter::Create(g->Clone(), rules, opt), "fused filter");
-    // And with the lazy-DFA backend.
-    opt.tagger.backend = tagger::TaggerBackend::kLazyDfa;
-    auto lazy_filter = ValueOrDie(
-        nids::ContextFilter::Create(g->Clone(), rules, opt), "lazy filter");
     const std::string traffic = MakeDecoyTraffic(rules, messages, 7);
 
     const auto naive = filter.ScanUngated(traffic);
@@ -100,26 +91,6 @@ void Run(bool smoke) {
     const auto t1 = std::chrono::steady_clock::now();
     const double secs =
         std::chrono::duration<double>(t1 - t0).count();
-
-    // Fused backend: identical alerts required before timing counts.
-    const auto t4 = std::chrono::steady_clock::now();
-    const auto fused_alerts = fused_filter.Scan(traffic);
-    const auto t5 = std::chrono::steady_clock::now();
-    const double fsecs = std::chrono::duration<double>(t5 - t4).count();
-    if (fused_alerts != context) {
-      std::fprintf(stderr, "FATAL fused/functional alert mismatch\n");
-      std::abort();
-    }
-
-    // Lazy-DFA backend: same contract.
-    const auto t6 = std::chrono::steady_clock::now();
-    const auto lazy_alerts = lazy_filter.Scan(traffic);
-    const auto t7 = std::chrono::steady_clock::now();
-    const double lsecs = std::chrono::duration<double>(t7 - t6).count();
-    if (lazy_alerts != context) {
-      std::fprintf(stderr, "FATAL lazy/functional alert mismatch\n");
-      std::abort();
-    }
 
     // The same scan through the parallel engine, sharded across 4
     // workers — the before/after of the batch-scan change.
@@ -136,29 +107,13 @@ void Run(bool smoke) {
       std::abort();
     }
     const double scan_mbps = traffic.size() / 1e6 / (secs > 0 ? secs : 1e-9);
-    const double fused_mbps =
-        traffic.size() / 1e6 / (fsecs > 0 ? fsecs : 1e-9);
-    const double lazy_mbps =
-        traffic.size() / 1e6 / (lsecs > 0 ? lsecs : 1e-9);
-    std::printf("%8d | %12zu %12zu | %14.1f %14.1f %14.1f %14.1f\n", nrules,
-                naive.size(), context.size(), scan_mbps, fused_mbps,
-                lazy_mbps,
+    std::printf("%8d | %12zu %12zu | %14.1f %14.1f\n", nrules, naive.size(),
+                context.size(), scan_mbps,
                 traffic.size() / 1e6 / (esecs > 0 ? esecs : 1e-9));
-    const std::string rules_label = "rules=\"" + std::to_string(nrules) +
-                                    "\"";
-    reg.GetGauge("cfgtag_bench_nids_mbps{backend=\"functional\"," +
-                     rules_label + "}",
-                 "ContextFilter::Scan MB/s by tagging backend")
+    reg.GetGauge("cfgtag_bench_nids_mbps{rules=\"" + std::to_string(nrules) +
+                     "\"}",
+                 "ContextFilter::Scan MB/s")
         ->Set(scan_mbps);
-    reg.GetGauge(
-           "cfgtag_bench_nids_mbps{backend=\"fused\"," + rules_label + "}",
-           "ContextFilter::Scan MB/s by tagging backend")
-        ->Set(fused_mbps);
-    reg.GetGauge(
-           "cfgtag_bench_nids_mbps{backend=\"lazy_dfa\"," + rules_label +
-               "}",
-           "ContextFilter::Scan MB/s by tagging backend")
-        ->Set(lazy_mbps);
   }
 
   std::printf(

@@ -87,17 +87,8 @@ void Run(bool smoke) {
   hwgen::HwOptions opt;
   opt.tagger.arm_mode = tagger::ArmMode::kResync;
   auto filter = ValueOrDie(
-      nids::ContextFilter::Create(g->Clone(), MakeRules(), opt), "filter");
-  // The same rules and grammar behind the fused tagging backend.
-  opt.tagger.backend = tagger::TaggerBackend::kFused;
-  auto fused_filter = ValueOrDie(
-      nids::ContextFilter::Create(g->Clone(), MakeRules(), opt),
-      "fused filter");
-  // And the lazy-DFA backend.
-  opt.tagger.backend = tagger::TaggerBackend::kLazyDfa;
-  auto lazy_filter = ValueOrDie(
       nids::ContextFilter::Create(std::move(g).value(), MakeRules(), opt),
-      "lazy filter");
+      "filter");
 
   // Batch workload: independent streams of a few hundred messages each.
   const int num_streams = smoke ? 8 : 64;
@@ -116,16 +107,6 @@ void Run(bool smoke) {
   std::vector<std::vector<nids::Alert>> reference(streams.size());
   for (size_t i = 0; i < streams.size(); ++i) {
     reference[i] = filter.Scan(streams[i]);
-    if (fused_filter.Scan(streams[i]) != reference[i]) {
-      std::fprintf(stderr, "FATAL fused backend mismatch on stream %zu\n",
-                   i);
-      std::abort();
-    }
-    if (lazy_filter.Scan(streams[i]) != reference[i]) {
-      std::fprintf(stderr, "FATAL lazy backend mismatch on stream %zu\n",
-                   i);
-      std::abort();
-    }
   }
 
   const int kIters = smoke ? 1 : 5;
@@ -149,45 +130,13 @@ void Run(bool smoke) {
       "(speedup is bounded by hardware threads; on a 1-core host the\n"
       " expected result is ~1.00x, i.e. no engine overhead)\n\n",
       streams.size(), batch_bytes / 1e6, cores);
-  // Sequential fused backend over the same batch: the single-thread
-  // speedup lever, orthogonal to the engine's multi-thread one.
-  const double fused_seq_secs = Time(
-      [&] {
-        for (const std::string_view s : streams) {
-          auto alerts = fused_filter.Scan(s);
-          if (alerts.empty() && !s.empty()) std::abort();
-        }
-      },
-      kIters);
-  // And the lazy-DFA backend, which amortizes its transition cache across
-  // the whole batch via the session pool.
-  const double lazy_seq_secs = Time(
-      [&] {
-        for (const std::string_view s : streams) {
-          auto alerts = lazy_filter.Scan(s);
-          if (alerts.empty() && !s.empty()) std::abort();
-        }
-      },
-      kIters);
-  reg.GetGauge("cfgtag_bench_scan_backend_mbps{backend=\"functional\"}",
-               "Sequential batch scan MB/s by tagging backend")
+  reg.GetGauge("cfgtag_bench_scan_seq_mbps",
+               "Sequential batch scan MB/s")
       ->Set(batch_bytes / 1e6 / seq_secs);
-  reg.GetGauge("cfgtag_bench_scan_backend_mbps{backend=\"fused\"}",
-               "Sequential batch scan MB/s by tagging backend")
-      ->Set(batch_bytes / 1e6 / fused_seq_secs);
-  reg.GetGauge("cfgtag_bench_scan_backend_mbps{backend=\"lazy_dfa\"}",
-               "Sequential batch scan MB/s by tagging backend")
-      ->Set(batch_bytes / 1e6 / lazy_seq_secs);
 
   std::printf("%10s | %12s | %10s\n", "threads", "MB/s", "speedup");
   std::printf("%10s | %12.1f | %10s\n", "seq",
               batch_bytes / 1e6 / seq_secs, "1.00x");
-  std::printf("%10s | %12.1f | %9.2fx\n", "seq-fused",
-              batch_bytes / 1e6 / fused_seq_secs,
-              seq_secs / fused_seq_secs);
-  std::printf("%10s | %12.1f | %9.2fx\n", "seq-lazy",
-              batch_bytes / 1e6 / lazy_seq_secs,
-              seq_secs / lazy_seq_secs);
   for (int threads : {1, 2, 4, 8}) {
     nids::ScanEngineOptions eopt;
     eopt.num_threads = threads;

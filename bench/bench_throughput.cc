@@ -1,7 +1,7 @@
 // Software throughput of every engine in the repository (google-benchmark).
 // The paper's hardware throughput is Fmax x 1 byte/cycle (reported by
 // bench_table1); these benches measure what the *software* components
-// deliver on the host: the bit-parallel functional model, the reference LL
+// deliver on the host: the compiled tagger (the lazy DFA), the reference LL
 // parser, the Aho-Corasick naive matcher, and the cycle-accurate gate-level
 // simulation (orders of magnitude slower, by design).
 
@@ -50,9 +50,14 @@ const std::vector<std::string>& Messages() {
   return *kMessages;
 }
 
-void BM_FunctionalModel(benchmark::State& state) {
+void BM_CompiledTagger(benchmark::State& state) {
+  // Resync mode keeps every message of the stream live: anchored mode goes
+  // dead after the first message, and the dead-tail skip would leave
+  // nothing to time.
   const int copies = static_cast<int>(state.range(0));
-  core::CompiledTagger tagger = CompileXmlRpc(copies);
+  hwgen::HwOptions opt;
+  opt.tagger.arm_mode = tagger::ArmMode::kResync;
+  core::CompiledTagger tagger = CompileXmlRpc(copies, opt);
   const std::string& input = Workload();
   size_t tags = 0;
   for (auto _ : state) {
@@ -65,55 +70,9 @@ void BM_FunctionalModel(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(input.size()));
   state.counters["grammar_bytes"] =
-      static_cast<double>(tagger.hardware().pattern_bytes);
+      static_cast<double>(tagger.grammar().PatternBytes());
 }
-BENCHMARK(BM_FunctionalModel)->Arg(1)->Arg(4)->Arg(10)->Unit(benchmark::kMillisecond);
-
-void BM_FusedModel(benchmark::State& state) {
-  // Same machine, fused backend: one word-aligned global state bitmap
-  // stepped with byte-class-compressed masks.
-  const int copies = static_cast<int>(state.range(0));
-  hwgen::HwOptions opt;
-  opt.tagger.backend = tagger::TaggerBackend::kFused;
-  core::CompiledTagger tagger = CompileXmlRpc(copies, opt);
-  const std::string& input = Workload();
-  size_t tags = 0;
-  for (auto _ : state) {
-    tagger.Tag(input, [&tags](const tagger::Tag&) {
-      ++tags;
-      return true;
-    });
-  }
-  benchmark::DoNotOptimize(tags);
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(input.size()));
-  state.counters["byte_classes"] =
-      static_cast<double>(tagger.fused_model()->NumByteClasses());
-}
-BENCHMARK(BM_FusedModel)->Arg(1)->Arg(4)->Arg(10)->Unit(benchmark::kMillisecond);
-
-void BM_LazyDfaModel(benchmark::State& state) {
-  // The fused engine memoized as a lazily built DFA: interned global-
-  // bitmap configurations, byte-class alphabet, cached tag emissions.
-  const int copies = static_cast<int>(state.range(0));
-  hwgen::HwOptions opt;
-  opt.tagger.backend = tagger::TaggerBackend::kLazyDfa;
-  core::CompiledTagger tagger = CompileXmlRpc(copies, opt);
-  const std::string& input = Workload();
-  size_t tags = 0;
-  for (auto _ : state) {
-    tagger.Tag(input, [&tags](const tagger::Tag&) {
-      ++tags;
-      return true;
-    });
-  }
-  benchmark::DoNotOptimize(tags);
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(input.size()));
-  state.counters["byte_classes"] = static_cast<double>(
-      tagger.lazy_model()->fused().NumByteClasses());
-}
-BENCHMARK(BM_LazyDfaModel)->Arg(1)->Arg(4)->Arg(10)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CompiledTagger)->Arg(1)->Arg(4)->Arg(10)->Unit(benchmark::kMillisecond);
 
 void BM_LlParser(benchmark::State& state) {
   auto g = xmlrpc::XmlRpcGrammar();
@@ -182,7 +141,7 @@ void BM_CompileTagger(benchmark::State& state) {
   const int copies = static_cast<int>(state.range(0));
   for (auto _ : state) {
     core::CompiledTagger tagger = CompileXmlRpc(copies);
-    benchmark::DoNotOptimize(tagger.hardware().pattern_bytes);
+    benchmark::DoNotOptimize(tagger.lazy_model());
   }
 }
 BENCHMARK(BM_CompileTagger)->Arg(1)->Arg(10)->Unit(benchmark::kMillisecond);
@@ -199,16 +158,16 @@ void BM_ImplementFlow(benchmark::State& state) {
 }
 BENCHMARK(BM_ImplementFlow)->Arg(1)->Arg(10)->Unit(benchmark::kMillisecond);
 
-// Head-to-head backend comparison on the sustained (resync) workload —
-// all three software engines tag the same byte stream end to end,
-// equivalence-checked first, and the resulting MB/s land in
-// bench_metrics.json / BENCH_4.json as
+// Head-to-head engine comparison on the sustained (resync) workload — the
+// functional reference, the fused engine and the lazy DFA, each constructed
+// directly, tag the same byte stream end to end, equivalence-checked first,
+// and the resulting MB/s land in bench_metrics.json as
 // cfgtag_bench_backend_mbps{backend=...,copies=...} gauges plus the
 // cfgtag_bench_backend_speedup{copies=...} (fused over functional) and
-// cfgtag_bench_lazy_over_fused_speedup{copies=...} ratios — the latter is
-// the CI release-bench gate. Resync mode keeps every message live
-// (anchored mode goes dead after the first message, which the idle fast
-// paths would skip outright and the comparison would measure nothing).
+// cfgtag_bench_lazy_over_fused_speedup{copies=...} ratios. Resync mode
+// keeps every message live (anchored mode goes dead after the first
+// message, which the idle fast paths would skip outright and the
+// comparison would measure nothing).
 void RecordBackendComparison(bool smoke) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   const std::string& full = Workload();
@@ -285,8 +244,7 @@ void RecordBackendComparison(bool smoke) {
         ->Set(speedup);
     reg.GetGauge(
            "cfgtag_bench_lazy_over_fused_speedup{" + copies_label + "}",
-           "Lazy-DFA over fused throughput ratio (CI gate: must stay "
-           ">= 1.0 on the XML-RPC workload)")
+           "Lazy-DFA over fused throughput ratio")
         ->Set(lazy_over_fused);
   }
 
@@ -315,11 +273,11 @@ void RecordBackendComparison(bool smoke) {
 // heavily padded XML-RPC (whitespace between almost every token pair,
 // in runs of 256-1024 bytes — the shape of indentation-padded or
 // keepalive-padded feeds), so idle delimiter skipping and chunked
-// classification dominate the byte count. Both compiled
-// backends tag the stream under forced-scalar and under the best vector
-// tier the host offers, equivalence-checked first; MB/s land in
-// BENCH_8.json as cfgtag_bench_simd_mbps{backend=...,dispatch=...} and the
-// ratio as cfgtag_bench_simd_speedup{backend=...}.
+// classification dominate the byte count. The fused engine and the lazy
+// DFA tag the stream under forced-scalar and under the best vector tier
+// the host offers, equivalence-checked first; MB/s land in
+// bench_metrics.json as cfgtag_bench_simd_mbps{backend=...,dispatch=...}
+// and the ratio as cfgtag_bench_simd_speedup{backend=...}.
 void RecordSimdComparison(bool smoke) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   static const std::string* const kWsHeavy = [] {
@@ -421,7 +379,6 @@ void RecordArtifactComparison(bool smoke) {
             : std::string_view(full);
 
   hwgen::HwOptions opt;
-  opt.tagger.backend = tagger::TaggerBackend::kLazyDfa;
   opt.tagger.arm_mode = tagger::ArmMode::kResync;
   // The default 4096-state budget covers the BFS-shallow prefix of the
   // product space, but this workload's hot loop lives ~600 states deep and
@@ -659,7 +616,6 @@ void RecordResilienceOverhead(bool smoke) {
   grammar::Grammar g = DuplicatedXmlRpc(4);
   hwgen::HwOptions opt;
   opt.tagger.arm_mode = tagger::ArmMode::kResync;
-  opt.tagger.backend = tagger::TaggerBackend::kFused;
   auto tagger =
       ValueOrDie(core::CompiledTagger::Compile(std::move(g), opt), "compile");
 
@@ -712,14 +668,14 @@ void RecordResilienceOverhead(bool smoke) {
   std::sort(ratios.begin(), ratios.end());
   const double overhead_pct = (ratios[ratios.size() / 2] - 1.0) * 100.0;
   std::printf(
-      "\nResilience overhead (fused x4, %zu KB): plain %.1f MB/s, "
+      "\nResilience overhead (lazy-dfa x4, %zu KB): plain %.1f MB/s, "
       "controlled %.1f MB/s, overhead %.2f%% (budget < 2%%)\n",
       input.size() >> 10, off_mbps, on_mbps, overhead_pct);
   reg.GetGauge("cfgtag_bench_resilience_mbps{control=\"off\"}",
-               "Fused sequential MB/s through the plain Tag() path")
+               "Sequential MB/s through the plain Tag() path")
       ->Set(off_mbps);
   reg.GetGauge("cfgtag_bench_resilience_mbps{control=\"on\"}",
-               "Fused sequential MB/s through TagWithControl() with an "
+               "Sequential MB/s through TagWithControl() with an "
                "inert default ScanControl")
       ->Set(on_mbps);
   reg.GetGauge("cfgtag_bench_resilience_overhead_pct",
@@ -762,18 +718,8 @@ int main(int argc, char** argv) {
   cfgtag::bench::RecordAttributionOverhead(smoke);
   cfgtag::bench::RecordResilienceOverhead(smoke);
   cfgtag::bench::WriteMetricsJson("bench_metrics.json");
-  // The consolidated perf baseline the CI release-bench gate parses: the
-  // same registry snapshot under the tracked BENCH_4.json name (backend
-  // MB/s and speedup gauges included). BENCH_7.json is the same snapshot
-  // re-baselined after the concurrency pass (seqlock payload in atomic
-  // words, lifecycle-locked stats server), and BENCH_8.json after the SIMD
-  // kernel layer (scalar-vs-vector dispatch gauges included), so the files
-  // bracket each pass's throughput effect. BENCH_9.json re-baselines after
-  // the artifact layer and carries the artifact load-speedup and AOT
-  // cold-start gauges its CI gate parses.
-  cfgtag::bench::WriteMetricsJson("BENCH_4.json");
-  cfgtag::bench::WriteMetricsJson("BENCH_7.json");
-  cfgtag::bench::WriteMetricsJson("BENCH_8.json");
+  // BENCH_9.json carries the artifact load-speedup and AOT cold-start
+  // gauges its CI gate parses.
   cfgtag::bench::WriteMetricsJson("BENCH_9.json");
   // BENCH_10.json re-baselines after the service-resilience layer and
   // carries the disarmed-control overhead gauge its CI gate parses.

@@ -35,7 +35,8 @@ cond: "true" | "false";
   std::printf("--- First/Follow analysis (paper Fig. 10) ---\n%s\n",
               analysis->ToString(*grammar).c_str());
 
-  // 3. Compile: grammar -> gate-level netlist + fast software model.
+  // 3. Compile: grammar -> fast software tagger (the gate-level netlist is
+  // generated on the first hardware call below).
   auto tagger = core::CompiledTagger::Compile(std::move(grammar).value());
   if (!tagger.ok()) {
     std::fprintf(stderr, "compile error: %s\n",
@@ -43,7 +44,7 @@ cond: "true" | "false";
     return 1;
   }
 
-  // 4. Tag a sentence with the functional model.
+  // 4. Tag a sentence with the software tagger.
   const std::string input = "if true then go else stop";
   std::printf("--- tagging: \"%s\" ---\n", input.c_str());
   for (const tagger::Tag& t : tagger->Tag(input)) {
@@ -56,7 +57,7 @@ cond: "true" | "false";
   auto hw_tags = tagger->TagCycleAccurate(input);
   auto bus_tags = tagger->TagViaIndexBus(input);
   std::printf(
-      "\ncycle-accurate simulation: %zu tags (%s the functional model)\n",
+      "\ncycle-accurate simulation: %zu tags (%s the software tagger)\n",
       hw_tags->size(),
       *hw_tags == tagger->Tag(input) ? "identical to" : "DIFFERS FROM");
   std::printf("index-encoder bus:         %zu tags\n", bus_tags->size());

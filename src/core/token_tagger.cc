@@ -14,7 +14,6 @@
 #include "tagger/artifact/loader.h"
 #include "tagger/artifact/writer.h"
 #include "rtl/simulator.h"
-#include "tagger/session_pool.h"
 #include "rtl/vcd_writer.h"
 #include "rtl/vhdl_emitter.h"
 #include "rtl/vhdl_testbench.h"
@@ -52,73 +51,53 @@ StatusOr<CompiledTagger> CompiledTagger::Compile(
       std::make_unique<grammar::Grammar>(std::move(grammar));
   out.options_ = options;
   {
-    obs::ScopedSpan stage("hwgen.Generate");
-    obs::ScopedTimer stage_timer(StageHistogram("hwgen"));
-    auto hardware = hwgen::TaggerGenerator::Generate(*out.grammar_, options);
-    if (!hardware.ok()) return hardware.status().WithContext("hwgen");
-    out.hardware_ = std::move(hardware).value();
-  }
-  {
-    obs::ScopedSpan stage("tagger.CreateModel");
-    obs::ScopedTimer stage_timer(StageHistogram("model"));
-    auto model =
-        tagger::FunctionalTagger::Create(out.grammar_.get(), options.tagger);
-    if (!model.ok()) return model.status().WithContext("functional model");
-    out.model_ =
-        std::make_unique<tagger::FunctionalTagger>(std::move(model).value());
-  }
-  const tagger::TaggerBackend requested = options.tagger.backend;
-  if (requested == tagger::TaggerBackend::kFused ||
-      requested == tagger::TaggerBackend::kLazyDfa ||
-      requested == tagger::TaggerBackend::kAuto) {
     obs::ScopedSpan stage("tagger.CreateFusedModel");
     obs::ScopedTimer stage_timer(StageHistogram("fused"));
     auto fused =
         tagger::FusedTagger::Create(out.grammar_.get(), options.tagger);
     if (!fused.ok()) return fused.status().WithContext("fused model");
     reg.GetGauge("cfgtag_compile_byte_classes",
-                 "Byte classes of the last fused-backend compile")
+                 "Byte classes of the last compile")
         ->Set(static_cast<double>(fused.value().NumByteClasses()));
-    // kAuto resolves here, against the one set of fused tables either
-    // engine fronts: narrow grammars get the lazy DFA, wide ones stay
-    // fused (see LazyDfaTagger::AutoPrefers).
-    const bool lazy =
-        requested == tagger::TaggerBackend::kLazyDfa ||
-        (requested == tagger::TaggerBackend::kAuto &&
-         tagger::LazyDfaTagger::AutoPrefers(fused.value()));
-    if (lazy) {
-      out.lazy_ = std::make_unique<tagger::LazyDfaTagger>(
-          tagger::LazyDfaTagger::Wrap(std::move(fused).value()));
-      out.options_.tagger.backend = tagger::TaggerBackend::kLazyDfa;
-    } else {
-      out.fused_ =
-          std::make_unique<tagger::FusedTagger>(std::move(fused).value());
-      out.options_.tagger.backend = tagger::TaggerBackend::kFused;
-    }
+    out.lazy_ = std::make_unique<tagger::LazyDfaTagger>(
+        tagger::LazyDfaTagger::Wrap(std::move(fused).value()));
   }
-
-  const rtl::Netlist::Stats stats = out.hardware_.netlist.ComputeStats();
+  out.hardware_ = std::make_unique<HardwareSlot>();
   reg.GetCounter("cfgtag_compile_total", "Grammar compiles completed")
       ->Increment();
-  reg.GetGauge("cfgtag_compile_gates", "Gates in the last compiled netlist")
-      ->Set(static_cast<double>(stats.num_gates));
-  reg.GetGauge("cfgtag_compile_regs",
-               "Registers in the last compiled netlist")
-      ->Set(static_cast<double>(stats.num_regs));
-  reg.GetGauge("cfgtag_compile_pattern_bytes",
-               "Pattern bytes (Glushkov positions) of the last compile")
-      ->Set(static_cast<double>(out.hardware_.pattern_bytes));
   return out;
 }
 
-Status CompiledTagger::RequireHardware(const char* what) const {
-  if (software_only_) {
+StatusOr<const hwgen::GeneratedTagger*> CompiledTagger::hardware() const {
+  if (hardware_ == nullptr) {
     return FailedPreconditionError(
-        std::string(what) +
-        ": tagger was loaded from an artifact (software engine only); "
+        "tagger was loaded from an artifact (software engine only); "
         "recompile the grammar for netlist operations");
   }
-  return Status::Ok();
+  HardwareSlot& slot = *hardware_;
+  std::call_once(slot.once, [&] {
+    obs::ScopedSpan stage("hwgen.Generate");
+    obs::ScopedTimer stage_timer(StageHistogram("hwgen"));
+    auto design = hwgen::TaggerGenerator::Generate(*grammar_, options_);
+    if (!design.ok()) {
+      slot.status = design.status().WithContext("hwgen");
+      return;
+    }
+    slot.design = std::move(design).value();
+    const rtl::Netlist::Stats stats = slot.design.netlist.ComputeStats();
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+    reg.GetGauge("cfgtag_compile_gates", "Gates in the last generated netlist")
+        ->Set(static_cast<double>(stats.num_gates));
+    reg.GetGauge("cfgtag_compile_regs",
+                 "Registers in the last generated netlist")
+        ->Set(static_cast<double>(stats.num_regs));
+    reg.GetGauge("cfgtag_compile_pattern_bytes",
+                 "Pattern bytes (Glushkov positions) of the last generated "
+                 "netlist")
+        ->Set(static_cast<double>(slot.design.pattern_bytes));
+  });
+  if (!slot.status.ok()) return slot.status;
+  return &slot.design;
 }
 
 StatusOr<std::string> CompiledTagger::SerializeWithHashes(
@@ -128,19 +107,7 @@ StatusOr<std::string> CompiledTagger::SerializeWithHashes(
   req.grammar_hash = grammar_hash;
   req.options_hash = options_hash;
   req.aot_state_budget = options_.tagger.aot_state_budget;
-  const tagger::FusedTagger* fused;
-  if (lazy_ != nullptr) {
-    req.backend = art::kArtifactLazyDfa;
-    fused = &lazy_->fused();
-  } else if (fused_ != nullptr) {
-    req.backend = art::kArtifactFused;
-    fused = fused_.get();
-  } else {
-    return FailedPreconditionError(
-        "Serialize: the functional backend keeps no flat tables; compile "
-        "with backend kFused, kLazyDfa or kAuto");
-  }
-  return art::SerializeTagger(*fused, req);
+  return art::SerializeTagger(lazy_->fused(), req);
 }
 
 StatusOr<std::string> CompiledTagger::Serialize() const {
@@ -156,10 +123,7 @@ StatusOr<CompiledTagger> CompiledTagger::AdoptLoaded(
   am.bytes->Set(static_cast<double>(lt.artifact_bytes));
   am.aot_states->Set(static_cast<double>(lt.aot_states));
   CompiledTagger out;
-  out.software_only_ = true;
-  out.loaded_grammar_ = lt.grammar;
   out.options_.tagger = lt.options;
-  out.fused_ = std::move(lt.fused);
   out.lazy_ = std::move(lt.lazy);
   return out;
 }
@@ -211,16 +175,8 @@ StatusOr<CompiledTagger> CompiledTagger::CompileCached(
     // (the store below overwrites a bad entry atomically).
   }
   am.cache_misses->Increment();
-  hwgen::HwOptions opts = options;
-  if (opts.tagger.backend == tagger::TaggerBackend::kAuto &&
-      opts.tagger.aot_state_budget > 0) {
-    // With a baked transition table in the artifact, cold starts run warm
-    // — the auto heuristic's cache-build cost argument no longer applies,
-    // so kAuto prefers the precomputed DFA.
-    opts.tagger.backend = tagger::TaggerBackend::kLazyDfa;
-  }
   CFGTAG_ASSIGN_OR_RETURN(CompiledTagger out,
-                          Compile(std::move(grammar), opts));
+                          Compile(std::move(grammar), options));
   auto bytes = out.SerializeWithHashes(ghash, ohash);
   if (bytes.ok()) {
     if (resilience::ResourceBudget::Process().ArtifactCacheReadOnly()) {
@@ -240,54 +196,24 @@ StatusOr<CompiledTagger> CompiledTagger::CompileCached(
 
 namespace {
 
-// Run-path metric handles, resolved once per process. The aggregate
-// cfgtag_tag_* metrics cover Tag() regardless of engine; the per-backend
-// cfgtag_backend_* family splits calls and scanned-size distributions by
-// the engine that served them, so a deployment mixing backends can compare
-// them in one scrape.
-struct BackendMetrics {
-  obs::Counter* calls;
-  obs::Counter* bytes;
-  obs::Histogram* scan_bytes;
-};
-
+// Run-path metric handles, resolved once per process.
 struct TagMetrics {
   obs::Counter* calls;
   obs::Counter* bytes;
   obs::Counter* tags;
   obs::Histogram* latency;
-  BackendMetrics backend[3];  // indexed by TaggerBackend
 
   static const TagMetrics& Get() {
-    static const TagMetrics* const kMetrics = [] {
+    static const TagMetrics kMetrics = [] {
       obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-      auto* m = new TagMetrics;
-      m->calls = reg.GetCounter("cfgtag_tag_calls_total",
-                                "Tag() invocations (any backend)");
-      m->bytes = reg.GetCounter("cfgtag_tag_bytes_total",
-                                "Input bytes scanned by Tag()");
-      m->tags = reg.GetCounter("cfgtag_tag_tokens_total",
-                               "Tags emitted by Tag()");
-      m->latency = reg.GetHistogram("cfgtag_tag_seconds",
-                                    "Per-call Tag() wall time");
-      const char* names[3] = {"functional", "fused", "lazy_dfa"};
-      for (int b = 0; b < 3; ++b) {
-        const std::string label =
-            std::string("{backend=\"") + names[b] + "\"}";
-        m->backend[b].calls =
-            reg.GetCounter("cfgtag_backend_calls_total" + label,
-                           "Tag() invocations served by this backend");
-        m->backend[b].bytes =
-            reg.GetCounter("cfgtag_backend_bytes_total" + label,
-                           "Input bytes scanned by this backend");
-        m->backend[b].scan_bytes = reg.GetHistogram(
-            "cfgtag_backend_scan_bytes" + label,
-            "Per-call input size distribution for this backend",
-            obs::DefaultSizeBuckets());
-      }
-      return m;
+      return TagMetrics{
+          reg.GetCounter("cfgtag_tag_calls_total", "Tag() invocations"),
+          reg.GetCounter("cfgtag_tag_bytes_total",
+                         "Input bytes scanned by Tag()"),
+          reg.GetCounter("cfgtag_tag_tokens_total", "Tags emitted by Tag()"),
+          reg.GetHistogram("cfgtag_tag_seconds", "Per-call Tag() wall time")};
     }();
-    return *kMetrics;
+    return kMetrics;
   }
 };
 
@@ -307,10 +233,10 @@ void CompiledTagger::Tag(std::string_view input,
   const TagMetrics& metrics = TagMetrics::Get();
   obs::ScopedTimer timer(metrics.latency);
   // Stream the input and then the flush padding through a pooled session:
-  // the same bytes the old Padded() copy produced, minus the per-call
-  // input copy and session construction. One extra pad byte beyond the
-  // scanned range keeps the Fig. 7 look-ahead identical between the
-  // engines at the final scanned byte.
+  // the same bytes the simulator sees (Padded()), minus the per-call input
+  // copy and session construction. One extra pad byte beyond the scanned
+  // range keeps the Fig. 7 look-ahead identical to the gate-level
+  // simulation at the final scanned byte.
   static const std::string& kPadding =
       *new std::string(kFlushPadding + 1, kFlushByte);
   const size_t scan_end = input.size() + kFlushPadding;
@@ -320,21 +246,9 @@ void CompiledTagger::Tag(std::string_view input,
     ++emitted;
     return sink(t);
   };
-  if (lazy_ != nullptr) {
+  {
     tagger::LazyDfaSessionPool::Handle session =
         lazy_->session_pool().Acquire(lazy_.get());
-    session->Feed(input, gated);
-    session->Feed(kPadding, gated);
-    session->Finish(gated);
-  } else if (fused_ != nullptr) {
-    tagger::FusedSessionPool::Handle session =
-        fused_->session_pool().Acquire(fused_.get());
-    session->Feed(input, gated);
-    session->Feed(kPadding, gated);
-    session->Finish(gated);
-  } else {
-    tagger::SessionPool::Handle session =
-        model_->session_pool().Acquire(model_.get());
     session->Feed(input, gated);
     session->Feed(kPadding, gated);
     session->Finish(gated);
@@ -342,11 +256,6 @@ void CompiledTagger::Tag(std::string_view input,
   metrics.calls->Increment();
   metrics.bytes->Increment(input.size());
   metrics.tags->Increment(emitted);
-  const BackendMetrics& bm =
-      metrics.backend[lazy_ != nullptr ? 2 : (fused_ != nullptr ? 1 : 0)];
-  bm.calls->Increment();
-  bm.bytes->Increment(input.size());
-  bm.scan_bytes->Observe(static_cast<double>(input.size()));
 }
 
 Status CompiledTagger::TagWithControl(std::string_view input,
@@ -373,7 +282,7 @@ Status CompiledTagger::TagWithControl(std::string_view input,
   // Pooled sessions tolerate being returned half-fed (Acquire resets), so
   // an early trip just abandons the session — no padding, no Finish, and
   // a tag still open at the stop point is never reported.
-  const auto run = [&](auto* session) {
+  const auto run = [&](tagger::LazyDfaSession* session) {
     while (fed < input.size()) {
       trip = control.Check();
       if (!trip.ok()) return;
@@ -390,27 +299,14 @@ Status CompiledTagger::TagWithControl(std::string_view input,
     session->Feed(kPadding, gated);
     session->Finish(gated);
   };
-  if (lazy_ != nullptr) {
+  {
     tagger::LazyDfaSessionPool::Handle session =
         lazy_->session_pool().Acquire(lazy_.get());
-    run(session.get());
-  } else if (fused_ != nullptr) {
-    tagger::FusedSessionPool::Handle session =
-        fused_->session_pool().Acquire(fused_.get());
-    run(session.get());
-  } else {
-    tagger::SessionPool::Handle session =
-        model_->session_pool().Acquire(model_.get());
     run(session.get());
   }
   metrics.calls->Increment();
   metrics.bytes->Increment(fed);
   metrics.tags->Increment(emitted);
-  const BackendMetrics& bm =
-      metrics.backend[lazy_ != nullptr ? 2 : (fused_ != nullptr ? 1 : 0)];
-  bm.calls->Increment();
-  bm.bytes->Increment(fed);
-  bm.scan_bytes->Observe(static_cast<double>(fed));
   if (consumed != nullptr) *consumed = fed;
   if (!trip.ok()) {
     resilience::CountControlTrip(trip, fed, input.size(), "core.Tag");
@@ -420,16 +316,15 @@ Status CompiledTagger::TagWithControl(std::string_view input,
 
 StatusOr<std::vector<tagger::Tag>> CompiledTagger::TagCycleAccurate(
     std::string_view input) const {
-  CFGTAG_RETURN_IF_ERROR(RequireHardware("TagCycleAccurate"));
+  CFGTAG_ASSIGN_OR_RETURN(const hwgen::GeneratedTagger* hw, hardware());
   obs::ScopedSpan span("core.TagCycleAccurate");
-  CFGTAG_ASSIGN_OR_RETURN(auto sim,
-                          rtl::Simulator::Create(&hardware_.netlist));
+  CFGTAG_ASSIGN_OR_RETURN(auto sim, rtl::Simulator::Create(&hw->netlist));
   sim.EnableActivityStats(true);
   const std::string padded = Padded(input, kFlushPadding + 1);
   const size_t scan_end = input.size() + kFlushPadding;
-  const size_t lanes = static_cast<size_t>(hardware_.lanes);
-  const size_t num_tokens = hardware_.num_tokens;
-  const auto& lane_latency = hardware_.lane_match_latency;
+  const size_t lanes = static_cast<size_t>(hw->lanes);
+  const size_t num_tokens = hw->num_tokens;
+  const auto& lane_latency = hw->lane_match_latency;
 
   int max_latency = 0;
   for (int lat : lane_latency) max_latency = std::max(max_latency, lat);
@@ -447,7 +342,7 @@ StatusOr<std::vector<tagger::Tag>> CompiledTagger::TagCycleAccurate(
           offset < padded.size() ? static_cast<unsigned char>(padded[offset])
                                  : static_cast<unsigned char>(kFlushByte);
       for (size_t b = 0; b < 8; ++b) {
-        sim.SetInput(hardware_.data_in[k * 8 + b], (byte >> b) & 1);
+        sim.SetInput(hw->data_in[k * 8 + b], (byte >> b) & 1);
       }
     }
     sim.Step();
@@ -457,7 +352,7 @@ StatusOr<std::vector<tagger::Tag>> CompiledTagger::TagCycleAccurate(
       const size_t offset = (step - lat) * lanes + k;
       if (offset >= scan_end) continue;
       for (size_t t = 0; t < num_tokens; ++t) {
-        if (sim.Get(hardware_.match_regs[k * num_tokens + t])) {
+        if (sim.Get(hw->match_regs[k * num_tokens + t])) {
           tagger::Tag tag;
           tag.token = static_cast<int32_t>(t);
           tag.end = offset;
@@ -491,15 +386,14 @@ StatusOr<std::vector<tagger::Tag>> CompiledTagger::TagCycleAccurate(
 
 StatusOr<std::vector<tagger::Tag>> CompiledTagger::TagViaIndexBus(
     std::string_view input) const {
-  CFGTAG_RETURN_IF_ERROR(RequireHardware("TagViaIndexBus"));
-  if (hardware_.index_valid == rtl::kInvalidNode) {
+  CFGTAG_ASSIGN_OR_RETURN(const hwgen::GeneratedTagger* hw, hardware());
+  if (hw->index_valid == rtl::kInvalidNode) {
     return FailedPreconditionError("tagger was compiled without the encoder");
   }
-  CFGTAG_ASSIGN_OR_RETURN(auto sim,
-                          rtl::Simulator::Create(&hardware_.netlist));
+  CFGTAG_ASSIGN_OR_RETURN(auto sim, rtl::Simulator::Create(&hw->netlist));
   const std::string padded = Padded(input, kFlushPadding + 1);
   const size_t scan_end = input.size() + kFlushPadding;
-  const int latency = hardware_.index_latency;
+  const int latency = hw->index_latency;
   const size_t total_steps = scan_end + static_cast<size_t>(latency);
 
   std::vector<tagger::Tag> tags;
@@ -508,24 +402,24 @@ StatusOr<std::vector<tagger::Tag>> CompiledTagger::TagViaIndexBus(
         step < padded.size() ? static_cast<unsigned char>(padded[step])
                              : static_cast<unsigned char>(kFlushByte);
     for (int b = 0; b < 8; ++b) {
-      sim.SetInput(hardware_.data_in[b], (byte >> b) & 1);
+      sim.SetInput(hw->data_in[b], (byte >> b) & 1);
     }
     sim.Step();
     if (step < static_cast<size_t>(latency)) continue;
     const size_t offset = step - static_cast<size_t>(latency);
     if (offset >= scan_end) continue;
-    if (!sim.Get(hardware_.index_valid)) continue;
+    if (!sim.Get(hw->index_valid)) continue;
     uint32_t index = 0;
-    for (size_t k = 0; k < hardware_.index_bits.size(); ++k) {
-      if (sim.Get(hardware_.index_bits[k])) index |= 1u << k;
+    for (size_t k = 0; k < hw->index_bits.size(); ++k) {
+      if (sim.Get(hw->index_bits[k])) index |= 1u << k;
     }
-    if (index >= hardware_.leaf_token.size() ||
-        hardware_.leaf_token[index] < 0) {
+    if (index >= hw->leaf_token.size() ||
+        hw->leaf_token[index] < 0) {
       return InternalError("encoder reported an unmapped index " +
                            std::to_string(index));
     }
     tagger::Tag tag;
-    tag.token = hardware_.leaf_token[index];
+    tag.token = hw->leaf_token[index];
     tag.end = offset;
     tags.push_back(tag);
   }
@@ -534,7 +428,7 @@ StatusOr<std::vector<tagger::Tag>> CompiledTagger::TagViaIndexBus(
 
 StatusOr<ImplementationReport> CompiledTagger::Implement(
     const rtl::Device& device, bool optimize) const {
-  CFGTAG_RETURN_IF_ERROR(RequireHardware("Implement"));
+  CFGTAG_ASSIGN_OR_RETURN(const hwgen::GeneratedTagger* hw, hardware());
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   obs::ScopedSpan span("core.Implement");
   obs::ScopedTimer timer(reg.GetHistogram(
@@ -542,11 +436,11 @@ StatusOr<ImplementationReport> CompiledTagger::Implement(
 
   rtl::TechMapper mapper(device.lut_inputs);
   rtl::Netlist optimized;
-  const rtl::Netlist* to_map = &hardware_.netlist;
+  const rtl::Netlist* to_map = &hw->netlist;
   if (optimize) {
     obs::ScopedSpan stage("rtl.Optimize");
     obs::ScopedTimer stage_timer(StageHistogram("optimize"));
-    auto opt = rtl::Optimize(hardware_.netlist, nullptr);
+    auto opt = rtl::Optimize(hw->netlist, nullptr);
     if (!opt.ok()) return opt.status().WithContext("optimize");
     optimized = std::move(opt).value();
     to_map = &optimized;
@@ -575,12 +469,12 @@ StatusOr<ImplementationReport> CompiledTagger::Implement(
   report.device = device.name;
   report.area.luts = mapped.NumLuts();
   report.area.ffs = mapped.NumFfs();
-  report.area.pattern_bytes = hardware_.pattern_bytes;
+  report.area.pattern_bytes = hw->pattern_bytes;
   report.area.luts_per_byte =
-      hardware_.pattern_bytes == 0
+      hw->pattern_bytes == 0
           ? 0.0
           : static_cast<double>(report.area.luts) /
-                static_cast<double>(hardware_.pattern_bytes);
+                static_cast<double>(hw->pattern_bytes);
   report.area.breakdown = rtl::BreakdownByScope(mapped);
   report.timing = std::move(timing);
   report.bandwidth_gbps = report.timing.fmax_mhz * 1e6 *
@@ -591,21 +485,21 @@ StatusOr<ImplementationReport> CompiledTagger::Implement(
 
 StatusOr<std::string> CompiledTagger::ExportVhdl(
     const std::string& entity_name) const {
-  CFGTAG_RETURN_IF_ERROR(RequireHardware("ExportVhdl"));
-  return rtl::VhdlEmitter::Emit(hardware_.netlist, entity_name);
+  CFGTAG_ASSIGN_OR_RETURN(const hwgen::GeneratedTagger* hw, hardware());
+  return rtl::VhdlEmitter::Emit(hw->netlist, entity_name);
 }
 
 StatusOr<std::string> CompiledTagger::ExportVhdlTestbench(
     const std::string& entity_name, std::string_view input) const {
-  CFGTAG_RETURN_IF_ERROR(RequireHardware("ExportVhdlTestbench"));
+  CFGTAG_ASSIGN_OR_RETURN(const hwgen::GeneratedTagger* hw, hardware());
   const std::string padded = Padded(input, kFlushPadding + 1);
   const size_t scan_end = input.size() + kFlushPadding;
-  const size_t lanes = static_cast<size_t>(hardware_.lanes);
+  const size_t lanes = static_cast<size_t>(hw->lanes);
 
   rtl::TestbenchStimulus stimulus;
-  stimulus.lanes = hardware_.lanes;
+  stimulus.lanes = hw->lanes;
   int max_latency = 0;
-  for (int lat : hardware_.lane_match_latency) {
+  for (int lat : hw->lane_match_latency) {
     max_latency = std::max(max_latency, lat);
   }
   const size_t total_cycles =
@@ -621,15 +515,12 @@ StatusOr<std::string> CompiledTagger::ExportVhdlTestbench(
     stimulus.bytes.push_back(std::move(row));
   }
 
-  // Expected observations from the functional model.
+  // Expected observations from the software engine.
   std::vector<rtl::TestbenchCheck> checks;
-  const std::string padded_for_model = Padded(input, kFlushPadding + 1);
-  model_->Run(padded_for_model, [&](const tagger::Tag& t) {
-    if (t.end >= scan_end) return true;
+  Tag(input, [&](const tagger::Tag& t) {
     const size_t lane = t.end % lanes;
-    const size_t cycle = t.end / lanes +
-                         static_cast<size_t>(
-                             hardware_.lane_match_latency[lane]);
+    const size_t cycle =
+        t.end / lanes + static_cast<size_t>(hw->lane_match_latency[lane]);
     std::string port = lanes == 1
                            ? "match_t" + std::to_string(t.token)
                            : "match_l" + std::to_string(lane) + "_t" +
@@ -639,53 +530,51 @@ StatusOr<std::string> CompiledTagger::ExportVhdlTestbench(
   });
   // A few negative checks: the first token's match port must be low while
   // the pipeline is still filling.
-  if (hardware_.num_tokens > 0) {
+  if (hw->num_tokens > 0) {
     const std::string port0 =
         lanes == 1 ? "match_t0" : "match_l0_t0";
     for (uint64_t cycle = 0;
-         cycle + 1 < static_cast<uint64_t>(hardware_.match_latency);
+         cycle + 1 < static_cast<uint64_t>(hw->match_latency);
          ++cycle) {
       checks.push_back(rtl::TestbenchCheck{cycle, port0, false});
     }
   }
-  return rtl::EmitVhdlTestbench(hardware_.netlist, entity_name, stimulus,
-                                checks);
+  return rtl::EmitVhdlTestbench(hw->netlist, entity_name, stimulus, checks);
 }
 
 Status CompiledTagger::DumpWaveform(std::string_view input,
                                     std::ostream& os) const {
-  CFGTAG_RETURN_IF_ERROR(RequireHardware("DumpWaveform"));
-  CFGTAG_ASSIGN_OR_RETURN(auto sim,
-                          rtl::Simulator::Create(&hardware_.netlist));
-  rtl::VcdWriter vcd(&os, &hardware_.netlist);
-  for (size_t b = 0; b < hardware_.data_in.size(); ++b) {
-    vcd.AddSignal(hardware_.data_in[b], "d" + std::to_string(b));
+  CFGTAG_ASSIGN_OR_RETURN(const hwgen::GeneratedTagger* hw, hardware());
+  CFGTAG_ASSIGN_OR_RETURN(auto sim, rtl::Simulator::Create(&hw->netlist));
+  rtl::VcdWriter vcd(&os, &hw->netlist);
+  for (size_t b = 0; b < hw->data_in.size(); ++b) {
+    vcd.AddSignal(hw->data_in[b], "d" + std::to_string(b));
   }
-  for (size_t i = 0; i < hardware_.match_regs.size(); ++i) {
-    const size_t t = i % hardware_.num_tokens;
-    const size_t lane = i / hardware_.num_tokens;
+  for (size_t i = 0; i < hw->match_regs.size(); ++i) {
+    const size_t t = i % hw->num_tokens;
+    const size_t lane = i / hw->num_tokens;
     std::string name = "match_" + grammar_->tokens()[t].name;
-    if (hardware_.lanes > 1) name += "_l" + std::to_string(lane);
+    if (hw->lanes > 1) name += "_l" + std::to_string(lane);
     // VCD identifiers must not contain spaces.
     for (char& c : name) {
       if (std::isspace(static_cast<unsigned char>(c))) c = '_';
     }
-    vcd.AddSignal(hardware_.match_regs[i], name);
+    vcd.AddSignal(hw->match_regs[i], name);
   }
-  if (hardware_.index_valid != rtl::kInvalidNode) {
-    vcd.AddSignal(hardware_.index_valid, "index_valid");
-    for (size_t k = 0; k < hardware_.index_bits.size(); ++k) {
-      vcd.AddSignal(hardware_.index_bits[k], "index" + std::to_string(k));
+  if (hw->index_valid != rtl::kInvalidNode) {
+    vcd.AddSignal(hw->index_valid, "index_valid");
+    for (size_t k = 0; k < hw->index_bits.size(); ++k) {
+      vcd.AddSignal(hw->index_bits[k], "index" + std::to_string(k));
     }
   }
   vcd.WriteHeader();
 
   const std::string padded = Padded(input, kFlushPadding + 1);
-  const size_t lanes = static_cast<size_t>(hardware_.lanes);
+  const size_t lanes = static_cast<size_t>(hw->lanes);
   // Run long enough for the slowest output (the index encoder adds
   // ceil(log2 N) stages on top of the match latency) to drain.
   const int drain =
-      std::max(hardware_.match_latency, hardware_.index_latency);
+      std::max(hw->match_latency, hw->index_latency);
   const size_t total_steps = (padded.size() + lanes - 1) / lanes +
                              static_cast<size_t>(drain) + 1;
   for (size_t step = 0; step < total_steps; ++step) {
@@ -695,7 +584,7 @@ Status CompiledTagger::DumpWaveform(std::string_view input,
           offset < padded.size() ? static_cast<unsigned char>(padded[offset])
                                  : static_cast<unsigned char>(kFlushByte);
       for (size_t b = 0; b < 8; ++b) {
-        sim.SetInput(hardware_.data_in[k * 8 + b], (byte >> b) & 1);
+        sim.SetInput(hw->data_in[k * 8 + b], (byte >> b) & 1);
       }
     }
     sim.Step();

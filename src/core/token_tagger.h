@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,8 +17,6 @@
 #include "rtl/device.h"
 #include "rtl/techmap.h"
 #include "rtl/timing.h"
-#include "tagger/functional_model.h"
-#include "tagger/fused_model.h"
 #include "tagger/lazy_dfa.h"
 #include "tagger/tag.h"
 
@@ -49,10 +48,13 @@ struct ImplementationReport {
 };
 
 // The library's main entry point: compiles a grammar into (a) a fast
-// software tagger, (b) a gate-level netlist of the paper's architecture,
-// and (c) area/timing reports for a target FPGA device. The two tagging
-// engines implement identical semantics; the cycle-accurate engine exists
-// to validate the hardware, the functional model to use it at speed.
+// software tagger (the lazy DFA over the fused tables), (b) on demand, a
+// gate-level netlist of the paper's architecture, and (c) area/timing
+// reports for a target FPGA device. Compile builds only the software
+// engine; the first hardware call generates the netlist, once, and every
+// later hardware call reuses it. The cycle-accurate engine exists to
+// validate the hardware, the lazy DFA to use it at speed; the two tag
+// identically.
 class CompiledTagger {
  public:
   static StatusOr<CompiledTagger> Compile(grammar::Grammar grammar,
@@ -63,9 +65,7 @@ class CompiledTagger {
   // software engine's tables serialized into one flat, checksummed,
   // mmap-able file, loadable without recompiling the grammar.
 
-  // Serializes the software tagger — fused or lazy-DFA backend only; the
-  // functional backend keeps no flat tables and returns an error. For the
-  // lazy backend the artifact also carries an ahead-of-time determinized
+  // Serializes the software tagger, with an ahead-of-time determinized
   // transition table (options.tagger.aot_state_budget states).
   StatusOr<std::string> Serialize() const;
 
@@ -81,37 +81,31 @@ class CompiledTagger {
   // Content-addressed compile cache under `cache_dir`, keyed by
   // (grammar::CanonicalHash, artifact::OptionsHash) — pure content, so
   // textually reordered but equivalent grammars share an entry. A hit
-  // loads the artifact (no hwgen, no regex compilation of the tables); a
-  // miss compiles, stores the artifact atomically, and returns the full
-  // tagger. A kAuto backend request is resolved to the lazy DFA whenever
-  // AOT is enabled, so cached cold starts run out of the baked table.
+  // loads the artifact (no regex compilation of the tables); a miss
+  // compiles, stores the artifact atomically, and returns the full tagger.
   static StatusOr<CompiledTagger> CompileCached(grammar::Grammar grammar,
                                                 const hwgen::HwOptions& options,
                                                 const std::string& cache_dir);
 
   // False when this tagger was loaded from an artifact: only the software
-  // engine exists — hardware(), model() and the netlist-backed methods
-  // (TagCycleAccurate, Implement, ExportVhdl, ...) are unavailable.
-  bool has_hardware() const { return !software_only_; }
+  // engine exists — hardware() and the netlist-backed methods
+  // (TagCycleAccurate, Implement, ExportVhdl, ...) fail with
+  // FailedPrecondition.
+  bool has_hardware() const { return hardware_ != nullptr; }
 
   CompiledTagger(CompiledTagger&&) = default;
   CompiledTagger& operator=(CompiledTagger&&) = default;
 
-  const grammar::Grammar& grammar() const {
-    return grammar_ ? *grammar_ : *loaded_grammar_;
-  }
-  const hwgen::GeneratedTagger& hardware() const { return hardware_; }
-  const tagger::FunctionalTagger& model() const { return *model_; }
-  // The fused bit-parallel engine; built only when the resolved backend is
-  // TaggerBackend::kFused (null otherwise).
-  const tagger::FusedTagger* fused_model() const { return fused_.get(); }
-  // The lazy-DFA engine; built only when the resolved backend is
-  // TaggerBackend::kLazyDfa (null otherwise). It owns the fused engine it
-  // memoizes.
+  const grammar::Grammar& grammar() const { return lazy_->grammar(); }
+  // The generated netlist, built by the first call (from any hardware
+  // method) and shared by every later one. Fails with the generator's
+  // error for invalid hardware options (e.g. bytes_per_cycle 3), and with
+  // FailedPrecondition on an artifact-loaded tagger. Thread-safe.
+  StatusOr<const hwgen::GeneratedTagger*> hardware() const;
+  // The tagging engine. It owns the fused engine it memoizes, which serves
+  // as its miss path and, for sessions whose cache keeps flushing, as the
+  // fallback (see LazyDfaSession).
   const tagger::LazyDfaTagger* lazy_model() const { return lazy_.get(); }
-  // The engine Tag() dispatches to. A kAuto request is resolved during
-  // Compile (see LazyDfaTagger::AutoPrefers), so this is never kAuto.
-  tagger::TaggerBackend backend() const { return options_.tagger.backend; }
   const hwgen::HwOptions& options() const { return options_; }
 
   // --- Tagging -----------------------------------------------------------
@@ -119,7 +113,7 @@ class CompiledTagger {
   // no new token can start there) before scanning; a trailing open-class
   // token may therefore report an end offset just past the input.
 
-  // Fast software tagging via the bit-parallel functional model.
+  // Fast software tagging via the lazy DFA.
   std::vector<tagger::Tag> Tag(std::string_view input) const;
   void Tag(std::string_view input, const tagger::TagSink& sink) const;
 
@@ -180,6 +174,13 @@ class CompiledTagger {
   static constexpr char kFlushByte = '\n';
 
  private:
+  // The netlist slot: generated at most once, on the first hardware call.
+  struct HardwareSlot {
+    std::once_flag once;
+    Status status;
+    hwgen::GeneratedTagger design;
+  };
+
   CompiledTagger() = default;
 
   // Serialize with caller-chosen header hashes (the compile cache stamps
@@ -187,18 +188,14 @@ class CompiledTagger {
   StatusOr<std::string> SerializeWithHashes(uint64_t grammar_hash,
                                             uint64_t options_hash) const;
   static StatusOr<CompiledTagger> AdoptLoaded(tagger::artifact::LoadedTagger);
-  Status RequireHardware(const char* what) const;
 
-  std::unique_ptr<grammar::Grammar> grammar_;  // stable address
-  // Artifact-loaded taggers observe the grammar owned by the engine's
-  // backing instead (grammar_ stays null; see grammar()).
-  const grammar::Grammar* loaded_grammar_ = nullptr;
-  bool software_only_ = false;
+  // Owns the compiled grammar at a stable address (null for artifact-loaded
+  // taggers, whose grammar lives in the engine's backing).
+  std::unique_ptr<grammar::Grammar> grammar_;
   hwgen::HwOptions options_;
-  hwgen::GeneratedTagger hardware_;
-  std::unique_ptr<tagger::FunctionalTagger> model_;
-  std::unique_ptr<tagger::FusedTagger> fused_;  // only for the fused backend
-  std::unique_ptr<tagger::LazyDfaTagger> lazy_;  // only for the lazy backend
+  std::unique_ptr<tagger::LazyDfaTagger> lazy_;
+  // Null for artifact-loaded taggers.
+  std::unique_ptr<HardwareSlot> hardware_;
 };
 
 }  // namespace cfgtag::core

@@ -87,7 +87,7 @@ StatusOr<GeneratedTagger> GenerateLanes(const grammar::Grammar& g,
         opt.tagger.longest_match, "pulse_t" + std::to_string(t));
   }
 
-  const tagger::ArmMode mode = opt.tagger.EffectiveArmMode();
+  const tagger::ArmMode mode = opt.tagger.arm_mode;
 
   rtl::ScopedNetlistScope syntax_scope(&nl, "syntax");
 

@@ -103,7 +103,7 @@ StreamResult ScanEngine::ScanStream(std::string_view stream) const {
   // Shard only when a cut is provably invisible: resync arm mode, at a
   // record separator that the tagger also treats as a delimiter (a record
   // byte that could be token content would make the cut itself lossy).
-  if (topt.EffectiveArmMode() == tagger::ArmMode::kResync &&
+  if (topt.arm_mode == tagger::ArmMode::kResync &&
       !options_.record_delimiters.Empty() &&
       options_.record_delimiters.Minus(topt.delimiters).Empty()) {
     const size_t max_shards =
@@ -321,7 +321,7 @@ Status ScanEngine::ScanStream(std::string_view stream,
   // tagger provably equals the streaming one.
   const tagger::TaggerOptions& topt = filter_->tagger().options().tagger;
   std::vector<size_t> starts{0};
-  if (topt.EffectiveArmMode() == tagger::ArmMode::kResync &&
+  if (topt.arm_mode == tagger::ArmMode::kResync &&
       !options_.record_delimiters.Empty() &&
       options_.record_delimiters.Minus(topt.delimiters).Empty()) {
     const size_t max_shards =

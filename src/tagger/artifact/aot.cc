@@ -27,7 +27,7 @@ class AotBuilder {
     // LazyDfaSession::Reset interns, so a fresh session resolves to it).
     tmp_state_.clear();
     tmp_armed_.clear();
-    if (fused_.options().EffectiveArmMode() != ArmMode::kScan) {
+    if (fused_.options().arm_mode != ArmMode::kScan) {
       tmp_armed_.assign(fused_.start_first_.begin(), fused_.start_first_.end());
       std::sort(tmp_armed_.begin(), tmp_armed_.end(),
                 [](const WordBits& a, const WordBits& b) {

@@ -10,9 +10,9 @@ namespace cfgtag::tagger::artifact {
 
 // ---------------------------------------------------------------------------
 // Compiled-tagger artifact: a versioned, checksummed, relocatable flat
-// binary holding every table a FusedTagger / LazyDfaTagger reads at run
-// time, plus (for the lazy backend) an ahead-of-time determinized DFA
-// region. All cross-references are *offsets from the start of the file*,
+// binary holding every table a LazyDfaTagger (and the FusedTagger it
+// memoizes) reads at run time, plus an optional ahead-of-time determinized
+// DFA region. All cross-references are *offsets from the start of the file*,
 // never pointers, and every section payload is 8-byte aligned, so the file
 // can be mmap'd read-only and the engine's table views bound straight into
 // the mapping — no fix-ups, no per-load allocation of the hot tables, and
@@ -64,7 +64,8 @@ enum SectionKind : uint32_t {
   kSecAotEmit = 17,      // int32[]
 };
 
-// Backend the artifact was serialized for (the engine its tables feed).
+// The header's backend byte. Writers emit kArtifactLazyDfa; files with
+// kArtifactFused (never an AOT region) still load, as lazy artifacts.
 enum ArtifactBackend : uint8_t {
   kArtifactFused = 1,
   kArtifactLazyDfa = 2,

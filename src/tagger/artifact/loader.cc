@@ -437,11 +437,7 @@ class Loader {
       }
     }
     options.arm_mode = static_cast<ArmMode>(hdr.arm_mode);
-    options.anchored = true;  // arm_mode already holds the effective mode
     options.longest_match = hdr.longest_match != 0;
-    options.backend = hdr.backend == kArtifactLazyDfa
-                          ? TaggerBackend::kLazyDfa
-                          : TaggerBackend::kFused;
     options.dfa_cache_bytes = hdr.dfa_cache_bytes;
     options.dfa_flush_fallback = hdr.dfa_flush_fallback;
     options.aot_state_budget = hdr.aot_states;
@@ -489,14 +485,9 @@ class Loader {
     out.options_hash = hdr.options_hash;
     out.artifact_bytes = size;
     out.aot_states = hdr.aot_states;
-    out.grammar = backing->grammar.get();
-    if (hdr.backend == kArtifactLazyDfa) {
-      if (aot != nullptr) aot->backing = backing;
-      out.lazy = std::make_unique<LazyDfaTagger>(
-          LazyDfaTagger::Wrap(std::move(t), std::move(aot)));
-    } else {
-      out.fused = std::make_unique<FusedTagger>(std::move(t));
-    }
+    if (aot != nullptr) aot->backing = backing;
+    out.lazy = std::make_unique<LazyDfaTagger>(
+        LazyDfaTagger::Wrap(std::move(t), std::move(aot)));
     return out;
   }
 };
@@ -505,7 +496,9 @@ StatusOr<LoadedTagger> LoadFromMemory(std::string_view bytes) {
   // Copy into 8-aligned owned storage: string_view data carries no
   // alignment guarantee and the table views require natural alignment.
   auto copy = std::make_shared<std::vector<uint64_t>>((bytes.size() + 7) / 8);
-  std::memcpy(copy->data(), bytes.data(), bytes.size());
+  // memcpy's pointers must be non-null even for zero bytes, and an empty
+  // vector's data() may be null.
+  if (!bytes.empty()) std::memcpy(copy->data(), bytes.data(), bytes.size());
   const char* data = reinterpret_cast<const char*>(copy->data());
   return Loader::Load(std::shared_ptr<const void>(copy, copy->data()), data,
                       bytes.size());

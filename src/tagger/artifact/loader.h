@@ -14,19 +14,17 @@
 
 namespace cfgtag::tagger::artifact {
 
-// A tagger reconstructed from an artifact. Exactly one of `fused` / `lazy`
-// is set, per the backend the artifact was serialized for. The tagger's
-// backing keeps both the mapped bytes and the rebuilt grammar alive, so
-// the engines can be moved out and used on their own; `grammar` is an
-// observer into that backing.
+// A tagger reconstructed from an artifact. Both header backend values
+// load as a LazyDfaTagger: a kArtifactFused file is a lazy artifact with no
+// baked table. The tagger's backing keeps both the mapped bytes and the
+// rebuilt grammar alive, so the engine can be moved out and used on its
+// own.
 struct LoadedTagger {
-  TaggerOptions options;  // reconstructed; backend = the artifact's engine
+  TaggerOptions options;  // reconstructed from the header
   uint64_t grammar_hash = 0;
   uint64_t options_hash = 0;
   size_t artifact_bytes = 0;
   uint32_t aot_states = 0;
-  const grammar::Grammar* grammar = nullptr;
-  std::unique_ptr<FusedTagger> fused;
   std::unique_ptr<LazyDfaTagger> lazy;
 };
 

@@ -102,9 +102,8 @@ uint64_t OptionsHash(const TaggerOptions& options) {
     }
     h = HashMix64(h, w);
   }
-  h = HashMix64(h, static_cast<uint64_t>(options.EffectiveArmMode()));
+  h = HashMix64(h, static_cast<uint64_t>(options.arm_mode));
   h = HashMix64(h, options.longest_match ? 1 : 0);
-  h = HashMix64(h, static_cast<uint64_t>(options.backend));
   h = HashMix64(h, options.dfa_cache_bytes);
   h = HashMix64(h, options.dfa_flush_fallback);
   h = HashMix64(h, options.aot_state_budget);
@@ -116,9 +115,6 @@ class Writer {
  public:
   static StatusOr<std::string> Run(const FusedTagger& f,
                                    const SerializeRequest& req) {
-    if (req.backend != kArtifactFused && req.backend != kArtifactLazyDfa) {
-      return InvalidArgumentError("artifact: unknown backend for serialize");
-    }
     std::vector<Section> secs;
     AddPodSection(&secs, kSecWordOffset, f.word_offset_.data(),
                   f.word_offset_.size());
@@ -148,7 +144,7 @@ class Writer {
                   grammar_blob.size());
 
     AotDfa aot;
-    if (req.backend == kArtifactLazyDfa && req.aot_state_budget > 0) {
+    if (req.aot_state_budget > 0) {
       aot = BuildAotDfa(f, req.aot_state_budget);
     }
     if (!aot.states.empty()) {
@@ -171,8 +167,8 @@ class Writer {
     hdr.endian_tag = kEndianTag;
     hdr.grammar_hash = req.grammar_hash;
     hdr.options_hash = req.options_hash;
-    hdr.backend = static_cast<uint8_t>(req.backend);
-    hdr.arm_mode = static_cast<uint8_t>(f.options().EffectiveArmMode());
+    hdr.backend = kArtifactLazyDfa;
+    hdr.arm_mode = static_cast<uint8_t>(f.options().arm_mode);
     hdr.longest_match = f.options().longest_match ? 1 : 0;
     hdr.num_classes = static_cast<uint32_t>(f.NumByteClasses());
     hdr.num_tokens = static_cast<uint32_t>(f.num_tokens_);

@@ -15,23 +15,21 @@ namespace cfgtag::tagger::artifact {
 // are the cache key: the writer stores them verbatim so a cache lookup can
 // validate a candidate file without recompiling anything.
 struct SerializeRequest {
-  ArtifactBackend backend = kArtifactFused;
   uint64_t grammar_hash = 0;
   uint64_t options_hash = 0;
-  // Lazy-DFA backend only: AOT determinizer state budget (0 = no AOT
-  // region). Ignored for kArtifactFused.
+  // AOT determinizer state budget (0 = no AOT region).
   uint32_t aot_state_budget = 0;
 };
 
 // Deterministic hash of the TaggerOptions fields that shape an artifact's
-// tables (delimiter set, effective arm mode, longest-match, requested
-// backend, lazy-DFA cache knobs, AOT budget). Two options values that hash
-// equal produce byte-identical artifacts for the same grammar — the other
-// half of the content-addressed cache key next to grammar::CanonicalHash.
+// tables (delimiter set, arm mode, longest-match, lazy-DFA cache knobs, AOT
+// budget). Two options values that hash equal produce byte-identical
+// artifacts for the same grammar — the other half of the content-addressed
+// cache key next to grammar::CanonicalHash.
 uint64_t OptionsHash(const TaggerOptions& options);
 
-// Serializes the tagger's tables (plus, for the lazy backend, a freshly
-// built AOT DFA region) into the flat artifact format. The result is
+// Serializes the tagger's tables (plus a freshly built AOT DFA region) into
+// the flat artifact format, in the lazy-DFA layout. The result is
 // self-contained: Loader rebuilds a working tagger from these bytes alone.
 StatusOr<std::string> SerializeTagger(const FusedTagger& fused,
                                       const SerializeRequest& req);

@@ -98,7 +98,7 @@ void TaggerSession::Reset() {
   armed_list_.clear();
   new_arm_list_.clear();
   candidate_reset_.clear();
-  if (tagger_->options_.EffectiveArmMode() != ArmMode::kScan) {
+  if (tagger_->options_.arm_mode != ArmMode::kScan) {
     for (int32_t t : tagger_->start_tokens_) {
       armed_[t] = 1;
       armed_list_.push_back(t);
@@ -122,7 +122,7 @@ void TaggerSession::AddCandidate(int32_t token) {
 void TaggerSession::ProcessByte(unsigned char c, bool has_next,
                                 unsigned char next_c, const TagSink& sink) {
   const TaggerOptions& options = tagger_->options_;
-  const ArmMode mode = options.EffectiveArmMode();
+  const ArmMode mode = options.arm_mode;
   const size_t num_tokens = tagger_->automata_.size();
   const bool delim = options.delimiters.Test(c);
 

@@ -308,7 +308,7 @@ void FusedSession::Reset() {
   std::fill(armed_meta_.begin(), armed_meta_.end(), 0);
   armed_any_ = false;
   any_live_ = false;
-  if (tagger_->options_.EffectiveArmMode() != ArmMode::kScan) {
+  if (tagger_->options_.arm_mode != ArmMode::kScan) {
     for (const WordBits& wb : tagger_->start_first_) {
       armed_first_[wb.word] |= wb.bits;
       armed_meta_[wb.word >> 6] |= 1ULL << (wb.word & 63);
@@ -334,7 +334,7 @@ void FusedSession::ProcessClass(uint8_t cls, bool has_next, uint8_t next_cls,
                                 const TagSink& sink) {
   const FusedTagger& t = *tagger_;
   const size_t nw = t.num_words_;
-  const ArmMode mode = t.options_.EffectiveArmMode();
+  const ArmMode mode = t.options_.arm_mode;
   const bool delim = t.class_is_delim_[cls] != 0;
   if (attr_on_) attr_dirty_ = true;
 
@@ -590,7 +590,7 @@ void FusedSession::Feed(std::string_view chunk, const TagSink& sink) {
   const char* data = chunk.data();
   const size_t n = chunk.size();
   const FusedTagger& t = *tagger_;
-  const ArmMode mode = t.options_.EffectiveArmMode();
+  const ArmMode mode = t.options_.arm_mode;
   const RunScanner& delim = t.delim_scanner_;
   const RunScanner& arm = t.arm_scanner_;
   const SkipMetrics& skips = SkipMetrics::Get();

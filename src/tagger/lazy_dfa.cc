@@ -132,7 +132,7 @@ void LazyDfaSession::Reset() {
   const FusedTagger& f = tagger_->fused();
   tmp_state_.clear();
   tmp_armed_.clear();
-  if (f.options().EffectiveArmMode() != ArmMode::kScan) {
+  if (f.options().arm_mode != ArmMode::kScan) {
     tmp_armed_.assign(f.start_first_.begin(), f.start_first_.end());
     std::sort(tmp_armed_.begin(), tmp_armed_.end(),
               [](const WordBits& a, const WordBits& b) {
@@ -361,7 +361,7 @@ void LazyDfaSession::Feed(std::string_view chunk, const TagSink& sink) {
   const size_t n = chunk.size();
   const FusedTagger& f = tagger_->fused();
   const ByteClassifier& classes = f.classifier();
-  const ArmMode mode = f.options().EffectiveArmMode();
+  const ArmMode mode = f.options().arm_mode;
   const RunScanner& delim = f.delimiter_scanner();
   const RunScanner& arm = f.arm_scanner();
   const SkipMetrics& skips = SkipMetrics::Get();

@@ -200,18 +200,17 @@ class LazyDfaSession {
   uint64_t attr_dfa_misses_ = 0;
 };
 
-// The lazy-DFA backend: owns the fused engine it memoizes and hands out
-// pooled LazyDfaSessions. See LazyDfaSession for the execution model.
+// The production tagging engine: owns the fused engine it memoizes (its
+// miss path and fallback) and hands out pooled LazyDfaSessions. See
+// LazyDfaSession for the execution model.
 class LazyDfaTagger {
  public:
   // The grammar must outlive the tagger.
   static StatusOr<LazyDfaTagger> Create(const grammar::Grammar* grammar,
                                         const TaggerOptions& options);
 
-  // Wraps an already-built fused engine (the kAuto path compiles the
-  // fused tables once, then decides which backend fronts them). With a
-  // non-null `aot`, sessions start warm out of the baked transition table
-  // (the artifact load path).
+  // Wraps an already-built fused engine. With a non-null `aot`, sessions
+  // start warm out of the baked transition table (the artifact load path).
   static LazyDfaTagger Wrap(FusedTagger fused,
                             std::shared_ptr<const AotDfaTable> aot = nullptr);
 
@@ -234,18 +233,6 @@ class LazyDfaTagger {
 
   // The baked AOT transition table, or null when compiled in-process.
   const AotDfaTable* aot() const { return aot_.get(); }
-
-  // The `--backend auto` heuristic: prefer the lazy DFA when the
-  // byte-class x state-word product is small enough that the reachable
-  // configuration set plausibly fits the transition cache; wide grammars
-  // keep the fused engine, whose cost is already proportional to live
-  // words.
-  static constexpr size_t kAutoProductLimit = 8192;
-  static bool AutoPrefers(const FusedTagger& fused) {
-    return static_cast<size_t>(fused.NumByteClasses()) *
-               fused.NumStateWords() <=
-           kAutoProductLimit;
-  }
 
  private:
   LazyDfaTagger(FusedTagger fused, std::shared_ptr<const AotDfaTable> aot);

@@ -16,12 +16,13 @@
 namespace cfgtag::tagger {
 
 // Thread-safe pool of reusable tagging-session scratch state, generic over
-// the (tagger, session) pair — SessionPool pools TaggerSessions for the
-// functional backend, FusedSessionPool pools FusedSessions for the fused
-// backend. A session owns several vectors sized to the tagger; allocating
-// them per scan dominates the cost of tagging short messages, so the hot
-// paths (FunctionalTagger::Run, FusedTagger::Run, core::CompiledTagger::
-// Tag, the nids scan engine workers) check sessions out of a pool instead.
+// the (tagger, session) pair — LazyDfaSessionPool pools the production
+// engine's LazyDfaSessions, FusedSessionPool pools FusedSessions, and
+// SessionPool pools the reference model's TaggerSessions. A session owns
+// several vectors sized to the tagger; allocating them per scan dominates
+// the cost of tagging short messages, so the hot paths (the taggers' Run,
+// core::CompiledTagger::Tag, the nids scan engine workers) check sessions
+// out of a pool instead.
 // Checked-in sessions keep their buffers; Acquire() rebinds and resets
 // them, so a returned session carries no state into its next use —
 // early-stopped and half-fed sessions are safe to return as-is.
@@ -237,8 +238,8 @@ class BasicSessionPool {
   std::atomic<uint64_t> dropped_{0};
 };
 
-// The functional backend's pool (the original SessionPool name — call
-// sites and the FunctionalTagger forward declaration predate the
+// The functional reference model's pool (the original SessionPool name —
+// call sites and the FunctionalTagger forward declaration predate the
 // template).
 class SessionPool final
     : public BasicSessionPool<FunctionalTagger, TaggerSession> {};

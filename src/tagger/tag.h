@@ -50,33 +50,8 @@ enum class ArmMode {
   kResync,
 };
 
-// Which software execution engine serves the tagging hot path. All
-// implement identical semantics (the differential fuzz and equivalence
-// suites enforce tag-for-tag identity); they differ only in speed and
-// memory shape.
-enum class TaggerBackend {
-  // One Glushkov automaton stepped per candidate token (sparse active-set
-  // bookkeeping; the reference software model).
-  kFunctional,
-  // Every token's positions fused into one contiguous bitmap stepped with
-  // branch-free word ops over byte-class-compressed masks.
-  kFused,
-  // The fused engine memoized as a lazily built DFA: reachable machine
-  // configurations are interned and each (configuration, byte class)
-  // transition is cached with its precomputed tag emissions, so the
-  // steady-state step is one table lookup. Unseen transitions take one
-  // real fused step; a memory cap flushes the cache RE2-style, and
-  // flush-thrash falls back to pure fused execution for the session.
-  kLazyDfa,
-  // Resolved at compile time: lazy-DFA when the grammar's byte-class x
-  // state-word product is small enough for the transition cache to stay
-  // effective, fused otherwise. CompiledTagger::backend() reports the
-  // resolved choice; kAuto never reaches a running engine.
-  kAuto,
-};
-
-// Knobs shared by the functional model and the hardware generator. The two
-// engines implement identical semantics for any given options value; the
+// Knobs shared by the software engines and the hardware generator. They
+// implement identical semantics for any given options value; the
 // equivalence tests sweep these.
 struct TaggerOptions {
   // Bytes that separate tokens. Arms survive a run of delimiters and are
@@ -86,19 +61,11 @@ struct TaggerOptions {
 
   ArmMode arm_mode = ArmMode::kAnchored;
 
-  // Deprecated alias used by older call sites; true = kAnchored, false =
-  // kScan. Kept as a helper for terse construction.
-  bool anchored = true;
-
   // Fig. 7 longest-match look-ahead: suppress a match whose token run can
   // consume the next byte. Disable to see every intermediate detection.
   bool longest_match = true;
 
-  // Software engine for CompiledTagger::Tag and the nids scan paths. Has
-  // no effect on the generated hardware.
-  TaggerBackend backend = TaggerBackend::kFunctional;
-
-  // Lazy-DFA backend only: per-session budget for the transition cache
+  // Lazy DFA: per-session budget for the transition cache
   // (interned states, transition rows, emission lists). Crossing it drops
   // the whole cache and rebuilds from the current configuration (RE2's
   // flush discipline); sessions whose cache flushes dfa_flush_fallback
@@ -107,19 +74,12 @@ struct TaggerOptions {
   size_t dfa_cache_bytes = 16u << 20;
   uint32_t dfa_flush_fallback = 4;
 
-  // Artifact serialization only (lazy-DFA backend): cap on the machine
-  // configurations the ahead-of-time determinizer interns into the saved
-  // transition table. The reachable (configuration x byte class) product
-  // is walked breadth-first until the cap; whatever is left over is built
-  // lazily at run time exactly as before. 0 disables AOT entirely.
+  // Artifact serialization only: cap on the machine configurations the
+  // ahead-of-time determinizer interns into the saved transition table.
+  // The reachable (configuration x byte class) product is walked
+  // breadth-first until the cap; whatever is left over is built lazily at
+  // run time exactly as before. 0 disables AOT entirely.
   uint32_t aot_state_budget = 4096;
-
-  // The effective arming mode: `anchored == false` (legacy scan request)
-  // overrides the default-constructed arm_mode.
-  ArmMode EffectiveArmMode() const {
-    if (!anchored && arm_mode == ArmMode::kAnchored) return ArmMode::kScan;
-    return arm_mode;
-  }
 };
 
 }  // namespace cfgtag::tagger

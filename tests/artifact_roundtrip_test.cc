@@ -1,6 +1,7 @@
 // Round-trip and robustness tests for the compiled-tagger artifact layer:
 // serialize → Deserialize / LoadArtifact must reproduce the compiling
-// tagger tag-for-tag for every flat-table backend; the compile cache must
+// tagger tag-for-tag, with and without a baked DFA table, and files with
+// the older fused header value must still load; the compile cache must
 // hit on content-equal (even reordered) grammars; loaded taggers must
 // reject the netlist-backed methods; and the hardened loader must turn
 // malformed bytes into typed errors — never a crash, and never a tagger
@@ -11,8 +12,11 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,7 +36,6 @@ using core::CompiledTagger;
 using grammar::Grammar;
 using grammar::Symbol;
 using tagger::Tag;
-using tagger::TaggerBackend;
 
 // The Fig. 14 expression-flavored fixture: two class tokens, one literal,
 // a recursive start rule.
@@ -97,23 +100,20 @@ void ExpectSameTags(const CompiledTagger& want, const CompiledTagger& got) {
   }
 }
 
-hwgen::HwOptions Options(TaggerBackend backend, uint32_t aot_budget = 4096) {
+hwgen::HwOptions Options(uint32_t aot_budget = 4096) {
   hwgen::HwOptions options;
-  options.tagger.backend = backend;
   options.tagger.aot_state_budget = aot_budget;
   return options;
 }
 
-TEST(ArtifactRoundTripTest, FusedBackendRoundTrips) {
-  auto direct =
-      CompiledTagger::Compile(FixtureGrammar(), Options(TaggerBackend::kFused));
+TEST(ArtifactRoundTripTest, RoundTripKeepsTokenNumbering) {
+  auto direct = CompiledTagger::Compile(FixtureGrammar(), Options());
   ASSERT_TRUE(direct.ok()) << direct.status();
   auto bytes = direct->Serialize();
   ASSERT_TRUE(bytes.ok()) << bytes.status();
   auto loaded = CompiledTagger::Deserialize(*bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->backend(), TaggerBackend::kFused);
-  EXPECT_NE(loaded->fused_model(), nullptr);
+  ASSERT_NE(loaded->lazy_model(), nullptr);
   EXPECT_FALSE(loaded->has_hardware());
   ExpectSameTags(*direct, *loaded);
   // The rebuilt grammar keeps the original token numbering and names.
@@ -123,26 +123,23 @@ TEST(ArtifactRoundTripTest, FusedBackendRoundTrips) {
             direct->grammar().FindToken("WORD"));
 }
 
-TEST(ArtifactRoundTripTest, LazyBackendRoundTripsWithAndWithoutAot) {
+TEST(ArtifactRoundTripTest, RoundTripsWithAndWithoutAot) {
   for (uint32_t budget : {uint32_t{4096}, uint32_t{0}}) {
-    auto direct = CompiledTagger::Compile(
-        FixtureGrammar(), Options(TaggerBackend::kLazyDfa, budget));
+    auto direct = CompiledTagger::Compile(FixtureGrammar(), Options(budget));
     ASSERT_TRUE(direct.ok()) << direct.status();
     auto bytes = direct->Serialize();
     ASSERT_TRUE(bytes.ok()) << bytes.status();
     auto loaded = CompiledTagger::Deserialize(*bytes);
     ASSERT_TRUE(loaded.ok()) << loaded.status();
-    EXPECT_EQ(loaded->backend(), TaggerBackend::kLazyDfa);
     ASSERT_NE(loaded->lazy_model(), nullptr);
+    EXPECT_EQ(loaded->lazy_model()->aot() != nullptr, budget > 0);
     ExpectSameTags(*direct, *loaded);
   }
 }
 
 TEST(ArtifactRoundTripTest, SerializeIsDeterministic) {
-  auto a = CompiledTagger::Compile(FixtureGrammar(),
-                                   Options(TaggerBackend::kLazyDfa));
-  auto b = CompiledTagger::Compile(FixtureGrammar(),
-                                   Options(TaggerBackend::kLazyDfa));
+  auto a = CompiledTagger::Compile(FixtureGrammar(), Options());
+  auto b = CompiledTagger::Compile(FixtureGrammar(), Options());
   ASSERT_TRUE(a.ok() && b.ok());
   auto ba = a->Serialize();
   auto bb = b->Serialize();
@@ -150,18 +147,29 @@ TEST(ArtifactRoundTripTest, SerializeIsDeterministic) {
   EXPECT_EQ(*ba, *bb);
 }
 
-TEST(ArtifactRoundTripTest, FunctionalBackendDoesNotSerialize) {
-  auto direct = CompiledTagger::Compile(FixtureGrammar(),
-                                        Options(TaggerBackend::kFunctional));
+// Files written with the fused header value (no baked table) load as lazy
+// artifacts with no AOT region.
+TEST(ArtifactRoundTripTest, FusedHeaderLoadsAsLazyArtifact) {
+  namespace art = tagger::artifact;
+  auto direct = CompiledTagger::Compile(FixtureGrammar(), Options(0));
   ASSERT_TRUE(direct.ok()) << direct.status();
   auto bytes = direct->Serialize();
-  ASSERT_FALSE(bytes.ok());
-  EXPECT_EQ(bytes.status().code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  std::string fused = *bytes;
+  fused[offsetof(art::ArtifactHeader, backend)] =
+      static_cast<char>(art::kArtifactFused);
+  const uint64_t checksum = art::ArtifactChecksum(fused.data(), fused.size());
+  std::memcpy(fused.data() + offsetof(art::ArtifactHeader, checksum),
+              &checksum, sizeof(checksum));
+  auto loaded = CompiledTagger::Deserialize(fused);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_NE(loaded->lazy_model(), nullptr);
+  EXPECT_EQ(loaded->lazy_model()->aot(), nullptr);
+  ExpectSameTags(*direct, *loaded);
 }
 
 TEST(ArtifactRoundTripTest, LoadArtifactMmapsFromDisk) {
-  auto direct = CompiledTagger::Compile(FixtureGrammar(),
-                                        Options(TaggerBackend::kLazyDfa));
+  auto direct = CompiledTagger::Compile(FixtureGrammar(), Options());
   ASSERT_TRUE(direct.ok()) << direct.status();
   auto bytes = direct->Serialize();
   ASSERT_TRUE(bytes.ok()) << bytes.status();
@@ -177,8 +185,7 @@ TEST(ArtifactRoundTripTest, LoadArtifactMmapsFromDisk) {
 }
 
 TEST(ArtifactRoundTripTest, LoadedTaggerRejectsHardwareMethods) {
-  auto direct = CompiledTagger::Compile(FixtureGrammar(),
-                                        Options(TaggerBackend::kFused));
+  auto direct = CompiledTagger::Compile(FixtureGrammar(), Options());
   ASSERT_TRUE(direct.ok());
   auto bytes = direct->Serialize();
   ASSERT_TRUE(bytes.ok());
@@ -195,24 +202,28 @@ TEST(ArtifactRoundTripTest, LoadedTaggerRejectsHardwareMethods) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(loaded->ExportVhdlTestbench("tagger", "x").status().code(),
             StatusCode::kFailedPrecondition);
+  std::ostringstream vcd;
+  EXPECT_EQ(loaded->DumpWaveform("x", vcd).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(loaded->hardware().status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(ArtifactRoundTripTest, CompileCachedMissesThenHits) {
   const std::string dir = TempPath("cache");
   ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
 
-  hwgen::HwOptions options = Options(TaggerBackend::kAuto);
+  hwgen::HwOptions options = Options();
   auto miss = CompiledTagger::CompileCached(FixtureGrammar(), options, dir);
   ASSERT_TRUE(miss.ok()) << miss.status();
   // A miss compiles for real: the hardware side exists.
   EXPECT_TRUE(miss->has_hardware());
-  // kAuto with AOT enabled resolves to the lazy DFA so the baked table is
-  // actually used on later cold starts.
-  EXPECT_EQ(miss->backend(), TaggerBackend::kLazyDfa);
 
   auto hit = CompiledTagger::CompileCached(FixtureGrammar(), options, dir);
   ASSERT_TRUE(hit.ok()) << hit.status();
   EXPECT_FALSE(hit->has_hardware());
+  // Cold starts run out of the baked table.
+  EXPECT_NE(hit->lazy_model()->aot(), nullptr);
   ExpectSameTags(*miss, *hit);
 
   // Content-equal but textually reordered grammar: same cache entry.
@@ -238,8 +249,8 @@ TEST(ArtifactRoundTripTest, CompileCachedMissesThenHits) {
 
 // --- Hardened loader: malformed bytes become typed errors. ---------------
 
-std::string ValidArtifact(TaggerBackend backend = TaggerBackend::kLazyDfa) {
-  auto direct = CompiledTagger::Compile(FixtureGrammar(), Options(backend));
+std::string ValidArtifact() {
+  auto direct = CompiledTagger::Compile(FixtureGrammar(), Options());
   EXPECT_TRUE(direct.ok());
   auto bytes = direct->Serialize();
   EXPECT_TRUE(bytes.ok());

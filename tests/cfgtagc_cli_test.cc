@@ -1,5 +1,6 @@
-// End-to-end CLI tests for cfgtagc: argument validation (strict --threads
-// parsing) and the --backend switch. The binary path comes in through the
+// End-to-end CLI tests for cfgtagc: argument validation (strict --threads,
+// --bytes-per-cycle and --replicate parsing), software vs cycle-accurate
+// tagging, and the artifact flags. The binary path comes in through the
 // CFGTAGC_BINARY compile definition; each case invokes the real tool.
 
 #include <gtest/gtest.h>
@@ -64,72 +65,77 @@ class CfgtagcCliTest : public testing::Test {
   std::string grammar_, input_, out_;
 };
 
-TEST_F(CfgtagcCliTest, TagsWithDefaultBackend) {
+TEST_F(CfgtagcCliTest, TagsWithLazyDfaEngine) {
   ASSERT_EQ(RunTool(grammar_ + " --tag " + input_, out_), 0) << Slurp(out_);
   const std::string output = Slurp(out_);
-  EXPECT_NE(output.find("functional engine"), std::string::npos) << output;
+  EXPECT_NE(output.find("lazy-dfa engine"), std::string::npos) << output;
   EXPECT_NE(output.find("NUM"), std::string::npos) << output;
+  // A tag-only run never generates the netlist.
+  EXPECT_EQ(output.find("netlist:"), std::string::npos) << output;
 }
 
-TEST_F(CfgtagcCliTest, BackendFusedTagsIdentically) {
+TEST_F(CfgtagcCliTest, CycleAccurateTagsIdentically) {
   ASSERT_EQ(RunTool(grammar_ + " --tag " + input_, out_), 0) << Slurp(out_);
-  const std::string functional = Slurp(out_);
-  ASSERT_EQ(
-      RunTool(grammar_ + " --backend fused --tag " + input_, out_), 0)
+  const std::string software = Slurp(out_);
+  ASSERT_EQ(RunTool(grammar_ + " --cycle-accurate --tag " + input_, out_), 0)
       << Slurp(out_);
-  const std::string fused = Slurp(out_);
-  EXPECT_NE(fused.find("fused engine"), std::string::npos) << fused;
+  const std::string hardware = Slurp(out_);
+  EXPECT_NE(hardware.find("cycle-accurate engine"), std::string::npos)
+      << hardware;
+  EXPECT_NE(hardware.find("netlist:"), std::string::npos) << hardware;
   // Identical tag lines: everything after the "N tags from" banner.
   const auto tags_of = [](const std::string& s) {
-    return s.substr(s.find(" tags from "));
+    const size_t at = s.find(" tags from ");
+    return s.substr(s.find(":", at));
   };
-  EXPECT_EQ(tags_of(functional).substr(tags_of(functional).find(":")),
-            tags_of(fused).substr(tags_of(fused).find(":")));
+  EXPECT_EQ(tags_of(software), tags_of(hardware));
 }
 
-TEST_F(CfgtagcCliTest, BackendLazyTagsIdentically) {
-  ASSERT_EQ(RunTool(grammar_ + " --tag " + input_, out_), 0) << Slurp(out_);
-  const std::string functional = Slurp(out_);
-  ASSERT_EQ(
-      RunTool(grammar_ + " --backend lazy --tag " + input_, out_), 0)
-      << Slurp(out_);
-  const std::string lazy = Slurp(out_);
-  EXPECT_NE(lazy.find("lazy-dfa engine"), std::string::npos) << lazy;
-  const auto tags_of = [](const std::string& s) {
-    return s.substr(s.find(" tags from "));
-  };
-  EXPECT_EQ(tags_of(functional).substr(tags_of(functional).find(":")),
-            tags_of(lazy).substr(tags_of(lazy).find(":")));
-}
-
-TEST_F(CfgtagcCliTest, BackendAutoResolvesToConcreteEngine) {
-  // kAuto never survives Compile: a tiny grammar resolves to the lazy DFA
-  // (the byte-class x state-word product is far under the limit).
-  ASSERT_EQ(RunTool(grammar_ + " --backend auto --tag " + input_, out_), 0)
-      << Slurp(out_);
-  EXPECT_NE(Slurp(out_).find("lazy-dfa engine"), std::string::npos)
-      << Slurp(out_);
-}
-
-TEST_F(CfgtagcCliTest, BackendEqualsSyntaxAndMode) {
-  EXPECT_EQ(RunTool(grammar_ + " --backend=fused --mode=resync --tag " +
+TEST_F(CfgtagcCliTest, EqualsSyntaxAndMode) {
+  EXPECT_EQ(RunTool(grammar_ + " --mode=resync --bytes-per-cycle=2 --tag " +
                         input_,
                     out_),
             0)
       << Slurp(out_);
-  EXPECT_EQ(RunTool(grammar_ + " --backend=lazy --mode=resync --tag " +
+  EXPECT_EQ(RunTool(grammar_ + " --mode=scan --replicate=4 --report --tag " +
                         input_,
                     out_),
             0)
       << Slurp(out_);
 }
 
-TEST_F(CfgtagcCliTest, RejectsUnknownBackend) {
-  EXPECT_EQ(RunTool(grammar_ + " --backend turbo --tag " + input_, out_), 2);
-  EXPECT_NE(
-      Slurp(out_).find("--backend must be functional, fused, lazy or auto"),
-      std::string::npos)
+TEST_F(CfgtagcCliTest, EngineSwitchIsAnUnknownFlag) {
+  // There is one engine, so the old engine-selection flag is gone.
+  const std::string flag = "--" "backend";
+  EXPECT_EQ(RunTool(grammar_ + " " + flag + " lazy --tag " + input_, out_),
+            2);
+  EXPECT_NE(Slurp(out_).find("unknown option: " + flag), std::string::npos)
       << Slurp(out_);
+}
+
+TEST_F(CfgtagcCliTest, RejectsBadHardwareFlags) {
+  // Checked up front even on tag-only runs, which never build the netlist
+  // that would otherwise reject them.
+  for (const char* bad : {"0", "3", "8", "-1", "abc", "2x", ""}) {
+    EXPECT_EQ(RunTool(grammar_ + " --bytes-per-cycle \"" + bad + "\" --tag " +
+                          input_,
+                      out_),
+              2)
+        << "--bytes-per-cycle " << bad << " accepted: " << Slurp(out_);
+    EXPECT_NE(Slurp(out_).find("--bytes-per-cycle must be 1, 2 or 4"),
+              std::string::npos)
+        << Slurp(out_);
+  }
+  for (const char* bad : {"0", "-1", "abc", "5x", ""}) {
+    EXPECT_EQ(RunTool(grammar_ + " --replicate \"" + bad + "\" --tag " +
+                          input_,
+                      out_),
+              2)
+        << "--replicate " << bad << " accepted: " << Slurp(out_);
+    EXPECT_NE(Slurp(out_).find("--replicate needs a positive threshold"),
+              std::string::npos)
+        << Slurp(out_);
+  }
 }
 
 TEST_F(CfgtagcCliTest, ThreadsAcceptsPositiveCounts) {
@@ -137,8 +143,7 @@ TEST_F(CfgtagcCliTest, ThreadsAcceptsPositiveCounts) {
                     out_),
             0)
       << Slurp(out_);
-  EXPECT_EQ(RunTool(grammar_ + " --mode resync --threads=4 --backend fused "
-                    "--tag " + input_,
+  EXPECT_EQ(RunTool(grammar_ + " --mode resync --threads=4 --tag " + input_,
                     out_),
             0)
       << Slurp(out_);
@@ -213,7 +218,7 @@ TEST_F(CfgtagcCliTest, RejectsUnwritableFlightRecorderPath) {
   const std::string existing = TempPath("fr_existing.json");
   WriteFile(existing, "precious");
   EXPECT_EQ(RunTool(grammar_ + " --flight-recorder-out " + existing +
-                        " --backend turbo",  // fails after validation
+                        " --mode turbo",  // fails after validation
                     out_),
             2);
   EXPECT_EQ(Slurp(existing), "precious");
@@ -223,8 +228,7 @@ TEST_F(CfgtagcCliTest, RejectsUnwritableFlightRecorderPath) {
 TEST_F(CfgtagcCliTest, SaveThenLoadArtifactTagsIdentically) {
   const std::string art = TempPath("tagger.cfgtag");
   std::remove(art.c_str());
-  ASSERT_EQ(RunTool(grammar_ + " --backend lazy --save-artifact " + art +
-                        " --tag " + input_,
+  ASSERT_EQ(RunTool(grammar_ + " --save-artifact " + art + " --tag " + input_,
                     out_),
             0)
       << Slurp(out_);
@@ -253,19 +257,16 @@ TEST_F(CfgtagcCliTest, CacheDirMissesThenHits) {
   const std::string cmd = "mkdir -p '" + dir + "'";
   ASSERT_EQ(std::system(cmd.c_str()), 0);
 
-  ASSERT_EQ(RunTool(grammar_ + " --backend auto --cache-dir " + dir +
-                        " --tag " + input_,
+  ASSERT_EQ(RunTool(grammar_ + " --cache-dir " + dir + " --tag " + input_,
                     out_),
             0)
       << Slurp(out_);
   const std::string miss = Slurp(out_);
-  // The miss compiled for real (netlist stats printed), and kAuto with AOT
-  // enabled resolved to the lazy DFA.
+  // The miss compiled for real.
   EXPECT_NE(miss.find("lazy-dfa engine"), std::string::npos) << miss;
   EXPECT_EQ(miss.find("loaded from artifact"), std::string::npos) << miss;
 
-  ASSERT_EQ(RunTool(grammar_ + " --backend auto --cache-dir " + dir +
-                        " --tag " + input_,
+  ASSERT_EQ(RunTool(grammar_ + " --cache-dir " + dir + " --tag " + input_,
                     out_),
             0)
       << Slurp(out_);
@@ -324,19 +325,9 @@ TEST_F(CfgtagcCliTest, RejectsUnusableArtifactPaths) {
 TEST_F(CfgtagcCliTest, LoadArtifactRejectsHardwareAndAnalysisOutputs) {
   const std::string art = TempPath("tagger.cfgtag");
   std::remove(art.c_str());
-  ASSERT_EQ(RunTool(grammar_ + " --backend fused --save-artifact " + art +
-                        " --tag " + input_,
+  ASSERT_EQ(RunTool(grammar_ + " --save-artifact " + art + " --tag " + input_,
                     out_),
             0)
-      << Slurp(out_);
-
-  // The functional backend keeps no flat tables: --save-artifact with it
-  // is a status error (exit 1), reported before any tagging output.
-  EXPECT_EQ(RunTool(grammar_ + " --save-artifact " + TempPath("f.cfgtag") +
-                        " --tag " + input_,
-                    out_),
-            1);
-  EXPECT_NE(Slurp(out_).find("no flat tables"), std::string::npos)
       << Slurp(out_);
 
   // Artifacts carry no netlist: every hardware output is a usage error.

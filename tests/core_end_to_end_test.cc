@@ -1,13 +1,19 @@
 // End-to-end tests: grammar text -> generated hardware -> tags, with the
-// three engines (functional model, cycle-accurate netlist, LL reference
-// parser) cross-checked on the paper's own examples.
+// three engines (the lazy DFA behind Tag, the cycle-accurate netlist, the
+// LL reference parser) cross-checked on the paper's own examples; and the
+// netlist's on-demand generation: Compile and Tag never run hwgen, the
+// first hardware call runs it exactly once, even under racing threads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <thread>
+#include <vector>
 
 #include "core/token_tagger.h"
 #include "grammar/grammar_parser.h"
+#include "obs/metrics.h"
 #include "tagger/ll_parser.h"
 #include "xmlrpc/message_gen.h"
 #include "xmlrpc/router.h"
@@ -196,6 +202,74 @@ TEST(RouterTest, AdversarialPayloadDoesNotMisroute) {
       "<param><string>please buy everything</string></param>"
       "</params></methodCall>";
   EXPECT_EQ(router->Route(msg), 1);
+}
+
+// Netlists generated so far in this process: the observation count of the
+// hwgen compile-stage histogram.
+uint64_t HwgenRuns() {
+  return obs::MetricsRegistry::Default()
+      .GetHistogram("cfgtag_compile_stage_seconds{stage=\"hwgen\"}")
+      ->TotalCount();
+}
+
+TEST(HardwareOnDemandTest, OnlyHardwareCallsGenerateTheNetlist) {
+  auto g = ParseGrammar(kIfThenElse);
+  ASSERT_TRUE(g.ok()) << g.status();
+  const uint64_t before = HwgenRuns();
+  auto compiled = CompiledTagger::Compile(std::move(g).value());
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  // One engine, and no netlist behind it yet.
+  ASSERT_NE(compiled->lazy_model(), nullptr);
+  EXPECT_EQ(compiled->Tag("if true then go else stop").size(), 6u);
+  EXPECT_EQ(HwgenRuns(), before);
+
+  // Every hardware call shares the one generation the first call runs.
+  ASSERT_TRUE(compiled->Implement(rtl::Virtex4LX200()).ok());
+  ASSERT_TRUE(compiled->TagCycleAccurate("go").ok());
+  ASSERT_TRUE(compiled->ExportVhdl("tagger").ok());
+  std::ostringstream vcd;
+  ASSERT_TRUE(compiled->DumpWaveform("go", vcd).ok());
+  EXPECT_EQ(HwgenRuns(), before + 1);
+}
+
+TEST(HardwareOnDemandTest, RacingFirstImplementGeneratesOnce) {
+  auto g = ParseGrammar(kIfThenElse);
+  ASSERT_TRUE(g.ok()) << g.status();
+  auto compiled = CompiledTagger::Compile(std::move(g).value());
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  const uint64_t before = HwgenRuns();
+  constexpr int kThreads = 4;
+  std::vector<StatusOr<core::ImplementationReport>> reports(
+      kThreads, InternalError("not run"));
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      reports[i] = compiled->Implement(rtl::Virtex4LX200());
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(HwgenRuns(), before + 1);
+  for (const auto& r : reports) {
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->area.luts, reports[0]->area.luts);
+    EXPECT_EQ(r->area.ffs, reports[0]->area.ffs);
+    EXPECT_EQ(r->timing.fmax_mhz, reports[0]->timing.fmax_mhz);
+  }
+}
+
+TEST(HardwareOnDemandTest, BadHardwareOptionFailsAtFirstHardwareCall) {
+  auto g = ParseGrammar(kIfThenElse);
+  ASSERT_TRUE(g.ok()) << g.status();
+  hwgen::HwOptions opt;
+  opt.bytes_per_cycle = 3;
+  auto compiled = CompiledTagger::Compile(std::move(g).value(), opt);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  EXPECT_EQ(compiled->Tag("go").size(), 1u);
+  auto hw = compiled->TagCycleAccurate("go");
+  ASSERT_FALSE(hw.ok());
+  EXPECT_EQ(hw.status().code(), StatusCode::kInvalidArgument);
+  // The failure is remembered, not retried.
+  EXPECT_EQ(compiled->Implement(rtl::Virtex4LX200()).status(), hw.status());
 }
 
 }  // namespace

@@ -174,7 +174,7 @@ s: "<n>" NUM "</n>";
 %%
 )"));
   ASSERT_TRUE(compiled.ok());
-  const Netlist& golden = compiled->hardware().netlist;
+  const Netlist& golden = compiled->hardware().value()->netlist;
 
   // Conforming stimulus covering every byte the grammar decodes (all ten
   // digits, every tag character) plus near-miss variants.
@@ -216,11 +216,11 @@ s: "<n>" NUM "</n>";
 
   int caught = 0, injected = 0;
   for (size_t site = 0;; ++site) {
-    auto mutated = Mutator::Apply(compiled->hardware().netlist,
+    auto mutated = Mutator::Apply(compiled->hardware().value()->netlist,
                                   Mutator::Fault::kStuckAt0, site);
     if (!mutated.ok()) break;  // ran out of gate sites
     ++injected;
-    caught += DivergesOnStream(compiled->hardware().netlist, *mutated,
+    caught += DivergesOnStream(compiled->hardware().value()->netlist, *mutated,
                                "<n>1234567890</n> <n>9</n> <n>05</n>");
   }
   ASSERT_GE(injected, 20);
@@ -237,7 +237,7 @@ s: "ab";
 %%
 )"));
   ASSERT_TRUE(compiled.ok());
-  const Netlist& golden = compiled->hardware().netlist;
+  const Netlist& golden = compiled->hardware().value()->netlist;
   int caught = 0, injected = 0;
   // Sweep every register; most init flips wash out in a cycle or two
   // (pipeline registers reload immediately), but the boot register's init

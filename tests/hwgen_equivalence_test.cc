@@ -1,7 +1,8 @@
-// Property tests: on randomly generated grammars and inputs, the three
-// engines must relate as the paper claims —
-//   * the cycle-accurate netlist is bit-identical to the functional model
-//     (they implement the same machine), under every option combination;
+// Property tests: on randomly generated grammars and inputs, the engines
+// must relate as the paper claims —
+//   * the cycle-accurate netlist, the functional reference model and the
+//     production engine behind CompiledTagger::Tag are bit-identical (they
+//     implement the same machine), under every option combination;
 //   * on inputs accepted by the true (LL) parser, the hardware tag stream
 //     is a superset of the parser's tag stream (§3.1 FSA collapse).
 
@@ -9,10 +10,12 @@
 
 #include <algorithm>
 #include <functional>
+#include <ostream>
 
 #include "common/rng.h"
 #include "core/token_tagger.h"
 #include "grammar/grammar.h"
+#include "oracle.h"
 #include "tagger/ll_parser.h"
 
 namespace cfgtag {
@@ -21,6 +24,7 @@ namespace {
 using core::CompiledTagger;
 using grammar::Grammar;
 using grammar::Symbol;
+using tagger::ArmMode;
 using tagger::Tag;
 
 // Builds a random grammar: a handful of literal and class tokens wired into
@@ -122,8 +126,16 @@ std::string RandomSentence(const Grammar& g, Rng& rng) {
 struct EquivCase {
   uint64_t seed;
   bool longest_match;
-  bool anchored;
+  ArmMode arm_mode;
 };
+
+// Readable, deterministic test names (the default printer dumps the
+// struct's raw bytes, padding included).
+void PrintTo(const EquivCase& c, std::ostream* os) {
+  static const char* const kModes[] = {"anchored", "scan", "resync"};
+  *os << "seed" << c.seed << (c.longest_match ? "_lm_" : "_nolm_")
+      << kModes[static_cast<int>(c.arm_mode)];
+}
 
 class EquivalenceTest : public ::testing::TestWithParam<EquivCase> {};
 
@@ -135,7 +147,7 @@ TEST_P(EquivalenceTest, NetlistMatchesFunctionalModel) {
 
   hwgen::HwOptions opt;
   opt.tagger.longest_match = c.longest_match;
-  opt.tagger.anchored = c.anchored;
+  opt.tagger.arm_mode = c.arm_mode;
   Grammar g_input = g.Clone();
   auto compiled = CompiledTagger::Compile(std::move(g_input), opt);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
@@ -147,15 +159,24 @@ TEST_P(EquivalenceTest, NetlistMatchesFunctionalModel) {
                        : rng.NextString(rng.NextIndex(40), "abxyz 0<>/");
     auto hw = compiled->TagCycleAccurate(input);
     ASSERT_TRUE(hw.ok()) << hw.status();
+    auto oracle = testing_oracle::OracleTags(g, opt.tagger, input);
+    ASSERT_TRUE(oracle.ok()) << oracle.status();
+    EXPECT_EQ(*oracle, *hw)
+        << "seed=" << c.seed << " lm=" << c.longest_match
+        << " mode=" << static_cast<int>(c.arm_mode) << " input='" << input
+        << "'";
     EXPECT_EQ(compiled->Tag(input), *hw)
         << "seed=" << c.seed << " lm=" << c.longest_match
-        << " anchored=" << c.anchored << " input='" << input << "'";
+        << " mode=" << static_cast<int>(c.arm_mode) << " input='" << input
+        << "'";
   }
 }
 
 TEST_P(EquivalenceTest, HardwareTagsSupersetOfLlParser) {
   const EquivCase c = GetParam();
-  if (!c.anchored) GTEST_SKIP() << "LL comparison only in parse mode";
+  if (c.arm_mode != ArmMode::kAnchored) {
+    GTEST_SKIP() << "LL comparison only in parse mode";
+  }
   Rng rng(c.seed * 7 + 3);
   Grammar g = RandomGrammar(rng);
   ASSERT_TRUE(g.Validate().ok());
@@ -185,9 +206,10 @@ TEST_P(EquivalenceTest, HardwareTagsSupersetOfLlParser) {
 std::vector<EquivCase> MakeCases() {
   std::vector<EquivCase> cases;
   for (uint64_t seed = 0; seed < 12; ++seed) {
-    cases.push_back({seed, true, true});
-    cases.push_back({seed, false, true});
-    cases.push_back({seed, true, false});
+    cases.push_back({seed, true, ArmMode::kAnchored});
+    cases.push_back({seed, false, ArmMode::kAnchored});
+    cases.push_back({seed, true, ArmMode::kScan});
+    cases.push_back({seed, true, ArmMode::kResync});
   }
   return cases;
 }

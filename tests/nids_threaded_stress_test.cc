@@ -1,7 +1,7 @@
-// Threaded stress oracle for the whole cross-thread surface: the 4-way
-// backend differential (functional / fused / lazy-DFA / starved lazy-DFA,
-// all through core::CompiledTagger inside a ContextFilter) runs *through*
-// nids::ScanEngine worker pools while
+// Threaded stress oracle for the whole cross-thread surface: the engine
+// differential (the lazy DFA with its default and with a starved transition
+// cache, both through core::CompiledTagger inside a ContextFilter) runs
+// *through* nids::ScanEngine worker pools while
 //
 //   * a live obs::StatsServer is scraped continuously (/metrics exercises
 //     the histogram CAS paths, /events the flight-recorder seqlock
@@ -9,14 +9,15 @@
 //   * obs::AttributionTable::set_enabled flips mid-scan (sessions sample
 //     the switch at pool-checkout Reset(), so alerts must not change),
 //   * the FlightRecorder is hammered with events and snapshotted
-//     concurrently (the lazy starved-cache backend also records
+//     concurrently (the starved-cache filter also records
 //     dfa_cache_flush/fallback events from inside the scan workers), and
 //   * pooled sessions churn through BasicSessionPool retention.
 //
 // The oracle: every parallel result is byte-identical to the same
-// filter's sequential Scan() computed before the storm, and all backends
-// agree with the functional reference. Sizes are smoke-scaled for CI
-// (TSan included); set CFGTAG_STRESS_ITERS to dig deeper locally.
+// filter's sequential Scan() computed before the storm, both filters agree,
+// and their tag streams match the functional reference model. Sizes are
+// smoke-scaled for CI (TSan included); set CFGTAG_STRESS_ITERS to dig
+// deeper locally.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -41,6 +42,7 @@
 #include "obs/attribution.h"
 #include "obs/events.h"
 #include "obs/stats_server.h"
+#include "oracle.h"
 
 namespace cfgtag::nids {
 namespace {
@@ -63,13 +65,11 @@ std::vector<Rule> WebRules() {
   };
 }
 
-ContextFilter MakeFilter(tagger::TaggerBackend backend,
-                         size_t dfa_cache_bytes) {
+ContextFilter MakeFilter(size_t dfa_cache_bytes) {
   auto g = grammar::ParseGrammar(kProtocol);
   EXPECT_TRUE(g.ok()) << g.status();
   hwgen::HwOptions opt;
   opt.tagger.arm_mode = tagger::ArmMode::kResync;
-  opt.tagger.backend = backend;
   if (dfa_cache_bytes != 0) opt.tagger.dfa_cache_bytes = dfa_cache_bytes;
   auto filter = ContextFilter::Create(std::move(g).value(), WebRules(), opt);
   EXPECT_TRUE(filter.ok()) << filter.status();
@@ -142,27 +142,19 @@ int StressIters() {
   return 2;  // smoke scale: CI runs this under TSan too
 }
 
-TEST(ThreadedStressOracleTest, BackendsByteIdenticalUnderLiveObservation) {
-  struct Backend {
+TEST(ThreadedStressOracleTest, CacheConfigsByteIdenticalUnderLiveObservation) {
+  struct Config {
     const char* name;
     ContextFilter filter;
     std::vector<std::vector<Alert>> batch_expected;
     std::vector<Alert> stream_expected;
   };
-  std::vector<Backend> backends;
-  backends.push_back(
-      {"functional", MakeFilter(tagger::TaggerBackend::kFunctional, 0),
-       {}, {}});
-  backends.push_back(
-      {"fused", MakeFilter(tagger::TaggerBackend::kFused, 0), {}, {}});
-  backends.push_back(
-      {"lazy", MakeFilter(tagger::TaggerBackend::kLazyDfa, 0), {}, {}});
+  std::vector<Config> configs;
+  configs.push_back({"lazy", MakeFilter(0), {}, {}});
   // Starvation-sized transition cache: every worker constantly flushes
   // (dfa_cache_flush flight events from inside scan threads) and
   // eventually takes the sticky fused fallback.
-  backends.push_back(
-      {"lazy-starved", MakeFilter(tagger::TaggerBackend::kLazyDfa, 1 << 10),
-       {}, {}});
+  configs.push_back({"lazy-starved", MakeFilter(1 << 10), {}, {}});
 
   std::vector<std::string> storage;
   for (uint64_t s = 0; s < 12; ++s) storage.push_back(Traffic(24, s));
@@ -173,18 +165,27 @@ TEST(ThreadedStressOracleTest, BackendsByteIdenticalUnderLiveObservation) {
 
   // Sequential oracle, computed before the storm with attribution off.
   obs::AttributionTable::set_enabled(false);
-  for (Backend& b : backends) {
+  for (Config& b : configs) {
     for (const std::string_view s : streams) {
       b.batch_expected.push_back(b.filter.Scan(s));
     }
     b.stream_expected = b.filter.Scan(big_stream);
   }
-  ASSERT_FALSE(backends[0].stream_expected.empty());
-  for (size_t i = 1; i < backends.size(); ++i) {
-    EXPECT_EQ(backends[i].batch_expected, backends[0].batch_expected)
-        << backends[i].name << " sequential batch diverged from functional";
-    EXPECT_EQ(backends[i].stream_expected, backends[0].stream_expected)
-        << backends[i].name << " sequential stream diverged from functional";
+  ASSERT_FALSE(configs[0].stream_expected.empty());
+  for (size_t i = 1; i < configs.size(); ++i) {
+    EXPECT_EQ(configs[i].batch_expected, configs[0].batch_expected)
+        << configs[i].name << " sequential batch diverged";
+    EXPECT_EQ(configs[i].stream_expected, configs[0].stream_expected)
+        << configs[i].name << " sequential stream diverged";
+  }
+  // The alerts derive from the tags: pin those to the reference model.
+  for (const Config& b : configs) {
+    const core::CompiledTagger& t = b.filter.tagger();
+    auto want =
+        testing_oracle::OracleTags(t.grammar(), t.options().tagger, big_stream);
+    ASSERT_TRUE(want.ok()) << want.status();
+    EXPECT_EQ(t.Tag(big_stream), *want)
+        << b.name << " tags diverged from the functional reference";
   }
 
   obs::StatsServer server;
@@ -224,7 +225,7 @@ TEST(ThreadedStressOracleTest, BackendsByteIdenticalUnderLiveObservation) {
   });
 
   const int iters = StressIters();
-  for (Backend& b : backends) {
+  for (Config& b : configs) {
     ScanEngineOptions opt;
     opt.num_threads = 4;
     opt.min_shard_bytes = 1024;  // force real sharding on the big stream
@@ -271,8 +272,8 @@ TEST(ThreadedStressOracleTest, ChaosFaultsPreserveOrFailCleanly) {
   injector.DisarmAll();
   res::ResourceBudget::Process().ResetForTest();
 
-  ContextFilter functional = MakeFilter(tagger::TaggerBackend::kFunctional, 0);
-  ContextFilter lazy = MakeFilter(tagger::TaggerBackend::kLazyDfa, 0);
+  ContextFilter lazy = MakeFilter(0);
+  ContextFilter starved = MakeFilter(1 << 10);
 
   std::vector<std::string> storage;
   for (uint64_t s = 0; s < 8; ++s) storage.push_back(Traffic(24, s + 100));
@@ -283,9 +284,9 @@ TEST(ThreadedStressOracleTest, ChaosFaultsPreserveOrFailCleanly) {
   obs::AttributionTable::set_enabled(false);
   std::vector<std::vector<Alert>> batch_expected;
   for (const std::string_view s : streams) {
-    batch_expected.push_back(functional.Scan(s));
+    batch_expected.push_back(lazy.Scan(s));
   }
-  const std::vector<Alert> stream_expected = functional.Scan(big_stream);
+  const std::vector<Alert> stream_expected = lazy.Scan(big_stream);
   ASSERT_FALSE(stream_expected.empty());
 
   // Sites that can fire inside a scan, with kinds that only degrade.
@@ -306,8 +307,8 @@ TEST(ThreadedStressOracleTest, ChaosFaultsPreserveOrFailCleanly) {
   opt.num_threads = 4;
   opt.min_shard_bytes = 1024;
   opt.stuck_shard_seconds = 0;  // stalls here are chaos, not bugs
-  const ScanEngine func_engine(&functional, opt);
   const ScanEngine lazy_engine(&lazy, opt);
+  const ScanEngine starved_engine(&starved, opt);
 
   Rng rng(42);
   const int iters = StressIters();
@@ -321,7 +322,7 @@ TEST(ThreadedStressOracleTest, ChaosFaultsPreserveOrFailCleanly) {
         res::ResourceBudget::Process().SetLimit(100);
         res::ResourceBudget::Process().Charge(95, "chaos");
       }
-      for (const ScanEngine* engine : {&func_engine, &lazy_engine}) {
+      for (const ScanEngine* engine : {&lazy_engine, &starved_engine}) {
         res::ScanControl control;
         control.check_interval_bytes = 2048;
         if (chaos.can_trip_deadline) {

@@ -1,0 +1,41 @@
+#ifndef CFGTAG_TESTS_ORACLE_H_
+#define CFGTAG_TESTS_ORACLE_H_
+
+// The reference oracle the equivalence suites compare the production engine
+// against: the FunctionalTagger (one Glushkov automaton stepped per token)
+// run with CompiledTagger::Tag's stream contract — the input plus the flush
+// padding, with tags that end inside the padding dropped.
+
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "common/status.h"
+#include "core/token_tagger.h"
+#include "grammar/grammar.h"
+#include "tagger/functional_model.h"
+#include "tagger/tag.h"
+
+namespace cfgtag::testing_oracle {
+
+inline StatusOr<std::vector<tagger::Tag>> OracleTags(
+    const grammar::Grammar& g, const tagger::TaggerOptions& opt,
+    std::string_view input) {
+  using core::CompiledTagger;
+  CFGTAG_ASSIGN_OR_RETURN(tagger::FunctionalTagger oracle,
+                          tagger::FunctionalTagger::Create(&g, opt));
+  std::string padded(input);
+  padded.append(CompiledTagger::kFlushPadding + 1,
+                CompiledTagger::kFlushByte);
+  const size_t scan_end = input.size() + CompiledTagger::kFlushPadding;
+  std::vector<tagger::Tag> tags;
+  oracle.Run(padded, [&](const tagger::Tag& t) {
+    if (t.end < scan_end) tags.push_back(t);
+    return true;
+  });
+  return tags;
+}
+
+}  // namespace cfgtag::testing_oracle
+
+#endif  // CFGTAG_TESTS_ORACLE_H_

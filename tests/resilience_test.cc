@@ -406,12 +406,11 @@ TEST_F(ResilienceTest, ScopedChargeReleasesOnDestruction) {
 }
 
 TEST_F(ResilienceTest, BudgetPressureShedsLazyDfa) {
-  // A tiny budget forces kShedDfa before the lazy backend interns much;
-  // the scan must still produce correct tags via the fused fallback.
+  // A tiny budget forces kShedDfa before the lazy DFA interns much; the
+  // scan must still produce correct tags via the fused fallback.
   auto& budget = res::ResourceBudget::Process();
   hwgen::HwOptions opt;
   opt.tagger.arm_mode = tagger::ArmMode::kResync;
-  opt.tagger.backend = tagger::TaggerBackend::kLazyDfa;
   auto t = core::CompiledTagger::Compile(Protocol(), opt);
   ASSERT_TRUE(t.ok()) << t.status();
   const std::string input = Traffic(50);
@@ -438,7 +437,6 @@ class ArtifactFixture : public ResilienceTest {
     path_ = ::testing::TempDir() + "/resilience_artifact.cfgtag";
     hwgen::HwOptions opt;
     opt.tagger.arm_mode = tagger::ArmMode::kResync;
-    opt.tagger.backend = tagger::TaggerBackend::kFused;
     auto t = core::CompiledTagger::Compile(Protocol(), opt);
     ASSERT_TRUE(t.ok()) << t.status();
     auto bytes = t->Serialize();

@@ -135,7 +135,8 @@ TEST(RobustnessTest, RepeatedCompilationIsDeterministic) {
       MustParse("NUM [0-9]+\n%%\ns: \"<\" NUM \">\";\n%%\n"));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->hardware().netlist.NumNodes(), b->hardware().netlist.NumNodes());
+  EXPECT_EQ(a->hardware().value()->netlist.NumNodes(),
+            b->hardware().value()->netlist.NumNodes());
   auto va = a->ExportVhdl("t");
   auto vb = b->ExportVhdl("t");
   ASSERT_TRUE(va.ok());

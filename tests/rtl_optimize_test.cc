@@ -107,19 +107,19 @@ TEST(OptimizeTest, GeneratedTaggerShrinksAndStaysEquivalent) {
   ASSERT_TRUE(compiled.ok());
 
   OptimizeStats stats;
-  auto opt = Optimize(compiled->hardware().netlist, &stats);
+  auto opt = Optimize(compiled->hardware().value()->netlist, &stats);
   ASSERT_TRUE(opt.ok()) << opt.status();
   EXPECT_LT(stats.gates_after, stats.gates_before);
   EXPECT_GT(stats.cse_hits, 0u);
 
   // Random-vector equivalence over all match/index outputs.
-  EXPECT_TRUE(CheckEquivalent(compiled->hardware().netlist, *opt,
+  EXPECT_TRUE(CheckEquivalent(compiled->hardware().value()->netlist, *opt,
                               /*vectors=*/3, /*cycles=*/48, /*seed=*/7)
                   .ok());
 
   // Mapping still works and is never larger.
   TechMapper mapper(4);
-  auto m_raw = mapper.Map(compiled->hardware().netlist);
+  auto m_raw = mapper.Map(compiled->hardware().value()->netlist);
   auto m_opt = mapper.Map(*opt);
   ASSERT_TRUE(m_raw.ok());
   ASSERT_TRUE(m_opt.ok());

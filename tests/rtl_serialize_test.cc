@@ -70,7 +70,7 @@ TEST(SerializeTest, GeneratedTaggerRoundTrips) {
   ASSERT_TRUE(g.ok());
   auto compiled = core::CompiledTagger::Compile(std::move(g).value());
   ASSERT_TRUE(compiled.ok());
-  const Netlist& original = compiled->hardware().netlist;
+  const Netlist& original = compiled->hardware().value()->netlist;
   auto loaded = ParseNetlist(SerializeNetlist(original));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->NumNodes(), original.NumNodes());

@@ -1,13 +1,14 @@
 // Differential fuzzing across the tagging engines: on randomly generated
-// small grammars and random byte streams, the fused and lazy-DFA backends
-// must be tag-for-tag identical to the functional reference — for every
-// arm mode, with and without the longest-match look-ahead, chunked or
-// whole-buffer, under both scalar and vectorized SIMD dispatch, and for
+// small grammars and random byte streams, the fused engine and the lazy
+// DFA must be tag-for-tag identical to the functional reference — for
+// every arm mode, with and without the longest-match look-ahead, chunked
+// or whole-buffer, under both scalar and vectorized SIMD dispatch, and for
 // the lazy DFA also under a starvation-sized transition cache (constant
-// flushing, then the fused fallback) — and CompiledTagger::Tag must agree
-// with itself across backends. The artifact leg closes the loop through
-// the serializer: serialize → Deserialize → tag must be byte-identical to
-// the compiler that produced the artifact, whole-buffer and chunked.
+// flushing, then the fused fallback). CompiledTagger::Tag must match the
+// same reference and the gate-level simulation of its netlist. The
+// artifact leg closes the loop through the serializer: serialize →
+// Deserialize → tag must be byte-identical to the compiler that produced
+// the artifact, whole-buffer and chunked.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "common/rng.h"
 #include "core/token_tagger.h"
 #include "grammar/grammar.h"
+#include "oracle.h"
 #include "tagger/functional_model.h"
 #include "tagger/fused_model.h"
 #include "tagger/lazy_dfa.h"
@@ -213,23 +215,20 @@ TEST(DifferentialFuzzTest, FusedMatchesFunctionalEverywhere) {
 }
 
 // serialize → Deserialize → tag: a tagger rebuilt from its own artifact
-// bytes must be tag-for-tag identical to the tagger that wrote them, for
-// both flat-table backends, with and without an AOT table, whole-buffer
-// and chunked through the loaded engine's sessions.
+// bytes must be tag-for-tag identical to the tagger that wrote them, with
+// and without an AOT table, whole-buffer and chunked through the loaded
+// engine's sessions.
 TEST(DifferentialFuzzTest, ArtifactRoundTripMatchesDirectCompile) {
   Rng rng(20260809);
   const ArmMode kModes[] = {ArmMode::kAnchored, ArmMode::kScan,
                             ArmMode::kResync};
-  const tagger::TaggerBackend kBackends[] = {tagger::TaggerBackend::kFused,
-                                             tagger::TaggerBackend::kLazyDfa};
   for (int iter = 0; iter < 16; ++iter) {
     Grammar g = RandomGrammar(rng);
     hwgen::HwOptions options;
     options.tagger.arm_mode = kModes[iter % 3];
     options.tagger.longest_match = (iter % 2) == 0;
-    options.tagger.backend = kBackends[iter % 2];
-    // Odd iterations strip the AOT table so both artifact shapes (baked
-    // DFA present / absent) go through the loader.
+    // Every fourth iteration strips the AOT table so both artifact shapes
+    // (baked DFA present / absent) go through the loader.
     if (iter % 4 == 1) options.tagger.aot_state_budget = 0;
     auto direct = core::CompiledTagger::Compile(g.Clone(), options);
     ASSERT_TRUE(direct.ok()) << direct.status();
@@ -238,53 +237,47 @@ TEST(DifferentialFuzzTest, ArtifactRoundTripMatchesDirectCompile) {
     auto loaded = core::CompiledTagger::Deserialize(*bytes);
     ASSERT_TRUE(loaded.ok()) << loaded.status();
     EXPECT_FALSE(loaded->has_hardware());
-    EXPECT_EQ(loaded->backend(), options.tagger.backend);
     for (int s = 0; s < 6; ++s) {
       const std::string input = RandomStream(direct->grammar(), rng);
       const std::vector<Tag> want = direct->Tag(input);
       ExpectSameTags(want, loaded->Tag(input), "artifact whole-buffer",
                      input);
       const size_t chunk = 1 + rng.NextIndex(7);
-      if (loaded->lazy_model() != nullptr) {
-        ExpectSameTags(want, Chunked(*loaded->lazy_model(), input, chunk),
-                       "artifact lazy chunk=" + std::to_string(chunk), input);
-      } else {
-        ASSERT_NE(loaded->fused_model(), nullptr);
-        ExpectSameTags(want, Chunked(*loaded->fused_model(), input, chunk),
-                       "artifact fused chunk=" + std::to_string(chunk),
-                       input);
-      }
+      ExpectSameTags(want, Chunked(*loaded->lazy_model(), input, chunk),
+                     "artifact chunk=" + std::to_string(chunk), input);
     }
   }
 }
 
-TEST(DifferentialFuzzTest, CompiledTaggerBackendsAgree) {
+// CompiledTagger::Tag against the functional reference and against the
+// gate-level simulation of the netlist generated from the same grammar,
+// with the default transition cache and with a starved one that falls
+// back to the fused engine.
+TEST(DifferentialFuzzTest, CompiledTaggerMatchesOracleAndNetlist) {
   Rng rng(424242);
+  const ArmMode kModes[] = {ArmMode::kAnchored, ArmMode::kScan,
+                            ArmMode::kResync};
   for (int iter = 0; iter < 12; ++iter) {
     Grammar g = RandomGrammar(rng);
-    Grammar g2 = g.Clone();
-    Grammar g3 = g.Clone();
     hwgen::HwOptions options;
-    options.tagger.arm_mode = ArmMode::kResync;
-    auto functional = core::CompiledTagger::Compile(std::move(g), options);
-    options.tagger.backend = tagger::TaggerBackend::kFused;
-    auto fused = core::CompiledTagger::Compile(std::move(g2), options);
-    options.tagger.backend = tagger::TaggerBackend::kLazyDfa;
-    auto lazy = core::CompiledTagger::Compile(std::move(g3), options);
-    ASSERT_TRUE(functional.ok()) << functional.status();
-    ASSERT_TRUE(fused.ok()) << fused.status();
-    ASSERT_TRUE(lazy.ok()) << lazy.status();
-    ASSERT_NE(fused->fused_model(), nullptr);
-    ASSERT_EQ(functional->fused_model(), nullptr);
-    ASSERT_NE(lazy->lazy_model(), nullptr);
-    ASSERT_EQ(lazy->fused_model(), nullptr);
+    options.tagger.arm_mode = kModes[iter % 3];
+    options.tagger.longest_match = (iter % 4) != 3;
+    auto compiled = core::CompiledTagger::Compile(g.Clone(), options);
+    hwgen::HwOptions starved_options = options;
+    starved_options.tagger.dfa_cache_bytes = 1 << 10;
+    auto starved = core::CompiledTagger::Compile(g.Clone(), starved_options);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    ASSERT_TRUE(starved.ok()) << starved.status();
     for (int s = 0; s < 6; ++s) {
-      const std::string input = RandomStream(functional->grammar(), rng);
-      const std::vector<Tag> want = functional->Tag(input);
-      ExpectSameTags(want, fused->Tag(input), "CompiledTagger fused backend",
+      const std::string input = RandomStream(g, rng);
+      auto want = testing_oracle::OracleTags(g, options.tagger, input);
+      ASSERT_TRUE(want.ok()) << want.status();
+      ExpectSameTags(*want, compiled->Tag(input), "CompiledTagger", input);
+      ExpectSameTags(*want, starved->Tag(input), "CompiledTagger starved",
                      input);
-      ExpectSameTags(want, lazy->Tag(input), "CompiledTagger lazy backend",
-                     input);
+      auto hw = compiled->TagCycleAccurate(input);
+      ASSERT_TRUE(hw.ok()) << hw.status();
+      ExpectSameTags(*want, *hw, "gate-level simulation", input);
     }
   }
 }

@@ -261,18 +261,6 @@ TEST(LazyDfaTaggerTest, SessionPoolReusesSessions) {
   ASSERT_EQ(moved.TagAll("1+1").size(), 3u);  // NUM OP NUM
 }
 
-TEST(LazyDfaTaggerTest, AutoHeuristicPrefersLazyForSmallGrammars) {
-  grammar::Grammar g = MustParse(kCalcGrammar);
-  auto fused = FusedTagger::Create(&g, {});
-  ASSERT_TRUE(fused.ok());
-  // A handful of byte classes over a few state words is far under the
-  // product limit — exactly the shape `--backend auto` routes to the DFA.
-  EXPECT_TRUE(LazyDfaTagger::AutoPrefers(*fused));
-  EXPECT_LE(static_cast<size_t>(fused->NumByteClasses()) *
-                fused->NumStateWords(),
-            LazyDfaTagger::kAutoProductLimit);
-}
-
 TEST(LazyDfaTaggerTest, CacheMetricsAreRegistered) {
   const DfaCacheMetrics& m = DfaCacheMetrics::Get();
   ASSERT_NE(m.states, nullptr);

@@ -64,15 +64,6 @@ TEST(ResyncTest, BackToBackSentences) {
   EXPECT_EQ(tags.size(), 4u);
 }
 
-TEST(ResyncTest, LegacyAnchoredFlagStillWorks) {
-  TaggerOptions opt;
-  EXPECT_EQ(opt.EffectiveArmMode(), ArmMode::kAnchored);
-  opt.anchored = false;
-  EXPECT_EQ(opt.EffectiveArmMode(), ArmMode::kScan);
-  opt.arm_mode = ArmMode::kResync;
-  EXPECT_EQ(opt.EffectiveArmMode(), ArmMode::kResync);
-}
-
 class ResyncLaneTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ResyncLaneTest, NetlistMatchesFunctionalModel) {

@@ -73,7 +73,7 @@ TEST(FunctionalTaggerTest, AnchoredVsScanMode) {
   grammar::Grammar g = MustParse("%%\ns: \"ab\";\n%%\n");
   TaggerOptions anchored;
   TaggerOptions scan;
-  scan.anchored = false;
+  scan.arm_mode = ArmMode::kScan;
 
   grammar::Grammar g2 = g.Clone();
   auto t_anchored = FunctionalTagger::Create(&g, anchored);
@@ -92,7 +92,7 @@ TEST(FunctionalTaggerTest, AnchoredVsScanMode) {
 TEST(FunctionalTaggerTest, ScanModeFindsEveryAlignment) {
   grammar::Grammar g = MustParse("%%\ns: \"aa\";\n%%\n");
   TaggerOptions scan;
-  scan.anchored = false;
+  scan.arm_mode = ArmMode::kScan;
   auto t = FunctionalTagger::Create(&g, scan);
   ASSERT_TRUE(t.ok());
   // "aaaa": matches end at offsets 1,2,3 (every alignment, §3.3).

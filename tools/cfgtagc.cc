@@ -16,13 +16,6 @@
 //   --testbench FILE    with --tag: emit a self-checking VHDL testbench
 //                       that replays the tagged input and asserts the tags
 //   --mode MODE         anchored | scan | resync       (default anchored)
-//   --backend ENGINE    functional | fused | lazy | auto: the software
-//                       engine behind --tag (default functional; fused is
-//                       the byte-class-compressed bit-parallel engine,
-//                       lazy memoizes fused steps as a lazily built DFA,
-//                       auto picks lazy when the grammar's byte-class x
-//                       state-word product is small enough for the
-//                       transition cache to pay off, fused otherwise)
 //   --threads N         with --tag: shard the input at newline record
 //                       boundaries and tag shards in parallel (needs
 //                       --mode resync and newline-framed records;
@@ -44,8 +37,8 @@
 //                       exit — and from a SIGINT/SIGTERM handler, so an
 //                       interrupted run still leaves its last events
 //   --save-artifact FILE
-//                       serialize the compiled software tagger (fused or
-//                       lazy backend) into a zero-copy artifact file
+//                       serialize the compiled software tagger into a
+//                       zero-copy artifact file
 //   --load-artifact FILE
 //                       skip the grammar compile entirely: mmap a saved
 //                       artifact and tag with it (software engine only —
@@ -113,7 +106,6 @@ int Usage(const char* argv0) {
                "usage: %s GRAMMAR [INPUT] [--vhdl FILE] [--entity NAME]\n"
                "       [--report] [--analysis] [--tag FILE]\n"
                "       [--cycle-accurate] [--mode anchored|scan|resync]\n"
-               "       [--backend functional|fused|lazy|auto]\n"
                "       [--threads N] [--bytes-per-cycle N] [--replicate N]\n"
                "       [--no-longest-match] [--no-encoder]\n"
                "       [--metrics-out FILE] [--trace-out FILE]\n"
@@ -303,22 +295,6 @@ int RunTool(int argc, char** argv) {
       } else {
         return Usage(argv[0]);
       }
-    } else if (arg == "--backend") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      if (std::strcmp(v, "functional") == 0) {
-        options.tagger.backend = cfgtag::tagger::TaggerBackend::kFunctional;
-      } else if (std::strcmp(v, "fused") == 0) {
-        options.tagger.backend = cfgtag::tagger::TaggerBackend::kFused;
-      } else if (std::strcmp(v, "lazy") == 0) {
-        options.tagger.backend = cfgtag::tagger::TaggerBackend::kLazyDfa;
-      } else if (std::strcmp(v, "auto") == 0) {
-        options.tagger.backend = cfgtag::tagger::TaggerBackend::kAuto;
-      } else {
-        std::fprintf(stderr,
-                     "--backend must be functional, fused, lazy or auto\n");
-        return Usage(argv[0]);
-      }
     } else if (arg == "--threads") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
@@ -328,15 +304,26 @@ int RunTool(int argc, char** argv) {
         return Usage(argv[0]);
       }
     } else if (arg == "--bytes-per-cycle") {
+      // Validated here, not by the generator: the netlist is only built
+      // when a hardware output asks for it, so a tag-only run would
+      // otherwise accept a bad value silently.
       const char* v = next();
       if (!v) return Usage(argv[0]);
-      options.bytes_per_cycle = std::atoi(v);
+      if (!ParsePositiveInt(v, &options.bytes_per_cycle) ||
+          (options.bytes_per_cycle != 1 && options.bytes_per_cycle != 2 &&
+           options.bytes_per_cycle != 4)) {
+        std::fprintf(stderr,
+                     "--bytes-per-cycle must be 1, 2 or 4, got \"%s\"\n", v);
+        return Usage(argv[0]);
+      }
     } else if (arg == "--replicate") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
-      const int threshold = std::atoi(v);
-      if (threshold <= 0) {
-        std::fprintf(stderr, "--replicate needs a positive threshold\n");
+      int threshold = 0;
+      if (!ParsePositiveInt(v, &threshold)) {
+        std::fprintf(stderr,
+                     "--replicate needs a positive threshold, got \"%s\"\n",
+                     v);
         return Usage(argv[0]);
       }
       options.decoder_replication = true;
@@ -565,14 +552,19 @@ int RunTool(int argc, char** argv) {
     if (!compiled.ok()) return FailStatus("compile", compiled.status());
     tagger.emplace(std::move(compiled).value());
   }
-  if (tagger->has_hardware()) {
-    const auto stats = tagger->hardware().netlist.ComputeStats();
+  // The netlist is generated only for runs that write a hardware output.
+  const cfgtag::hwgen::GeneratedTagger* hardware = nullptr;
+  if (!tagger->has_hardware()) {
+    std::printf("software engine loaded from artifact (no netlist)\n");
+  } else if (needs_hardware) {
+    auto generated = tagger->hardware();
+    if (!generated.ok()) return FailStatus("hwgen", generated.status());
+    hardware = generated.value();
+    const auto stats = hardware->netlist.ComputeStats();
     std::printf("netlist: %zu gates, %zu registers, %d byte(s)/cycle, "
                 "match latency %d cycle(s)\n",
-                stats.num_gates, stats.num_regs, tagger->hardware().lanes,
-                tagger->hardware().match_latency);
-  } else {
-    std::printf("software engine loaded from artifact (no netlist)\n");
+                stats.num_gates, stats.num_regs, hardware->lanes,
+                hardware->match_latency);
   }
 
   if (!save_artifact.empty()) {
@@ -619,7 +611,7 @@ int RunTool(int argc, char** argv) {
   if (!netlist_path.empty()) {
     std::ofstream out(netlist_path, std::ios::binary);
     const std::string text =
-        cfgtag::rtl::SerializeNetlist(tagger->hardware().netlist);
+        cfgtag::rtl::SerializeNetlist(hardware->netlist);
     out << text;
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", netlist_path.c_str());
@@ -668,8 +660,7 @@ int RunTool(int argc, char** argv) {
       // follow-set arms a fresh tagger would not have.
       const cfgtag::regex::CharClass record =
           cfgtag::regex::CharClass::Of('\n');
-      if (options.tagger.EffectiveArmMode() !=
-          cfgtag::tagger::ArmMode::kResync) {
+      if (options.tagger.arm_mode != cfgtag::tagger::ArmMode::kResync) {
         std::fprintf(stderr,
                      "--threads needs --mode resync; tagging with one "
                      "thread instead\n");
@@ -746,17 +737,7 @@ int RunTool(int argc, char** argv) {
       if (!status.ok()) return FailStatus("vcd", status);
       std::printf("wrote waveform to %s\n", vcd_path.c_str());
     }
-    // Report the engine the compile resolved to (--backend auto becomes
-    // fused or lazy-dfa by here).
-    const char* engine = "functional";
-    if (cycle_accurate) {
-      engine = "cycle-accurate";
-    } else if (tagger->backend() == cfgtag::tagger::TaggerBackend::kFused) {
-      engine = "fused";
-    } else if (tagger->backend() ==
-               cfgtag::tagger::TaggerBackend::kLazyDfa) {
-      engine = "lazy-dfa";
-    }
+    const char* engine = cycle_accurate ? "cycle-accurate" : "lazy-dfa";
     std::printf("%zu tags from %s (%s engine)%s:\n", tags.size(),
                 tag_path.c_str(), engine,
                 tag_status.ok() ? "" : ", partial — scan aborted");
