@@ -100,86 +100,50 @@ PositionAutomaton PositionAutomaton::Build(const RegexNode& re) {
   return pa;
 }
 
-void PositionAutomaton::EnsureTables() const {
-  if (tables_built_) return;
-  const size_t nw = NumWords();
+template <typename F>
+bool PositionAutomaton::AnyLive(const uint64_t* state, F f) const {
   const size_t np = positions.size();
-  auto set_bit = [](std::vector<uint64_t>& v, uint32_t p) {
-    v[p / 64] |= 1ULL << (p % 64);
-  };
-  reach_.assign(np, std::vector<uint64_t>(nw, 0));
-  for (size_t p = 0; p < np; ++p) {
-    for (uint32_t q : follow[p]) set_bit(reach_[p], q);
-  }
-  first_mask_.assign(nw, 0);
-  for (uint32_t p : first) set_bit(first_mask_, p);
-  last_mask_.assign(nw, 0);
-  for (uint32_t p = 0; p < np; ++p) {
-    if (is_last[p]) set_bit(last_mask_, static_cast<uint32_t>(p));
-  }
-  class_mask_.assign(256, std::vector<uint64_t>(nw, 0));
-  for (uint32_t p = 0; p < np; ++p) {
-    for (int c = 0; c < 256; ++c) {
-      if (positions[p].Test(static_cast<unsigned char>(c))) {
-        set_bit(class_mask_[c], p);
-      }
-    }
-  }
-  tables_built_ = true;
-}
-
-void PositionAutomaton::StepState(const uint64_t* state, bool inject,
-                                  unsigned char c,
-                                  uint64_t* next_state) const {
-  EnsureTables();
-  const size_t nw = NumWords();
-  const size_t np = positions.size();
-  for (size_t w = 0; w < nw; ++w) next_state[w] = 0;
-  // Successors of live positions.
-  for (size_t w = 0; w < nw; ++w) {
+  for (size_t w = 0; w < NumWords(); ++w) {
     uint64_t bits = state[w];
     while (bits) {
       const uint32_t p = static_cast<uint32_t>(w * 64 + __builtin_ctzll(bits));
       bits &= bits - 1;
       if (p >= np) break;
-      const std::vector<uint64_t>& r = reach_[p];
-      for (size_t v = 0; v < nw; ++v) next_state[v] |= r[v];
+      if (f(p)) return true;
     }
   }
+  return false;
+}
+
+void PositionAutomaton::StepState(const uint64_t* state, bool inject,
+                                  unsigned char c,
+                                  uint64_t* next_state) const {
+  for (size_t w = 0; w < NumWords(); ++w) next_state[w] = 0;
+  auto enter = [&](uint32_t q) {
+    if (positions[q].Test(c)) next_state[q / 64] |= 1ULL << (q % 64);
+  };
+  AnyLive(state, [&](uint32_t p) {
+    for (uint32_t q : follow[p]) enter(q);
+    return false;
+  });
   if (inject) {
-    for (size_t v = 0; v < nw; ++v) next_state[v] |= first_mask_[v];
+    for (uint32_t q : first) enter(q);
   }
-  const std::vector<uint64_t>& cm = class_mask_[c];
-  for (size_t v = 0; v < nw; ++v) next_state[v] &= cm[v];
 }
 
 bool PositionAutomaton::Accepts(const uint64_t* state) const {
-  EnsureTables();
-  for (size_t w = 0; w < NumWords(); ++w) {
-    if (state[w] & last_mask_[w]) return true;
-  }
-  return false;
+  return AnyLive(state, [this](uint32_t p) { return is_last[p] != 0; });
 }
 
 bool PositionAutomaton::CanExtend(const uint64_t* state,
                                   unsigned char c) const {
-  EnsureTables();
-  const size_t nw = NumWords();
-  const size_t np = positions.size();
-  const std::vector<uint64_t>& cm = class_mask_[c];
-  for (size_t w = 0; w < nw; ++w) {
-    uint64_t bits = state[w] & last_mask_[w];
-    while (bits) {
-      const uint32_t p = static_cast<uint32_t>(w * 64 + __builtin_ctzll(bits));
-      bits &= bits - 1;
-      if (p >= np) break;
-      const std::vector<uint64_t>& r = reach_[p];
-      for (size_t v = 0; v < nw; ++v) {
-        if (r[v] & cm[v]) return true;
-      }
+  return AnyLive(state, [this, c](uint32_t p) {
+    if (!is_last[p]) return false;
+    for (uint32_t q : follow[p]) {
+      if (positions[q].Test(c)) return true;
     }
-  }
-  return false;
+    return false;
+  });
 }
 
 }  // namespace cfgtag::regex

@@ -33,7 +33,9 @@ struct PositionAutomaton {
   size_t NumPositions() const { return positions.size(); }
 
   // --- Bit-parallel software execution (used by the functional model) ---
-  // States are bitmaps over positions, stored in 64-bit words.
+  // States are bitmaps over positions, stored in 64-bit words. The steps
+  // read only the members above, so concurrent callers on one automaton
+  // need no synchronization.
   size_t NumWords() const { return (positions.size() + 63) / 64; }
 
   // state' = { q in follow(p) : p in state, c in class(q) }
@@ -50,17 +52,10 @@ struct PositionAutomaton {
   bool CanExtend(const uint64_t* state, unsigned char c) const;
 
  private:
-  // Lazily-built dense helper tables for the bit-parallel stepper.
-  void EnsureTables() const;
-
-  // reach_[p] = bitmap of follow(p); first_mask_ = bitmap of first;
-  // last_mask_ = bitmap of accepting positions;
-  // class_mask_[c] = bitmap of positions whose class contains byte c.
-  mutable std::vector<std::vector<uint64_t>> reach_;
-  mutable std::vector<uint64_t> first_mask_;
-  mutable std::vector<uint64_t> last_mask_;
-  mutable std::vector<std::vector<uint64_t>> class_mask_;
-  mutable bool tables_built_ = false;
+  // Calls `f(p)` for each live position p of `state` until one returns
+  // true; returns whether one did.
+  template <typename F>
+  bool AnyLive(const uint64_t* state, F f) const;
 };
 
 }  // namespace cfgtag::regex

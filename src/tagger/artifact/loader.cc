@@ -466,18 +466,8 @@ class Loader {
     t.start_first_ = start_first;
     t.arm_pattern_ = arm_pattern;
     t.arm_offset_ = arm_offset;
-    t.delim_scanner_ = RunScanner::ForSet(options.delimiters);
-    regex::CharClass arm_set;
-    for (int b = 0; b < 256; ++b) {
-      if (t.class_can_arm_[hdr.class_of[b]]) {
-        arm_set.Set(static_cast<unsigned char>(b));
-      }
-    }
-    t.arm_scanner_ = RunScanner::ForSet(arm_set);
-    t.class_tables_ =
-        simd::BuildClassTables(hdr.class_of, hdr.num_classes);
-    t.session_pool_ = std::make_shared<FusedSessionPool>();
     t.backing_ = backing;
+    t.BuildDerived();
 
     LoadedTagger out;
     out.options = options;

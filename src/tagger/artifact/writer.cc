@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "tagger/artifact/aot.h"
 #include "tagger/dfa_state.h"
 
 namespace cfgtag::tagger::artifact {
@@ -143,10 +142,7 @@ class Writer {
                   reinterpret_cast<const uint8_t*>(grammar_blob.data()),
                   grammar_blob.size());
 
-    AotDfa aot;
-    if (req.aot_state_budget > 0) {
-      aot = BuildAotDfa(f, req.aot_state_budget);
-    }
+    const DfaPool aot = BuildAotDfa(f, req.aot_state_budget);
     if (!aot.states.empty()) {
       // DfaStateInfo / DfaTrans have no internal padding holes (the one
       // pad byte is an explicit zero-initialized field), so the in-memory

@@ -3,19 +3,26 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <unordered_map>
+#include <vector>
 
-#include "common/hash.h"
 #include "tagger/fused_model.h"
 
 namespace cfgtag::tagger {
 
-// An interned lazy-DFA configuration, shared between the runtime session
-// cache (src/tagger/lazy_dfa.cc) and the ahead-of-time determinizer that
-// bakes states into saved artifacts (src/tagger/artifact/). Snapshot words
-// live in the owning pool at [snap_begin, snap_begin + num_state +
-// num_armed): state words first, both runs in ascending word order with
-// nonzero bits — the canonical form FusedSession::SnapshotConfig produces,
-// making equality a field-wise compare.
+// The lazy DFA's construction, in one place. Two callers build DFA states
+// over a fused engine: a LazyDfaSession on a transition-cache miss, and
+// BuildAotDfa below, which bakes states into saved artifacts ahead of
+// time. Both start from DfaConfig::SetStart, step with DfaConfig::Step and
+// intern into a DfaPool, so a baked state and the state a session would
+// build from the same configuration are the same bytes, and a fresh
+// session resolves to baked state 0.
+
+// An interned lazy-DFA configuration. Snapshot words live in the owning
+// pool at [snap_begin, snap_begin + num_state + num_armed): state words
+// first, both runs in ascending word order with nonzero bits — the
+// canonical form FusedSession::SnapshotConfig produces, making equality a
+// field-wise compare.
 //
 // The layout is fixed-width, padding explicit, and serialized verbatim
 // into artifacts; any change is an artifact format break.
@@ -41,34 +48,75 @@ struct DfaTrans {
 };
 static_assert(sizeof(DfaTrans) == 12, "DfaTrans is serialized");
 
-// Configuration hash over the canonical sparse runs. Baked AOT states
-// store this value, and the runtime probes them with hashes computed by
-// this same function — the two must never diverge (artifact format break).
-inline uint64_t HashDfaConfig(const WordBits* state, size_t num_state,
-                              const WordBits* armed, size_t num_armed,
-                              bool prev_delim, int16_t pending_cls) {
-  uint64_t h = 0x243f6a8885a308d3ULL;
-  h = HashMix64(h, (static_cast<uint64_t>(num_state) << 32) ^
-                       static_cast<uint64_t>(num_armed));
-  for (size_t i = 0; i < num_state; ++i) {
-    h = HashMix64(h, state[i].bits);
-    h = HashMix64(h, state[i].word);
-  }
-  for (size_t i = 0; i < num_armed; ++i) {
-    h = HashMix64(h, ~armed[i].bits);
-    h = HashMix64(h, armed[i].word);
-  }
-  h = HashMix64(h, (static_cast<uint64_t>(prev_delim) << 16) ^
-                       static_cast<uint64_t>(static_cast<uint16_t>(pending_cls)));
-  return h;
-}
+// A DFA state in build form: the canonical sparse configuration, its key
+// bytes, and its hash. Friend of FusedSession and FusedTagger.
+struct DfaConfig {
+  std::vector<WordBits> state;
+  std::vector<WordBits> armed;
+  bool prev_delim = false;
+  int16_t pending_cls = -1;
+  uint64_t hash = 0;  // of the fields above; stored in baked states
 
-inline bool SameWordRun(const WordBits* a, const WordBits* b, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    if (a[i].word != b[i].word || a[i].bits != b[i].bits) return false;
+  // The stream-start configuration: no live positions, start tokens armed
+  // unless in scan mode, no pending byte.
+  void SetStart(const FusedTagger& fused);
+
+  // Copies an interned state (its words at `snap`) back into build form.
+  void Assign(const DfaStateInfo& info, const WordBits* snap);
+
+  // Becomes the successor of `info` (its words at `snap`) on input class
+  // `cls`, and fills `emit` with the token ids the step emits. With no
+  // pending byte the input is only absorbed as the look-ahead; otherwise
+  // `scratch` takes one real fused step on the class representatives —
+  // exact for every byte of the class, since the engine only reads byte
+  // classes. The step never counts toward hot-path attribution: every
+  // emission is replayed (and counted) from the table.
+  void Step(const DfaStateInfo& info, const WordBits* snap, uint8_t cls,
+            FusedSession* scratch, std::vector<int32_t>* emit);
+
+  // Whether `info` (its words at `snap`) holds this configuration.
+  bool Matches(const DfaStateInfo& info, const WordBits* snap) const;
+
+ private:
+  void Rehash();
+};
+
+using DfaIndex = std::unordered_multimap<uint64_t, int32_t>;
+
+// The one probe loop: the id of the state equal to `cfg` among `states`
+// (words in `snap_pool`, hashes in `index`), or -1. Serves the baked views
+// and the session vectors alike.
+int32_t FindDfaState(const DfaStateInfo* states, const WordBits* snap_pool,
+                     const DfaIndex& index, const DfaConfig& cfg);
+
+// Interned states and built transitions in build form: the AOT bake's
+// output (exactly the four pools an artifact serves back at run time) and
+// a LazyDfaSession's private cache.
+struct DfaPool {
+  std::vector<DfaStateInfo> states;
+  std::vector<DfaTrans> trans;  // row-major [id * num_classes + cls]
+  std::vector<WordBits> snap_pool;
+  std::vector<int32_t> emit_pool;
+  DfaIndex index;
+
+  int32_t Find(const DfaConfig& cfg) const {
+    return FindDfaState(states.data(), snap_pool.data(), index, cfg);
   }
-  return true;
-}
+  // Appends `cfg` as a new state with an unbuilt transition row of
+  // `num_classes` entries; returns its id.
+  int32_t Append(const DfaConfig& cfg, size_t num_classes);
+  // Pools `emit` and returns the transition to `next` that replays it.
+  DfaTrans AddTrans(int32_t next, const std::vector<int32_t>& emit);
+  void Clear();
+};
+
+// The ahead-of-time bake: walks the reachable (configuration x byte class)
+// product breadth-first from the start configuration (state 0), interning
+// at most `max_states` states. Transitions whose successor would exceed
+// the budget stay unbuilt (next = -1) for the runtime overlay; with
+// max_states == 0 the pool is empty. The walk is deterministic, so equal
+// (grammar, options) pairs bake byte-identical artifact regions.
+DfaPool BuildAotDfa(const FusedTagger& fused, uint32_t max_states);
 
 }  // namespace cfgtag::tagger
 

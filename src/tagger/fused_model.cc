@@ -161,20 +161,9 @@ StatusOr<FusedTagger> FusedTagger::Create(const grammar::Grammar* grammar,
     for (uint32_t q : pa.first) local[q / 64] |= 1ULL << (q % 64);
     for (size_t v = 0; v < width; ++v) {
       if (local[v] == 0) continue;
-      const uint32_t w = ws + static_cast<uint32_t>(v);
-      // Merge with an existing entry for the same word if present (two
-      // follow tokens can share... they cannot share words, but one call
-      // site may append the same token twice via duplicate Follow sets;
-      // Analyze dedups, so a linear check on the tail is enough).
-      bool merged = false;
-      for (WordBits& wb : *out) {
-        if (wb.word == w) {
-          wb.bits |= local[v];
-          merged = true;
-          break;
-        }
-      }
-      if (!merged) out->push_back(WordBits{w, local[v]});
+      // Tokens own disjoint words and the Analyze token sets hold each
+      // token once, so no word is appended twice.
+      out->push_back(WordBits{ws + static_cast<uint32_t>(v), local[v]});
     }
   };
 
@@ -208,22 +197,25 @@ StatusOr<FusedTagger> FusedTagger::Create(const grammar::Grammar* grammar,
       }
     }
   }
+
+  t.BindStorage(s);
+  t.backing_ = std::move(store);
+  t.BuildDerived();
+  return t;
+}
+
+void FusedTagger::BuildDerived() {
   regex::CharClass arm_set;
   for (int b = 0; b < 256; ++b) {
-    if (s.class_can_arm[t.classifier_.ClassOf(static_cast<unsigned char>(
-            b))]) {
+    if (class_can_arm_[classifier_.ClassOf(static_cast<unsigned char>(b))]) {
       arm_set.Set(static_cast<unsigned char>(b));
     }
   }
-
-  t.delim_scanner_ = RunScanner::ForSet(options.delimiters);
-  t.arm_scanner_ = RunScanner::ForSet(arm_set);
-  t.class_tables_ =
-      simd::BuildClassTables(t.classifier_.class_map(), num_classes);
-  t.session_pool_ = std::make_shared<FusedSessionPool>();
-  t.BindStorage(s);
-  t.backing_ = std::move(store);
-  return t;
+  delim_scanner_ = RunScanner::ForSet(options_.delimiters);
+  arm_scanner_ = RunScanner::ForSet(arm_set);
+  class_tables_ = simd::BuildClassTables(classifier_.class_map(),
+                                         classifier_.NumClasses());
+  session_pool_ = std::make_shared<FusedSessionPool>();
 }
 
 void FusedTagger::BindStorage(const Storage& s) {

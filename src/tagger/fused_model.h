@@ -19,11 +19,11 @@ namespace cfgtag::tagger {
 class FusedTagger;
 class FusedSessionPool;
 class LazyDfaSession;
+struct DfaConfig;
 
 namespace artifact {
 class Loader;
 class Writer;
-class AotBuilder;
 }  // namespace artifact
 
 // One (word, bits) entry of a sparse bitmap pattern — the unit of the
@@ -66,12 +66,12 @@ class FusedSession {
   const FusedTagger* tagger() const { return tagger_; }
 
  private:
-  // The lazy-DFA backend drives a scratch FusedSession directly: it loads
-  // an interned configuration, takes one ProcessByte step, and snapshots
-  // the result (see src/tagger/lazy_dfa.cc). The AOT determinizer does the
-  // same at artifact-build time (src/tagger/artifact/aot.cc).
+  // The lazy DFA's construction step drives a scratch FusedSession
+  // directly: it loads an interned configuration, takes one ProcessByte
+  // step, and snapshots the result (DfaConfig::Step, dfa_state.h). The
+  // lazy-DFA session also hands a stream over to it on fallback.
+  friend struct DfaConfig;
   friend class LazyDfaSession;
-  friend class artifact::AotBuilder;
 
   void ProcessByte(unsigned char c, bool has_next, unsigned char next_c,
                    const TagSink& sink);
@@ -202,13 +202,12 @@ class FusedTagger {
 
  private:
   friend class FusedSession;
-  friend class LazyDfaSession;
+  friend struct DfaConfig;  // reads start_first_ for the start state
   // The artifact writer snapshots these tables into a flat file; the loader
   // builds a FusedTagger whose table views point into the mmap'd file
   // instead of heap Storage (src/tagger/artifact/).
   friend class artifact::Loader;
   friend class artifact::Writer;
-  friend class artifact::AotBuilder;
 
   FusedTagger(const grammar::Grammar* grammar, TaggerOptions options)
       : grammar_(grammar), options_(options) {}
@@ -235,6 +234,11 @@ class FusedTagger {
   // Points every table view at the vectors of `s` (which must already be
   // owned by backing_).
   void BindStorage(const Storage& s);
+
+  // Builds what derives from the bound tables — the delimiter and arm
+  // RunScanners and the SIMD class tables — plus a fresh session pool.
+  // The last step of Create and of the artifact loader alike.
+  void BuildDerived();
 
   const grammar::Grammar* grammar_;
   TaggerOptions options_;

@@ -15,10 +15,6 @@ namespace {
 // overlay transition (same node shape).
 constexpr size_t kIndexNodeBytes = 48;
 
-// The configuration hash/equality primitives live in tagger/dfa_state.h,
-// shared with the AOT determinizer so baked and runtime states always
-// agree.
-
 }  // namespace
 
 const DfaCacheMetrics& DfaCacheMetrics::Get() {
@@ -42,7 +38,9 @@ LazyDfaTagger::LazyDfaTagger(FusedTagger fused,
                              std::shared_ptr<const AotDfaTable> aot)
     : fused_(std::move(fused)),
       aot_(std::move(aot)),
-      session_pool_(std::make_shared<LazyDfaSessionPool>()) {}
+      session_pool_(std::make_shared<LazyDfaSessionPool>()) {
+  start_.SetStart(fused_);
+}
 
 StatusOr<LazyDfaTagger> LazyDfaTagger::Create(const grammar::Grammar* grammar,
                                               const TaggerOptions& options) {
@@ -98,12 +96,8 @@ void LazyDfaSession::Rebind(const LazyDfaTagger* tagger) {
 }
 
 void LazyDfaSession::ClearCache() {
-  states_.clear();
-  trans_.clear();
+  cache_.Clear();
   overlay_.clear();
-  snap_pool_.clear();
-  emit_pool_.clear();
-  index_.clear();
   cache_bytes_ = 0;
   budget_.ReleaseAll();
 }
@@ -124,79 +118,31 @@ void LazyDfaSession::Reset() {
     scratch_.Reset();
     return;
   }
-  // Build steps must never count: every emission they produce is replayed
-  // (and counted) from the cache.
+  // Scratch steps must never count (Finish's last step included): every
+  // emission they produce is replayed (and counted) from the cache.
   scratch_.attr_on_ = false;
-  // Intern (or find) the stream-start configuration: no live positions,
-  // start tokens armed unless in scan mode, no pending byte.
-  const FusedTagger& f = tagger_->fused();
-  tmp_state_.clear();
-  tmp_armed_.clear();
-  if (f.options().arm_mode != ArmMode::kScan) {
-    tmp_armed_.assign(f.start_first_.begin(), f.start_first_.end());
-    std::sort(tmp_armed_.begin(), tmp_armed_.end(),
-              [](const WordBits& a, const WordBits& b) {
-                return a.word < b.word;
-              });
-  }
-  state_ = InternState(tmp_state_, tmp_armed_, /*prev_delim=*/false,
-                       /*pending_cls=*/-1);
+  state_ = InternState(tagger_->start_config());
 }
 
-int32_t LazyDfaSession::InternState(const std::vector<WordBits>& state,
-                                    const std::vector<WordBits>& armed,
-                                    bool prev_delim, int16_t pending_cls) {
-  const uint8_t pd = prev_delim ? 1 : 0;
-  const uint64_t h = HashDfaConfig(state.data(), state.size(), armed.data(),
-                                   armed.size(), prev_delim, pending_cls);
+int32_t LazyDfaSession::InternState(const DfaConfig& cfg) {
   // Baked states first: they can never be evicted, so a hit here costs the
   // session nothing and keeps its transitions shared.
   if (aot_ != nullptr) {
-    auto range = aot_->index.equal_range(h);
-    for (auto it = range.first; it != range.second; ++it) {
-      const DfaStateInfo& cand = aot_->states[static_cast<size_t>(it->second)];
-      if (cand.pending_cls == pending_cls && cand.prev_delim == pd &&
-          cand.num_state == state.size() && cand.num_armed == armed.size() &&
-          SameWordRun(aot_->snap_pool.data() + cand.snap_begin, state.data(),
-                      state.size()) &&
-          SameWordRun(aot_->snap_pool.data() + cand.snap_begin + cand.num_state,
-                      armed.data(), armed.size())) {
-        return it->second;
-      }
-    }
+    const int32_t id = FindDfaState(aot_->states.data(),
+                                    aot_->snap_pool.data(), aot_->index, cfg);
+    if (id >= 0) return id;
   }
-  auto range = index_.equal_range(h);
-  for (auto it = range.first; it != range.second; ++it) {
-    const DfaStateInfo& cand = states_[static_cast<size_t>(it->second)];
-    if (cand.pending_cls == pending_cls && cand.prev_delim == pd &&
-        cand.num_state == state.size() && cand.num_armed == armed.size() &&
-        SameWordRun(snap_pool_.data() + cand.snap_begin, state.data(),
-                    state.size()) &&
-        SameWordRun(snap_pool_.data() + cand.snap_begin + cand.num_state,
-                    armed.data(), armed.size())) {
-      return num_aot_ + it->second;
-    }
+  int32_t local = cache_.Find(cfg);
+  if (local < 0) {
+    local = cache_.Append(cfg, num_classes_);
+    const size_t charged =
+        sizeof(DfaStateInfo) + num_classes_ * sizeof(DfaTrans) +
+        (cfg.state.size() + cfg.armed.size()) * sizeof(WordBits) +
+        kIndexNodeBytes;
+    cache_bytes_ += charged;
+    budget_.Add(charged);
+    DfaCacheMetrics::Get().states->Increment();
   }
-  DfaStateInfo info;
-  info.hash = h;
-  info.snap_begin = static_cast<uint32_t>(snap_pool_.size());
-  info.num_state = static_cast<uint32_t>(state.size());
-  info.num_armed = static_cast<uint32_t>(armed.size());
-  info.pending_cls = pending_cls;
-  info.prev_delim = pd;
-  snap_pool_.insert(snap_pool_.end(), state.begin(), state.end());
-  snap_pool_.insert(snap_pool_.end(), armed.begin(), armed.end());
-  const int32_t local = static_cast<int32_t>(states_.size());
-  states_.push_back(info);
-  trans_.resize(trans_.size() + num_classes_);
-  index_.emplace(h, local);
-  const size_t charged = sizeof(DfaStateInfo) +
-                         num_classes_ * sizeof(DfaTrans) +
-                         (state.size() + armed.size()) * sizeof(WordBits) +
-                         kIndexNodeBytes;
-  cache_bytes_ += charged;
-  budget_.Add(charged);
-  DfaCacheMetrics::Get().states->Increment();
   return num_aot_ + local;
 }
 
@@ -274,15 +220,10 @@ void LazyDfaSession::Flush() {
   }
   // Copy the current configuration out of the pools, drop everything,
   // re-intern it as the sole survivor.
-  const DfaStateInfo info = Info(state_);
-  tmp_state_.assign(snap_pool_.begin() + info.snap_begin,
-                    snap_pool_.begin() + info.snap_begin + info.num_state);
-  tmp_armed_.assign(
-      snap_pool_.begin() + info.snap_begin + info.num_state,
-      snap_pool_.begin() + info.snap_begin + info.num_state + info.num_armed);
+  const DfaStateInfo& info = Info(state_);
+  tmp_.Assign(info, Snap(info, state_));
   ClearCache();
-  state_ = InternState(tmp_state_, tmp_armed_, info.prev_delim != 0,
-                       info.pending_cls);
+  state_ = InternState(tmp_);
 }
 
 DfaTrans LazyDfaSession::BuildTransition(uint8_t cls) {
@@ -298,44 +239,9 @@ DfaTrans LazyDfaSession::BuildTransition(uint8_t cls) {
     Flush();
     if (fallback_) return DfaTrans{};
   }
-  const FusedTagger& f = tagger_->fused();
-  const DfaStateInfo info = Info(state_);
-  const WordBits* snap = Snap(info, state_);
-  tmp_state_.clear();
-  tmp_armed_.clear();
-  tmp_emit_.clear();
-  int32_t next_id;
-  bool next_prev_delim;
-  if (info.pending_cls < 0) {
-    // Absorb: the input byte becomes the pending look-ahead; the machine
-    // configuration is untouched and nothing emits.
-    tmp_state_.assign(snap, snap + info.num_state);
-    tmp_armed_.assign(snap + info.num_state,
-                      snap + info.num_state + info.num_armed);
-    next_prev_delim = info.prev_delim != 0;
-  } else {
-    // One real fused step on the class representatives — exact for every
-    // byte of the class, since the engine only reads byte classes.
-    scratch_.LoadConfig(snap, info.num_state, snap + info.num_state,
-                        info.num_armed, info.prev_delim != 0);
-    scratch_.pos_ = 0;
-    scratch_.ProcessByte(
-        f.classifier().Representative(static_cast<uint16_t>(info.pending_cls)),
-        /*has_next=*/true, f.classifier().Representative(cls),
-        [this](const Tag& t) {
-          tmp_emit_.push_back(t.token);
-          return true;
-        });
-    scratch_.SnapshotConfig(&tmp_state_, &tmp_armed_);
-    next_prev_delim = scratch_.prev_was_delim_;
-  }
-  next_id = InternState(tmp_state_, tmp_armed_, next_prev_delim,
-                        static_cast<int16_t>(cls));
-  DfaTrans tr;
-  tr.next = next_id;
-  tr.emit_begin = static_cast<uint32_t>(emit_pool_.size());
-  tr.emit_count = static_cast<uint32_t>(tmp_emit_.size());
-  emit_pool_.insert(emit_pool_.end(), tmp_emit_.begin(), tmp_emit_.end());
+  const DfaStateInfo& info = Info(state_);
+  tmp_.Step(info, Snap(info, state_), cls, &scratch_, &tmp_emit_);
+  const DfaTrans tr = cache_.AddTrans(InternState(tmp_), tmp_emit_);
   cache_bytes_ += tmp_emit_.size() * sizeof(int32_t);
   budget_.Add(tmp_emit_.size() * sizeof(int32_t));
   if (state_ < num_aot_) {
@@ -345,7 +251,8 @@ DfaTrans LazyDfaSession::BuildTransition(uint8_t cls) {
     cache_bytes_ += kIndexNodeBytes + sizeof(DfaTrans);
     budget_.Add(kIndexNodeBytes + sizeof(DfaTrans));
   } else {
-    trans_[static_cast<size_t>(state_ - num_aot_) * num_classes_ + cls] = tr;
+    cache_.trans[static_cast<size_t>(state_ - num_aot_) * num_classes_ + cls] =
+        tr;
   }
   return tr;
 }
@@ -369,7 +276,7 @@ void LazyDfaSession::Feed(std::string_view chunk, const TagSink& sink) {
 
   size_t i = 0;
   while (i < n) {
-    // Copy what the skip checks need before any build can grow states_.
+    // Copy what the skip checks need before any build can grow the cache.
     const DfaStateInfo cur = Info(state_);
     const int16_t pending = cur.pending_cls;
     if (cur.num_state == 0 && pending >= 0) {
@@ -435,7 +342,7 @@ void LazyDfaSession::Feed(std::string_view chunk, const TagSink& sink) {
     // baked row, then the session overlay for baked-row misses, then the
     // session's own rows. The emission pool follows the row's origin.
     DfaTrans tr;
-    const int32_t* emit_base = emit_pool_.data();
+    const int32_t* emit_base = cache_.emit_pool.data();
     if (state_ < num_aot_) {
       tr = aot_->trans[static_cast<size_t>(state_) * num_classes_ + cls];
       if (tr.next >= 0) {
@@ -446,12 +353,13 @@ void LazyDfaSession::Feed(std::string_view chunk, const TagSink& sink) {
         if (it != overlay_.end()) tr = it->second;
       }
     } else {
-      tr = trans_[static_cast<size_t>(state_ - num_aot_) * num_classes_ + cls];
+      tr = cache_.trans[static_cast<size_t>(state_ - num_aot_) * num_classes_ +
+                        cls];
     }
     if (tr.next < 0) {
       if (attr_on_) ++attr_dfa_misses_;
       tr = BuildTransition(cls);
-      emit_base = emit_pool_.data();  // insertions may have reallocated
+      emit_base = cache_.emit_pool.data();  // insertions may have reallocated
       if (fallback_) {
         // The scratch session holds the exact current configuration and
         // stream position; the rest of the stream runs pure fused.

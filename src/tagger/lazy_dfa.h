@@ -22,13 +22,14 @@ namespace cfgtag::tagger {
 class LazyDfaTagger;
 class LazyDfaSessionPool;
 
-// An ahead-of-time determinized transition table, baked into an artifact
-// at serialize time and shared read-only by every session of the tagger
-// that loaded it. Baked state ids are [0, states.size()); sessions place
-// their own lazily interned states above that range and never mutate the
-// baked rows, so one table serves any number of threads. Transitions the
-// AOT walk left unbuilt (outside the state budget) have next = -1 and are
-// built at run time into the session's private overlay.
+// An ahead-of-time determinized transition table: a DfaPool baked into an
+// artifact at serialize time, served back as views into the artifact bytes
+// and shared read-only by every session of the tagger that loaded it.
+// Baked state ids are [0, states.size()); sessions place their own lazily
+// interned states above that range and never mutate the baked rows, so one
+// table serves any number of threads. Transitions the bake left unbuilt
+// (outside the state budget) have next = -1 and are built at run time into
+// the session's private overlay.
 struct AotDfaTable {
   TableView<DfaStateInfo> states;
   TableView<DfaTrans> trans;  // row-major [state * num_classes + cls]
@@ -39,7 +40,7 @@ struct AotDfaTable {
   // hash -> baked state id, rebuilt once at load from the stored hashes
   // (cheap relative to the compile it replaces; the artifact stays pure
   // position-independent data).
-  std::unordered_multimap<uint64_t, int32_t> index;
+  DfaIndex index;
 
   // Keeps the mapped (or copied) artifact bytes alive.
   std::shared_ptr<const void> backing;
@@ -76,13 +77,14 @@ struct DfaCacheMetrics {
 // class.
 //
 // Steady state, the inner loop is one table lookup — `trans[state][
-// class_of[byte]]` — plus an emission-replay branch. A miss takes one real
-// fused step (LoadConfig, ProcessByte, SnapshotConfig) and interns the
-// result. When the cache grows past TaggerOptions::dfa_cache_bytes it is
-// dropped wholesale and rebuilt from the current configuration (RE2's
-// flush discipline); after dfa_flush_fallback flushes the session stops
-// caching and runs its scratch FusedSession directly for the rest of its
-// life (Rebind to a different tagger clears the verdict).
+// class_of[byte]]` — plus an emission-replay branch. A miss takes the
+// construction step the AOT bake also takes (DfaConfig::Step, dfa_state.h)
+// and interns the result. When the cache grows past
+// TaggerOptions::dfa_cache_bytes it is dropped wholesale and rebuilt from
+// the current configuration (RE2's flush discipline); after
+// dfa_flush_fallback flushes the session stops caching and runs its
+// scratch FusedSession directly for the rest of its life (Rebind to a
+// different tagger clears the verdict).
 //
 // Tag streams are byte-identical, order included, to the functional and
 // fused engines — enforced by the differential and fuzz suites.
@@ -115,7 +117,7 @@ class LazyDfaSession {
   // Cache introspection (tests and metrics surfacing). cache_states()
   // counts only the session's own interned states, not the shared baked
   // table (aot_states() reports that).
-  size_t cache_states() const { return states_.size(); }
+  size_t cache_states() const { return cache_.states.size(); }
   size_t aot_states() const { return static_cast<size_t>(num_aot_); }
   size_t cache_bytes() const { return cache_bytes_; }
   uint64_t cache_flushes() const { return flushes_; }
@@ -126,17 +128,17 @@ class LazyDfaSession {
   // [0, num_aot_), session-interned states live above.
   const DfaStateInfo& Info(int32_t id) const {
     return id < num_aot_ ? aot_->states[static_cast<size_t>(id)]
-                         : states_[static_cast<size_t>(id - num_aot_)];
+                         : cache_.states[static_cast<size_t>(id - num_aot_)];
   }
   // First snapshot word of `info`, resolved into the owning pool.
   const WordBits* Snap(const DfaStateInfo& info, int32_t id) const {
-    return (id < num_aot_ ? aot_->snap_pool.data() : snap_pool_.data()) +
+    return (id < num_aot_ ? aot_->snap_pool.data() : cache_.snap_pool.data()) +
            info.snap_begin;
   }
 
-  int32_t InternState(const std::vector<WordBits>& state,
-                      const std::vector<WordBits>& armed, bool prev_delim,
-                      int16_t pending_cls);
+  // The global id of `cfg`: a baked state if one matches, else the
+  // session's own, interned on first sight.
+  int32_t InternState(const DfaConfig& cfg);
   // Builds (and caches) the transition out of the current state on input
   // class `cls`, flushing first if the cache is over budget. May enter
   // fallback mode — the caller must check fallback_active() after a build.
@@ -162,16 +164,13 @@ class LazyDfaSession {
   const AotDfaTable* aot_ = nullptr;
   int32_t num_aot_ = 0;
 
-  // Session-private cache. states_[k] has global id num_aot_ + k; trans_
-  // holds only the session states' rows. Runtime-built transitions out of
-  // *baked* states go into overlay_ (keyed by state * num_classes + cls)
-  // — the baked rows themselves are immutable and shared across threads.
-  std::vector<DfaStateInfo> states_;
-  std::vector<DfaTrans> trans_;  // row-major [(id - num_aot_) * num_classes + cls]
+  // Session-private cache. cache_.states[k] has global id num_aot_ + k;
+  // cache_.trans holds only the session states' rows. Runtime-built
+  // transitions out of *baked* states go into overlay_ (keyed by state *
+  // num_classes + cls) — the baked rows themselves are immutable and
+  // shared across threads. Both kinds replay from cache_.emit_pool.
+  DfaPool cache_;
   std::unordered_map<uint64_t, DfaTrans> overlay_;
-  std::vector<WordBits> snap_pool_;
-  std::vector<int32_t> emit_pool_;
-  std::unordered_multimap<uint64_t, int32_t> index_;
   size_t cache_bytes_ = 0;
   size_t num_classes_ = 0;
   // Mirrors cache_bytes_ into the process resource budget so a fleet of
@@ -179,8 +178,8 @@ class LazyDfaSession {
   // the kShedDfa rung stops further growth (see BuildTransition).
   core::resilience::ScopedCharge budget_{"dfa_cache"};
 
-  // Scratch for intern/build, kept allocated across steps.
-  std::vector<WordBits> tmp_state_, tmp_armed_;
+  // Scratch for build steps, kept allocated across steps.
+  DfaConfig tmp_;
   std::vector<int32_t> tmp_emit_;
 
   int32_t state_ = 0;
@@ -234,11 +233,15 @@ class LazyDfaTagger {
   // The baked AOT transition table, or null when compiled in-process.
   const AotDfaTable* aot() const { return aot_.get(); }
 
+  // The stream-start configuration every session resets to.
+  const DfaConfig& start_config() const { return start_; }
+
  private:
   LazyDfaTagger(FusedTagger fused, std::shared_ptr<const AotDfaTable> aot);
 
   FusedTagger fused_;
   std::shared_ptr<const AotDfaTable> aot_;
+  DfaConfig start_;
   std::shared_ptr<LazyDfaSessionPool> session_pool_;
 };
 

@@ -27,6 +27,7 @@
 #include "grammar/grammar.h"
 #include "tagger/artifact/cache.h"
 #include "tagger/artifact/format.h"
+#include "tagger/lazy_dfa.h"
 #include "tagger/tag.h"
 
 namespace cfgtag {
@@ -134,6 +135,47 @@ TEST(ArtifactRoundTripTest, RoundTripsWithAndWithoutAot) {
     ASSERT_NE(loaded->lazy_model(), nullptr);
     EXPECT_EQ(loaded->lazy_model()->aot() != nullptr, budget > 0);
     ExpectSameTags(*direct, *loaded);
+  }
+}
+
+// The bake and the runtime build states with the same step: after a
+// converged bake, a session out of the loaded table resolves its start to
+// baked state 0 and finds every transition it takes already baked, so it
+// interns nothing of its own — in every arm mode.
+TEST(ArtifactRoundTripTest, ConvergedBakeCoversEverySessionStep) {
+  constexpr uint32_t kBudget = 16384;
+  for (tagger::ArmMode mode :
+       {tagger::ArmMode::kAnchored, tagger::ArmMode::kScan,
+        tagger::ArmMode::kResync}) {
+    hwgen::HwOptions options = Options(kBudget);
+    options.tagger.arm_mode = mode;
+    auto direct = CompiledTagger::Compile(FixtureGrammar(), options);
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    auto bytes = direct->Serialize();
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    auto loaded = CompiledTagger::Deserialize(*bytes);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    const tagger::AotDfaTable* aot = loaded->lazy_model()->aot();
+    ASSERT_NE(aot, nullptr);
+    ASSERT_LT(aot->states.size(), kBudget) << "bake did not converge";
+    tagger::LazyDfaSession session = loaded->lazy_model()->NewSession();
+    for (const char* input : kInputs) {
+      std::vector<Tag> got;
+      const auto sink = [&got](const Tag& t) {
+        got.push_back(t);
+        return true;
+      };
+      session.Reset();
+      session.Feed(input, sink);
+      session.Finish(sink);
+      const std::vector<Tag> want = direct->Tag(input);
+      ASSERT_EQ(want.size(), got.size()) << "on input: " << input;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(want[i].token, got[i].token) << "on input: " << input;
+        EXPECT_EQ(want[i].end, got[i].end) << "on input: " << input;
+      }
+    }
+    EXPECT_EQ(session.cache_states(), 0u);
   }
 }
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <functional>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "regex/nfa.h"
@@ -129,6 +133,60 @@ TEST(PositionAutomatonTest, InjectionMergesRuns) {
   // Both pos0 (new run) and pos1 (old run) are live.
   EXPECT_EQ(next[0], 0b11u);
   EXPECT_TRUE(pa.Accepts(next.data()));
+}
+
+// One run's observable stepping: the state words after each byte (with
+// injection every byte, scan style), then whether it accepts and whether
+// it can extend on the next byte. `first_call` picks which of StepState,
+// Accepts and CanExtend the run makes first.
+std::vector<uint64_t> SteppingTrace(const PositionAutomaton& pa,
+                                    const std::string& s, int first_call) {
+  const size_t nw = pa.NumWords();
+  std::vector<uint64_t> state(nw, 0), next(nw, 0), trace;
+  if (first_call == 1) trace.push_back(pa.Accepts(state.data()));
+  if (first_call == 2) trace.push_back(pa.CanExtend(state.data(), 'a'));
+  for (size_t i = 0; i < s.size(); ++i) {
+    pa.StepState(state.data(), /*inject=*/true,
+                 static_cast<unsigned char>(s[i]), next.data());
+    trace.insert(trace.end(), next.begin(), next.end());
+    trace.push_back(pa.Accepts(next.data()));
+    trace.push_back(pa.CanExtend(
+        next.data(), static_cast<unsigned char>(s[(i + 1) % s.size()])));
+    state.swap(next);
+  }
+  return trace;
+}
+
+// The stepping tables are built by the first StepState/Accepts/CanExtend
+// call. Four threads making those first calls at once on one fresh
+// automaton must each see exactly what a single-threaded run sees.
+TEST(PositionAutomatonTest, ConcurrentFirstStepsMatchSingleThreaded) {
+  const std::string pattern =
+      "(abc|a[0-9]+x|\"<value><string>\")*(hello|world)+[a-z]*z?";
+  const std::string input =
+      "abca12xhello<value><string>worldzzabcaxa9xhelloworldqz";
+  const std::vector<uint64_t> want = SteppingTrace(Build(pattern), input, 0);
+  constexpr int kThreads = 4;
+  for (int round = 0; round < 16; ++round) {
+    const PositionAutomaton pa = Build(pattern);
+    std::atomic<int> ready{0};
+    std::vector<std::vector<uint64_t>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int k = 0; k < kThreads; ++k) {
+      threads.emplace_back([&, k] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        got[k] = SteppingTrace(pa, input, k % 3);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (int k = 0; k < kThreads; ++k) {
+      std::vector<uint64_t> expect = want;
+      if (k % 3 != 0) expect.insert(expect.begin(), 0);
+      EXPECT_EQ(got[k], expect) << "thread " << k << ", round " << round;
+    }
+  }
 }
 
 class PaVsNfaTest : public ::testing::TestWithParam<uint64_t> {};

@@ -215,9 +215,9 @@ TEST(DifferentialFuzzTest, FusedMatchesFunctionalEverywhere) {
 }
 
 // serialize → Deserialize → tag: a tagger rebuilt from its own artifact
-// bytes must be tag-for-tag identical to the tagger that wrote them, with
-// and without an AOT table, whole-buffer and chunked through the loaded
-// engine's sessions.
+// bytes must be tag-for-tag identical to the tagger that wrote them and to
+// the functional reference, with and without an AOT table, whole-buffer
+// and chunked through the loaded engine's sessions.
 TEST(DifferentialFuzzTest, ArtifactRoundTripMatchesDirectCompile) {
   Rng rng(20260809);
   const ArmMode kModes[] = {ArmMode::kAnchored, ArmMode::kScan,
@@ -228,8 +228,15 @@ TEST(DifferentialFuzzTest, ArtifactRoundTripMatchesDirectCompile) {
     options.tagger.arm_mode = kModes[iter % 3];
     options.tagger.longest_match = (iter % 2) == 0;
     // Every fourth iteration strips the AOT table so both artifact shapes
-    // (baked DFA present / absent) go through the loader.
+    // (baked DFA present / absent) go through the loader. Another fourth
+    // bakes only three states under a starved cache: sessions build
+    // overlay transitions out of baked states, flush while standing on a
+    // baked state, and finally fall back to the fused engine.
     if (iter % 4 == 1) options.tagger.aot_state_budget = 0;
+    if (iter % 4 == 3) {
+      options.tagger.aot_state_budget = 3;
+      options.tagger.dfa_cache_bytes = 1 << 10;
+    }
     auto direct = core::CompiledTagger::Compile(g.Clone(), options);
     ASSERT_TRUE(direct.ok()) << direct.status();
     auto bytes = direct->Serialize();
@@ -240,6 +247,9 @@ TEST(DifferentialFuzzTest, ArtifactRoundTripMatchesDirectCompile) {
     for (int s = 0; s < 6; ++s) {
       const std::string input = RandomStream(direct->grammar(), rng);
       const std::vector<Tag> want = direct->Tag(input);
+      auto oracle = testing_oracle::OracleTags(g, options.tagger, input);
+      ASSERT_TRUE(oracle.ok()) << oracle.status();
+      ExpectSameTags(*oracle, want, "direct vs oracle", input);
       ExpectSameTags(want, loaded->Tag(input), "artifact whole-buffer",
                      input);
       const size_t chunk = 1 + rng.NextIndex(7);
