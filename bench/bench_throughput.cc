@@ -19,7 +19,6 @@
 #include "tagger/artifact/cache.h"
 #include "obs/metrics.h"
 #include "tagger/functional_model.h"
-#include "tagger/fused_model.h"
 #include "tagger/lazy_dfa.h"
 #include "tagger/lexer.h"
 #include "tagger/ll_parser.h"
@@ -158,16 +157,26 @@ void BM_ImplementFlow(benchmark::State& state) {
 }
 BENCHMARK(BM_ImplementFlow)->Arg(1)->Arg(10)->Unit(benchmark::kMillisecond);
 
+// The lazy DFA with no transition cache: its sessions fall back at their
+// first miss and step the fused tables uncached for every byte after.
+tagger::LazyDfaTagger FallbackTagger(const grammar::Grammar& g,
+                                     tagger::TaggerOptions topt) {
+  topt.dfa_cache_bytes = 0;
+  topt.dfa_flush_fallback = 1;
+  return ValueOrDie(tagger::LazyDfaTagger::Create(&g, topt), "fallback");
+}
+
 // Head-to-head engine comparison on the sustained (resync) workload — the
-// functional reference, the fused engine and the lazy DFA, each constructed
-// directly, tag the same byte stream end to end, equivalence-checked first,
-// and the resulting MB/s land in bench_metrics.json as
-// cfgtag_bench_backend_mbps{backend=...,copies=...} gauges plus the
-// cfgtag_bench_backend_speedup{copies=...} (fused over functional) and
-// cfgtag_bench_lazy_over_fused_speedup{copies=...} ratios. Resync mode
-// keeps every message live (anchored mode goes dead after the first
-// message, which the idle fast paths would skip outright and the
-// comparison would measure nothing).
+// functional reference, the lazy DFA in fallback (configured with no
+// cache, so it steps the fused tables uncached from its first miss) and
+// the lazy DFA proper, each constructed directly, tag the same byte stream
+// end to end, equivalence-checked first, and the resulting MB/s land in
+// bench_metrics.json as cfgtag_bench_backend_mbps{backend=...,copies=...}
+// gauges plus the cfgtag_bench_backend_speedup{copies=...} (fallback over
+// functional) and cfgtag_bench_lazy_over_fallback_speedup{copies=...}
+// ratios. Resync mode keeps every message live (anchored mode goes dead
+// after the first message, which the idle fast paths would skip outright
+// and the comparison would measure nothing).
 void RecordBackendComparison(bool smoke) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   const std::string& full = Workload();
@@ -179,8 +188,8 @@ void RecordBackendComparison(bool smoke) {
   std::printf("\nBackend comparison (%zu KB, resync mode, %d iteration%s)\n",
               input.size() >> 10, iters, iters == 1 ? "" : "s");
   std::printf("%8s | %14s %14s %14s | %8s %10s\n", "copies",
-              "functional MB/s", "fused MB/s", "lazy-dfa MB/s", "speedup",
-              "lazy/fused");
+              "functional MB/s", "fallback MB/s", "lazy-dfa MB/s", "speedup",
+              "lazy/fallback");
 
   auto time_engine = [&](const auto& engine) {
     size_t tags = 0;
@@ -202,12 +211,12 @@ void RecordBackendComparison(bool smoke) {
     topt.arm_mode = tagger::ArmMode::kResync;
     auto functional =
         ValueOrDie(tagger::FunctionalTagger::Create(&g, topt), "functional");
-    auto fused = ValueOrDie(tagger::FusedTagger::Create(&g, topt), "fused");
+    auto fallback = FallbackTagger(g, topt);
     auto lazy = ValueOrDie(tagger::LazyDfaTagger::Create(&g, topt), "lazy");
     // Tag-for-tag equivalence before timing anything.
     const auto want = functional.TagAll(input);
-    if (fused.TagAll(input) != want) {
-      std::fprintf(stderr, "FATAL fused/functional tag mismatch (x%d)\n",
+    if (fallback.TagAll(input) != want) {
+      std::fprintf(stderr, "FATAL fallback/functional tag mismatch (x%d)\n",
                    copies);
       std::abort();
     }
@@ -217,13 +226,13 @@ void RecordBackendComparison(bool smoke) {
       std::abort();
     }
     const double functional_mbps = time_engine(functional);
-    const double fused_mbps = time_engine(fused);
+    const double fallback_mbps = time_engine(fallback);
     const double lazy_mbps = time_engine(lazy);
-    const double speedup = fused_mbps / functional_mbps;
-    const double lazy_over_fused = lazy_mbps / fused_mbps;
+    const double speedup = fallback_mbps / functional_mbps;
+    const double lazy_over_fallback = lazy_mbps / fallback_mbps;
     std::printf("%8d | %14.1f %14.1f %14.1f | %7.2fx %9.2fx\n", copies,
-                functional_mbps, fused_mbps, lazy_mbps, speedup,
-                lazy_over_fused);
+                functional_mbps, fallback_mbps, lazy_mbps, speedup,
+                lazy_over_fallback);
     const std::string copies_label = "copies=\"" + std::to_string(copies) +
                                      "\"";
     reg.GetGauge("cfgtag_bench_backend_mbps{backend=\"functional\"," +
@@ -231,21 +240,21 @@ void RecordBackendComparison(bool smoke) {
                  "Sustained tagging MB/s of the software backend")
         ->Set(functional_mbps);
     reg.GetGauge(
-           "cfgtag_bench_backend_mbps{backend=\"fused\"," + copies_label +
+           "cfgtag_bench_backend_mbps{backend=\"fallback\"," + copies_label +
                "}",
            "Sustained tagging MB/s of the software backend")
-        ->Set(fused_mbps);
+        ->Set(fallback_mbps);
     reg.GetGauge("cfgtag_bench_backend_mbps{backend=\"lazy_dfa\"," +
                      copies_label + "}",
                  "Sustained tagging MB/s of the software backend")
         ->Set(lazy_mbps);
     reg.GetGauge("cfgtag_bench_backend_speedup{" + copies_label + "}",
-                 "Fused over functional throughput ratio")
+                 "Lazy-DFA fallback over functional throughput ratio")
         ->Set(speedup);
     reg.GetGauge(
-           "cfgtag_bench_lazy_over_fused_speedup{" + copies_label + "}",
-           "Lazy-DFA over fused throughput ratio")
-        ->Set(lazy_over_fused);
+           "cfgtag_bench_lazy_over_fallback_speedup{" + copies_label + "}",
+           "Cached lazy-DFA over fallback throughput ratio")
+        ->Set(lazy_over_fallback);
   }
 
   // Context-free lexer baseline on the same bytes (copies don't apply: the
@@ -273,9 +282,9 @@ void RecordBackendComparison(bool smoke) {
 // heavily padded XML-RPC (whitespace between almost every token pair,
 // in runs of 256-1024 bytes — the shape of indentation-padded or
 // keepalive-padded feeds), so idle delimiter skipping and chunked
-// classification dominate the byte count. The fused engine and the lazy
-// DFA tag the stream under forced-scalar and under the best vector tier
-// the host offers, equivalence-checked first; MB/s land in
+// classification dominate the byte count. The lazy DFA, in fallback and
+// cached, tags the stream under forced-scalar and under the best vector
+// tier the host offers, equivalence-checked first; MB/s land in
 // bench_metrics.json as cfgtag_bench_simd_mbps{backend=...,dispatch=...}
 // and the ratio as cfgtag_bench_simd_speedup{backend=...}.
 void RecordSimdComparison(bool smoke) {
@@ -305,7 +314,7 @@ void RecordSimdComparison(bool smoke) {
   const grammar::Grammar g = DuplicatedXmlRpc(1);
   tagger::TaggerOptions topt;
   topt.arm_mode = tagger::ArmMode::kResync;
-  auto fused = ValueOrDie(tagger::FusedTagger::Create(&g, topt), "fused");
+  auto fallback = FallbackTagger(g, topt);
   auto lazy = ValueOrDie(tagger::LazyDfaTagger::Create(&g, topt), "lazy");
 
   auto time_engine = [&](const auto& engine) {
@@ -354,7 +363,7 @@ void RecordSimdComparison(bool smoke) {
                  "delimiter-heavy workload")
         ->Set(speedup);
   };
-  run_backend("fused", fused);
+  run_backend("fallback", fallback);
   run_backend("lazy_dfa", lazy);
   tagger::simd::ClearForcedIsa();
 }
@@ -502,7 +511,7 @@ void RecordArtifactComparison(bool smoke) {
       ->Set(coldstart_ratio);
 }
 
-// Acceptance gauge for the attribution hot path: the fused engine tags the
+// Acceptance gauge for the attribution hot path: a warm lazy DFA tags the
 // same resync stream with per-token attribution off, then on, and the
 // slowdown lands in bench_metrics.json as cfgtag_bench_attr_overhead_pct
 // alongside cfgtag_bench_attr_mbps{attribution="off"/"on"}. The budget is
@@ -519,10 +528,12 @@ void RecordAttributionOverhead(bool smoke) {
   const grammar::Grammar g = DuplicatedXmlRpc(4);
   tagger::TaggerOptions topt;
   topt.arm_mode = tagger::ArmMode::kResync;
-  auto fused = ValueOrDie(tagger::FusedTagger::Create(&g, topt), "fused");
+  auto lazy = ValueOrDie(tagger::LazyDfaTagger::Create(&g, topt), "lazy");
 
   // Sessions sample the attribution flag at Reset, and Run checks out a
   // freshly reset session, so flipping the flag between timings is enough.
+  // The pooled session keeps its transition cache across runs, so after
+  // the warm-up every leg times the cached hit path.
   // Thread CPU time, not wall time: on a shared host a leg that loses the
   // CPU for a scheduler quantum would otherwise be charged the whole
   // preemption, which dwarfs the effect being measured.
@@ -538,7 +549,7 @@ void RecordAttributionOverhead(bool smoke) {
       return true;
     };
     const double t0 = thread_seconds();
-    fused.Run(input, sink);
+    lazy.Run(input, sink);
     const double t1 = thread_seconds();
     benchmark::DoNotOptimize(tags);
     const double secs = t1 - t0;
@@ -584,18 +595,18 @@ void RecordAttributionOverhead(bool smoke) {
   std::sort(ratios.begin(), ratios.end());
   const double overhead_pct = (ratios[ratios.size() / 2] - 1.0) * 100.0;
   std::printf(
-      "\nAttribution overhead (fused x4, %zu KB): off %.1f MB/s, on %.1f "
+      "\nAttribution overhead (lazy-dfa x4, %zu KB): off %.1f MB/s, on %.1f "
       "MB/s, overhead %.2f%% (budget < 2%%)\n",
       input.size() >> 10, off_mbps, on_mbps, overhead_pct);
   reg.GetGauge("cfgtag_bench_attr_mbps{attribution=\"off\"}",
-               "Fused sequential MB/s with per-token attribution off")
+               "Warm lazy-DFA sequential MB/s with per-token attribution off")
       ->Set(off_mbps);
   reg.GetGauge("cfgtag_bench_attr_mbps{attribution=\"on\"}",
-               "Fused sequential MB/s with per-token attribution on")
+               "Warm lazy-DFA sequential MB/s with per-token attribution on")
       ->Set(on_mbps);
   reg.GetGauge("cfgtag_bench_attr_overhead_pct",
                "Percent throughput lost to per-token attribution on the "
-               "sequential fused path (budget: < 2)")
+               "sequential warm lazy-DFA path (budget: < 2)")
       ->Set(overhead_pct);
 }
 

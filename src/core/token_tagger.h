@@ -102,9 +102,9 @@ class CompiledTagger {
   // error for invalid hardware options (e.g. bytes_per_cycle 3), and with
   // FailedPrecondition on an artifact-loaded tagger. Thread-safe.
   StatusOr<const hwgen::GeneratedTagger*> hardware() const;
-  // The tagging engine. It owns the fused engine it memoizes, which serves
-  // as its miss path and, for sessions whose cache keeps flushing, as the
-  // fallback (see LazyDfaSession).
+  // The tagging engine. It owns the fused tables whose step it memoizes;
+  // the step serves as its miss path and, for sessions whose cache keeps
+  // flushing, as the uncached fallback (see LazyDfaSession).
   const tagger::LazyDfaTagger* lazy_model() const { return lazy_.get(); }
   const hwgen::HwOptions& options() const { return options_; }
 

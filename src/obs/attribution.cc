@@ -45,19 +45,14 @@ Counter* ResolveCounter(const char* family, const char* label,
 }
 
 void AppendRows(std::string* out, const char* key,
-                const std::vector<AttributionTable::Row>& rows,
-                bool with_live) {
+                const std::vector<AttributionTable::Row>& rows) {
   *out += "  \"";
   *out += key;
   *out += "\": [";
   for (size_t i = 0; i < rows.size(); ++i) {
     *out += i == 0 ? "\n" : ",\n";
     *out += "    {\"name\": \"" + JsonEscape(rows[i].name) +
-            "\", \"hits\": " + std::to_string(rows[i].hits);
-    if (with_live) {
-      *out += ", \"live_words\": " + std::to_string(rows[i].live_words);
-    }
-    *out += "}";
+            "\", \"hits\": " + std::to_string(rows[i].hits) + "}";
   }
   *out += rows.empty() ? "]" : "\n  ]";
 }
@@ -66,31 +61,23 @@ void AppendRows(std::string* out, const char* key,
 
 std::atomic<bool> AttributionTable::enabled_{false};
 
-void AttributionTable::AddToken(std::string_view name, uint64_t matches,
-                                uint64_t live_words) {
-  if (matches == 0 && live_words == 0) return;
+void AttributionTable::AddToken(std::string_view name, uint64_t matches) {
+  if (matches == 0) return;
   Counter* hits_counter;
-  Counter* live_counter;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = tokens_.find(name);
     if (it == tokens_.end()) {
-      it = tokens_.emplace(std::string(name), Row{std::string(name), 0, 0})
+      it = tokens_.emplace(std::string(name), Row{std::string(name), 0})
                .first;
       it->second.hits_counter = ResolveCounter(
           "cfgtag_attr_token_matches_total", "token", name,
           "Tag emissions attributed per token (attribution on)");
-      it->second.live_counter = ResolveCounter(
-          "cfgtag_attr_token_live_words_total", "token", name,
-          "Fused live-bitmap word visits attributed per token");
     }
     it->second.hits += matches;
-    it->second.live_words += live_words;
     hits_counter = it->second.hits_counter;
-    live_counter = it->second.live_counter;
   }
-  if (matches != 0) hits_counter->Increment(matches);
-  if (live_words != 0) live_counter->Increment(live_words);
+  hits_counter->Increment(matches);
 }
 
 void AttributionTable::AddRule(std::string_view id, uint64_t alerts) {
@@ -100,7 +87,7 @@ void AttributionTable::AddRule(std::string_view id, uint64_t alerts) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = rules_.find(id);
     if (it == rules_.end()) {
-      it = rules_.emplace(std::string(id), Row{std::string(id), 0, 0}).first;
+      it = rules_.emplace(std::string(id), Row{std::string(id), 0}).first;
       it->second.hits_counter = ResolveCounter(
           "cfgtag_attr_rule_alerts_total", "rule", id,
           "NIDS alerts attributed per rule (attribution on)");
@@ -118,7 +105,7 @@ void AttributionTable::AddService(std::string_view name, uint64_t messages) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = services_.find(name);
     if (it == services_.end()) {
-      it = services_.emplace(std::string(name), Row{std::string(name), 0, 0})
+      it = services_.emplace(std::string(name), Row{std::string(name), 0})
                .first;
       it->second.hits_counter = ResolveCounter(
           "cfgtag_attr_service_routed_total", "service", name,
@@ -206,11 +193,11 @@ std::string AttributionTable::ToJson() const {
   std::string out = "{\n";
   out += std::string("  \"enabled\": ") + (enabled() ? "true" : "false") +
          ",\n";
-  AppendRows(&out, "tokens", tokens, /*with_live=*/true);
+  AppendRows(&out, "tokens", tokens);
   out += ",\n";
-  AppendRows(&out, "rules", rules, /*with_live=*/false);
+  AppendRows(&out, "rules", rules);
   out += ",\n";
-  AppendRows(&out, "services", services, /*with_live=*/false);
+  AppendRows(&out, "services", services);
   out += ",\n  \"dfa_cache\": {\"hits\": " + std::to_string(hits) +
          ", \"misses\": " + std::to_string(misses) + "}\n}\n";
   return out;

@@ -28,15 +28,13 @@ class AttributionTable {
  public:
   struct Row {
     std::string name;
-    uint64_t hits = 0;        // matches (tokens) / alerts (rules) /
-                              // messages (services)
-    uint64_t live_words = 0;  // fused live-bitmap word visits (tokens only)
+    uint64_t hits = 0;  // matches (tokens) / alerts (rules) /
+                        // messages (services)
     // Registry mirrors, resolved once per row: the registry never deletes
     // counters, and Clear() drops the rows (and these handles) wholesale,
     // so a cached pointer can never dangle. Building the labeled metric
     // name on every merge was the dominant cost of a session release.
     Counter* hits_counter = nullptr;
-    Counter* live_counter = nullptr;
   };
 
   AttributionTable() = default;
@@ -68,8 +66,7 @@ class AttributionTable {
   }
 
   // Merge one session's (or scan's) deltas. Zero deltas are dropped.
-  void AddToken(std::string_view name, uint64_t matches,
-                uint64_t live_words);
+  void AddToken(std::string_view name, uint64_t matches);
   void AddRule(std::string_view id, uint64_t alerts);
   void AddService(std::string_view name, uint64_t messages);
   void AddDfaCache(uint64_t hits, uint64_t misses);

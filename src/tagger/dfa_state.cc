@@ -52,18 +52,11 @@ void DfaConfig::Step(const DfaStateInfo& info, const WordBits* snap,
                  snap + info.num_state + info.num_armed);
     prev_delim = info.prev_delim != 0;
   } else {
-    const ByteClassifier& classifier = scratch->tagger_->classifier();
-    scratch->attr_on_ = false;
     scratch->LoadConfig(snap, info.num_state, snap + info.num_state,
                         info.num_armed, info.prev_delim != 0);
-    scratch->pos_ = 0;
-    scratch->ProcessByte(
-        classifier.Representative(static_cast<uint16_t>(info.pending_cls)),
-        /*has_next=*/true, classifier.Representative(cls),
-        [emit](const Tag& t) {
-          emit->push_back(t.token);
-          return true;
-        });
+    scratch->ProcessClass(static_cast<uint8_t>(info.pending_cls),
+                          /*has_next=*/true, cls);
+    emit->assign(scratch->emitted_.begin(), scratch->emitted_.end());
     state.clear();
     armed.clear();
     scratch->SnapshotConfig(&state, &armed);

@@ -11,7 +11,7 @@
 namespace cfgtag::tagger {
 
 // The lazy DFA's construction, in one place. Two callers build DFA states
-// over a fused engine: a LazyDfaSession on a transition-cache miss, and
+// over the fused tables: a LazyDfaSession on a transition-cache miss, and
 // BuildAotDfa below, which bakes states into saved artifacts ahead of
 // time. Both start from DfaConfig::SetStart, step with DfaConfig::Step and
 // intern into a DfaPool, so a baked state and the state a session would
@@ -67,10 +67,9 @@ struct DfaConfig {
   // Becomes the successor of `info` (its words at `snap`) on input class
   // `cls`, and fills `emit` with the token ids the step emits. With no
   // pending byte the input is only absorbed as the look-ahead; otherwise
-  // `scratch` takes one real fused step on the class representatives —
-  // exact for every byte of the class, since the engine only reads byte
-  // classes. The step never counts toward hot-path attribution: every
-  // emission is replayed (and counted) from the table.
+  // `scratch` takes one real fused step on the pending class with `cls`
+  // as its look-ahead — exact for every byte of either class, since the
+  // step only reads byte classes.
   void Step(const DfaStateInfo& info, const WordBits* snap, uint8_t cls,
             FusedSession* scratch, std::vector<int32_t>* emit);
 

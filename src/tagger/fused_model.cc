@@ -3,18 +3,11 @@
 #include <algorithm>
 
 #include "grammar/analysis.h"
-#include "obs/attribution.h"
 #include "regex/position_automaton.h"
-#include "tagger/simd/dispatch.h"
 
 namespace cfgtag::tagger {
 
 namespace {
-
-// Bytes classified per chunked-Feed block: small enough that the class-id
-// scratch stays L1-resident alongside the fused state, large enough to
-// amortize the vector classify's setup over the state loop.
-constexpr size_t kClassifyBlock = 512;
 
 inline size_t MetaWords(size_t words) { return (words + 63) / 64; }
 
@@ -213,9 +206,6 @@ void FusedTagger::BuildDerived() {
   }
   delim_scanner_ = RunScanner::ForSet(options_.delimiters);
   arm_scanner_ = RunScanner::ForSet(arm_set);
-  class_tables_ = simd::BuildClassTables(classifier_.class_map(),
-                                         classifier_.NumClasses());
-  session_pool_ = std::make_shared<FusedSessionPool>();
 }
 
 void FusedTagger::BindStorage(const Storage& s) {
@@ -236,21 +226,6 @@ void FusedTagger::BindStorage(const Storage& s) {
   bind(arm_offset_, s.arm_offset);
 }
 
-void FusedTagger::Run(std::string_view input, const TagSink& sink) const {
-  FusedSessionPool::Handle session = session_pool_->Acquire(this);
-  session->Feed(input, sink);
-  session->Finish(sink);
-}
-
-std::vector<Tag> FusedTagger::TagAll(std::string_view input) const {
-  std::vector<Tag> tags;
-  Run(input, [&tags](const Tag& t) {
-    tags.push_back(t);
-    return true;
-  });
-  return tags;
-}
-
 // ------------------------------------------------------------ FusedSession
 
 FusedSession::FusedSession(const FusedTagger* tagger) : tagger_(nullptr) {
@@ -258,77 +233,25 @@ FusedSession::FusedSession(const FusedTagger* tagger) : tagger_(nullptr) {
 }
 
 void FusedSession::Rebind(const FusedTagger* tagger) {
-  if (tagger != tagger_) {
-    // The old tagger may already be gone (pooled sessions outlive the
-    // tagger that last used them), so unmerged attribution cannot be
-    // resolved to token names any more — drop it rather than chase a
-    // possibly dangling pointer.
-    attr_dirty_ = false;
-    std::fill(attr_matches_.begin(), attr_matches_.end(), 0);
-    std::fill(attr_live_.begin(), attr_live_.end(), 0);
-    tagger_ = tagger;
-    if (state_.size() != tagger_->num_words_) {
-      state_.assign(tagger_->num_words_, 0);
-      next_.assign(tagger_->num_words_, 0);
-      armed_first_.assign(tagger_->num_words_, 0);
-    }
-    if (state_meta_.size() != tagger_->meta_words_) {
-      state_meta_.assign(tagger_->meta_words_, 0);
-      next_meta_.assign(tagger_->meta_words_, 0);
-      armed_meta_.assign(tagger_->meta_words_, 0);
-    }
+  tagger_ = tagger;
+  // The meta shape follows the word count, so one test covers both; stale
+  // meta bits must never outlive the words they index.
+  if (state_.size() != tagger_->num_words_) {
+    state_.assign(tagger_->num_words_, 0);
+    next_.assign(tagger_->num_words_, 0);
+    armed_first_.assign(tagger_->num_words_, 0);
+    state_meta_.assign(tagger_->meta_words_, 0);
+    next_meta_.assign(tagger_->meta_words_, 0);
+    armed_meta_.assign(tagger_->meta_words_, 0);
   }
-  Reset();
 }
 
-void FusedSession::Reset() {
-  FlushAttribution();
-  attr_on_ = obs::AttributionTable::enabled();
-  if (attr_on_ && (attr_matches_.size() != tagger_->num_tokens_ ||
-                   attr_live_.size() != tagger_->num_words_)) {
-    attr_matches_.assign(tagger_->num_tokens_, 0);
-    attr_live_.assign(tagger_->num_words_, 0);
-  }
-  // Unmarked state/next words are never read, but armed_first_ words must
-  // be zero wherever unmarked (the OR-accumulate invariant), and a full
-  // zero of everything is the cheapest way to restore all invariants.
-  std::fill(state_.begin(), state_.end(), 0);
-  std::fill(next_.begin(), next_.end(), 0);
-  std::fill(armed_first_.begin(), armed_first_.end(), 0);
-  std::fill(state_meta_.begin(), state_meta_.end(), 0);
-  std::fill(next_meta_.begin(), next_meta_.end(), 0);
-  std::fill(armed_meta_.begin(), armed_meta_.end(), 0);
-  armed_any_ = false;
-  any_live_ = false;
-  if (tagger_->options_.arm_mode != ArmMode::kScan) {
-    for (const WordBits& wb : tagger_->start_first_) {
-      armed_first_[wb.word] |= wb.bits;
-      armed_meta_[wb.word >> 6] |= 1ULL << (wb.word & 63);
-      armed_any_ = true;
-    }
-  }
-  prev_was_delim_ = false;
-  has_pending_ = false;
-  finished_ = false;
-  stopped_ = false;
-  pending_ = 0;
-  pos_ = 0;
-}
-
-void FusedSession::ProcessByte(unsigned char c, bool has_next,
-                               unsigned char next_c, const TagSink& sink) {
-  const ByteClassifier& classifier = tagger_->classifier_;
-  ProcessClass(classifier.ClassOf(c), has_next,
-               has_next ? classifier.ClassOf(next_c) : uint8_t{0}, sink);
-}
-
-void FusedSession::ProcessClass(uint8_t cls, bool has_next, uint8_t next_cls,
-                                const TagSink& sink) {
+void FusedSession::ProcessClass(uint8_t cls, bool has_next,
+                                uint8_t next_cls) {
   const FusedTagger& t = *tagger_;
   const size_t nw = t.num_words_;
   const ArmMode mode = t.options_.arm_mode;
   const bool delim = t.class_is_delim_[cls] != 0;
-  if (attr_on_) attr_dirty_ = true;
 
   uint64_t* next = next_.data();
   uint64_t* next_meta = next_meta_.data();
@@ -423,26 +346,6 @@ void FusedSession::ProcessClass(uint8_t cls, bool has_next, uint8_t next_cls,
     next_meta[mi] = kept;
   }
 
-  // Live-word attribution is *sampled*: every 64th byte credits its kept
-  // words with weight 64, in a separate rescan of the kept meta bits. A
-  // post-pass (instead of instrumenting the filter loop above) keeps the
-  // filter loop's codegen byte-identical whether attribution is on or
-  // off, and testing pos_ before the flag gives both configurations the
-  // same 63-in-64-not-taken branch here. The estimate stays unbiased over
-  // runs longer than the stride, and byte 0 is always sampled, so short
-  // streams still register.
-  if ((pos_ & 63) == 0 && attr_on_) {
-    uint64_t* const attr_live = attr_live_.data();
-    for (size_t mi = 0; mi < next_meta_.size(); ++mi) {
-      uint64_t mbits = next_meta[mi];
-      while (mbits) {
-        const size_t w = mi * 64 + static_cast<size_t>(__builtin_ctzll(mbits));
-        mbits &= mbits - 1;
-        attr_live[w] += 64;
-      }
-    }
-  }
-
   // 4. Match extraction: accept-mask AND over live words, one emission per
   //    token (ascending word order == ascending token id, the contract
   //    shared with the cycle-accurate harness), Fig. 7 look-ahead folded
@@ -475,14 +378,7 @@ void FusedSession::ProcessClass(uint8_t cls, bool has_next, uint8_t next_cls,
             }
           }
         }
-        if (!suppressed) {
-          Tag tag;
-          tag.token = tok;
-          tag.end = pos_;
-          if (!stopped_ && !sink(tag)) stopped_ = true;
-          if (attr_on_) ++attr_matches_[static_cast<size_t>(tok)];
-          emitted_.push_back(tok);
-        }
+        if (!suppressed) emitted_.push_back(tok);
       }
     }
   }
@@ -517,7 +413,6 @@ void FusedSession::ProcessClass(uint8_t cls, bool has_next, uint8_t next_cls,
   state_meta_.swap(next_meta_);
   any_live_ = any != 0;
   prev_was_delim_ = delim;
-  ++pos_;
 }
 
 void FusedSession::LoadConfig(const WordBits* state, size_t num_state,
@@ -547,10 +442,6 @@ void FusedSession::LoadConfig(const WordBits* state, size_t num_state,
   any_live_ = num_state != 0;
   armed_any_ = num_armed != 0;
   prev_was_delim_ = prev_delim;
-  has_pending_ = false;
-  finished_ = false;
-  stopped_ = false;
-  pending_ = 0;
 }
 
 void FusedSession::SnapshotConfig(std::vector<WordBits>* state,
@@ -574,145 +465,6 @@ void FusedSession::SnapshotConfig(std::vector<WordBits>* state,
         armed->push_back(WordBits{static_cast<uint32_t>(w), armed_first_[w]});
       }
     }
-  }
-}
-
-void FusedSession::Feed(std::string_view chunk, const TagSink& sink) {
-  if (finished_ || stopped_ || chunk.empty()) return;
-  const char* data = chunk.data();
-  const size_t n = chunk.size();
-  const FusedTagger& t = *tagger_;
-  const ArmMode mode = t.options_.arm_mode;
-  const RunScanner& delim = t.delim_scanner_;
-  const RunScanner& arm = t.arm_scanner_;
-  const SkipMetrics& skips = SkipMetrics::Get();
-
-  if (has_pending_) {
-    ProcessByte(pending_, /*has_next=*/true,
-                static_cast<unsigned char>(data[0]), sink);
-    has_pending_ = false;
-    if (stopped_) return;
-  }
-
-  size_t i = 0;
-  while (i < n) {
-    if (!any_live_) {
-      // Idle fast paths: with an all-zero fused state, bytes that cannot
-      // inject change nothing but the position and the delimiter flag, so
-      // whole runs are skipped without stepping — and the run boundary is
-      // found with a multi-byte vector/SWAR/memchr scan, not a per-byte
-      // test.
-      if (delim.Test(static_cast<unsigned char>(data[i]))) {
-        // Delimiter run: no injection on delimiters, arms survive.
-        const size_t j = i + 1 + delim.FindFirstNotIn(data + i + 1, n - i - 1);
-        skips.Of(SkipMetrics::kDelimiter, delim.strategy())
-            ->Increment(j - i);
-        pos_ += j - i;
-        prev_was_delim_ = true;
-        i = j;
-        continue;
-      }
-      if (!armed_any_ && mode == ArmMode::kAnchored) {
-        // Dead stream: anchored arming can never re-inject. Positional, no
-        // scan runs — strategy "none".
-        skips.Of(SkipMetrics::kAnchored, SkipStrategy::kNone)
-            ->Increment(n - i);
-        pos_ += n - i;
-        prev_was_delim_ = delim.Test(static_cast<unsigned char>(data[n - 1]));
-        return;
-      }
-      if (!armed_any_ && mode == ArmMode::kResync && !prev_was_delim_) {
-        // Mid-garbage in resync mode: start injection waits for the next
-        // delimiter, so non-delimiter bytes are inert.
-        const size_t j = i + 1 + delim.FindFirstIn(data + i + 1, n - i - 1);
-        skips.Of(SkipMetrics::kResync, delim.strategy())->Increment(j - i);
-        pos_ += j - i;
-        prev_was_delim_ = false;
-        i = j;
-        continue;
-      }
-      if (!armed_any_ && mode == ArmMode::kScan &&
-          !arm.Test(static_cast<unsigned char>(data[i]))) {
-        // Armed-byte prefilter: fully idle in scan mode, bytes that cannot
-        // start any token (the arming set is the non-delimiter bytes
-        // intersecting some start token's first positions) only advance
-        // the position and the delimiter flag. Delimiters never arm, so
-        // the skipped run may mix garbage and delimiters; the flag is
-        // recovered from the last skipped byte.
-        const size_t j = i + 1 + arm.FindFirstIn(data + i + 1, n - i - 1);
-        skips.Of(SkipMetrics::kArmed, arm.strategy())->Increment(j - i);
-        pos_ += j - i;
-        prev_was_delim_ = delim.Test(static_cast<unsigned char>(data[j - 1]));
-        i = j;
-        continue;
-      }
-    }
-    const size_t avail = n - i;
-    if (avail < 2) break;  // only the lagging look-ahead byte remains
-    // Chunked translate-then-step: classify a block of raw bytes into a
-    // dense class-id stream with one vectorized call, then run the state
-    // loop over class ids only. The block loop hands control back to the
-    // idle skips above exactly when one would fire (machine fully idle AND
-    // the upcoming byte is skippable), so dead stretches are never
-    // re-classified byte by byte, and live stretches never bounce back
-    // out.
-    const size_t block = std::min(avail, kClassifyBlock);
-    if (cls_buf_.size() < block) cls_buf_.assign(kClassifyBlock, 0);
-    simd::Active().classify(t.class_tables_, data + i, block,
-                            cls_buf_.data());
-    const uint8_t* cls = cls_buf_.data();
-    size_t j = 0;
-    while (j + 1 < block) {
-      ProcessClass(cls[j], /*has_next=*/true, cls[j + 1], sink);
-      if (stopped_) return;
-      ++j;
-      if (!any_live_) {
-        const uint8_t nc = cls[j];
-        if (t.class_is_delim_[nc] != 0) break;
-        if (!armed_any_ &&
-            (mode == ArmMode::kAnchored ||
-             (mode == ArmMode::kResync && !prev_was_delim_) ||
-             (mode == ArmMode::kScan && t.class_can_arm_[nc] == 0))) {
-          break;
-        }
-      }
-    }
-    i += j;
-  }
-  if (i < n) {
-    pending_ = static_cast<unsigned char>(data[i]);
-    has_pending_ = true;
-  }
-}
-
-void FusedSession::Finish(const TagSink& sink) {
-  if (finished_) return;
-  finished_ = true;
-  if (!stopped_ && has_pending_) {
-    ProcessByte(pending_, /*has_next=*/false, 0, sink);
-    has_pending_ = false;
-  }
-  FlushAttribution();
-}
-
-void FusedSession::FlushAttribution() {
-  if (!attr_dirty_) return;
-  attr_dirty_ = false;
-  const std::vector<grammar::TokenDef>& tokens = tagger_->grammar().tokens();
-  obs::AttributionTable& table = obs::AttributionTable::Default();
-  // Fold the per-word live counts onto their owning tokens (words are
-  // never shared between tokens), then merge token rows in one pass.
-  std::vector<uint64_t> live(attr_matches_.size(), 0);
-  for (size_t w = 0; w < attr_live_.size(); ++w) {
-    if (attr_live_[w] != 0) {
-      live[static_cast<size_t>(tagger_->word_token_[w])] += attr_live_[w];
-      attr_live_[w] = 0;
-    }
-  }
-  for (size_t tok = 0; tok < attr_matches_.size(); ++tok) {
-    if (attr_matches_[tok] == 0 && live[tok] == 0) continue;
-    table.AddToken(tokens[tok].name, attr_matches_[tok], live[tok]);
-    attr_matches_[tok] = 0;
   }
 }
 

@@ -3,13 +3,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 #include "grammar/grammar.h"
 #include "tagger/byte_classes.h"
-#include "tagger/session_pool.h"
 #include "tagger/skip_scan.h"
 #include "tagger/table_view.h"
 #include "tagger/tag.h"
@@ -17,7 +15,6 @@
 namespace cfgtag::tagger {
 
 class FusedTagger;
-class FusedSessionPool;
 class LazyDfaSession;
 struct DfaConfig;
 
@@ -34,66 +31,36 @@ struct WordBits {
   uint64_t bits = 0;
 };
 
-// Streaming session over a FusedTagger: same chunked-feed contract as
-// TaggerSession (one-byte lag for the Fig. 7 look-ahead, absolute stream
-// offsets, Finish() flushes the lagging byte). The machine state is one
-// contiguous word vector plus a word-occupancy meta bitmap, so the
-// per-byte cost scales with *live* words, not grammar size — and an idle
-// fast path skips whole delimiter runs (and, in anchored mode, the dead
-// tail of the stream) without stepping at all.
+// The machine step over a FusedTagger's tables: one configuration of the
+// fused state (a contiguous word vector plus a word-occupancy meta bitmap,
+// so the per-byte cost scales with *live* words, not grammar size) and
+// one ProcessClass step of it. It does not stream: LazyDfaSession is the
+// one loop that reads bytes, the idle skips and the one-byte look-ahead
+// lag included. It steps this machine on a transition-cache miss
+// (DfaConfig::Step, dfa_state.h), on the last byte of a stream, and for
+// every byte once the session has fallen back to uncached stepping.
 class FusedSession {
  public:
   // The tagger must outlive the session.
   explicit FusedSession(const FusedTagger* tagger);
 
-  // Consumes a chunk, emitting tags in stream order.
-  void Feed(std::string_view chunk, const TagSink& sink);
-
-  // Ends the stream: processes the lagging final byte with no look-ahead
-  // suppression. Further Feed() calls are ignored until Reset().
-  void Finish(const TagSink& sink);
-
-  // Returns to the stream-start state.
-  void Reset();
-
-  // Re-targets the session at `tagger` and resets it; buffers are only
-  // reallocated when the fused state shape differs.
+  // Re-targets the session at `tagger`; buffers are only reallocated when
+  // the fused state shape differs. Every step starts from a LoadConfig.
   void Rebind(const FusedTagger* tagger);
 
-  // Bytes fully processed so far (excludes the lagging byte).
-  uint64_t bytes_consumed() const { return pos_; }
-
-  const FusedTagger* tagger() const { return tagger_; }
-
  private:
-  // The lazy DFA's construction step drives a scratch FusedSession
-  // directly: it loads an interned configuration, takes one ProcessByte
-  // step, and snapshots the result (DfaConfig::Step, dfa_state.h). The
-  // lazy-DFA session also hands a stream over to it on fallback.
   friend struct DfaConfig;
   friend class LazyDfaSession;
 
-  void ProcessByte(unsigned char c, bool has_next, unsigned char next_c,
-                   const TagSink& sink);
-
-  // The per-byte step after classification: everything ProcessByte does,
-  // taking the byte's class id (and the look-ahead byte's) directly.
-  // Feed's chunked pipeline classifies a whole block up front and calls
-  // this against the dense class-id stream.
-  void ProcessClass(uint8_t cls, bool has_next, uint8_t next_cls,
-                    const TagSink& sink);
-
-  // Merges the per-token attribution scratch into
-  // obs::AttributionTable::Default() and zeroes it. Called from Finish()
-  // and Reset() so pooled sessions merge on release/recheckout; a no-op
-  // unless a ProcessByte ran with attribution on since the last flush.
-  void FlushAttribution();
+  // One step on a byte of class `cls`, with the look-ahead byte's class
+  // `next_cls` (has_next = false at end of stream: no Fig. 7
+  // suppression). Leaves the tokens the step emits in emitted_, in
+  // ascending token id order.
+  void ProcessClass(uint8_t cls, bool has_next, uint8_t next_cls);
 
   // Replaces the machine configuration with an externally captured one:
   // sparse (word, bits) lists for the state and armed bitmaps, plus the
-  // delimiter flag. Every listed bits value must be nonzero. Clears the
-  // pending byte, stop and finish flags; leaves pos_ untouched (set it
-  // separately when stream offsets matter).
+  // delimiter flag. Every listed bits value must be nonzero.
   void LoadConfig(const WordBits* state, size_t num_state,
                   const WordBits* armed, size_t num_armed, bool prev_delim);
 
@@ -110,67 +77,32 @@ class FusedSession {
   // Union of the first-position masks of all armed tokens (the pending
   // injection), with its own occupancy meta. Unmarked words are zero.
   std::vector<uint64_t> armed_first_, armed_meta_;
-  std::vector<int32_t> emitted_;  // scratch: tokens emitted this byte
-  // Reusable class-id scratch for Feed's chunked pipeline: each input
-  // block is translated byte -> class id in one vectorized classify call,
-  // and the state loop consumes the dense uint8_t stream.
-  std::vector<uint8_t> cls_buf_;
+  std::vector<int32_t> emitted_;  // tokens emitted by the last step
   bool armed_any_ = false;
   bool any_live_ = false;
   bool prev_was_delim_ = false;
-  bool has_pending_ = false;
-  bool finished_ = false;
-  bool stopped_ = false;  // sink requested early stop
-  unsigned char pending_ = 0;
-  uint64_t pos_ = 0;
-
-  // Hot-path attribution (see obs::AttributionTable). attr_on_ samples the
-  // process-wide switch at Reset() time; when off, the per-byte cost is a
-  // single predicted branch. attr_matches_ is indexed by token id and is
-  // exact. attr_live_ is indexed by state *word* — pass 3 already has the
-  // word index in hand, so counting per word keeps the tagger's
-  // word_token_ lookup out of the inner loop — and holds a *sampled*
-  // activity estimate: every 64th byte counts with weight 64.
-  // FlushAttribution() folds words back onto tokens (cold path) and
-  // merges both into the process table.
-  bool attr_on_ = false;
-  bool attr_dirty_ = false;
-  std::vector<uint64_t> attr_matches_;
-  std::vector<uint64_t> attr_live_;
 };
 
-// Bit-parallel tagger with every token's Glushkov positions fused into one
-// word-aligned global bitmap — the software mirror of the paper's §3.2
+// The fused tables: every token's Glushkov positions fused into one
+// word-aligned global bitmap, the software mirror of the paper's §3.2
 // hardware, which is literally one wide pipeline register stepped once per
-// byte. Token t's positions occupy words [word_offset_[t], word_offset_
+// byte. They define the machine step (FusedSession::ProcessClass) that the
+// lazy DFA memoizes; they do not scan streams themselves. Token t's positions occupy words [word_offset_[t], word_offset_
 // [t+1]) of the fused state (the FunctionalTagger layout), so any word
 // belongs to exactly one token and match extraction is a masked AND plus a
 // word->token lookup. All transition tables are indexed by *byte class*
 // (ByteClassifier over the union of position classes and the delimiter
 // set), not raw byte, keeping them cache resident.
 //
-// Semantically identical to FunctionalTagger for every TaggerOptions value
-// — enforced by the differential fuzz and equivalence tests — but the
-// per-byte step is a handful of branch-free word passes, with no per-token
-// dispatch, candidate sorting, or scratch copying.
+// The step is semantically identical to FunctionalTagger's for every
+// TaggerOptions value (enforced by the differential fuzz and equivalence
+// tests), but it is a handful of branch-free word passes, with no
+// per-token dispatch, candidate sorting, or scratch copying.
 class FusedTagger {
  public:
   // The grammar must outlive the tagger.
   static StatusOr<FusedTagger> Create(const grammar::Grammar* grammar,
                                       const TaggerOptions& options);
-
-  // Scans `input`, calling `sink` for every detected token in stream
-  // order (token-id order within a byte, as the hardware reports them).
-  void Run(std::string_view input, const TagSink& sink) const;
-
-  // Convenience: collect all tags.
-  std::vector<Tag> TagAll(std::string_view input) const;
-
-  // Streaming interface: feed the input in arbitrary chunks.
-  FusedSession NewSession() const { return FusedSession(this); }
-
-  // Shared scratch pool behind Run(); see SessionPool. Thread-safe.
-  FusedSessionPool& session_pool() const { return *session_pool_; }
 
   const grammar::Grammar& grammar() const { return *grammar_; }
   const TaggerOptions& options() const { return options_; }
@@ -191,14 +123,12 @@ class FusedTagger {
   // Bytes of classes that cannot arm are inert when the machine is fully
   // idle, which is what the armed-byte prefilter skips over.
   bool ClassCanArm(uint8_t cls) const { return class_can_arm_[cls] != 0; }
-  // Multi-byte scanner over the delimiter set (the idle fast-skip engine,
-  // shared with the lazy-DFA backend).
+  // Multi-byte scanner over the delimiter set (the lazy DFA's idle
+  // fast-skip engine).
   const RunScanner& delimiter_scanner() const { return delim_scanner_; }
   // Multi-byte scanner over the bytes that CAN arm (the scan-mode idle
   // prefilter: skip to the next byte able to start any token).
   const RunScanner& arm_scanner() const { return arm_scanner_; }
-  // Vectorized byte -> class-id translation tables.
-  const simd::ClassTables& class_tables() const { return class_tables_; }
 
  private:
   friend class FusedSession;
@@ -235,9 +165,8 @@ class FusedTagger {
   // owned by backing_).
   void BindStorage(const Storage& s);
 
-  // Builds what derives from the bound tables — the delimiter and arm
-  // RunScanners and the SIMD class tables — plus a fresh session pool.
-  // The last step of Create and of the artifact loader alike.
+  // Builds what derives from the bound tables: the delimiter and arm
+  // RunScanners. The last step of Create and of the artifact loader alike.
   void BuildDerived();
 
   const grammar::Grammar* grammar_;
@@ -262,7 +191,6 @@ class FusedTagger {
   TableView<uint8_t> class_can_arm_;
   RunScanner delim_scanner_;
   RunScanner arm_scanner_;
-  simd::ClassTables class_tables_;
 
   // Per-class global masks, row-major [cls * num_words_ + w]:
   // class_mask_: positions whose character class contains the class;
@@ -292,15 +220,7 @@ class FusedTagger {
   // Owns whatever memory the views point into: a Storage block on the
   // compile path, the mapped (or copied) artifact bytes on the load path.
   std::shared_ptr<const void> backing_;
-
-  // Shared (internally synchronized) so copies stay cheap; sessions
-  // rebind to whichever tagger acquires them.
-  std::shared_ptr<FusedSessionPool> session_pool_;
 };
-
-// Pool of reusable FusedSession scratch (see BasicSessionPool).
-class FusedSessionPool final
-    : public BasicSessionPool<FusedTagger, FusedSession> {};
 
 }  // namespace cfgtag::tagger
 

@@ -15,6 +15,88 @@ namespace {
 // overlay transition (same node shape).
 constexpr size_t kIndexNodeBytes = 48;
 
+// What the idle skips read of the current configuration: an interned
+// state's, or in fallback the scratch configuration's plus the session's
+// pending class.
+struct IdleFacts {
+  bool live;
+  bool armed;
+  bool prev_delim;
+  int16_t pending_cls;
+};
+
+// The idle fast paths, one set for both stepping modes. A dead
+// configuration cycles through configurations differing only in pending
+// class and delimiter flag, so a whole inert run collapses to position
+// arithmetic plus ONE real step on the run's last byte — which re-derives
+// the exact successor, because it is invariant across the run. Built once
+// per Feed so the per-byte test reads only locals.
+class IdleSkipper {
+ public:
+  explicit IdleSkipper(const FusedTagger& f)
+      : f_(f),
+        mode_(f.options().arm_mode),
+        delim_(f.delimiter_scanner()),
+        arm_(f.arm_scanner()) {}
+
+  // With a dead configuration and a pending byte: the index of the last
+  // byte of the inert run starting at data[i] (i itself when nothing
+  // skips). Counts the bytes jumped over.
+  size_t LastInertByte(const IdleFacts& cur, const char* data, size_t i,
+                       size_t n) const {
+    const bool pending_delim =
+        f_.ClassIsDelim(static_cast<uint8_t>(cur.pending_cls));
+    size_t j = i;
+    SkipMetrics::Kind kind = SkipMetrics::kNumKinds;
+    const RunScanner* scanner = nullptr;  // null: a positional skip
+    if (pending_delim && delim_.Test(static_cast<unsigned char>(data[i]))) {
+      // Delimiter run: dead + delimiter pending emits nothing and
+      // preserves arms whatever the input, so jump to the run's end.
+      j = i + delim_.FindFirstNotIn(data + i, n - i) - 1;
+      kind = SkipMetrics::kDelimiter;
+      scanner = &delim_;
+    } else if (!cur.armed && mode_ == ArmMode::kAnchored) {
+      // Dead stream: anchored arming can never re-inject; only the last
+      // byte is stepped (keeping the pending machinery consistent).
+      j = n - 1;
+      kind = SkipMetrics::kAnchored;
+    } else if (!cur.armed && mode_ == ArmMode::kResync && !cur.prev_delim &&
+               !pending_delim &&
+               !delim_.Test(static_cast<unsigned char>(data[i]))) {
+      // Mid-garbage in resync mode: start injection waits for the next
+      // delimiter, so non-delimiter bytes are inert.
+      j = i + delim_.FindFirstIn(data + i, n - i) - 1;
+      kind = SkipMetrics::kResync;
+      scanner = &delim_;
+    } else if (!cur.armed && mode_ == ArmMode::kScan &&
+               !f_.ClassCanArm(static_cast<uint8_t>(cur.pending_cls)) &&
+               !arm_.Test(static_cast<unsigned char>(data[i]))) {
+      // Armed-byte prefilter: fully idle in scan mode, bytes that cannot
+      // start any token are inert, so jump to the last such byte and step
+      // there. The run may mix garbage and delimiters (delimiters never
+      // arm); the skipped configurations differ only in pending class and
+      // delimiter flag, neither of which scan mode's injection reads, so
+      // the tags are exact.
+      j = i + arm_.FindFirstIn(data + i, n - i) - 1;
+      kind = SkipMetrics::kArmed;
+      scanner = &arm_;
+    }
+    if (j > i) {
+      SkipMetrics::Get()
+          .Of(kind, scanner != nullptr ? scanner->strategy()
+                                       : SkipStrategy::kNone)
+          ->Increment(j - i);
+    }
+    return j;
+  }
+
+ private:
+  const FusedTagger& f_;
+  const ArmMode mode_;
+  const RunScanner& delim_;
+  const RunScanner& arm_;
+};
+
 }  // namespace
 
 const DfaCacheMetrics& DfaCacheMetrics::Get() {
@@ -26,7 +108,7 @@ const DfaCacheMetrics& DfaCacheMetrics::Get() {
         reg.GetCounter("cfgtag_dfa_cache_flushes",
                        "Lazy-DFA transition caches dropped at the byte cap"),
         reg.GetCounter("cfgtag_dfa_cache_fallbacks",
-                       "Lazy-DFA sessions that fell back to fused execution "
+                       "Lazy-DFA sessions that fell back to uncached fused steps "
                        "after repeated cache flushes")};
   }();
   return kMetrics;
@@ -78,8 +160,9 @@ LazyDfaSession::LazyDfaSession(const LazyDfaTagger* tagger)
 
 void LazyDfaSession::Rebind(const LazyDfaTagger* tagger) {
   if (tagger != tagger_) {
-    // As with FusedSession::Rebind: the old tagger may be gone, so drop
-    // (not merge) any unflushed attribution.
+    // The old tagger may already be gone (pooled sessions outlive the
+    // tagger that last used them), so unflushed attribution cannot be
+    // resolved to token names any more: drop it rather than merge it.
     attr_dirty_ = false;
     std::fill(attr_matches_.begin(), attr_matches_.end(), 0);
     attr_dfa_hits_ = attr_dfa_misses_ = 0;
@@ -112,16 +195,15 @@ void LazyDfaSession::Reset() {
   consumed_ = 0;
   finished_ = false;
   stopped_ = false;
+  const DfaConfig& start = tagger_->start_config();
   if (fallback_) {
-    // In fallback the scratch session runs the real stream, so it counts
-    // for itself (its Reset() resamples the attribution switch).
-    scratch_.Reset();
+    scratch_.LoadConfig(start.state.data(), start.state.size(),
+                        start.armed.data(), start.armed.size(),
+                        start.prev_delim);
+    pending_cls_ = start.pending_cls;
     return;
   }
-  // Scratch steps must never count (Finish's last step included): every
-  // emission they produce is replayed (and counted) from the cache.
-  scratch_.attr_on_ = false;
-  state_ = InternState(tagger_->start_config());
+  state_ = InternState(start);
 }
 
 int32_t LazyDfaSession::InternState(const DfaConfig& cfg) {
@@ -146,41 +228,20 @@ int32_t LazyDfaSession::InternState(const DfaConfig& cfg) {
   return num_aot_ + local;
 }
 
-void LazyDfaSession::MaterializeScratch() {
-  const FusedTagger& f = tagger_->fused();
-  const DfaStateInfo info = Info(state_);
+void LazyDfaSession::LoadScratch() {
+  const DfaStateInfo& info = Info(state_);
   const WordBits* snap = Snap(info, state_);
   scratch_.LoadConfig(snap, info.num_state, snap + info.num_state,
                       info.num_armed, info.prev_delim != 0);
-  scratch_.pos_ = consumed_;
-  scratch_.stopped_ = stopped_;
-  if (info.pending_cls >= 0) {
-    scratch_.has_pending_ = true;
-    scratch_.pending_ =
-        f.classifier().Representative(static_cast<uint16_t>(info.pending_cls));
-  }
-}
-
-void LazyDfaSession::SyncFromScratch() {
-  consumed_ = scratch_.pos_;
-  stopped_ = scratch_.stopped_;
+  pending_cls_ = info.pending_cls;
 }
 
 void LazyDfaSession::EnterFallback() {
-  // Order matters: the scratch session must absorb the current interned
-  // configuration before the pools holding it are freed.
-  MaterializeScratch();
+  // Order matters: scratch_ must absorb the current interned configuration
+  // before the pools holding it are freed.
+  LoadScratch();
   ClearCache();
   fallback_ = true;
-  // From here the scratch session runs the real stream, so it takes over
-  // attribution counting (LoadConfig does not resample the switch).
-  scratch_.attr_on_ = attr_on_;
-  if (attr_on_ &&
-      scratch_.attr_matches_.size() != tagger_->grammar().NumTokens()) {
-    scratch_.attr_matches_.assign(tagger_->grammar().NumTokens(), 0);
-    // Live-word counts are per fused state word, not per token.
-    scratch_.attr_live_.assign(tagger_->fused().NumStateWords(), 0);
-  }
   DfaCacheMetrics::Get().fallbacks->Increment();
   obs::RecordEvent(obs::EventKind::kDfaCacheFallback,
                    static_cast<int64_t>(flushes_),
@@ -195,7 +256,7 @@ void LazyDfaSession::FlushAttribution() {
   const std::vector<grammar::TokenDef>& tokens = tagger_->grammar().tokens();
   for (size_t tok = 0; tok < attr_matches_.size(); ++tok) {
     if (attr_matches_[tok] == 0) continue;
-    table.AddToken(tokens[tok].name, attr_matches_[tok], /*live_words=*/0);
+    table.AddToken(tokens[tok].name, attr_matches_[tok]);
     attr_matches_[tok] = 0;
   }
   table.AddDfaCache(attr_dfa_hits_, attr_dfa_misses_);
@@ -229,7 +290,7 @@ void LazyDfaSession::Flush() {
 DfaTrans LazyDfaSession::BuildTransition(uint8_t cls) {
   // The miss path is the only place the cache grows, so it is where
   // budget pressure (and the dfa.intern fault site) sheds the session to
-  // fused stepping. The steady-state hit path never reaches here.
+  // uncached stepping. The steady-state hit path never reaches here.
   if (core::resilience::ResourceBudget::Process().ShouldShedDfa() ||
       core::resilience::FaultInjector::ShouldFail("dfa.intern")) {
     EnterFallback();
@@ -257,133 +318,108 @@ DfaTrans LazyDfaSession::BuildTransition(uint8_t cls) {
   return tr;
 }
 
+inline void LazyDfaSession::Emit(const int32_t* toks, size_t count,
+                                 const TagSink& sink) {
+  for (size_t k = 0; k < count; ++k) {
+    Tag tag;
+    tag.token = toks[k];
+    tag.end = consumed_;
+    if (!stopped_ && !sink(tag)) stopped_ = true;
+    if (attr_on_) ++attr_matches_[static_cast<size_t>(toks[k])];
+  }
+}
+
+void LazyDfaSession::StepScratch(bool has_next, uint8_t next_cls,
+                                 const TagSink& sink) {
+  if (pending_cls_ < 0) return;
+  scratch_.ProcessClass(static_cast<uint8_t>(pending_cls_), has_next,
+                        next_cls);
+  Emit(scratch_.emitted_.data(), scratch_.emitted_.size(), sink);
+  ++consumed_;
+}
+
 void LazyDfaSession::Feed(std::string_view chunk, const TagSink& sink) {
   if (finished_ || stopped_ || chunk.empty()) return;
-  if (fallback_) {
-    scratch_.Feed(chunk, sink);
-    SyncFromScratch();
-    return;
-  }
   const char* data = chunk.data();
   const size_t n = chunk.size();
-  const FusedTagger& f = tagger_->fused();
-  const ByteClassifier& classes = f.classifier();
-  const ArmMode mode = f.options().arm_mode;
-  const RunScanner& delim = f.delimiter_scanner();
-  const RunScanner& arm = f.arm_scanner();
-  const SkipMetrics& skips = SkipMetrics::Get();
+  const ByteClassifier& classes = tagger_->fused().classifier();
+  const IdleSkipper skipper(tagger_->fused());
   if (attr_on_) attr_dirty_ = true;
 
   size_t i = 0;
-  while (i < n) {
-    // Copy what the skip checks need before any build can grow the cache.
-    const DfaStateInfo cur = Info(state_);
-    const int16_t pending = cur.pending_cls;
-    if (cur.num_state == 0 && pending >= 0) {
-      // Idle fast paths, the DFA rendition: a dead configuration cycles
-      // through states differing only in pending class and delimiter
-      // flag, so a whole inert run collapses to position arithmetic plus
-      // ONE real transition on the run's last byte — which re-derives the
-      // exact successor, because it is invariant across the run.
-      const bool pending_delim = f.ClassIsDelim(static_cast<uint8_t>(pending));
-      const bool armed = cur.num_armed != 0;
-      if (pending_delim && delim.Test(static_cast<unsigned char>(data[i]))) {
-        // Delimiter run: dead + delimiter pending emits nothing and
-        // preserves arms whatever the input, so jump to the run's end.
-        const size_t j = i + delim.FindFirstNotIn(data + i, n - i);
-        if (j > i + 1) {
-          skips.Of(SkipMetrics::kDelimiter, delim.strategy())
-              ->Increment(j - 1 - i);
-          consumed_ += j - 1 - i;
-          i = j - 1;
-        }
-      } else if (!armed && mode == ArmMode::kAnchored) {
-        // Dead stream: anchored arming can never re-inject; only the last
-        // byte is fed (keeping the pending machinery consistent).
-        if (n - i > 1) {
-          skips.Of(SkipMetrics::kAnchored, SkipStrategy::kNone)
-              ->Increment(n - 1 - i);
-          consumed_ += n - 1 - i;
-          i = n - 1;
-        }
-      } else if (!armed && mode == ArmMode::kResync && !cur.prev_delim &&
-                 !pending_delim &&
-                 !delim.Test(static_cast<unsigned char>(data[i]))) {
-        // Mid-garbage in resync mode: start injection waits for the next
-        // delimiter, so non-delimiter bytes are inert.
-        const size_t j = i + delim.FindFirstIn(data + i, n - i);
-        if (j > i + 1) {
-          skips.Of(SkipMetrics::kResync, delim.strategy())
-              ->Increment(j - 1 - i);
-          consumed_ += j - 1 - i;
-          i = j - 1;
-        }
-      } else if (!armed && mode == ArmMode::kScan &&
-                 !f.ClassCanArm(static_cast<uint8_t>(pending)) &&
-                 !arm.Test(static_cast<unsigned char>(data[i]))) {
-        // Armed-byte prefilter, DFA rendition: fully idle in scan mode,
-        // bytes that cannot start any token are inert, so jump to the
-        // last such byte and take one real transition there. The run may
-        // mix garbage and delimiters (delimiters never arm); the
-        // intermediate states differ only in pending class and delimiter
-        // flag, neither of which scan mode's injection reads, so the tags
-        // are exact.
-        const size_t j = i + arm.FindFirstIn(data + i, n - i);
-        if (j > i + 1) {
-          skips.Of(SkipMetrics::kArmed, arm.strategy())
-              ->Increment(j - 1 - i);
-          consumed_ += j - 1 - i;
-          i = j - 1;
-        }
+
+  // Cached: one table lookup per byte. Only a miss can enter fallback; the
+  // loop then hands the byte to the uncached loop below, which keeps the
+  // uncached step off this loop's path. The state id stays in a local on
+  // the dependent lookup chain; state_ is synced around the build.
+  if (!fallback_) {
+    int32_t state = state_;
+    while (i < n) {
+      // Copy what the skip checks need before any build can grow the cache.
+      const DfaStateInfo& info = Info(state);
+      const IdleFacts cur{info.num_state != 0, info.num_armed != 0,
+                          info.prev_delim != 0, info.pending_cls};
+      if (!cur.live && cur.pending_cls >= 0) {
+        const size_t j = skipper.LastInertByte(cur, data, i, n);
+        consumed_ += j - i;
+        i = j;
       }
+      const uint8_t cls =
+          classes.ClassOf(static_cast<unsigned char>(data[i]));
+      // Fetch the transition from whichever region owns the current state:
+      // baked row, then the session overlay for baked-row misses, then the
+      // session's own rows. The emission pool follows the row's origin.
+      DfaTrans tr;
+      const int32_t* emit_base = cache_.emit_pool.data();
+      if (state < num_aot_) {
+        tr = aot_->trans[static_cast<size_t>(state) * num_classes_ + cls];
+        if (tr.next >= 0) {
+          emit_base = aot_->emit_pool.data();
+        } else if (!overlay_.empty()) {
+          const auto it = overlay_.find(
+              static_cast<uint64_t>(state) * num_classes_ + cls);
+          if (it != overlay_.end()) tr = it->second;
+        }
+      } else {
+        tr = cache_.trans[static_cast<size_t>(state - num_aot_) *
+                              num_classes_ +
+                          cls];
+      }
+      if (tr.next < 0) {
+        if (attr_on_) ++attr_dfa_misses_;
+        state_ = state;
+        tr = BuildTransition(cls);  // a flush may re-intern state_
+        if (fallback_) break;
+        emit_base = cache_.emit_pool.data();  // insertions may have reallocated
+      } else if (attr_on_) {
+        ++attr_dfa_hits_;
+      }
+      if (tr.emit_count != 0) {
+        Emit(emit_base + tr.emit_begin, tr.emit_count, sink);
+      }
+      if (cur.pending_cls >= 0) ++consumed_;
+      state = tr.next;
+      ++i;
+      if (stopped_) break;
+    }
+    state_ = state;
+    if (stopped_) return;
+  }
+
+  // Fallback: the configuration is in scratch_ and the pending class in
+  // pending_cls_; each byte takes one uncached fused step on the pending
+  // byte, with this byte as its look-ahead.
+  while (i < n) {
+    const IdleFacts cur{scratch_.any_live_, scratch_.armed_any_,
+                        scratch_.prev_was_delim_, pending_cls_};
+    if (!cur.live && cur.pending_cls >= 0) {
+      const size_t j = skipper.LastInertByte(cur, data, i, n);
+      consumed_ += j - i;
+      i = j;
     }
     const uint8_t cls = classes.ClassOf(static_cast<unsigned char>(data[i]));
-    // Fetch the transition from whichever region owns the current state:
-    // baked row, then the session overlay for baked-row misses, then the
-    // session's own rows. The emission pool follows the row's origin.
-    DfaTrans tr;
-    const int32_t* emit_base = cache_.emit_pool.data();
-    if (state_ < num_aot_) {
-      tr = aot_->trans[static_cast<size_t>(state_) * num_classes_ + cls];
-      if (tr.next >= 0) {
-        emit_base = aot_->emit_pool.data();
-      } else if (!overlay_.empty()) {
-        const auto it = overlay_.find(
-            static_cast<uint64_t>(state_) * num_classes_ + cls);
-        if (it != overlay_.end()) tr = it->second;
-      }
-    } else {
-      tr = cache_.trans[static_cast<size_t>(state_ - num_aot_) * num_classes_ +
-                        cls];
-    }
-    if (tr.next < 0) {
-      if (attr_on_) ++attr_dfa_misses_;
-      tr = BuildTransition(cls);
-      emit_base = cache_.emit_pool.data();  // insertions may have reallocated
-      if (fallback_) {
-        // The scratch session holds the exact current configuration and
-        // stream position; the rest of the stream runs pure fused.
-        scratch_.Feed(std::string_view(data + i, n - i), sink);
-        SyncFromScratch();
-        return;
-      }
-    } else if (attr_on_) {
-      ++attr_dfa_hits_;
-    }
-    if (tr.emit_count != 0) {
-      const int32_t* toks = emit_base + tr.emit_begin;
-      for (uint32_t k = 0; k < tr.emit_count; ++k) {
-        Tag tag;
-        tag.token = toks[k];
-        tag.end = consumed_;
-        if (!stopped_ && !sink(tag)) stopped_ = true;
-        if (attr_on_) {
-          ++attr_matches_[static_cast<size_t>(toks[k])];
-        }
-      }
-    }
-    if (pending >= 0) ++consumed_;
-    state_ = tr.next;
+    StepScratch(/*has_next=*/true, cls, sink);
+    pending_cls_ = cls;
     ++i;
     if (stopped_) return;
   }
@@ -392,28 +428,10 @@ void LazyDfaSession::Feed(std::string_view chunk, const TagSink& sink) {
 void LazyDfaSession::Finish(const TagSink& sink) {
   if (finished_) return;
   finished_ = true;
-  if (fallback_) {
-    scratch_.Finish(sink);  // scratch merges its own attribution
-    SyncFromScratch();
-    FlushAttribution();
-    return;
-  }
-  if (!stopped_ && Info(state_).pending_cls >= 0) {
-    // One real fused step with no look-ahead; not worth caching (once per
-    // stream), and the class representative is again exact. The scratch
-    // step does not count attribution, so the wrapper tallies the final
-    // byte's emissions here.
-    MaterializeScratch();
-    if (attr_on_) {
-      scratch_.Finish([this, &sink](const Tag& tag) {
-        ++attr_matches_[static_cast<size_t>(tag.token)];
-        return sink(tag);
-      });
-    } else {
-      scratch_.Finish(sink);
-    }
-    SyncFromScratch();
-  }
+  // One real fused step with no look-ahead, in both modes; not worth
+  // caching (once per stream), and the pending class is again exact.
+  if (!fallback_) LoadScratch();
+  if (!stopped_) StepScratch(/*has_next=*/false, 0, sink);
   FlushAttribution();
 }
 

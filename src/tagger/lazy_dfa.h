@@ -55,7 +55,7 @@ struct AotDfaTable {
 
 // Process-wide accounting for the lazy-DFA transition cache, shared by all
 // sessions: states interned, RE2-style cache flushes, and sessions that
-// gave up caching and fell back to pure fused execution.
+// gave up caching and fell back to uncached fused stepping.
 struct DfaCacheMetrics {
   obs::Counter* states;
   obs::Counter* flushes;
@@ -64,17 +64,18 @@ struct DfaCacheMetrics {
   static const DfaCacheMetrics& Get();
 };
 
-// Streaming session over a LazyDfaTagger: the fused engine memoized as a
-// lazily built DFA. An interned DFA state is a full machine configuration
-// — the sparse live words of the fused state bitmap, the sparse armed
-// words, the delimiter flag, and the *class* of the pending look-ahead
-// byte (the Fig. 7 one-byte lag; emissions and post-emission arming both
-// depend on the look-ahead's class, so it must live in the state for
-// transitions to be a function of (state, input class) alone). The
-// alphabet is the tagger's ByteClassifier classes: every machine decision
-// factors through the byte class, so stepping the fused engine on a class
-// representative builds a transition that is exact for every byte of the
-// class.
+// Streaming session over a LazyDfaTagger, and the only loop in the
+// library that streams bytes through the fused tables: the fused machine
+// step memoized as a lazily built DFA. An interned DFA state is a full
+// machine configuration — the sparse live words of the fused state bitmap,
+// the sparse armed words, the delimiter flag, and the *class* of the
+// pending look-ahead byte (the Fig. 7 one-byte lag; emissions and
+// post-emission arming both depend on the look-ahead's class, so it must
+// live in the state for transitions to be a function of (state, input
+// class) alone). The alphabet is the tagger's ByteClassifier classes:
+// every machine decision factors through the byte class, so one fused
+// step on a pair of classes builds a transition that is exact for every
+// byte of the class.
 //
 // Steady state, the inner loop is one table lookup — `trans[state][
 // class_of[byte]]` — plus an emission-replay branch. A miss takes the
@@ -82,12 +83,14 @@ struct DfaCacheMetrics {
 // and interns the result. When the cache grows past
 // TaggerOptions::dfa_cache_bytes it is dropped wholesale and rebuilt from
 // the current configuration (RE2's flush discipline); after
-// dfa_flush_fallback flushes the session stops caching and runs its
-// scratch FusedSession directly for the rest of its life (Rebind to a
-// different tagger clears the verdict).
+// dfa_flush_fallback flushes the session stops caching for the rest of its
+// life (Rebind to a different tagger clears the verdict). In fallback the
+// configuration lives in the scratch FusedSession and the pending class in
+// the session, and each byte takes one uncached fused step, with the same
+// idle skips and emission path as the cached mode.
 //
-// Tag streams are byte-identical, order included, to the functional and
-// fused engines — enforced by the differential and fuzz suites.
+// Tag streams are byte-identical, order included, to the functional
+// reference — enforced by the differential and fuzz suites.
 class LazyDfaSession {
  public:
   // The tagger must outlive the session.
@@ -101,8 +104,8 @@ class LazyDfaSession {
   void Finish(const TagSink& sink);
 
   // Returns to the stream-start state. The transition cache (and a
-  // standing fused-fallback verdict) survives — pooled sessions get warm
-  // caches across scans of the same tagger.
+  // standing fallback verdict) survives — pooled sessions get warm caches
+  // across scans of the same tagger.
   void Reset();
 
   // Re-targets the session at `tagger` and resets it. A different tagger
@@ -136,6 +139,14 @@ class LazyDfaSession {
            info.snap_begin;
   }
 
+  // Hands `count` tokens ending at the pending byte to `sink` (until it
+  // asks to stop) and counts them for attribution.
+  void Emit(const int32_t* toks, size_t count, const TagSink& sink);
+  // One uncached fused step on the pending byte held with scratch_, with
+  // `next_cls` as its look-ahead (has_next = false at end of stream), and
+  // its emissions; nothing without a pending byte.
+  void StepScratch(bool has_next, uint8_t next_cls, const TagSink& sink);
+
   // The global id of `cfg`: a baked state if one matches, else the
   // session's own, interned on first sight.
   int32_t InternState(const DfaConfig& cfg);
@@ -145,16 +156,13 @@ class LazyDfaSession {
   DfaTrans BuildTransition(uint8_t cls);
   void Flush();
   void EnterFallback();
-  // Loads the current interned configuration into scratch_, restoring the
-  // stream position, stop flag, and pending byte (as its class
-  // representative) so the fused engine can continue the stream exactly.
-  void MaterializeScratch();
+  // Loads the current interned configuration into scratch_ and its
+  // pending class into pending_cls_, ready for an uncached step.
+  void LoadScratch();
   void ClearCache();
-  void SyncFromScratch();
 
   // Merges the per-token match counts and DFA hit/miss tallies into
-  // obs::AttributionTable::Default() and zeroes them (see the fused
-  // session's equivalent). In fallback mode scratch_ counts for itself.
+  // obs::AttributionTable::Default() and zeroes them.
   void FlushAttribution();
 
   const LazyDfaTagger* tagger_;
@@ -183,6 +191,9 @@ class LazyDfaSession {
   std::vector<int32_t> tmp_emit_;
 
   int32_t state_ = 0;
+  // The pending byte's class while scratch_ holds the configuration (in
+  // fallback, and for Finish's last step); -1 = none.
+  int16_t pending_cls_ = -1;
   uint64_t consumed_ = 0;
   uint64_t flushes_ = 0;
   bool fallback_ = false;
@@ -190,8 +201,7 @@ class LazyDfaSession {
   bool stopped_ = false;
 
   // Hot-path attribution (see obs::AttributionTable), sampled at Reset().
-  // Matches are counted at emission replay; scratch_ never counts its own
-  // build steps (they would double every replayed emission).
+  // Matches are counted in Emit, in both modes.
   bool attr_on_ = false;
   bool attr_dirty_ = false;
   std::vector<uint64_t> attr_matches_;
@@ -199,16 +209,16 @@ class LazyDfaSession {
   uint64_t attr_dfa_misses_ = 0;
 };
 
-// The production tagging engine: owns the fused engine it memoizes (its
-// miss path and fallback) and hands out pooled LazyDfaSessions. See
-// LazyDfaSession for the execution model.
+// The production tagging engine: owns the fused tables whose step it
+// memoizes (its miss path and fallback) and hands out pooled
+// LazyDfaSessions. See LazyDfaSession for the execution model.
 class LazyDfaTagger {
  public:
   // The grammar must outlive the tagger.
   static StatusOr<LazyDfaTagger> Create(const grammar::Grammar* grammar,
                                         const TaggerOptions& options);
 
-  // Wraps an already-built fused engine. With a non-null `aot`, sessions
+  // Wraps already-built fused tables. With a non-null `aot`, sessions
   // start warm out of the baked transition table (the artifact load path).
   static LazyDfaTagger Wrap(FusedTagger fused,
                             std::shared_ptr<const AotDfaTable> aot = nullptr);

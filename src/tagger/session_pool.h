@@ -17,12 +17,11 @@ namespace cfgtag::tagger {
 
 // Thread-safe pool of reusable tagging-session scratch state, generic over
 // the (tagger, session) pair — LazyDfaSessionPool pools the production
-// engine's LazyDfaSessions, FusedSessionPool pools FusedSessions, and
-// SessionPool pools the reference model's TaggerSessions. A session owns
-// several vectors sized to the tagger; allocating them per scan dominates
-// the cost of tagging short messages, so the hot paths (the taggers' Run,
-// core::CompiledTagger::Tag, the nids scan engine workers) check sessions
-// out of a pool instead.
+// engine's LazyDfaSessions and SessionPool pools the reference model's
+// TaggerSessions. A session owns several vectors sized to the tagger;
+// allocating them per scan dominates the cost of tagging short messages,
+// so the hot paths (the taggers' Run, core::CompiledTagger::Tag, the nids
+// scan engine workers) check sessions out of a pool instead.
 // Checked-in sessions keep their buffers; Acquire() rebinds and resets
 // them, so a returned session carries no state into its next use —
 // early-stopped and half-fed sessions are safe to return as-is.

@@ -45,36 +45,6 @@ ByteSet BuildByteSet(const bool members[256]) {
   return s;
 }
 
-ClassTables BuildClassTables(const uint8_t map[256], size_t num_classes) {
-  ClassTables t{};
-  std::memcpy(t.map, map, 256);
-  if (num_classes <= 1) {
-    t.num_planes = 0;  // id 0 everywhere: classify is a memset
-    return t;
-  }
-  int planes = 0;
-  while ((size_t{1} << planes) < num_classes) ++planes;
-  if (planes > ClassTables::kMaxPlanes) {
-    t.num_planes = -1;  // too many classes: scalar table loop only
-    return t;
-  }
-  t.num_planes = planes;
-  for (int b = 0; b < 256; ++b) {
-    const uint8_t id = map[b];
-    const int lo = b & 0x0f;
-    const int hi = b >> 4;
-    for (int k = 0; k < planes; ++k) {
-      if (!((id >> k) & 1)) continue;
-      if (hi < 8) {
-        t.planes[k].shuf_clear[lo] |= static_cast<uint8_t>(1u << hi);
-      } else {
-        t.planes[k].shuf_set[lo] |= static_cast<uint8_t>(1u << (hi - 8));
-      }
-    }
-  }
-  return t;
-}
-
 bool IsaAvailable(Isa isa) {
   switch (isa) {
     case Isa::kScalar:

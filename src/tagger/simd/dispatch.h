@@ -7,12 +7,10 @@
 namespace cfgtag::tagger::simd {
 
 // Runtime-dispatched vector kernels behind the tagger's byte-level hot
-// paths: run scanning over arbitrary byte sets (the idle fast-skips) and
-// chunked byte -> class-id translation (the fused engine's per-byte
-// classifier, hoisted out of the state loop). The paper's hardware
-// evaluates every character decoder in parallel each clock (§3.2); these
-// kernels are the software analogue — one membership/classification
-// evaluated across 16 or 32 input lanes per step.
+// path: run scanning over arbitrary byte sets (the idle fast-skips). The
+// paper's hardware evaluates every character decoder in parallel each
+// clock (§3.2); these kernels are the software analogue — one membership
+// test evaluated across 16 or 32 input lanes per step.
 //
 // One kernel set is selected per process (CFGTAG_FORCE_SCALAR=1 pins the
 // scalar tier, otherwise the best tier the CPU reports), and every tier
@@ -54,38 +52,11 @@ struct ByteSet {
 // Builds every table from a 256-entry membership predicate.
 ByteSet BuildByteSet(const bool members[256]);
 
-// Byte -> class-id translation tables for the chunked classify kernel.
-// The vector path decomposes the class id into bit-planes: plane k is the
-// byte set { b : (map[b] >> k) & 1 } as truffle nibble tables, so a
-// classify step evaluates num_planes exact memberships per lane and ORs
-// (1 << k) for each hit — shuffle-based whenever the class count permits
-// the nibble decomposition (<= 64 classes), the 256-entry table loop
-// otherwise.
-struct ClassTables {
-  struct Plane {
-    alignas(16) uint8_t shuf_clear[16];
-    alignas(16) uint8_t shuf_set[16];
-  };
-  static constexpr int kMaxPlanes = 6;  // up to 64 classes vectorize
-
-  uint8_t map[256];  // the scalar path and vector tails
-  Plane planes[kMaxPlanes];
-  // Bit-planes in use; 0 when one class covers every byte (classify is a
-  // memset), -1 when the class count exceeds the vector budget (kernels
-  // fall back to the scalar table loop).
-  int num_planes = 0;
-};
-
-ClassTables BuildClassTables(const uint8_t map[256], size_t num_classes);
-
 struct Kernels {
   Isa isa;
   // Index of the first byte of data[0, n) in / not in the set; n if none.
   size_t (*find_first_in)(const ByteSet& set, const char* data, size_t n);
   size_t (*find_first_not_in)(const ByteSet& set, const char* data, size_t n);
-  // out[i] = map[data[i]] for i in [0, n).
-  void (*classify)(const ClassTables& tables, const char* data, size_t n,
-                   uint8_t* out);
 };
 
 // The kernel set every hot path dispatches through. Selected once at first

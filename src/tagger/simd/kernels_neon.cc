@@ -69,32 +69,10 @@ size_t NeonFindFirstNotIn(const ByteSet& s, const char* data, size_t n) {
   return i + kScalarKernels.find_first_not_in(s, data + i, n - i);
 }
 
-void NeonClassify(const ClassTables& t, const char* data, size_t n,
-                  uint8_t* out) {
-  if (t.num_planes <= 0) {
-    kScalarKernels.classify(t, data, n, out);
-    return;
-  }
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const uint8x16_t v =
-        vld1q_u8(reinterpret_cast<const uint8_t*>(data + i));
-    uint8x16_t acc = vdupq_n_u8(0);
-    for (int k = 0; k < t.num_planes; ++k) {
-      const ClassTables::Plane& p = t.planes[k];
-      const uint8x16_t member = MemberLanes(p.shuf_clear, p.shuf_set, v);
-      acc = vorrq_u8(acc,
-                     vandq_u8(member, vdupq_n_u8(static_cast<uint8_t>(1 << k))));
-    }
-    vst1q_u8(out + i, acc);
-  }
-  if (i < n) kScalarKernels.classify(t, data + i, n - i, out + i);
-}
-
 }  // namespace
 
 const Kernels kNeonKernels = {Isa::kNeon, &NeonFindFirstIn,
-                              &NeonFindFirstNotIn, &NeonClassify};
+                              &NeonFindFirstNotIn};
 
 }  // namespace cfgtag::tagger::simd
 

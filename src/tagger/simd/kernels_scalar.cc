@@ -82,31 +82,9 @@ size_t ScalarFindFirstNotIn(const ByteSet& s, const char* data, size_t n) {
   return i;
 }
 
-void ScalarClassify(const ClassTables& t, const char* data, size_t n,
-                    uint8_t* out) {
-  if (t.num_planes == 0) {
-    std::memset(out, 0, n);
-    return;
-  }
-  const uint8_t* map = t.map;
-  size_t i = 0;
-  // Unrolled by 8 to break the one-load-per-iteration dependence chain.
-  for (; i + 8 <= n; i += 8) {
-    out[i + 0] = map[static_cast<unsigned char>(data[i + 0])];
-    out[i + 1] = map[static_cast<unsigned char>(data[i + 1])];
-    out[i + 2] = map[static_cast<unsigned char>(data[i + 2])];
-    out[i + 3] = map[static_cast<unsigned char>(data[i + 3])];
-    out[i + 4] = map[static_cast<unsigned char>(data[i + 4])];
-    out[i + 5] = map[static_cast<unsigned char>(data[i + 5])];
-    out[i + 6] = map[static_cast<unsigned char>(data[i + 6])];
-    out[i + 7] = map[static_cast<unsigned char>(data[i + 7])];
-  }
-  for (; i < n; ++i) out[i] = map[static_cast<unsigned char>(data[i])];
-}
-
 }  // namespace
 
 const Kernels kScalarKernels = {Isa::kScalar, &ScalarFindFirstIn,
-                                &ScalarFindFirstNotIn, &ScalarClassify};
+                                &ScalarFindFirstNotIn};
 
 }  // namespace cfgtag::tagger::simd

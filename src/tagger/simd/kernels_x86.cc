@@ -79,43 +79,6 @@ CFGTAG_TGT_SSSE3 size_t Sse2FindFirstNotIn(const ByteSet& s,
   return i + kScalarKernels.find_first_not_in(s, data + i, n - i);
 }
 
-CFGTAG_TGT_SSSE3 void Sse2Classify(const ClassTables& t, const char* data,
-                                   size_t n, uint8_t* out) {
-  if (t.num_planes <= 0) {
-    kScalarKernels.classify(t, data, n, out);
-    return;
-  }
-  const __m128i bit_tbl =
-      _mm_load_si128(reinterpret_cast<const __m128i*>(kHiBitTable));
-  const __m128i x80 = _mm_set1_epi8(static_cast<char>(0x80));
-  const __m128i x0f = _mm_set1_epi8(0x0f);
-  const __m128i zero = _mm_setzero_si128();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
-    const __m128i v_hi = _mm_xor_si128(v, x80);
-    const __m128i bit =
-        _mm_shuffle_epi8(bit_tbl, _mm_and_si128(_mm_srli_epi16(v, 4), x0f));
-    __m128i acc = zero;
-    for (int k = 0; k < t.num_planes; ++k) {
-      const ClassTables::Plane& p = t.planes[k];
-      const __m128i t1 = _mm_shuffle_epi8(
-          _mm_load_si128(reinterpret_cast<const __m128i*>(p.shuf_clear)), v);
-      const __m128i t2 = _mm_shuffle_epi8(
-          _mm_load_si128(reinterpret_cast<const __m128i*>(p.shuf_set)),
-          v_hi);
-      const __m128i hit = _mm_and_si128(_mm_or_si128(t1, t2), bit);
-      // (1 << k) in exactly the member lanes: andnot of the miss mask.
-      acc = _mm_or_si128(
-          acc, _mm_andnot_si128(_mm_cmpeq_epi8(hit, zero),
-                                _mm_set1_epi8(static_cast<char>(1 << k))));
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), acc);
-  }
-  if (i < n) kScalarKernels.classify(t, data + i, n - i, out + i);
-}
-
 // ------------------------------------------------------------ 256-bit tier
 
 CFGTAG_TGT_AVX2 inline uint32_t MemberMask256(const uint8_t* shuf_clear,
@@ -165,55 +128,15 @@ CFGTAG_TGT_AVX2 size_t Avx2FindFirstNotIn(const ByteSet& s, const char* data,
   return i + kScalarKernels.find_first_not_in(s, data + i, n - i);
 }
 
-CFGTAG_TGT_AVX2 void Avx2Classify(const ClassTables& t, const char* data,
-                                  size_t n, uint8_t* out) {
-  if (t.num_planes <= 0) {
-    kScalarKernels.classify(t, data, n, out);
-    return;
-  }
-  const __m256i bit_tbl = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(kHiBitTable)));
-  const __m256i x80 = _mm256_set1_epi8(static_cast<char>(0x80));
-  const __m256i x0f = _mm256_set1_epi8(0x0f);
-  const __m256i zero = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
-    const __m256i v_hi = _mm256_xor_si256(v, x80);
-    const __m256i bit = _mm256_shuffle_epi8(
-        bit_tbl, _mm256_and_si256(_mm256_srli_epi16(v, 4), x0f));
-    __m256i acc = zero;
-    for (int k = 0; k < t.num_planes; ++k) {
-      const ClassTables::Plane& p = t.planes[k];
-      const __m256i t1 = _mm256_shuffle_epi8(
-          _mm256_broadcastsi128_si256(_mm_load_si128(
-              reinterpret_cast<const __m128i*>(p.shuf_clear))),
-          v);
-      const __m256i t2 = _mm256_shuffle_epi8(
-          _mm256_broadcastsi128_si256(
-              _mm_load_si128(reinterpret_cast<const __m128i*>(p.shuf_set))),
-          v_hi);
-      const __m256i hit = _mm256_and_si256(_mm256_or_si256(t1, t2), bit);
-      acc = _mm256_or_si256(
-          acc,
-          _mm256_andnot_si256(_mm256_cmpeq_epi8(hit, zero),
-                              _mm256_set1_epi8(static_cast<char>(1 << k))));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), acc);
-  }
-  if (i < n) kScalarKernels.classify(t, data + i, n - i, out + i);
-}
-
 #undef CFGTAG_TGT_SSSE3
 #undef CFGTAG_TGT_AVX2
 
 }  // namespace
 
 const Kernels kSse2Kernels = {Isa::kSse2, &Sse2FindFirstIn,
-                              &Sse2FindFirstNotIn, &Sse2Classify};
+                              &Sse2FindFirstNotIn};
 const Kernels kAvx2Kernels = {Isa::kAvx2, &Avx2FindFirstIn,
-                              &Avx2FindFirstNotIn, &Avx2Classify};
+                              &Avx2FindFirstNotIn};
 
 }  // namespace cfgtag::tagger::simd
 

@@ -26,7 +26,7 @@ inline constexpr int kNumSkipStrategies = 5;
 const char* SkipStrategyName(SkipStrategy s);
 
 // Multi-byte run scanner over a fixed byte set — the engine behind the
-// idle fast-skips shared by the fused and lazy-DFA backends. Both "skip
+// lazy-DFA session's idle fast-skips. Both "skip
 // while in the set" (delimiter runs) and "skip until the set" (resync
 // garbage, armed-byte prefilter) reduce to finding the first byte on the
 // other side of a membership test, so the scanner exposes exactly those
@@ -69,9 +69,9 @@ class RunScanner {
 
 // Process-wide accounting for the idle fast-skips (bytes that advanced the
 // stream without stepping the machine), labelled by which skip fired
-// (kind) and which scan engine found the run boundary (strategy). Shared
-// between FusedSession and LazyDfaSession so a deployment sees one family
-// regardless of backend.
+// (kind) and which scan engine found the run boundary (strategy).
+// The lazy-DFA session's idle skipper (lazy_dfa.cc) is the one place that
+// counts them, for cached and fallback stepping alike.
 struct SkipMetrics {
   enum Kind : int {
     kDelimiter = 0,  // delimiter runs with no live state

@@ -69,8 +69,8 @@ struct TaggerOptions {
   // (interned states, transition rows, emission lists). Crossing it drops
   // the whole cache and rebuilds from the current configuration (RE2's
   // flush discipline); sessions whose cache flushes dfa_flush_fallback
-  // times stop caching and run the fused engine directly for the rest of
-  // their life.
+  // times stop caching and take one uncached fused step per byte for the
+  // rest of their life.
   size_t dfa_cache_bytes = 16u << 20;
   uint32_t dfa_flush_fallback = 4;
 

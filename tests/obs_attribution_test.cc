@@ -1,11 +1,12 @@
 // AttributionTable semantics plus the end-to-end contract: with the
-// process-wide switch on, the fused and lazy-DFA engines merge per-token
-// match counts (and the fused live-bitmap activity) into the default table
-// when their sessions finish, and the table mirrors rows into the default
-// MetricsRegistry as labeled counters.
+// process-wide switch on, lazy-DFA sessions merge exact per-token match
+// counts into the default table when they finish — stepping out of the
+// transition cache and in fallback alike — and the table mirrors rows
+// into the default MetricsRegistry as labeled counters.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -13,7 +14,6 @@
 #include "grammar/grammar_parser.h"
 #include "obs/attribution.h"
 #include "obs/metrics.h"
-#include "tagger/fused_model.h"
 #include "tagger/lazy_dfa.h"
 
 namespace cfgtag::obs {
@@ -27,6 +27,36 @@ grammar::Grammar MustParse(const std::string& text) {
 
 const char kCalcGrammar[] =
     "NUM [0-9]+\nWORD [a-z]+\nOP [-+*/]\n%%\ns: NUM OP NUM | WORD;\n%%\n";
+
+// The two ways a lazy-DFA session steps: out of its transition cache, and
+// (no cache at all) falling back to uncached fused steps at its first
+// miss.
+std::vector<tagger::TaggerOptions> CachedAndFallback() {
+  tagger::TaggerOptions uncached;
+  uncached.dfa_cache_bytes = 0;
+  uncached.dfa_flush_fallback = 1;
+  return {tagger::TaggerOptions{}, uncached};
+}
+
+// Hits per token name in the default table.
+std::map<std::string, uint64_t> TokenHits() {
+  std::map<std::string, uint64_t> hits;
+  for (const AttributionTable::Row& row :
+       AttributionTable::Default().RankedTokens()) {
+    hits[row.name] = row.hits;
+  }
+  return hits;
+}
+
+// What exact attribution must report for `tags`: one hit per emitted tag.
+std::map<std::string, uint64_t> CountTags(const grammar::Grammar& g,
+                                          const std::vector<tagger::Tag>& tags) {
+  std::map<std::string, uint64_t> hits;
+  for (const tagger::Tag& tag : tags) {
+    ++hits[g.tokens()[static_cast<size_t>(tag.token)].name];
+  }
+  return hits;
+}
 
 // The switch is process-global; every test here restores the off default
 // and clears the shared table so tests compose in any order.
@@ -44,20 +74,19 @@ class AttributionTest : public ::testing::Test {
 
 TEST_F(AttributionTest, RowsAccumulateAndRankByHits) {
   AttributionTable table;
-  table.AddToken("NUM", 3, 10);
-  table.AddToken("WORD", 5, 2);
-  table.AddToken("NUM", 4, 1);
+  table.AddToken("NUM", 3);
+  table.AddToken("WORD", 5);
+  table.AddToken("NUM", 4);
   const std::vector<AttributionTable::Row> ranked = table.RankedTokens();
   ASSERT_EQ(ranked.size(), 2u);
   EXPECT_EQ(ranked[0].name, "NUM");
   EXPECT_EQ(ranked[0].hits, 7u);
-  EXPECT_EQ(ranked[0].live_words, 11u);
   EXPECT_EQ(ranked[1].name, "WORD");
 }
 
 TEST_F(AttributionTest, ZeroDeltasCreateNoRows) {
   AttributionTable table;
-  table.AddToken("NUM", 0, 0);
+  table.AddToken("NUM", 0);
   table.AddRule("r1", 0);
   EXPECT_TRUE(table.RankedTokens().empty());
   EXPECT_TRUE(table.RankedRules().empty());
@@ -73,7 +102,7 @@ TEST_F(AttributionTest, DfaCacheTotalsAccumulate) {
 
 TEST_F(AttributionTest, ToJsonRanksAllSections) {
   AttributionTable table;
-  table.AddToken("NUM", 7, 3);
+  table.AddToken("NUM", 7);
   table.AddRule("sql-injection", 2);
   table.AddService("deposit", 9);
   table.AddDfaCache(4, 1);
@@ -93,46 +122,37 @@ TEST_F(AttributionTest, DefaultTableMirrorsIntoTheMetricsRegistry) {
   Counter* matches = reg.GetCounter(
       "cfgtag_attr_token_matches_total{token=\"MIRROR_TOKEN\"}");
   const uint64_t before = matches->Value();
-  AttributionTable::Default().AddToken("MIRROR_TOKEN", 6, 13);
+  AttributionTable::Default().AddToken("MIRROR_TOKEN", 6);
   EXPECT_EQ(matches->Value(), before + 6);
-  EXPECT_GE(reg.GetCounter(
-                   "cfgtag_attr_token_live_words_total{token=\"MIRROR_TOKEN\"}")
-                ->Value(),
-            13u);
 }
 
-TEST_F(AttributionTest, FusedEngineAttributesMatchesPerToken) {
+TEST_F(AttributionTest, LazyDfaEngineAttributesExactMatchesPerToken) {
   const grammar::Grammar g = MustParse(kCalcGrammar);
-  auto fused = tagger::FusedTagger::Create(&g, {});
-  ASSERT_TRUE(fused.ok()) << fused.status();
-
-  AttributionTable::set_enabled(true);
-  const std::vector<tagger::Tag> tags = fused->TagAll("12+34");
-  EXPECT_FALSE(tags.empty());
-
-  const std::vector<AttributionTable::Row> ranked =
-      AttributionTable::Default().RankedTokens();
-  uint64_t num_hits = 0;
-  uint64_t num_live = 0;
-  for (const AttributionTable::Row& row : ranked) {
-    if (row.name == "NUM") {
-      num_hits = row.hits;
-      num_live = row.live_words;
-    }
+  for (const tagger::TaggerOptions& opt : CachedAndFallback()) {
+    AttributionTable::Default().Clear();
+    auto lazy = tagger::LazyDfaTagger::Create(&g, opt);
+    ASSERT_TRUE(lazy.ok()) << lazy.status();
+    AttributionTable::set_enabled(true);
+    // Two scans: the second runs warm out of the pooled session's cache
+    // (or, in fallback, stays uncached).
+    std::vector<tagger::Tag> tags = lazy->TagAll("12+34");
+    const std::vector<tagger::Tag> more = lazy->TagAll("56*78 9");
+    tags.insert(tags.end(), more.begin(), more.end());
+    AttributionTable::set_enabled(false);
+    ASSERT_FALSE(tags.empty());
+    EXPECT_EQ(TokenHits(), CountTags(g, tags))
+        << "dfa_cache_bytes=" << opt.dfa_cache_bytes;
   }
-  // "12+34" matches NUM at offsets 2 (12), 5 (34) plus the longest-match
-  // prefixes the engine reports; at least one NUM match must have been
-  // attributed, and its positions were live for several bytes.
-  EXPECT_GT(num_hits, 0u);
-  EXPECT_GT(num_live, 0u);
 }
 
-TEST_F(AttributionTest, FusedEngineCountsNothingWhenDisabled) {
+TEST_F(AttributionTest, LazyDfaEngineCountsNothingWhenDisabled) {
   const grammar::Grammar g = MustParse(kCalcGrammar);
-  auto fused = tagger::FusedTagger::Create(&g, {});
-  ASSERT_TRUE(fused.ok()) << fused.status();
-  fused->TagAll("12+34");
-  EXPECT_TRUE(AttributionTable::Default().RankedTokens().empty());
+  for (const tagger::TaggerOptions& opt : CachedAndFallback()) {
+    auto lazy = tagger::LazyDfaTagger::Create(&g, opt);
+    ASSERT_TRUE(lazy.ok()) << lazy.status();
+    EXPECT_FALSE(lazy->TagAll("12+34").empty());
+    EXPECT_TRUE(AttributionTable::Default().RankedTokens().empty());
+  }
 }
 
 TEST_F(AttributionTest, LazyDfaEngineAttributesMatchesAndCacheTraffic) {
@@ -158,18 +178,32 @@ TEST_F(AttributionTest, LazyDfaEngineAttributesMatchesAndCacheTraffic) {
 
 TEST_F(AttributionTest, EnableTakesEffectAtNextSessionReset) {
   const grammar::Grammar g = MustParse(kCalcGrammar);
-  auto fused = tagger::FusedTagger::Create(&g, {});
-  ASSERT_TRUE(fused.ok()) << fused.status();
-
-  // Run once disabled, then enable: only the post-enable run counts.
-  fused->TagAll("12+34");
-  AttributionTable::set_enabled(true);
-  fused->TagAll("56*78");
-  std::vector<AttributionTable::Row> ranked =
-      AttributionTable::Default().RankedTokens();
-  uint64_t total_hits = 0;
-  for (const AttributionTable::Row& row : ranked) total_hits += row.hits;
-  EXPECT_GT(total_hits, 0u);
+  for (const tagger::TaggerOptions& opt : CachedAndFallback()) {
+    AttributionTable::Default().Clear();
+    auto lazy = tagger::LazyDfaTagger::Create(&g, opt);
+    ASSERT_TRUE(lazy.ok()) << lazy.status();
+    tagger::LazyDfaSession session = lazy->NewSession();
+    std::vector<tagger::Tag> tags;
+    const tagger::TagSink sink = [&tags](const tagger::Tag& tag) {
+      tags.push_back(tag);
+      return true;
+    };
+    // The session sampled the switch (off) when it was created: enabling
+    // mid-stream changes nothing for this scan.
+    AttributionTable::set_enabled(true);
+    session.Feed("12+34", sink);
+    session.Finish(sink);
+    EXPECT_FALSE(tags.empty());
+    EXPECT_TRUE(AttributionTable::Default().RankedTokens().empty());
+    // The next Reset samples it on, and counts exactly that scan.
+    tags.clear();
+    session.Reset();
+    session.Feed("56*78", sink);
+    session.Finish(sink);
+    AttributionTable::set_enabled(false);
+    EXPECT_EQ(TokenHits(), CountTags(g, tags))
+        << "dfa_cache_bytes=" << opt.dfa_cache_bytes;
+  }
 }
 
 }  // namespace

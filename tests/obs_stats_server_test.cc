@@ -104,7 +104,7 @@ TEST_F(StatsServerTest, EventsServesFlightRecorder) {
 }
 
 TEST_F(StatsServerTest, RulesServesAttributionRanking) {
-  AttributionTable::Default().AddToken("STATS_TEST_TOKEN", 5, 9);
+  AttributionTable::Default().AddToken("STATS_TEST_TOKEN", 5);
   const std::string response = HttpGet(server_.port(), "/rules");
   EXPECT_NE(response.find("HTTP/1.0 200"), std::string::npos);
   EXPECT_NE(response.find("STATS_TEST_TOKEN"), std::string::npos);

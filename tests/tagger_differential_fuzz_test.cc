@@ -1,14 +1,14 @@
 // Differential fuzzing across the tagging engines: on randomly generated
-// small grammars and random byte streams, the fused engine and the lazy
-// DFA must be tag-for-tag identical to the functional reference — for
-// every arm mode, with and without the longest-match look-ahead, chunked
-// or whole-buffer, under both scalar and vectorized SIMD dispatch, and for
-// the lazy DFA also under a starvation-sized transition cache (constant
-// flushing, then the fused fallback). CompiledTagger::Tag must match the
-// same reference and the gate-level simulation of its netlist. The
-// artifact leg closes the loop through the serializer: serialize →
-// Deserialize → tag must be byte-identical to the compiler that produced
-// the artifact, whole-buffer and chunked.
+// small grammars and random byte streams, the lazy DFA must be tag-for-tag
+// identical to the functional reference — for every arm mode, with and
+// without the longest-match look-ahead, chunked or whole-buffer, under
+// both scalar and vectorized SIMD dispatch, with a warm cache, under a
+// starvation-sized cache (constant flushing, then the fallback), and
+// falling back to uncached fused steps at its first miss.
+// CompiledTagger::Tag must match the same reference and the gate-level
+// simulation of its netlist. The artifact leg closes the loop through the
+// serializer: serialize → Deserialize → tag must be byte-identical to the
+// compiler that produced the artifact, whole-buffer and chunked.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include "grammar/grammar.h"
 #include "oracle.h"
 #include "tagger/functional_model.h"
-#include "tagger/fused_model.h"
 #include "tagger/lazy_dfa.h"
 #include "tagger/simd/dispatch.h"
 
@@ -31,7 +30,6 @@ using grammar::Grammar;
 using grammar::Symbol;
 using tagger::ArmMode;
 using tagger::FunctionalTagger;
-using tagger::FusedTagger;
 using tagger::LazyDfaTagger;
 using tagger::Tag;
 using tagger::TaggerOptions;
@@ -175,16 +173,21 @@ TEST(DifferentialFuzzTest, FusedMatchesFunctionalEverywhere) {
     opt.arm_mode = kModes[iter % 3];
     opt.longest_match = (iter % 2) == 0;
     auto functional = FunctionalTagger::Create(&g, opt);
-    auto fused = FusedTagger::Create(&g, opt);
     auto lazy = LazyDfaTagger::Create(&g, opt);
+    // No cache at all: the session falls back at its first miss and steps
+    // the fused tables uncached for every byte after.
+    TaggerOptions uncached = opt;
+    uncached.dfa_cache_bytes = 0;
+    uncached.dfa_flush_fallback = 1;
+    auto fallback = LazyDfaTagger::Create(&g, uncached);
     // Starvation-sized cache: interning even a handful of states blows the
     // budget, so every path through Flush() — and, past dfa_flush_fallback
-    // flushes, the sticky fused fallback — is exercised on real streams.
+    // flushes, the sticky fallback — is exercised on real streams.
     TaggerOptions tiny = opt;
     tiny.dfa_cache_bytes = 1 << 10;
     auto lazy_tiny = LazyDfaTagger::Create(&g, tiny);
     ASSERT_TRUE(functional.ok()) << functional.status();
-    ASSERT_TRUE(fused.ok()) << fused.status();
+    ASSERT_TRUE(fallback.ok()) << fallback.status();
     ASSERT_TRUE(lazy.ok()) << lazy.status();
     ASSERT_TRUE(lazy_tiny.ok()) << lazy_tiny.status();
     for (int s = 0; s < 8; ++s) {
@@ -195,14 +198,14 @@ TEST(DifferentialFuzzTest, FusedMatchesFunctionalEverywhere) {
         tagger::simd::ForceIsa(isa);
         const std::string d =
             std::string(" dispatch=") + tagger::simd::IsaName(isa);
-        ExpectSameTags(want, fused->TagAll(input), "fused whole-buffer" + d,
-                       input);
+        ExpectSameTags(want, fallback->TagAll(input),
+                       "fallback whole-buffer" + d, input);
         ExpectSameTags(want, lazy->TagAll(input), "lazy whole-buffer" + d,
                        input);
         ExpectSameTags(want, lazy_tiny->TagAll(input),
                        "lazy tiny-cache whole-buffer" + d, input);
-        ExpectSameTags(want, Chunked(*fused, input, chunk),
-                       "fused chunk=" + std::to_string(chunk) + d, input);
+        ExpectSameTags(want, Chunked(*fallback, input, chunk),
+                       "fallback chunk=" + std::to_string(chunk) + d, input);
         ExpectSameTags(want, Chunked(*lazy, input, chunk),
                        "lazy chunk=" + std::to_string(chunk) + d, input);
         ExpectSameTags(want, Chunked(*lazy_tiny, input, chunk),
@@ -231,7 +234,7 @@ TEST(DifferentialFuzzTest, ArtifactRoundTripMatchesDirectCompile) {
     // (baked DFA present / absent) go through the loader. Another fourth
     // bakes only three states under a starved cache: sessions build
     // overlay transitions out of baked states, flush while standing on a
-    // baked state, and finally fall back to the fused engine.
+    // baked state, and finally fall back to uncached stepping.
     if (iter % 4 == 1) options.tagger.aot_state_budget = 0;
     if (iter % 4 == 3) {
       options.tagger.aot_state_budget = 3;
@@ -262,7 +265,7 @@ TEST(DifferentialFuzzTest, ArtifactRoundTripMatchesDirectCompile) {
 // CompiledTagger::Tag against the functional reference and against the
 // gate-level simulation of the netlist generated from the same grammar,
 // with the default transition cache and with a starved one that falls
-// back to the fused engine.
+// back to uncached stepping.
 TEST(DifferentialFuzzTest, CompiledTaggerMatchesOracleAndNetlist) {
   Rng rng(424242);
   const ArmMode kModes[] = {ArmMode::kAnchored, ArmMode::kScan,

@@ -1,6 +1,9 @@
-// FusedTagger — the byte-class-compressed bit-parallel backend — must be
-// tag-for-tag identical to the FunctionalTagger reference on every option
-// combination, including streaming (chunked Feed) and early-stop sinks.
+// The fused tables: byte-class compression, the table shapes Create
+// builds, and the step they define. The step is checked tag for tag
+// against the FunctionalTagger reference through the only streaming loop,
+// the lazy DFA, configured to fall back at its first miss so that every
+// byte after it is one uncached fused step (FusedSession::ProcessClass).
+// The cached side is covered by tagger_lazy_dfa_test and the fuzzer.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +15,7 @@
 #include "tagger/byte_classes.h"
 #include "tagger/functional_model.h"
 #include "tagger/fused_model.h"
+#include "tagger/lazy_dfa.h"
 
 namespace cfgtag::tagger {
 namespace {
@@ -30,11 +34,45 @@ std::vector<Tag> Functional(const grammar::Grammar& g,
   return t->TagAll(input);
 }
 
+// `opt` with no transition cache: a session falls back to uncached fused
+// steps at its first miss and stays there.
+TaggerOptions FusedSteps(TaggerOptions opt) {
+  opt.dfa_cache_bytes = 0;
+  opt.dfa_flush_fallback = 1;
+  return opt;
+}
+
+// Feeds `input` through a fresh fallback session in `chunk`-byte pieces
+// (whole when 0), stopping once `limit` tags were delivered (never when 0).
+// A non-empty input must have put the session into fallback, and a run
+// with no limit must have consumed every byte.
+std::vector<Tag> Fused(const LazyDfaTagger& t, std::string_view input,
+                       size_t chunk = 0, size_t limit = 0) {
+  std::vector<Tag> tags;
+  LazyDfaSession session = t.NewSession();
+  const TagSink sink = [&](const Tag& tag) {
+    tags.push_back(tag);
+    return limit == 0 || tags.size() < limit;
+  };
+  if (chunk == 0) chunk = input.size() + 1;
+  for (size_t i = 0; i < input.size(); i += chunk) {
+    session.Feed(input.substr(i, chunk), sink);
+  }
+  session.Finish(sink);
+  if (limit == 0) {
+    EXPECT_EQ(session.bytes_consumed(), input.size());
+  }
+  if (!input.empty()) {
+    EXPECT_TRUE(session.fallback_active()) << input;
+  }
+  return tags;
+}
+
 std::vector<Tag> Fused(const grammar::Grammar& g, const TaggerOptions& opt,
                        std::string_view input) {
-  auto t = FusedTagger::Create(&g, opt);
+  auto t = LazyDfaTagger::Create(&g, FusedSteps(opt));
   EXPECT_TRUE(t.ok()) << t.status();
-  return t->TagAll(input);
+  return Fused(*t, input);
 }
 
 void ExpectSameTags(const std::vector<Tag>& a, const std::vector<Tag>& b) {
@@ -149,23 +187,13 @@ TEST(FusedTaggerTest, ChunkedFeedMatchesWholeBuffer) {
   grammar::Grammar g = MustParse(kCalcGrammar);
   TaggerOptions opt;
   opt.arm_mode = ArmMode::kResync;
-  auto t = FusedTagger::Create(&g, opt);
-  ASSERT_TRUE(t.ok());
+  auto t = LazyDfaTagger::Create(&g, FusedSteps(opt));
+  ASSERT_TRUE(t.ok()) << t.status();
   const std::string input = "  12+34 junk 99*1   abc 5-5 ";
-  const std::vector<Tag> whole = t->TagAll(input);
+  const std::vector<Tag> whole = Fused(*t, input);
+  ExpectSameTags(Functional(g, opt, input), whole);
   for (size_t chunk : {1u, 2u, 3u, 5u, 7u, 11u}) {
-    std::vector<Tag> streamed;
-    FusedSession session = t->NewSession();
-    const TagSink sink = [&](const Tag& tag) {
-      streamed.push_back(tag);
-      return true;
-    };
-    for (size_t i = 0; i < input.size(); i += chunk) {
-      session.Feed(std::string_view(input).substr(i, chunk), sink);
-    }
-    session.Finish(sink);
-    ExpectSameTags(whole, streamed);
-    EXPECT_EQ(session.bytes_consumed(), input.size());
+    ExpectSameTags(whole, Fused(*t, input, chunk));
   }
 }
 
@@ -174,19 +202,16 @@ TEST(FusedTaggerTest, EarlyStopMatchesFunctional) {
   TaggerOptions opt;
   opt.arm_mode = ArmMode::kScan;
   const std::string input = "12+34 abc 9*9 def";
+  auto functional = FunctionalTagger::Create(&g, opt);
+  auto fused = LazyDfaTagger::Create(&g, FusedSteps(opt));
+  ASSERT_TRUE(functional.ok() && fused.ok());
   for (size_t limit = 1; limit <= 4; ++limit) {
-    auto collect = [&](auto& tagger) {
-      std::vector<Tag> tags;
-      tagger.Run(input, [&](const Tag& tag) {
-        tags.push_back(tag);
-        return tags.size() < limit;
-      });
-      return tags;
-    };
-    auto functional = FunctionalTagger::Create(&g, opt);
-    auto fused = FusedTagger::Create(&g, opt);
-    ASSERT_TRUE(functional.ok() && fused.ok());
-    ExpectSameTags(collect(*functional), collect(*fused));
+    std::vector<Tag> want;
+    functional->Run(input, [&](const Tag& tag) {
+      want.push_back(tag);
+      return want.size() < limit;
+    });
+    ExpectSameTags(want, Fused(*fused, input, 0, limit));
   }
 }
 
@@ -209,19 +234,6 @@ TEST(FusedTaggerTest, AnchoredDeadStreamSkips) {
   input += std::string(5000, 'z');
   input += " 9*9";
   ExpectSameTags(Functional(g, opt, input), Fused(g, opt, input));
-}
-
-TEST(FusedTaggerTest, SessionPoolReusesAndRebinds) {
-  grammar::Grammar g = MustParse(kCalcGrammar);
-  auto t = FusedTagger::Create(&g, {});
-  ASSERT_TRUE(t.ok());
-  (void)t->TagAll("12+34");
-  (void)t->TagAll("56-7");
-  EXPECT_EQ(t->session_pool().IdleCount(), 1u);
-  EXPECT_GE(t->session_pool().sessions_reused(), 1u);
-  // Pool survives a tagger move (shared_ptr semantics).
-  FusedTagger moved = std::move(t).value();
-  ASSERT_EQ(moved.TagAll("1+1").size(), 3u);  // NUM OP NUM
 }
 
 }  // namespace

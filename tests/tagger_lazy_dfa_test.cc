@@ -1,8 +1,9 @@
-// LazyDfaTagger — the lazily built DFA memoizing the fused engine — must
-// be tag-for-tag identical to the FunctionalTagger reference on every
-// option combination, including streaming, early-stop sinks, the idle
-// skip paths, cache flushes under a starvation-sized budget, and the
-// sticky fused fallback after repeated flush thrash.
+// LazyDfaTagger — the lazily built DFA memoizing the fused step — must be
+// tag-for-tag identical to the FunctionalTagger reference on every option
+// combination, including streaming, early-stop sinks, the idle skip
+// paths, cache flushes under a starvation-sized budget, and the sticky
+// fallback to uncached fused steps, both after repeated flush thrash and
+// from the very first miss.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "tagger/functional_model.h"
 #include "tagger/fused_model.h"
 #include "tagger/lazy_dfa.h"
+#include "tagger/skip_scan.h"
 
 namespace cfgtag::tagger {
 namespace {
@@ -34,13 +36,6 @@ std::vector<Tag> Functional(const grammar::Grammar& g,
   return t->TagAll(input);
 }
 
-std::vector<Tag> Lazy(const grammar::Grammar& g, const TaggerOptions& opt,
-                      std::string_view input) {
-  auto t = LazyDfaTagger::Create(&g, opt);
-  EXPECT_TRUE(t.ok()) << t.status();
-  return t->TagAll(input);
-}
-
 void ExpectSameTags(const std::vector<Tag>& a, const std::vector<Tag>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
@@ -49,21 +44,103 @@ void ExpectSameTags(const std::vector<Tag>& a, const std::vector<Tag>& b) {
   }
 }
 
+// Feeds `input` through a fresh session, in `chunk`-byte pieces (whole
+// when 0), stopping once `limit` tags were delivered (never when 0).
+struct SessionRun {
+  std::vector<Tag> tags;
+  bool fallback = false;
+  uint64_t consumed = 0;
+};
+
+SessionRun RunSession(const LazyDfaTagger& t, std::string_view input,
+                      size_t chunk = 0, size_t limit = 0) {
+  SessionRun run;
+  LazyDfaSession session = t.NewSession();
+  const TagSink sink = [&](const Tag& tag) {
+    run.tags.push_back(tag);
+    return limit == 0 || run.tags.size() < limit;
+  };
+  if (chunk == 0) chunk = input.size() + 1;
+  for (size_t i = 0; i < input.size(); i += chunk) {
+    session.Feed(input.substr(i, chunk), sink);
+  }
+  session.Finish(sink);
+  run.fallback = session.fallback_active();
+  run.consumed = session.bytes_consumed();
+  return run;
+}
+
+// The two ways a session steps: out of its transition cache (the
+// options as given) and, with no cache at all, falling back to uncached
+// fused steps at its first miss.
+std::vector<TaggerOptions> CachedAndFallback(const TaggerOptions& opt) {
+  TaggerOptions uncached = opt;
+  uncached.dfa_cache_bytes = 0;
+  uncached.dfa_flush_fallback = 1;
+  return {opt, uncached};
+}
+
+bool FallsBackAtFirstMiss(const TaggerOptions& opt) {
+  return opt.dfa_flush_fallback == 1;
+}
+
+// Bytes the given idle skip has jumped over so far, over all strategies.
+uint64_t SkippedBytes(SkipMetrics::Kind kind) {
+  uint64_t total = 0;
+  for (int s = 0; s < kNumSkipStrategies; ++s) {
+    total += SkipMetrics::Get().counters[kind][s]->Value();
+  }
+  return total;
+}
+
 const char kCalcGrammar[] =
     "NUM [0-9]+\nWORD [a-z]+\nOP [-+*/]\n%%\ns: NUM OP NUM | WORD;\n%%\n";
 
 TEST(LazyDfaTaggerTest, MatchesFunctionalAllArmModes) {
-  grammar::Grammar g = MustParse(kCalcGrammar);
+  grammar::Grammar calc = MustParse(kCalcGrammar);
+  // A 70-position literal token spans two state words, exercising the
+  // multi-word follow rows and the meta-checked accept/suppression loops.
+  grammar::Grammar wide;
+  const std::string long_lit(70, 'a');
+  auto lit = wide.AddLiteralToken(long_lit);
+  ASSERT_TRUE(lit.ok()) << lit.status();
+  auto num = wide.AddToken("NUM", "[0-9]+");
+  ASSERT_TRUE(num.ok()) << num.status();
+  const int32_t nt = wide.AddNonterminal("s");
+  wide.AddProduction(nt, {grammar::Symbol::Terminal(*lit),
+                          grammar::Symbol::Terminal(*num)});
+  wide.SetStart(nt);
+  auto fused = FusedTagger::Create(&wide, {});
+  ASSERT_TRUE(fused.ok()) << fused.status();
+  EXPECT_GE(fused->NumStateWords(), 3u);  // 2 for the literal, 1 for NUM
+
+  const std::vector<std::string> calc_inputs = {
+      "12+34", "12 + 34", "hello", "12x", "", "   ", "??12+34??",
+      "a1b2c3", "garbage 12+34 more", "###\n42/7\n###", "9*8 trailing",
+      "12+34 56-78", "1234", "abc de"};
+  const std::vector<std::string> wide_inputs = {
+      long_lit + " 123", long_lit.substr(0, 69) + "b 5",
+      "x" + long_lit + " 7", long_lit};
   for (ArmMode mode : {ArmMode::kAnchored, ArmMode::kScan, ArmMode::kResync}) {
     for (bool longest : {true, false}) {
-      TaggerOptions opt;
-      opt.arm_mode = mode;
-      opt.longest_match = longest;
-      for (std::string_view input :
-           {"12+34", "12 + 34", "hello", "12x", "", "   ", "??12+34??",
-            "a1b2c3", "garbage 12+34 more", "###\n42/7\n###",
-            "9*8 trailing", "12+34 56-78"}) {
-        ExpectSameTags(Functional(g, opt, input), Lazy(g, opt, input));
+      TaggerOptions base;
+      base.arm_mode = mode;
+      base.longest_match = longest;
+      for (const TaggerOptions& opt : CachedAndFallback(base)) {
+        for (const auto& [g, inputs] :
+             {std::make_pair(&calc, &calc_inputs),
+              std::make_pair(&wide, &wide_inputs)}) {
+          auto t = LazyDfaTagger::Create(g, opt);
+          ASSERT_TRUE(t.ok()) << t.status();
+          for (const std::string& input : *inputs) {
+            const SessionRun run = RunSession(*t, input);
+            ExpectSameTags(Functional(*g, opt, input), run.tags);
+            EXPECT_EQ(run.consumed, input.size());
+            if (!input.empty()) {
+              EXPECT_EQ(run.fallback, FallsBackAtFirstMiss(opt)) << input;
+            }
+          }
+        }
       }
     }
   }
@@ -71,51 +148,67 @@ TEST(LazyDfaTaggerTest, MatchesFunctionalAllArmModes) {
 
 TEST(LazyDfaTaggerTest, ChunkedFeedMatchesWholeBuffer) {
   grammar::Grammar g = MustParse(kCalcGrammar);
-  TaggerOptions opt;
-  opt.arm_mode = ArmMode::kResync;
-  auto t = LazyDfaTagger::Create(&g, opt);
-  ASSERT_TRUE(t.ok()) << t.status();
+  TaggerOptions base;
+  base.arm_mode = ArmMode::kResync;
   const std::string input = "  12+34 junk 99*1   abc 5-5 ";
-  const std::vector<Tag> whole = t->TagAll(input);
-  for (size_t chunk : {1u, 2u, 3u, 5u, 7u, 11u}) {
-    std::vector<Tag> streamed;
-    LazyDfaSession session = t->NewSession();
-    const TagSink sink = [&](const Tag& tag) {
-      streamed.push_back(tag);
-      return true;
-    };
-    for (size_t i = 0; i < input.size(); i += chunk) {
-      session.Feed(std::string_view(input).substr(i, chunk), sink);
+  for (const TaggerOptions& opt : CachedAndFallback(base)) {
+    auto t = LazyDfaTagger::Create(&g, opt);
+    ASSERT_TRUE(t.ok()) << t.status();
+    const std::vector<Tag> whole = t->TagAll(input);
+    ExpectSameTags(Functional(g, opt, input), whole);
+    for (size_t chunk : {1u, 2u, 3u, 5u, 7u, 11u}) {
+      const SessionRun run = RunSession(*t, input, chunk);
+      ExpectSameTags(whole, run.tags);
+      EXPECT_EQ(run.consumed, input.size());
+      EXPECT_EQ(run.fallback, FallsBackAtFirstMiss(opt));
     }
-    session.Finish(sink);
-    ExpectSameTags(whole, streamed);
-    EXPECT_EQ(session.bytes_consumed(), input.size());
   }
 }
 
 TEST(LazyDfaTaggerTest, EarlyStopMatchesFunctional) {
   grammar::Grammar g = MustParse(kCalcGrammar);
-  TaggerOptions opt;
-  opt.arm_mode = ArmMode::kScan;
+  TaggerOptions base;
+  base.arm_mode = ArmMode::kScan;
   const std::string input = "12+34 abc 9*9 def";
-  for (size_t limit = 1; limit <= 4; ++limit) {
-    auto collect = [&](auto& tagger) {
-      std::vector<Tag> tags;
-      tagger.Run(input, [&](const Tag& tag) {
-        tags.push_back(tag);
-        return tags.size() < limit;
-      });
-      return tags;
-    };
+  for (const TaggerOptions& opt : CachedAndFallback(base)) {
     auto functional = FunctionalTagger::Create(&g, opt);
     auto lazy = LazyDfaTagger::Create(&g, opt);
     ASSERT_TRUE(functional.ok() && lazy.ok());
-    ExpectSameTags(collect(*functional), collect(*lazy));
+    for (size_t limit = 1; limit <= 4; ++limit) {
+      std::vector<Tag> want;
+      functional->Run(input, [&](const Tag& tag) {
+        want.push_back(tag);
+        return want.size() < limit;
+      });
+      for (size_t chunk : {0u, 1u, 4u}) {
+        const SessionRun run = RunSession(*lazy, input, chunk, limit);
+        ExpectSameTags(want, run.tags);
+        EXPECT_EQ(run.fallback, FallsBackAtFirstMiss(opt));
+      }
+    }
   }
 }
 
 TEST(LazyDfaTaggerTest, SkipPathsStayExact) {
   grammar::Grammar g = MustParse(kCalcGrammar);
+  // Runs `input` in both stepping modes: the tags and the byte ledger must
+  // be exact, and the idle skip of `kind` must have jumped bytes.
+  auto check = [&](const TaggerOptions& base, const std::string& input,
+                   SkipMetrics::Kind kind) {
+    for (const TaggerOptions& opt : CachedAndFallback(base)) {
+      auto t = LazyDfaTagger::Create(&g, opt);
+      ASSERT_TRUE(t.ok()) << t.status();
+      const uint64_t skipped_before = SkippedBytes(kind);
+      for (size_t chunk : {0u, 7u}) {
+        const SessionRun run = RunSession(*t, input, chunk);
+        ExpectSameTags(Functional(g, opt, input), run.tags);
+        EXPECT_EQ(run.consumed, input.size());
+        EXPECT_EQ(run.fallback, FallsBackAtFirstMiss(opt));
+      }
+      EXPECT_GT(SkippedBytes(kind), skipped_before)
+          << "skip kind " << kind << " fallback " << FallsBackAtFirstMiss(opt);
+    }
+  };
   // Delimiter-run skip (resync): mostly-space stream with islands.
   {
     TaggerOptions opt;
@@ -123,7 +216,7 @@ TEST(LazyDfaTaggerTest, SkipPathsStayExact) {
     std::string input(10000, ' ');
     input.replace(5000, 5, "12+34");
     input.replace(9990, 3, "abc");
-    ExpectSameTags(Functional(g, opt, input), Lazy(g, opt, input));
+    check(opt, input, SkipMetrics::kDelimiter);
   }
   // Anchored-dead skip: nothing can match after the stream dies.
   {
@@ -131,7 +224,7 @@ TEST(LazyDfaTaggerTest, SkipPathsStayExact) {
     std::string input = "12+34 ";
     input += std::string(5000, 'z');
     input += " 9*9";
-    ExpectSameTags(Functional(g, opt, input), Lazy(g, opt, input));
+    check(opt, input, SkipMetrics::kAnchored);
   }
   // Resync garbage skip: a dead non-delimiter run is inert until the next
   // delimiter rearms the machine.
@@ -140,20 +233,19 @@ TEST(LazyDfaTaggerTest, SkipPathsStayExact) {
     opt.arm_mode = ArmMode::kResync;
     std::string input(8000, '?');
     input += " 12+34";
-    const auto want = Functional(g, opt, input);
-    auto t = LazyDfaTagger::Create(&g, opt);
-    ASSERT_TRUE(t.ok());
-    std::vector<Tag> got;
-    LazyDfaSession session = t->NewSession();
-    const TagSink sink = [&](const Tag& tag) {
-      got.push_back(tag);
-      return true;
-    };
-    session.Feed(input, sink);
-    session.Finish(sink);
-    ExpectSameTags(want, got);
-    // The skip paths must keep the byte ledger exact, not just the tags.
-    EXPECT_EQ(session.bytes_consumed(), input.size());
+    check(opt, input, SkipMetrics::kResync);
+  }
+  // Armed-byte prefilter (scan): bytes that cannot start any token are
+  // inert while the machine is idle, delimiters mixed in or not.
+  {
+    TaggerOptions opt;
+    opt.arm_mode = ArmMode::kScan;
+    std::string input(3000, '?');
+    input += "12+34";
+    input += std::string(3000, '#');
+    input.replace(4000, 3, " ; ");
+    input += "abc";
+    check(opt, input, SkipMetrics::kArmed);
   }
 }
 

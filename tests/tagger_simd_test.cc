@@ -2,7 +2,7 @@
 // kernel library (src/tagger/simd/) and the RunScanner rewired on top of
 // it: every available kernel tier must return byte-identical results to
 // the scalar tier for arbitrary byte sets, buffer lengths shorter than a
-// vector, unaligned heads and tails, and class maps of every plane count.
+// vector, and unaligned heads and tails.
 
 #include <cstring>
 #include <random>
@@ -19,9 +19,7 @@ namespace cfgtag::tagger {
 namespace {
 
 using simd::BuildByteSet;
-using simd::BuildClassTables;
 using simd::ByteSet;
-using simd::ClassTables;
 using simd::Isa;
 using simd::IsaAvailable;
 using simd::Kernels;
@@ -124,54 +122,6 @@ TEST(SimdKernels, FindFirstMatchesNaiveEverywhere) {
                 << "isa=" << simd::IsaName(isa) << " count=" << count
                 << " off=" << off << " len=" << len;
           }
-        }
-      }
-    }
-  }
-}
-
-// Class maps with 1, 2, 5, 16, 64 classes (0 to 6 bit-planes) plus one
-// past the vector budget (>64 forces the scalar table loop in every tier).
-TEST(SimdKernels, ClassifyMatchesMapEverywhere) {
-  std::mt19937 rng(987654321);
-  const std::vector<Isa> isas = AvailableIsas();
-  for (const size_t num_classes :
-       {size_t{1}, size_t{2}, size_t{5}, size_t{16}, size_t{64}, size_t{65},
-        size_t{200}}) {
-    uint8_t map[256];
-    for (int b = 0; b < 256; ++b) {
-      map[b] = static_cast<uint8_t>(rng() % num_classes);
-    }
-    // Ensure every class id actually appears so num_classes is honest.
-    for (size_t c = 0; c < num_classes && c < 256; ++c) {
-      map[c] = static_cast<uint8_t>(c);
-    }
-    const ClassTables tables = BuildClassTables(map, num_classes);
-    if (num_classes <= 1) {
-      EXPECT_EQ(tables.num_planes, 0);
-    } else if (num_classes <= 64) {
-      EXPECT_GT(tables.num_planes, 0);
-    } else {
-      EXPECT_EQ(tables.num_planes, -1);
-    }
-    std::string buf(300, '\0');
-    for (char& c : buf) c = static_cast<char>(rng() % 256);
-    for (const size_t len :
-         {size_t{0}, size_t{1}, size_t{7}, size_t{16}, size_t{17}, size_t{33},
-          size_t{64}, size_t{200}}) {
-      for (const size_t off : {size_t{0}, size_t{3}, size_t{16}, size_t{29}}) {
-        std::vector<uint8_t> want(len);
-        for (size_t i = 0; i < len; ++i) {
-          want[i] = map[static_cast<unsigned char>(buf[off + i])];
-        }
-        for (const Isa isa : isas) {
-          std::vector<uint8_t> got(len + 1, 0xEE);
-          KernelsFor(isa).classify(tables, buf.data() + off, len, got.data());
-          EXPECT_EQ(std::memcmp(got.data(), want.data(), len), 0)
-              << "isa=" << simd::IsaName(isa)
-              << " num_classes=" << num_classes << " off=" << off
-              << " len=" << len;
-          EXPECT_EQ(got[len], 0xEE) << "classify wrote past the end";
         }
       }
     }
