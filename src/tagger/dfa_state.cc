@@ -103,7 +103,7 @@ int32_t FindDfaState(const DfaStateInfo* states, const WordBits* snap_pool,
   return -1;
 }
 
-int32_t DfaPool::Append(const DfaConfig& cfg, size_t num_classes) {
+int32_t DfaPool::Append(const DfaConfig& cfg) {
   DfaStateInfo info;
   info.hash = cfg.hash;
   info.snap_begin = static_cast<uint32_t>(snap_pool.size());
@@ -115,7 +115,6 @@ int32_t DfaPool::Append(const DfaConfig& cfg, size_t num_classes) {
   snap_pool.insert(snap_pool.end(), cfg.armed.begin(), cfg.armed.end());
   const int32_t id = static_cast<int32_t>(states.size());
   states.push_back(info);
-  trans.resize(trans.size() + num_classes);
   index.emplace(cfg.hash, id);
   return id;
 }
@@ -145,10 +144,11 @@ DfaPool BuildAotDfa(const FusedTagger& fused, uint32_t max_states) {
   DfaConfig next;
   std::vector<int32_t> emit;
   next.SetStart(fused);
-  out.Append(next, num_classes);
+  out.Append(next);
   // The states vector doubles as the BFS queue: ids are appended in
   // discovery order and every id's full class row is expanded once.
   for (size_t id = 0; id < out.states.size(); ++id) {
+    out.trans.resize((id + 1) * num_classes);
     for (size_t cls = 0; cls < num_classes; ++cls) {
       const DfaStateInfo info = out.states[id];
       next.Step(info, out.snap_pool.data() + info.snap_begin,
@@ -156,7 +156,7 @@ DfaPool BuildAotDfa(const FusedTagger& fused, uint32_t max_states) {
       int32_t to = out.Find(next);
       if (to < 0) {
         if (out.states.size() >= max_states) continue;
-        to = out.Append(next, num_classes);
+        to = out.Append(next);
       }
       out.trans[id * num_classes + cls] = out.AddTrans(to, emit);
     }

@@ -93,7 +93,9 @@ int32_t FindDfaState(const DfaStateInfo* states, const WordBits* snap_pool,
 // a LazyDfaSession's private cache.
 struct DfaPool {
   std::vector<DfaStateInfo> states;
-  std::vector<DfaTrans> trans;  // row-major [id * num_classes + cls]
+  // Row-major [id * num_classes + cls]; filled by the bake only (a
+  // session keeps its transitions in its own flat table).
+  std::vector<DfaTrans> trans;
   std::vector<WordBits> snap_pool;
   std::vector<int32_t> emit_pool;
   DfaIndex index;
@@ -101,9 +103,8 @@ struct DfaPool {
   int32_t Find(const DfaConfig& cfg) const {
     return FindDfaState(states.data(), snap_pool.data(), index, cfg);
   }
-  // Appends `cfg` as a new state with an unbuilt transition row of
-  // `num_classes` entries; returns its id.
-  int32_t Append(const DfaConfig& cfg, size_t num_classes);
+  // Appends `cfg` as a new state; returns its id.
+  int32_t Append(const DfaConfig& cfg);
   // Pools `emit` and returns the transition to `next` that replays it.
   DfaTrans AddTrans(int32_t next, const std::vector<int32_t>& emit);
   void Clear();
@@ -112,7 +113,7 @@ struct DfaPool {
 // The ahead-of-time bake: walks the reachable (configuration x byte class)
 // product breadth-first from the start configuration (state 0), interning
 // at most `max_states` states. Transitions whose successor would exceed
-// the budget stay unbuilt (next = -1) for the runtime overlay; with
+// the budget stay unbuilt (next = -1) for sessions to build; with
 // max_states == 0 the pool is empty. The walk is deterministic, so equal
 // (grammar, options) pairs bake byte-identical artifact regions.
 DfaPool BuildAotDfa(const FusedTagger& fused, uint32_t max_states);

@@ -1,6 +1,7 @@
 #include "tagger/lazy_dfa.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/resilience/fault_injector.h"
 #include "obs/attribution.h"
@@ -11,9 +12,13 @@ namespace cfgtag::tagger {
 namespace {
 
 // Approximate per-state index cost (one unordered_multimap node plus
-// bucket share) folded into the cache budget accounting. Also charged per
-// overlay transition (same node shape).
+// bucket share) folded into the cache budget accounting.
 constexpr size_t kIndexNodeBytes = 48;
+
+// Entries a flat table may hold: every premultiplied id plus class fits
+// int32_t.
+constexpr size_t kMaxTableEntries =
+    static_cast<size_t>(std::numeric_limits<int32_t>::max());
 
 // What the idle skips read of the current configuration: an interned
 // state's, or in fallback the scratch configuration's plus the session's
@@ -168,21 +173,24 @@ void LazyDfaSession::Rebind(const LazyDfaTagger* tagger) {
     attr_dfa_hits_ = attr_dfa_misses_ = 0;
     tagger_ = tagger;
     scratch_.Rebind(&tagger_->fused());
-    ClearCache();
     num_classes_ = tagger_->fused().NumByteClasses();
     aot_ = tagger_->aot();
     num_aot_ = aot_ ? static_cast<int32_t>(aot_->states.size()) : 0;
     flushes_ = 0;
     fallback_ = false;
+    ClearCache();
   }
   Reset();
 }
 
 void LazyDfaSession::ClearCache() {
   cache_.Clear();
-  overlay_.clear();
-  cache_bytes_ = 0;
+  special_.clear();
+  next_.assign(fallback_ ? 0 : static_cast<size_t>(num_aot_) * num_classes_,
+               kUnbuilt);
+  cache_bytes_ = next_.size() * sizeof(int32_t);
   budget_.ReleaseAll();
+  budget_.Add(cache_bytes_);
 }
 
 void LazyDfaSession::Reset() {
@@ -216,9 +224,10 @@ int32_t LazyDfaSession::InternState(const DfaConfig& cfg) {
   }
   int32_t local = cache_.Find(cfg);
   if (local < 0) {
-    local = cache_.Append(cfg, num_classes_);
+    local = cache_.Append(cfg);
+    next_.resize(next_.size() + num_classes_, kUnbuilt);
     const size_t charged =
-        sizeof(DfaStateInfo) + num_classes_ * sizeof(DfaTrans) +
+        sizeof(DfaStateInfo) + num_classes_ * sizeof(int32_t) +
         (cfg.state.size() + cfg.armed.size()) * sizeof(WordBits) +
         kIndexNodeBytes;
     cache_bytes_ += charged;
@@ -226,6 +235,35 @@ int32_t LazyDfaSession::InternState(const DfaConfig& cfg) {
     DfaCacheMetrics::Get().states->Increment();
   }
   return num_aot_ + local;
+}
+
+bool LazyDfaSession::IsPlain(int32_t id) const {
+  const DfaStateInfo& info = Info(id);
+  if (info.pending_cls < 0) return false;
+  return info.num_state != 0 ||
+         (info.num_armed != 0 &&
+          !tagger_->fused().ClassIsDelim(
+              static_cast<uint8_t>(info.pending_cls)));
+}
+
+int32_t LazyDfaSession::Install(uint8_t cls, int32_t next,
+                                const int32_t* emit, size_t count) {
+  const bool plain = IsPlain(next);
+  const int32_t premultiplied = next * static_cast<int32_t>(num_classes_);
+  int32_t entry = premultiplied;
+  size_t charged = 0;
+  if (count != 0 || !plain) {
+    entry = kUnbuilt - 1 - static_cast<int32_t>(special_.size());
+    special_.push_back(SpecialTrans{
+        premultiplied, static_cast<uint32_t>(cache_.emit_pool.size()),
+        static_cast<uint32_t>(count), plain});
+    cache_.emit_pool.insert(cache_.emit_pool.end(), emit, emit + count);
+    charged = sizeof(SpecialTrans) + count * sizeof(int32_t);
+  }
+  next_[static_cast<size_t>(state_) * num_classes_ + cls] = entry;
+  cache_bytes_ += charged;
+  budget_.Add(charged);
+  return entry;
 }
 
 void LazyDfaSession::LoadScratch() {
@@ -240,8 +278,8 @@ void LazyDfaSession::EnterFallback() {
   // Order matters: scratch_ must absorb the current interned configuration
   // before the pools holding it are freed.
   LoadScratch();
-  ClearCache();
   fallback_ = true;
+  ClearCache();
   DfaCacheMetrics::Get().fallbacks->Increment();
   obs::RecordEvent(obs::EventKind::kDfaCacheFallback,
                    static_cast<int64_t>(flushes_),
@@ -274,8 +312,8 @@ void LazyDfaSession::Flush() {
     return;
   }
   if (state_ < num_aot_) {
-    // The current state is baked: it (and every baked row) survives the
-    // flush by construction — only the session's private cache drops.
+    // The current state is baked: its id survives the flush by
+    // construction; its row refills from the baked table.
     ClearCache();
     return;
   }
@@ -287,35 +325,25 @@ void LazyDfaSession::Flush() {
   state_ = InternState(tmp_);
 }
 
-DfaTrans LazyDfaSession::BuildTransition(uint8_t cls) {
+int32_t LazyDfaSession::BuildTransition(uint8_t cls) {
   // The miss path is the only place the cache grows, so it is where
   // budget pressure (and the dfa.intern fault site) sheds the session to
   // uncached stepping. The steady-state hit path never reaches here.
   if (core::resilience::ResourceBudget::Process().ShouldShedDfa() ||
       core::resilience::FaultInjector::ShouldFail("dfa.intern")) {
     EnterFallback();
-    return DfaTrans{};
+    return kUnbuilt;
   }
-  if (cache_bytes_ > tagger_->options().dfa_cache_bytes) {
+  // A build interns at most one state, so one more row must fit.
+  if (cache_bytes_ > tagger_->options().dfa_cache_bytes ||
+      next_.size() + num_classes_ > kMaxTableEntries) {
     Flush();
-    if (fallback_) return DfaTrans{};
+    if (fallback_) return kUnbuilt;
   }
   const DfaStateInfo& info = Info(state_);
   tmp_.Step(info, Snap(info, state_), cls, &scratch_, &tmp_emit_);
-  const DfaTrans tr = cache_.AddTrans(InternState(tmp_), tmp_emit_);
-  cache_bytes_ += tmp_emit_.size() * sizeof(int32_t);
-  budget_.Add(tmp_emit_.size() * sizeof(int32_t));
-  if (state_ < num_aot_) {
-    // Baked rows are shared and immutable; runtime-built overflow out of a
-    // baked state lives in the session's private overlay.
-    overlay_[static_cast<uint64_t>(state_) * num_classes_ + cls] = tr;
-    cache_bytes_ += kIndexNodeBytes + sizeof(DfaTrans);
-    budget_.Add(kIndexNodeBytes + sizeof(DfaTrans));
-  } else {
-    cache_.trans[static_cast<size_t>(state_ - num_aot_) * num_classes_ + cls] =
-        tr;
-  }
-  return tr;
+  const int32_t next = InternState(tmp_);
+  return Install(cls, next, tmp_emit_.data(), tmp_emit_.size());
 }
 
 inline void LazyDfaSession::Emit(const int32_t* toks, size_t count,
@@ -348,61 +376,91 @@ void LazyDfaSession::Feed(std::string_view chunk, const TagSink& sink) {
 
   size_t i = 0;
 
-  // Cached: one table lookup per byte. Only a miss can enter fallback; the
-  // loop then hands the byte to the uncached loop below, which keeps the
-  // uncached step off this loop's path. The state id stays in a local on
-  // the dependent lookup chain; state_ is synced around the build.
+  // Cached. The per-byte path below serves idle skips, first touches of
+  // baked rows, misses and transitions into non-plain states; from a plain
+  // state the inner loop takes one flat-table lookup per byte and leaves
+  // only on a special transition it cannot replay, or the chunk's end.
+  // Only a miss can enter fallback; the loop then hands the byte to the
+  // uncached loop below.
   if (!fallback_) {
-    int32_t state = state_;
+    const size_t nc = num_classes_;
+    size_t skipped = 0;
+    uint64_t misses = 0;
+    int32_t id = state_;
     while (i < n) {
       // Copy what the skip checks need before any build can grow the cache.
-      const DfaStateInfo& info = Info(state);
+      const DfaStateInfo& info = Info(id);
       const IdleFacts cur{info.num_state != 0, info.num_armed != 0,
                           info.prev_delim != 0, info.pending_cls};
       if (!cur.live && cur.pending_cls >= 0) {
         const size_t j = skipper.LastInertByte(cur, data, i, n);
         consumed_ += j - i;
+        skipped += j - i;
         i = j;
       }
       const uint8_t cls =
           classes.ClassOf(static_cast<unsigned char>(data[i]));
-      // Fetch the transition from whichever region owns the current state:
-      // baked row, then the session overlay for baked-row misses, then the
-      // session's own rows. The emission pool follows the row's origin.
-      DfaTrans tr;
-      const int32_t* emit_base = cache_.emit_pool.data();
-      if (state < num_aot_) {
-        tr = aot_->trans[static_cast<size_t>(state) * num_classes_ + cls];
-        if (tr.next >= 0) {
-          emit_base = aot_->emit_pool.data();
-        } else if (!overlay_.empty()) {
-          const auto it = overlay_.find(
-              static_cast<uint64_t>(state) * num_classes_ + cls);
-          if (it != overlay_.end()) tr = it->second;
+      int32_t entry = next_[static_cast<size_t>(id) * nc + cls];
+      if (entry == kUnbuilt) {
+        state_ = id;
+        const DfaTrans* baked =
+            id < num_aot_ ? &aot_->trans[static_cast<size_t>(id) * nc + cls]
+                          : nullptr;
+        if (baked != nullptr && baked->next >= 0) {
+          entry = Install(cls, baked->next,
+                          aot_->emit_pool.data() + baked->emit_begin,
+                          baked->emit_count);
+        } else {
+          ++misses;
+          entry = BuildTransition(cls);  // a flush may re-intern state_
+          if (fallback_) break;
         }
-      } else {
-        tr = cache_.trans[static_cast<size_t>(state - num_aot_) *
-                              num_classes_ +
-                          cls];
       }
-      if (tr.next < 0) {
-        if (attr_on_) ++attr_dfa_misses_;
-        state_ = state;
-        tr = BuildTransition(cls);  // a flush may re-intern state_
-        if (fallback_) break;
-        emit_base = cache_.emit_pool.data();  // insertions may have reallocated
-      } else if (attr_on_) {
-        ++attr_dfa_hits_;
-      }
-      if (tr.emit_count != 0) {
-        Emit(emit_base + tr.emit_begin, tr.emit_count, sink);
+      int32_t s = entry;
+      bool plain = true;
+      if (entry < 0) {
+        const SpecialTrans& sp = special_[SpecialIndex(entry)];
+        Emit(cache_.emit_pool.data() + sp.emit_begin, sp.emit_count, sink);
+        s = sp.next;
+        plain = sp.plain;
       }
       if (cur.pending_cls >= 0) ++consumed_;
-      state = tr.next;
       ++i;
+      if (plain && !stopped_) {
+        // The inner loop. `s` is premultiplied and plain: every byte
+        // consumes the pending one and no idle skip can fire.
+        const size_t i0 = i;
+        const uint64_t c0 = consumed_;
+        while (i < n) {
+          const int32_t e =
+              next_[static_cast<size_t>(s) +
+                    classes.ClassOf(static_cast<unsigned char>(data[i]))];
+          if (e >= 0) {
+            s = e;
+            ++i;
+            continue;
+          }
+          if (e == kUnbuilt) break;
+          const SpecialTrans& sp = special_[SpecialIndex(e)];
+          if (!sp.plain) break;
+          consumed_ = c0 + (i - i0);
+          Emit(cache_.emit_pool.data() + sp.emit_begin, sp.emit_count, sink);
+          s = sp.next;
+          ++i;
+          if (stopped_) break;
+        }
+        consumed_ = c0 + (i - i0);
+      }
+      id = static_cast<int32_t>(static_cast<size_t>(s) / nc);
       if (stopped_) break;
     }
-    state_ = state;
+    // Every byte stepped in this mode is one lookup; a miss that entered
+    // fallback looked up the byte the uncached loop then steps.
+    if (attr_on_) {
+      attr_dfa_misses_ += misses;
+      attr_dfa_hits_ += (i - skipped) + (fallback_ ? 1 : 0) - misses;
+    }
+    if (!fallback_) state_ = id;
     if (stopped_) return;
   }
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -29,7 +28,7 @@ class LazyDfaSessionPool;
 // interned states above that range and never mutate the baked rows, so one
 // table serves any number of threads. Transitions the bake left unbuilt
 // (outside the state budget) have next = -1 and are built at run time into
-// the session's private overlay.
+// the session's private table.
 struct AotDfaTable {
   TableView<DfaStateInfo> states;
   TableView<DfaTrans> trans;  // row-major [state * num_classes + cls]
@@ -77,17 +76,34 @@ struct DfaCacheMetrics {
 // step on a pair of classes builds a transition that is exact for every
 // byte of the class.
 //
-// Steady state, the inner loop is one table lookup — `trans[state][
-// class_of[byte]]` — plus an emission-replay branch. A miss takes the
-// construction step the AOT bake also takes (DfaConfig::Step, dfa_state.h)
-// and interns the result. When the cache grows past
-// TaggerOptions::dfa_cache_bytes it is dropped wholesale and rebuilt from
-// the current configuration (RE2's flush discipline); after
-// dfa_flush_fallback flushes the session stops caching for the rest of its
-// life (Rebind to a different tagger clears the verdict). In fallback the
-// configuration lives in the scratch FusedSession and the pending class in
-// the session, and each byte takes one uncached fused step, with the same
-// idle skips and emission path as the cached mode.
+// Steady state runs out of one session-private flat table, next_[id *
+// num_classes + cls], over baked and session state ids alike, holding
+// premultiplied successor ids (RE2/Hyperscan layout): the inner loop is
+// `s = next_[s + class_of[byte]]` plus one sign test. A state is *plain*
+// when it has a pending byte and no idle skip can fire from it (live, or
+// dead but armed with a non-delimiter pending class). A non-negative entry
+// is a plain transition: built, emits nothing, leads to a plain state. A
+// negative entry is special: unbuilt, or an index into special_, which
+// holds the emitting transitions and those into non-plain states. The
+// inner loop replays an emitting transition into a plain state inline and
+// leaves for the per-byte path on every other special, which serves idle
+// skips, misses, flushes and fallback.
+//
+// Baked (AOT) rows are shared and immutable; a session copies each baked
+// transition into its own table on first touch, so the loop never tells
+// the regions apart. A miss takes the construction step the AOT bake also
+// takes (DfaConfig::Step, dfa_state.h) and interns the result. When the
+// cache — the flat table, special_ and the interned states, charged to
+// TaggerOptions::dfa_cache_bytes and the "dfa_cache" budget — grows past
+// the cap, or a premultiplied id would overflow int32_t, it is dropped
+// wholesale and rebuilt from the current configuration (RE2's flush
+// discipline); after dfa_flush_fallback flushes the session stops caching
+// for the rest of its life (Rebind to a different tagger clears the
+// verdict). In fallback the configuration lives in the scratch
+// FusedSession and the pending class in the session, and each byte takes
+// one uncached fused step, with the same idle skips and emission path as
+// the cached mode. Tags go to the sink one call each: buffering them per
+// Feed measured no gain.
 //
 // Tag streams are byte-identical, order included, to the functional
 // reference — enforced by the differential and fuzz suites.
@@ -147,18 +163,42 @@ class LazyDfaSession {
   // its emissions; nothing without a pending byte.
   void StepScratch(bool has_next, uint8_t next_cls, const TagSink& sink);
 
+  // A special transition: it emits, or its successor is not plain.
+  struct SpecialTrans {
+    int32_t next;         // premultiplied successor
+    uint32_t emit_begin;  // into cache_.emit_pool
+    uint32_t emit_count;
+    bool plain;           // the successor is a plain state
+  };
+  // next_ entries: >= 0 plain (premultiplied successor), kUnbuilt, or
+  // special_[kUnbuilt - 1 - entry].
+  static constexpr int32_t kUnbuilt = -1;
+  static size_t SpecialIndex(int32_t entry) {
+    return static_cast<size_t>(kUnbuilt - 1 - entry);
+  }
+
   // The global id of `cfg`: a baked state if one matches, else the
-  // session's own, interned on first sight.
+  // session's own, interned on first sight with an unbuilt row.
   int32_t InternState(const DfaConfig& cfg);
+  // Whether state `id` has a pending byte and no idle skip can fire from
+  // it (IdleSkipper::LastInertByte returns its input index).
+  bool IsPlain(int32_t id) const;
+  // Fills the unbuilt entry out of state_ on `cls` with a transition to
+  // `next` emitting `emit[0, count)`, and returns it.
+  int32_t Install(uint8_t cls, int32_t next, const int32_t* emit,
+                  size_t count);
   // Builds (and caches) the transition out of the current state on input
-  // class `cls`, flushing first if the cache is over budget. May enter
-  // fallback mode — the caller must check fallback_active() after a build.
-  DfaTrans BuildTransition(uint8_t cls);
+  // class `cls`, flushing first if the cache is over budget, and returns
+  // its entry. May enter fallback mode — the caller must check
+  // fallback_active() after a build.
+  int32_t BuildTransition(uint8_t cls);
   void Flush();
   void EnterFallback();
   // Loads the current interned configuration into scratch_ and its
   // pending class into pending_cls_, ready for an uncached step.
   void LoadScratch();
+  // Drops the session's states and transitions; out of fallback the
+  // table keeps one unbuilt row per baked state.
   void ClearCache();
 
   // Merges the per-token match counts and DFA hit/miss tallies into
@@ -173,12 +213,11 @@ class LazyDfaSession {
   int32_t num_aot_ = 0;
 
   // Session-private cache. cache_.states[k] has global id num_aot_ + k;
-  // cache_.trans holds only the session states' rows. Runtime-built
-  // transitions out of *baked* states go into overlay_ (keyed by state *
-  // num_classes + cls) — the baked rows themselves are immutable and
-  // shared across threads. Both kinds replay from cache_.emit_pool.
+  // cache_.emit_pool holds the tags special_ replays, copied from the
+  // baked pool for baked transitions. next_ is the flat table above.
   DfaPool cache_;
-  std::unordered_map<uint64_t, DfaTrans> overlay_;
+  std::vector<int32_t> next_;
+  std::vector<SpecialTrans> special_;
   size_t cache_bytes_ = 0;
   size_t num_classes_ = 0;
   // Mirrors cache_bytes_ into the process resource budget so a fleet of
@@ -205,7 +244,7 @@ class LazyDfaSession {
   bool attr_on_ = false;
   bool attr_dirty_ = false;
   std::vector<uint64_t> attr_matches_;
-  uint64_t attr_dfa_hits_ = 0;
+  uint64_t attr_dfa_hits_ = 0;  // stepped bytes minus misses
   uint64_t attr_dfa_misses_ = 0;
 };
 

@@ -15,6 +15,7 @@
 #include "obs/attribution.h"
 #include "obs/metrics.h"
 #include "tagger/lazy_dfa.h"
+#include "tagger/skip_scan.h"
 
 namespace cfgtag::obs {
 namespace {
@@ -174,6 +175,47 @@ TEST_F(AttributionTest, LazyDfaEngineAttributesMatchesAndCacheTraffic) {
   EXPECT_GT(num_hits, 0u);
   EXPECT_GT(table.dfa_cache_misses(), 0u);
   EXPECT_GT(table.dfa_cache_hits(), 0u);
+}
+
+// Bytes the idle skips have jumped over so far, over all kinds and
+// strategies.
+uint64_t SkippedBytes() {
+  uint64_t total = 0;
+  for (const auto& kind : tagger::SkipMetrics::Get().counters) {
+    for (const Counter* c : kind) total += c->Value();
+  }
+  return total;
+}
+
+// The cached loop derives its hits from the bytes it stepped: every byte
+// of a scan is either jumped by an idle skip or looked up once, as a hit
+// or a miss. A cold scan and a warm one both balance.
+TEST_F(AttributionTest, LazyDfaCacheTrafficCoversEverySteppedByte) {
+  const grammar::Grammar g = MustParse(kCalcGrammar);
+  tagger::TaggerOptions opt;
+  opt.arm_mode = tagger::ArmMode::kResync;
+  auto lazy = tagger::LazyDfaTagger::Create(&g, opt);
+  ASSERT_TRUE(lazy.ok()) << lazy.status();
+  std::string input(600, ' ');
+  input.replace(100, 13, "12+34 junk 7*");
+  input.replace(300, 20, "?????????? abc 5-5  ");
+  input += "99/3 xyz";
+  AttributionTable::set_enabled(true);
+  for (const char* scan : {"cold", "warm"}) {
+    AttributionTable::Default().Clear();
+    const uint64_t skipped_before = SkippedBytes();
+    const std::vector<tagger::Tag> tags = lazy->TagAll(input);
+    const uint64_t skipped = SkippedBytes() - skipped_before;
+    const AttributionTable& table = AttributionTable::Default();
+    EXPECT_GT(skipped, 0u) << scan;
+    EXPECT_GT(table.dfa_cache_hits(), 0u) << scan;
+    EXPECT_EQ(table.dfa_cache_hits() + table.dfa_cache_misses(),
+              input.size() - skipped)
+        << scan;
+    EXPECT_EQ(TokenHits(), CountTags(g, tags)) << scan;
+  }
+  EXPECT_EQ(AttributionTable::Default().dfa_cache_misses(), 0u);
+  AttributionTable::set_enabled(false);
 }
 
 TEST_F(AttributionTest, EnableTakesEffectAtNextSessionReset) {

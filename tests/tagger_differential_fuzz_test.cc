@@ -233,7 +233,7 @@ TEST(DifferentialFuzzTest, ArtifactRoundTripMatchesDirectCompile) {
     // Every fourth iteration strips the AOT table so both artifact shapes
     // (baked DFA present / absent) go through the loader. Another fourth
     // bakes only three states under a starved cache: sessions build
-    // overlay transitions out of baked states, flush while standing on a
+    // their own transitions out of baked states, flush while standing on a
     // baked state, and finally fall back to uncached stepping.
     if (iter % 4 == 1) options.tagger.aot_state_budget = 0;
     if (iter % 4 == 3) {

@@ -3,21 +3,25 @@
 // combination, including streaming, early-stop sinks, the idle skip
 // paths, cache flushes under a starvation-sized budget, and the sticky
 // fallback to uncached fused steps, both after repeated flush thrash and
-// from the very first miss.
+// from the very first miss. Sessions over baked AOT rows and sessions
+// split at every point of an XML-RPC stream must match the oracle too.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "core/token_tagger.h"
 #include "grammar/grammar.h"
 #include "grammar/grammar_parser.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
+#include "oracle.h"
 #include "tagger/functional_model.h"
 #include "tagger/fused_model.h"
 #include "tagger/lazy_dfa.h"
 #include "tagger/skip_scan.h"
+#include "xmlrpc/xmlrpc_grammar.h"
 
 namespace cfgtag::tagger {
 namespace {
@@ -189,26 +193,15 @@ TEST(LazyDfaTaggerTest, EarlyStopMatchesFunctional) {
   }
 }
 
-TEST(LazyDfaTaggerTest, SkipPathsStayExact) {
-  grammar::Grammar g = MustParse(kCalcGrammar);
-  // Runs `input` in both stepping modes: the tags and the byte ledger must
-  // be exact, and the idle skip of `kind` must have jumped bytes.
-  auto check = [&](const TaggerOptions& base, const std::string& input,
-                   SkipMetrics::Kind kind) {
-    for (const TaggerOptions& opt : CachedAndFallback(base)) {
-      auto t = LazyDfaTagger::Create(&g, opt);
-      ASSERT_TRUE(t.ok()) << t.status();
-      const uint64_t skipped_before = SkippedBytes(kind);
-      for (size_t chunk : {0u, 7u}) {
-        const SessionRun run = RunSession(*t, input, chunk);
-        ExpectSameTags(Functional(g, opt, input), run.tags);
-        EXPECT_EQ(run.consumed, input.size());
-        EXPECT_EQ(run.fallback, FallsBackAtFirstMiss(opt));
-      }
-      EXPECT_GT(SkippedBytes(kind), skipped_before)
-          << "skip kind " << kind << " fallback " << FallsBackAtFirstMiss(opt);
-    }
-  };
+// One input per idle skip kind, with the arm mode that makes it skip.
+struct SkipCase {
+  TaggerOptions opt;
+  std::string input;
+  SkipMetrics::Kind kind;
+};
+
+std::vector<SkipCase> SkipCases() {
+  std::vector<SkipCase> cases;
   // Delimiter-run skip (resync): mostly-space stream with islands.
   {
     TaggerOptions opt;
@@ -216,7 +209,7 @@ TEST(LazyDfaTaggerTest, SkipPathsStayExact) {
     std::string input(10000, ' ');
     input.replace(5000, 5, "12+34");
     input.replace(9990, 3, "abc");
-    check(opt, input, SkipMetrics::kDelimiter);
+    cases.push_back({opt, input, SkipMetrics::kDelimiter});
   }
   // Anchored-dead skip: nothing can match after the stream dies.
   {
@@ -224,7 +217,7 @@ TEST(LazyDfaTaggerTest, SkipPathsStayExact) {
     std::string input = "12+34 ";
     input += std::string(5000, 'z');
     input += " 9*9";
-    check(opt, input, SkipMetrics::kAnchored);
+    cases.push_back({opt, input, SkipMetrics::kAnchored});
   }
   // Resync garbage skip: a dead non-delimiter run is inert until the next
   // delimiter rearms the machine.
@@ -233,7 +226,7 @@ TEST(LazyDfaTaggerTest, SkipPathsStayExact) {
     opt.arm_mode = ArmMode::kResync;
     std::string input(8000, '?');
     input += " 12+34";
-    check(opt, input, SkipMetrics::kResync);
+    cases.push_back({opt, input, SkipMetrics::kResync});
   }
   // Armed-byte prefilter (scan): bytes that cannot start any token are
   // inert while the machine is idle, delimiters mixed in or not.
@@ -245,7 +238,76 @@ TEST(LazyDfaTaggerTest, SkipPathsStayExact) {
     input += std::string(3000, '#');
     input.replace(4000, 3, " ; ");
     input += "abc";
-    check(opt, input, SkipMetrics::kArmed);
+    cases.push_back({opt, input, SkipMetrics::kArmed});
+  }
+  return cases;
+}
+
+TEST(LazyDfaTaggerTest, SkipPathsStayExact) {
+  grammar::Grammar g = MustParse(kCalcGrammar);
+  // Runs each input in both stepping modes: the tags and the byte ledger
+  // must be exact, and the idle skip of the case's kind must have jumped
+  // bytes.
+  for (const SkipCase& c : SkipCases()) {
+    for (const TaggerOptions& opt : CachedAndFallback(c.opt)) {
+      auto t = LazyDfaTagger::Create(&g, opt);
+      ASSERT_TRUE(t.ok()) << t.status();
+      const uint64_t skipped_before = SkippedBytes(c.kind);
+      for (size_t chunk : {0u, 7u}) {
+        const SessionRun run = RunSession(*t, c.input, chunk);
+        ExpectSameTags(Functional(g, opt, c.input), run.tags);
+        EXPECT_EQ(run.consumed, c.input.size());
+        EXPECT_EQ(run.fallback, FallsBackAtFirstMiss(opt));
+      }
+      EXPECT_GT(SkippedBytes(c.kind), skipped_before)
+          << "skip kind " << c.kind << " fallback "
+          << FallsBackAtFirstMiss(opt);
+    }
+  }
+}
+
+// The cached loop consults the idle skips only off plain states; the
+// fallback consults them on every byte. Both must jump exactly the same
+// bytes of every kind, cold and warm (where the built transitions let
+// the cached loop run on), so classing a state as plain never loses a
+// skip.
+TEST(LazyDfaTaggerTest, CachedSkipsEqualFallbackSkips) {
+  grammar::Grammar g = MustParse(kCalcGrammar);
+  const TagSink sink = [](const Tag&) { return true; };
+  for (const SkipCase& c : SkipCases()) {
+    for (size_t chunk : {c.input.size(), size_t{7}}) {
+      std::vector<std::vector<uint64_t>> jumped;
+      for (const TaggerOptions& opt : CachedAndFallback(c.opt)) {
+        auto t = LazyDfaTagger::Create(&g, opt);
+        ASSERT_TRUE(t.ok()) << t.status();
+        LazyDfaSession session = t->NewSession();
+        for (const char* pass : {"cold", "warm"}) {
+          std::vector<uint64_t> delta;
+          for (int k = 0; k < SkipMetrics::kNumKinds; ++k) {
+            delta.push_back(SkippedBytes(static_cast<SkipMetrics::Kind>(k)));
+          }
+          session.Reset();
+          for (size_t i = 0; i < c.input.size(); i += chunk) {
+            session.Feed(std::string_view(c.input).substr(i, chunk), sink);
+          }
+          session.Finish(sink);
+          EXPECT_EQ(session.fallback_active(), FallsBackAtFirstMiss(opt))
+              << pass;
+          for (int k = 0; k < SkipMetrics::kNumKinds; ++k) {
+            delta[static_cast<size_t>(k)] =
+                SkippedBytes(static_cast<SkipMetrics::Kind>(k)) -
+                delta[static_cast<size_t>(k)];
+          }
+          jumped.push_back(delta);
+        }
+      }
+      ASSERT_EQ(jumped.size(), 4u);
+      EXPECT_GT(jumped[0][c.kind], 0u) << "skip kind " << c.kind;
+      EXPECT_EQ(jumped[0], jumped[2])
+          << "cold, skip kind " << c.kind << " chunk " << chunk;
+      EXPECT_EQ(jumped[1], jumped[3])
+          << "warm, skip kind " << c.kind << " chunk " << chunk;
+    }
   }
 }
 
@@ -421,6 +483,124 @@ TEST(LazyDfaTaggerTest, CachePressureRecordsFlightEvents) {
   }
   EXPECT_TRUE(saw_flush);
   EXPECT_TRUE(saw_fallback);
+}
+
+// Three XML-RPC messages with garbage and padding between them: resync
+// arming re-enters at each opener, so the stream mixes plain runs,
+// emitting transitions, delimiter runs and resync garbage skips.
+const char kXmlRpcStream[] =
+    "<methodCall><methodName>add</methodName><params><param><int>42</int>"
+    "</param><param><string>hello</string></param></params></methodCall>\n"
+    "junk?? <methodCall> <methodName>ping</methodName> <params><param>"
+    "<double>-1.5</double></param></params></methodCall>\n  \t"
+    "<methodCall><methodName>t2</methodName><params><param><i4>7</i4>"
+    "</param></params></methodCall>";
+
+// Feeds `stream` through `session` from a reset as two chunks split at
+// `split`, stopping once `limit` tags were delivered (never when 0), and
+// returns the tags that end before `scan_end`.
+std::vector<Tag> FeedSplit(LazyDfaSession* session, std::string_view stream,
+                           size_t split, size_t limit, uint64_t scan_end) {
+  std::vector<Tag> tags;
+  size_t delivered = 0;
+  const TagSink sink = [&](const Tag& tag) {
+    if (tag.end < scan_end) tags.push_back(tag);
+    return limit == 0 || ++delivered < limit;
+  };
+  session->Reset();
+  session->Feed(stream.substr(0, split), sink);
+  session->Feed(stream.substr(split), sink);
+  if (limit == 0) {
+    EXPECT_EQ(session->bytes_consumed(), stream.size() - 1)
+        << "split " << split;
+  }
+  session->Finish(sink);
+  return tags;
+}
+
+// CompiledTagger::Tag's stream contract (the input plus flush padding)
+// fed straight into sessions split in two at every byte: warm, cold,
+// flushing inside plain runs, and filling baked rows on first touch must
+// all deliver the oracle's tags, and exactly its prefix on early stop.
+TEST(LazyDfaTaggerTest, EverySplitPointMatchesOracle) {
+  auto parsed = xmlrpc::XmlRpcGrammar();
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const grammar::Grammar g = std::move(parsed).value();
+  const std::string input = kXmlRpcStream;
+  ASSERT_GE(input.size(), 280u);
+  hwgen::HwOptions opt;
+  opt.tagger.arm_mode = ArmMode::kResync;
+  const auto want = testing_oracle::OracleTags(g, opt.tagger, input);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_GE(want->size(), 30u);
+  std::string stream = input;
+  stream.append(core::CompiledTagger::kFlushPadding + 1,
+                core::CompiledTagger::kFlushByte);
+  const uint64_t scan_end = input.size() + core::CompiledTagger::kFlushPadding;
+
+  auto lazy = LazyDfaTagger::Create(&g, opt.tagger);
+  ASSERT_TRUE(lazy.ok()) << lazy.status();
+  TaggerOptions tiny_opt = opt.tagger;
+  tiny_opt.dfa_cache_bytes = 1 << 10;
+  tiny_opt.dfa_flush_fallback = 1u << 30;  // keep flushing, never fall back
+  auto tiny = LazyDfaTagger::Create(&g, tiny_opt);
+  ASSERT_TRUE(tiny.ok()) << tiny.status();
+  hwgen::HwOptions aot_opt = opt;
+  aot_opt.tagger.aot_state_budget = 3;
+  auto compiled = core::CompiledTagger::Compile(g.Clone(), aot_opt);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto bytes = compiled->Serialize();
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  auto loaded = core::CompiledTagger::Deserialize(*bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const LazyDfaTagger* baked = loaded->lazy_model();
+  ASSERT_NE(baked, nullptr);
+
+  LazyDfaSession warm = lazy->NewSession();
+  ExpectSameTags(*want, FeedSplit(&warm, stream, 0, 0, scan_end));
+  struct Case {
+    const char* name;
+    const LazyDfaTagger* tagger;
+    LazyDfaSession* reused;  // null: a cold session per run
+  };
+  const Case cases[] = {{"warm", &*lazy, &warm},
+                        {"cold", &*lazy, nullptr},
+                        {"tiny-cache", &*tiny, nullptr},
+                        {"aot-budget-3", baked, nullptr}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    uint64_t flushes = 0;
+    auto run = [&](size_t split, size_t limit) {
+      if (c.reused != nullptr) {
+        return FeedSplit(c.reused, stream, split, limit, scan_end);
+      }
+      LazyDfaSession session = c.tagger->NewSession();
+      std::vector<Tag> tags =
+          FeedSplit(&session, stream, split, limit, scan_end);
+      flushes += session.cache_flushes();
+      EXPECT_FALSE(session.fallback_active());
+      EXPECT_EQ(session.aot_states(), c.tagger == baked ? 3u : 0u);
+      return tags;
+    };
+    for (size_t split = 0; split <= stream.size(); ++split) {
+      SCOPED_TRACE("split " + std::to_string(split));
+      ExpectSameTags(*want, run(split, 0));
+    }
+    for (size_t limit = 1; limit <= want->size(); ++limit) {
+      const std::vector<Tag> prefix(want->begin(),
+                                    want->begin() + static_cast<long>(limit));
+      const uint64_t stop = prefix.back().end;
+      for (size_t split : {size_t{0}, static_cast<size_t>(stop),
+                           static_cast<size_t>(stop) + 1}) {
+        SCOPED_TRACE("limit " + std::to_string(limit) + " split " +
+                     std::to_string(split));
+        ExpectSameTags(prefix, run(split, limit));
+      }
+    }
+    if (c.tagger == &*tiny) {
+      EXPECT_GT(flushes, 0u);
+    }
+  }
 }
 
 }  // namespace
