@@ -240,18 +240,23 @@ void CompiledTagger::Tag(std::string_view input,
   static const std::string& kPadding =
       *new std::string(kFlushPadding + 1, kFlushByte);
   const size_t scan_end = input.size() + kFlushPadding;
-  uint64_t emitted = 0;
+  // Tags emitted while feeding the input end inside it, so only the
+  // padding and Finish go through the scan_end gate, which counts what it
+  // drops so the session's tag count yields the tags delivered.
+  uint64_t dropped = 0;
   const tagger::TagSink gated = [&](const tagger::Tag& t) {
-    if (t.end >= scan_end) return true;
-    ++emitted;
-    return sink(t);
+    if (t.end < scan_end) return sink(t);
+    ++dropped;
+    return true;
   };
+  uint64_t emitted = 0;
   {
     tagger::LazyDfaSessionPool::Handle session =
         lazy_->session_pool().Acquire(lazy_.get());
-    session->Feed(input, gated);
+    session->Feed(input, sink);
     session->Feed(kPadding, gated);
     session->Finish(gated);
+    emitted = session->tags_emitted() - dropped;
   }
   metrics.calls->Increment();
   metrics.bytes->Increment(input.size());
@@ -268,12 +273,13 @@ Status CompiledTagger::TagWithControl(std::string_view input,
   static const std::string& kPadding =
       *new std::string(kFlushPadding + 1, kFlushByte);
   const size_t scan_end = input.size() + kFlushPadding;
-  uint64_t emitted = 0;
+  uint64_t dropped = 0;
   const tagger::TagSink gated = [&](const tagger::Tag& t) {
-    if (t.end >= scan_end) return true;
-    ++emitted;
-    return sink(t);
+    if (t.end < scan_end) return sink(t);
+    ++dropped;
+    return true;
   };
+  uint64_t emitted = 0;
   const size_t step = control.check_interval_bytes == 0
                           ? input.size() + 1
                           : control.check_interval_bytes;
@@ -288,7 +294,7 @@ Status CompiledTagger::TagWithControl(std::string_view input,
       if (!trip.ok()) return;
       resilience::FaultInjector::MaybeStall("scan.chunk");
       const size_t n = std::min(step, input.size() - fed);
-      session->Feed(input.substr(fed, n), gated);
+      session->Feed(input.substr(fed, n), sink);
       fed += n;
       if (progress != nullptr) {
         progress->store(fed, std::memory_order_relaxed);
@@ -303,6 +309,7 @@ Status CompiledTagger::TagWithControl(std::string_view input,
     tagger::LazyDfaSessionPool::Handle session =
         lazy_->session_pool().Acquire(lazy_.get());
     run(session.get());
+    emitted = session->tags_emitted() - dropped;
   }
   metrics.calls->Increment();
   metrics.bytes->Increment(fed);

@@ -11,14 +11,28 @@ namespace cfgtag::tagger {
 
 namespace {
 
+// Table entry flags: the step emits; an idle skip may start out of the
+// entry's source state on its class. kUnbuilt keeps every bit set, so the
+// walk's exit test catches it too.
+constexpr int32_t kEmits = 1;
+constexpr int32_t kExit = 2;
+constexpr int32_t kUnbuilt = -1;
+
 // Approximate per-state index cost (one unordered_multimap node plus
 // bucket share) folded into the cache budget accounting.
 constexpr size_t kIndexNodeBytes = 48;
 
-// Entries a flat table may hold: every premultiplied id plus class fits
-// int32_t.
+// Entries a flat table may hold: every premultiplied id plus class,
+// shifted past the two flag bits, fits int32_t.
 constexpr size_t kMaxTableEntries =
-    static_cast<size_t>(std::numeric_limits<int32_t>::max());
+    static_cast<size_t>(std::numeric_limits<int32_t>::max()) >> 2;
+
+constexpr SkipMetrics::Kind kNoSkip = SkipMetrics::kNumKinds;
+
+// Trail entries between the starts of two lanes' trail regions: a slice's
+// worth plus an odd number of cache lines, so the lanes' lockstep trail
+// writes do not all fall in one cache set.
+constexpr size_t kTrailStride = LazyDfaSession::kSliceBytes + 136;
 
 // What the idle skips read of the current configuration: an interned
 // state's, or in fallback the scratch configuration's plus the session's
@@ -30,77 +44,128 @@ struct IdleFacts {
   int16_t pending_cls;
 };
 
+IdleFacts FactsOf(const DfaStateInfo& info) {
+  return {info.num_state != 0, info.num_armed != 0, info.prev_delim != 0,
+          info.pending_cls};
+}
+
 // The idle fast paths, one set for both stepping modes. A dead
 // configuration cycles through configurations differing only in pending
 // class and delimiter flag, so a whole inert run collapses to position
 // arithmetic plus ONE real step on the run's last byte — which re-derives
-// the exact successor, because it is invariant across the run. Built once
-// per Feed so the per-byte test reads only locals.
-class IdleSkipper {
- public:
-  explicit IdleSkipper(const FusedTagger& f)
-      : f_(f),
-        mode_(f.options().arm_mode),
-        delim_(f.delimiter_scanner()),
-        arm_(f.arm_scanner()) {}
-
-  // With a dead configuration and a pending byte: the index of the last
-  // byte of the inert run starting at data[i] (i itself when nothing
-  // skips). Counts the bytes jumped over.
-  size_t LastInertByte(const IdleFacts& cur, const char* data, size_t i,
-                       size_t n) const {
-    const bool pending_delim =
-        f_.ClassIsDelim(static_cast<uint8_t>(cur.pending_cls));
-    size_t j = i;
-    SkipMetrics::Kind kind = SkipMetrics::kNumKinds;
-    const RunScanner* scanner = nullptr;  // null: a positional skip
-    if (pending_delim && delim_.Test(static_cast<unsigned char>(data[i]))) {
-      // Delimiter run: dead + delimiter pending emits nothing and
-      // preserves arms whatever the input, so jump to the run's end.
-      j = i + delim_.FindFirstNotIn(data + i, n - i) - 1;
-      kind = SkipMetrics::kDelimiter;
-      scanner = &delim_;
-    } else if (!cur.armed && mode_ == ArmMode::kAnchored) {
+// the exact successor, because it is invariant across the run.
+//
+// Which skip may start from `cur` on a byte of class `cls` (kNoSkip: none).
+// A function of state facts and byte class alone, so it is folded into
+// the table entry's exit bit when the entry is installed.
+SkipMetrics::Kind SkipKind(const FusedTagger& f, const IdleFacts& cur,
+                           uint8_t cls) {
+  if (cur.live || cur.pending_cls < 0) return kNoSkip;
+  const uint8_t pending = static_cast<uint8_t>(cur.pending_cls);
+  const bool pending_delim = f.ClassIsDelim(pending);
+  // Delimiter run: dead + delimiter pending emits nothing and preserves
+  // arms whatever the input, so jump to the run's end.
+  if (pending_delim && f.ClassIsDelim(cls)) return SkipMetrics::kDelimiter;
+  if (cur.armed) return kNoSkip;
+  switch (f.options().arm_mode) {
+    case ArmMode::kAnchored:
       // Dead stream: anchored arming can never re-inject; only the last
       // byte is stepped (keeping the pending machinery consistent).
-      j = n - 1;
-      kind = SkipMetrics::kAnchored;
-    } else if (!cur.armed && mode_ == ArmMode::kResync && !cur.prev_delim &&
-               !pending_delim &&
-               !delim_.Test(static_cast<unsigned char>(data[i]))) {
+      return SkipMetrics::kAnchored;
+    case ArmMode::kResync:
       // Mid-garbage in resync mode: start injection waits for the next
       // delimiter, so non-delimiter bytes are inert.
-      j = i + delim_.FindFirstIn(data + i, n - i) - 1;
-      kind = SkipMetrics::kResync;
-      scanner = &delim_;
-    } else if (!cur.armed && mode_ == ArmMode::kScan &&
-               !f_.ClassCanArm(static_cast<uint8_t>(cur.pending_cls)) &&
-               !arm_.Test(static_cast<unsigned char>(data[i]))) {
+      return !cur.prev_delim && !pending_delim && !f.ClassIsDelim(cls)
+                 ? SkipMetrics::kResync
+                 : kNoSkip;
+    case ArmMode::kScan:
       // Armed-byte prefilter: fully idle in scan mode, bytes that cannot
       // start any token are inert, so jump to the last such byte and step
       // there. The run may mix garbage and delimiters (delimiters never
       // arm); the skipped configurations differ only in pending class and
       // delimiter flag, neither of which scan mode's injection reads, so
       // the tags are exact.
-      j = i + arm_.FindFirstIn(data + i, n - i) - 1;
-      kind = SkipMetrics::kArmed;
-      scanner = &arm_;
-    }
-    if (j > i) {
-      SkipMetrics::Get()
-          .Of(kind, scanner != nullptr ? scanner->strategy()
-                                       : SkipStrategy::kNone)
-          ->Increment(j - i);
-    }
-    return j;
+      return !f.ClassCanArm(pending) && !f.ClassCanArm(cls)
+                 ? SkipMetrics::kArmed
+                 : kNoSkip;
   }
+  return kNoSkip;
+}
 
- private:
-  const FusedTagger& f_;
-  const ArmMode mode_;
-  const RunScanner& delim_;
-  const RunScanner& arm_;
-};
+// The index of the last byte of the inert run of `kind` starting at
+// data[i] and bounded by n (i itself for kNoSkip).
+size_t LastInertByte(const FusedTagger& f, SkipMetrics::Kind kind,
+                     const char* data, size_t i, size_t n) {
+  switch (kind) {
+    case SkipMetrics::kDelimiter:
+      return i + f.delimiter_scanner().FindFirstNotIn(data + i, n - i) - 1;
+    case SkipMetrics::kAnchored:
+      return n - 1;
+    case SkipMetrics::kResync:
+      return i + f.delimiter_scanner().FindFirstIn(data + i, n - i) - 1;
+    case SkipMetrics::kArmed:
+      return i + f.arm_scanner().FindFirstIn(data + i, n - i) - 1;
+    default:
+      return i;
+  }
+}
+
+// Counts `len` bytes jumped by a skip of `kind`, labelled with the scanner
+// that found the run's end.
+void CountSkip(const FusedTagger& f, SkipMetrics::Kind kind, size_t len) {
+  if (len == 0) return;
+  const RunScanner* scanner = kind == SkipMetrics::kArmed ? &f.arm_scanner()
+                              : kind == SkipMetrics::kAnchored
+                                  ? nullptr
+                                  : &f.delimiter_scanner();
+  SkipMetrics::Get()
+      .Of(kind, scanner != nullptr ? scanner->strategy() : SkipStrategy::kNone)
+      ->Increment(len);
+}
+
+// The idle skip, if one may start from `cur` at data[i]: counts it and
+// returns the index of the byte to step (i when nothing skips).
+size_t TakeSkip(const FusedTagger& f, const IdleFacts& cur, const char* data,
+                size_t i, size_t n) {
+  const SkipMetrics::Kind kind = SkipKind(
+      f, cur, f.classifier().ClassOf(static_cast<unsigned char>(data[i])));
+  const size_t j = LastInertByte(f, kind, data, i, n);
+  CountSkip(f, kind, j - i);
+  return j;
+}
+
+// The exit bit of an entry out of a state with idle facts `facts` on a
+// byte of class `cls`: an idle skip may start there, or, out of the
+// stream-start state, the byte has no pending byte to consume, which only
+// the per-byte path accounts for.
+bool ExitOn(const FusedTagger& f, const IdleFacts& facts, uint8_t cls) {
+  return facts.pending_cls < 0 || SkipKind(f, facts, cls) != kNoSkip;
+}
+
+// A built entry: the premultiplied successor and the flags.
+int32_t Entry(int32_t next, size_t num_classes, bool exit, bool emits) {
+  return ((next * static_cast<int32_t>(num_classes)) << 2) |
+         (exit ? kExit : 0) | (emits ? kEmits : 0);
+}
+
+// The baked table's rows in the walk's entry format.
+std::vector<int32_t> WalkFormat(const FusedTagger& f, const AotDfaTable& aot) {
+  const size_t nc = aot.num_classes;
+  std::vector<int32_t> next(aot.states.size() * nc);
+  for (size_t id = 0; id < aot.states.size(); ++id) {
+    const IdleFacts facts = FactsOf(aot.states[id]);
+    const DfaTrans* const row = aot.trans.data() + id * nc;
+    for (size_t cls = 0; cls < nc; ++cls) {
+      next[id * nc + cls] =
+          row[cls].next < 0
+              ? kUnbuilt
+              : Entry(row[cls].next, nc,
+                      ExitOn(f, facts, static_cast<uint8_t>(cls)),
+                      row[cls].emit_count != 0);
+    }
+  }
+  return next;
+}
 
 }  // namespace
 
@@ -127,6 +192,7 @@ LazyDfaTagger::LazyDfaTagger(FusedTagger fused,
       aot_(std::move(aot)),
       session_pool_(std::make_shared<LazyDfaSessionPool>()) {
   start_.SetStart(fused_);
+  if (aot_ != nullptr) baked_next_ = WalkFormat(fused_, *aot_);
 }
 
 StatusOr<LazyDfaTagger> LazyDfaTagger::Create(const grammar::Grammar* grammar,
@@ -170,12 +236,14 @@ void LazyDfaSession::Rebind(const LazyDfaTagger* tagger) {
     // resolved to token names any more: drop it rather than merge it.
     attr_dirty_ = false;
     std::fill(attr_matches_.begin(), attr_matches_.end(), 0);
+    for (EmitList& list : emits_) list.replays = 0;
     attr_dfa_hits_ = attr_dfa_misses_ = 0;
     tagger_ = tagger;
     scratch_.Rebind(&tagger_->fused());
     num_classes_ = tagger_->fused().NumByteClasses();
     aot_ = tagger_->aot();
     num_aot_ = aot_ ? static_cast<int32_t>(aot_->states.size()) : 0;
+    baked_slots_ = static_cast<size_t>(num_aot_) * num_classes_;
     flushes_ = 0;
     fallback_ = false;
     ClearCache();
@@ -184,13 +252,30 @@ void LazyDfaSession::Rebind(const LazyDfaTagger* tagger) {
 }
 
 void LazyDfaSession::ClearCache() {
+  FoldEmitCounts();
   cache_.Clear();
-  special_.clear();
-  next_.assign(fallback_ ? 0 : static_cast<size_t>(num_aot_) * num_classes_,
-               kUnbuilt);
-  cache_bytes_ = next_.size() * sizeof(int32_t);
+  emits_.clear();
+  own_table_ = false;
+  next_.clear();
+  emit_ref_.clear();
+  std::fill(std::begin(guess_), std::end(guess_), -1);
+  cache_bytes_ = 0;
   budget_.ReleaseAll();
-  budget_.Add(cache_bytes_);
+}
+
+inline const int32_t* LazyDfaSession::Table() const {
+  return own_table_ ? next_.data() : tagger_->baked_next().data();
+}
+
+void LazyDfaSession::OwnTable() {
+  if (own_table_) return;
+  own_table_ = true;
+  const std::vector<int32_t>& baked = tagger_->baked_next();
+  next_.assign(baked.begin(), baked.end());
+  emit_ref_.assign(baked.size(), 0);
+  const size_t charged = baked.size() * (sizeof(int32_t) + sizeof(uint32_t));
+  cache_bytes_ += charged;
+  budget_.Add(charged);
 }
 
 void LazyDfaSession::Reset() {
@@ -201,6 +286,7 @@ void LazyDfaSession::Reset() {
     attr_matches_.assign(tagger_->grammar().NumTokens(), 0);
   }
   consumed_ = 0;
+  tags_ = 0;
   finished_ = false;
   stopped_ = false;
   const DfaConfig& start = tagger_->start_config();
@@ -224,10 +310,13 @@ int32_t LazyDfaSession::InternState(const DfaConfig& cfg) {
   }
   int32_t local = cache_.Find(cfg);
   if (local < 0) {
+    OwnTable();
     local = cache_.Append(cfg);
     next_.resize(next_.size() + num_classes_, kUnbuilt);
+    emit_ref_.resize(next_.size());
     const size_t charged =
-        sizeof(DfaStateInfo) + num_classes_ * sizeof(int32_t) +
+        sizeof(DfaStateInfo) +
+        num_classes_ * (sizeof(int32_t) + sizeof(uint32_t)) +
         (cfg.state.size() + cfg.armed.size()) * sizeof(WordBits) +
         kIndexNodeBytes;
     cache_bytes_ += charged;
@@ -237,33 +326,18 @@ int32_t LazyDfaSession::InternState(const DfaConfig& cfg) {
   return num_aot_ + local;
 }
 
-bool LazyDfaSession::IsPlain(int32_t id) const {
-  const DfaStateInfo& info = Info(id);
-  if (info.pending_cls < 0) return false;
-  return info.num_state != 0 ||
-         (info.num_armed != 0 &&
-          !tagger_->fused().ClassIsDelim(
-              static_cast<uint8_t>(info.pending_cls)));
-}
-
-int32_t LazyDfaSession::Install(uint8_t cls, int32_t next,
-                                const int32_t* emit, size_t count) {
-  const bool plain = IsPlain(next);
-  const int32_t premultiplied = next * static_cast<int32_t>(num_classes_);
-  int32_t entry = premultiplied;
+size_t LazyDfaSession::Put(size_t slot, int32_t next, bool exit,
+                           const int32_t* emit, size_t count) {
   size_t charged = 0;
-  if (count != 0 || !plain) {
-    entry = kUnbuilt - 1 - static_cast<int32_t>(special_.size());
-    special_.push_back(SpecialTrans{
-        premultiplied, static_cast<uint32_t>(cache_.emit_pool.size()),
-        static_cast<uint32_t>(count), plain});
+  if (count != 0) {
+    emit_ref_[slot] = static_cast<uint32_t>(emits_.size());
+    emits_.push_back(EmitList{static_cast<uint32_t>(cache_.emit_pool.size()),
+                              static_cast<uint32_t>(count), 0});
     cache_.emit_pool.insert(cache_.emit_pool.end(), emit, emit + count);
-    charged = sizeof(SpecialTrans) + count * sizeof(int32_t);
+    charged = sizeof(EmitList) + count * sizeof(int32_t);
   }
-  next_[static_cast<size_t>(state_) * num_classes_ + cls] = entry;
-  cache_bytes_ += charged;
-  budget_.Add(charged);
-  return entry;
+  next_[slot] = Entry(next, num_classes_, exit, count != 0);
+  return charged;
 }
 
 void LazyDfaSession::LoadScratch() {
@@ -287,9 +361,22 @@ void LazyDfaSession::EnterFallback() {
                    "lazy-dfa session fell back to fused");
 }
 
+void LazyDfaSession::FoldEmitCounts() {
+  if (!attr_on_) return;
+  for (EmitList& list : emits_) {
+    if (list.replays == 0) continue;
+    for (uint32_t k = 0; k < list.count; ++k) {
+      attr_matches_[static_cast<size_t>(
+          cache_.emit_pool[list.begin + k])] += list.replays;
+    }
+    list.replays = 0;
+  }
+}
+
 void LazyDfaSession::FlushAttribution() {
   if (!attr_dirty_) return;
   attr_dirty_ = false;
+  FoldEmitCounts();
   obs::AttributionTable& table = obs::AttributionTable::Default();
   const std::vector<grammar::TokenDef>& tokens = tagger_->grammar().tokens();
   for (size_t tok = 0; tok < attr_matches_.size(); ++tok) {
@@ -313,7 +400,7 @@ void LazyDfaSession::Flush() {
   }
   if (state_ < num_aot_) {
     // The current state is baked: its id survives the flush by
-    // construction; its row refills from the baked table.
+    // construction, and the session walks the baked table again.
     ClearCache();
     return;
   }
@@ -325,36 +412,90 @@ void LazyDfaSession::Flush() {
   state_ = InternState(tmp_);
 }
 
-int32_t LazyDfaSession::BuildTransition(uint8_t cls) {
+bool LazyDfaSession::ShedOnMiss() {
   // The miss path is the only place the cache grows, so it is where
   // budget pressure (and the dfa.intern fault site) sheds the session to
   // uncached stepping. The steady-state hit path never reaches here.
-  if (core::resilience::ResourceBudget::Process().ShouldShedDfa() ||
-      core::resilience::FaultInjector::ShouldFail("dfa.intern")) {
-    EnterFallback();
-    return kUnbuilt;
+  if (!core::resilience::ResourceBudget::Process().ShouldShedDfa() &&
+      !core::resilience::FaultInjector::ShouldFail("dfa.intern")) {
+    return false;
   }
+  EnterFallback();
+  return true;
+}
+
+bool LazyDfaSession::CacheFull() const {
   // A build interns at most one state, so one more row must fit.
-  if (cache_bytes_ > tagger_->options().dfa_cache_bytes ||
-      next_.size() + num_classes_ > kMaxTableEntries) {
+  return cache_bytes_ > tagger_->options().dfa_cache_bytes ||
+         next_.size() + num_classes_ > kMaxTableEntries;
+}
+
+int32_t LazyDfaSession::BuildTransition(uint8_t cls) {
+  if (ShedOnMiss()) return kUnbuilt;
+  if (CacheFull()) {
     Flush();
     if (fallback_) return kUnbuilt;
   }
-  const DfaStateInfo& info = Info(state_);
-  tmp_.Step(info, Snap(info, state_), cls, &scratch_, &tmp_emit_);
-  const int32_t next = InternState(tmp_);
-  return Install(cls, next, tmp_emit_.data(), tmp_emit_.size());
+  return BuildFrom(state_, cls);
+}
+
+int32_t LazyDfaSession::BuildFrom(int32_t from, uint8_t cls) {
+  OwnTable();
+  const DfaStateInfo& info = Info(from);
+  tmp_.Step(info, Snap(info, from), cls, &scratch_, &tmp_emit_);
+  const int32_t next = InternState(tmp_);  // may move Info(from)
+  const size_t slot = static_cast<size_t>(from) * num_classes_ + cls;
+  const size_t charged =
+      Put(slot, next, ExitOn(tagger_->fused(), FactsOf(Info(from)), cls),
+          tmp_emit_.data(), tmp_emit_.size());
+  cache_bytes_ += charged;
+  budget_.Add(charged);
+  return next_[slot];
 }
 
 inline void LazyDfaSession::Emit(const int32_t* toks, size_t count,
                                  const TagSink& sink) {
-  for (size_t k = 0; k < count; ++k) {
+  for (size_t k = 0; k < count && !stopped_; ++k) {
     Tag tag;
     tag.token = toks[k];
     tag.end = consumed_;
-    if (!stopped_ && !sink(tag)) stopped_ = true;
-    if (attr_on_) ++attr_matches_[static_cast<size_t>(toks[k])];
+    ++tags_;
+    if (!sink(tag)) stopped_ = true;
   }
+}
+
+inline void LazyDfaSession::EmitSlot(size_t slot, const TagSink& sink) {
+  // The session builds only where the bake did not.
+  if (slot < baked_slots_ && aot_->trans[slot].next >= 0) {
+    const DfaTrans& t = aot_->trans[slot];
+    const int32_t* const toks = aot_->emit_pool.data() + t.emit_begin;
+    if (attr_on_) {
+      for (uint32_t k = 0; k < t.emit_count; ++k) {
+        ++attr_matches_[static_cast<size_t>(toks[k])];
+      }
+    }
+    Emit(toks, t.emit_count, sink);
+    return;
+  }
+  EmitList& list = emits_[emit_ref_[slot]];
+  if (attr_on_) ++list.replays;
+  Emit(cache_.emit_pool.data() + list.begin, list.count, sink);
+}
+
+size_t LazyDfaSession::Replay(size_t from, size_t to, uint64_t off,
+                              const TagSink& sink) {
+  const TrailEntry* const trail = trail_.get();
+  for (size_t k = from; k < to; ++k) {
+    consumed_ = off + trail[k].pos;
+    EmitSlot(trail[k].slot, sink);
+    if (stopped_) {
+      ++consumed_;
+      state_ = static_cast<int32_t>(
+          static_cast<size_t>(Table()[trail[k].slot] >> 2) / num_classes_);
+      return static_cast<size_t>(trail[k].pos) + 1;
+    }
+  }
+  return 0;
 }
 
 void LazyDfaSession::StepScratch(bool has_next, uint8_t next_cls,
@@ -363,122 +504,322 @@ void LazyDfaSession::StepScratch(bool has_next, uint8_t next_cls,
   scratch_.ProcessClass(static_cast<uint8_t>(pending_cls_), has_next,
                         next_cls);
   Emit(scratch_.emitted_.data(), scratch_.emitted_.size(), sink);
+  if (attr_on_) {
+    for (const int32_t tok : scratch_.emitted_) {
+      ++attr_matches_[static_cast<size_t>(tok)];
+    }
+  }
   ++consumed_;
+}
+
+bool LazyDfaSession::StepSlow(Cursor& c, const TagSink& sink) {
+  const FusedTagger& f = tagger_->fused();
+  const ByteClassifier& classes = f.classifier();
+  // Copy what the skip checks need before any build can grow the cache.
+  const IdleFacts cur = FactsOf(Info(state_));
+  const size_t j = TakeSkip(f, cur, c.data, c.i, c.n);
+  consumed_ += j - c.i;
+  c.skipped += j - c.i;
+  c.i = j;
+  const uint8_t cls = classes.ClassOf(static_cast<unsigned char>(c.data[c.i]));
+  int32_t entry = Table()[static_cast<size_t>(state_) * num_classes_ + cls];
+  if (entry == kUnbuilt) {
+    ++c.misses;
+    entry = BuildTransition(cls);  // a flush may re-intern state_
+    if (fallback_) return false;
+  }
+  if ((entry & kEmits) != 0) {
+    EmitSlot(static_cast<size_t>(state_) * num_classes_ + cls, sink);
+  }
+  if (cur.pending_cls >= 0) ++consumed_;
+  ++c.i;
+  state_ = static_cast<int32_t>(static_cast<size_t>(entry >> 2) / num_classes_);
+  return !stopped_;
+}
+
+bool LazyDfaSession::StepSegment(Cursor& c, size_t end, const TagSink& sink) {
+  // Pass 1: a one-lane walk into the ordinary path's trail region, which
+  // follows the lanes'.
+  const size_t region = kLanes * kTrailStride;
+  Lane walk{c.i, end, state_ * static_cast<int32_t>(num_classes_),
+            static_cast<uint32_t>(region), 0, false, {}};
+  Lane* one = &walk;
+  Lockstep<1>(&one, c.data, c.i);
+  if (walk.pos == c.i) return StepSlow(c, sink);
+  // Pass 2. The walk consumed one pending byte per byte it took.
+  const uint64_t off = consumed_;
+  const size_t stop = Replay(region, walk.t, off, sink);
+  if (stop != 0) {
+    c.i += stop;
+    return false;
+  }
+  consumed_ = off + (walk.pos - c.i);
+  c.i = walk.pos;
+  state_ = static_cast<int32_t>(static_cast<size_t>(walk.s) / num_classes_);
+  return true;
+}
+
+template <size_t N>
+void LazyDfaSession::Lockstep(Lane* const* lanes, const char* data,
+                              size_t base) {
+  const int32_t* const next = Table();
+  const uint8_t* const class_of = tagger_->fused().classifier().class_map();
+  TrailEntry* const trail = trail_.get();
+  const unsigned char* p[N];
+  int32_t s[N];
+  uint32_t t[N];
+  uint32_t rel[N];
+  size_t m = kCheckpointBytes;
+  for (size_t k = 0; k < N; ++k) {
+    p[k] = reinterpret_cast<const unsigned char*>(data) + lanes[k]->pos;
+    s[k] = lanes[k]->s;
+    t[k] = lanes[k]->t;
+    rel[k] = static_cast<uint32_t>(lanes[k]->pos - base);
+    m = std::min(m, lanes[k]->end - lanes[k]->pos);
+  }
+  // One exit test per round over all lanes: the lane that met the exit
+  // bit and the ones that did not all wait for the per-byte steps.
+  size_t r = 0;
+  for (; r < m; ++r) {
+    uint32_t slot[N];
+    int32_t e[N];
+    int32_t any = 0;
+    for (size_t k = 0; k < N; ++k) {
+      slot[k] = static_cast<uint32_t>(s[k]) + class_of[p[k][r]];
+      e[k] = next[slot[k]];
+      any |= e[k];
+    }
+    if ((any & kExit) != 0) break;
+    for (size_t k = 0; k < N; ++k) {
+      trail[t[k]] = TrailEntry{rel[k] + static_cast<uint32_t>(r), slot[k]};
+      t[k] += static_cast<uint32_t>(e[k] & kEmits);
+      s[k] = e[k] >> 2;
+    }
+  }
+  for (size_t k = 0; k < N; ++k) {
+    lanes[k]->pos += r;
+    lanes[k]->s = s[k];
+    lanes[k]->t = t[k];
+  }
+}
+
+void LazyDfaSession::LaneSlowStep(Lane& lane, const char* data,
+                                  size_t base) {
+  const FusedTagger& f = tagger_->fused();
+  const ByteClassifier& classes = f.classifier();
+  const int32_t id =
+      static_cast<int32_t>(static_cast<size_t>(lane.s) / num_classes_);
+  // Lanes never start out of the stream-start state, and no step leads
+  // into it, so every lane step consumes a pending byte.
+  const SkipMetrics::Kind kind =
+      SkipKind(f, FactsOf(Info(id)),
+               classes.ClassOf(static_cast<unsigned char>(data[lane.pos])));
+  const size_t j = LastInertByte(f, kind, data, lane.pos, lane.end);
+  Checkpoint cp{static_cast<uint32_t>(lane.pos - base), id, lane.t, 0,
+                kind, false};
+  const uint8_t cls = classes.ClassOf(static_cast<unsigned char>(data[j]));
+  const size_t slot = static_cast<size_t>(lane.s) + cls;
+  // A skip that reaches the slice's end may run on past it: the ordinary
+  // path takes it, from this checkpoint.
+  const bool cut = kind != kNoSkip && j + 1 == lane.end;
+  const int32_t entry = cut ? kUnbuilt : Table()[slot];
+  if (entry == kUnbuilt) {
+    lane.cps.push_back(cp);
+    // A stall: the lane's state is likely still a wrong guess, so it
+    // guesses again past the byte it could not step.
+    const int32_t guess = guess_[static_cast<unsigned char>(data[j])];
+    if (cut || guess < 0 || j + 1 == lane.end ||
+        lane.restarts == kMaxRestarts) {
+      lane.done = true;
+      return;
+    }
+    ++lane.restarts;
+    lane.pos = j + 1;
+    lane.s = guess * static_cast<int32_t>(num_classes_);
+    lane.cps.push_back(Checkpoint{static_cast<uint32_t>(lane.pos - base),
+                                  guess, lane.t, 0, kNoSkip, true});
+    return;
+  }
+  cp.skip_len = static_cast<uint32_t>(j - lane.pos);
+  lane.cps.push_back(cp);
+  trail_[lane.t] = TrailEntry{static_cast<uint32_t>(j - base),
+                              static_cast<uint32_t>(slot)};
+  lane.t += static_cast<uint32_t>(entry & kEmits);
+  lane.s = entry >> 2;
+  lane.pos = j + 1;
+}
+
+size_t LazyDfaSession::Adopt(Cursor& c, const Lane& lane, size_t from,
+                             size_t base, const TagSink& sink) {
+  const FusedTagger& f = tagger_->fused();
+  // The consumed count before the byte at base + pos is off + pos.
+  const uint64_t off = consumed_ - (c.i - base);
+  size_t trail = lane.cps[from].trail;
+  size_t q = from;
+  for (;; ++q) {
+    const Checkpoint& cp = lane.cps[q];
+    const size_t stop = Replay(trail, cp.trail, off, sink);
+    if (stop != 0) {
+      c.i = base + stop;
+      return q;
+    }
+    trail = cp.trail;
+    if (cp.skip_len != 0) {
+      CountSkip(f, cp.kind, cp.skip_len);
+      c.skipped += cp.skip_len;
+    }
+    if (q + 1 == lane.cps.size() || lane.cps[q + 1].restart) break;
+  }
+  const Checkpoint& last = lane.cps[q];
+  c.i = base + last.pos;
+  consumed_ = off + last.pos;
+  state_ = last.state;
+  return q;
+}
+
+void LazyDfaSession::WalkLanes(Lane** live, size_t num_live,
+                               const char* data, size_t base) {
+  static_assert(kLanes == 4, "WalkLanes dispatches 1 to 4 live lanes");
+  const uint8_t* const class_of = tagger_->fused().classifier().class_map();
+  const int32_t* const next = Table();
+  while (num_live > 0) {
+    switch (num_live) {
+      case 4: Lockstep<4>(live, data, base); break;
+      case 3: Lockstep<3>(live, data, base); break;
+      case 2: Lockstep<2>(live, data, base); break;
+      default: Lockstep<1>(live, data, base); break;
+    }
+    size_t kept = 0;
+    for (size_t k = 0; k < num_live; ++k) {
+      Lane& lane = *live[k];
+      if (lane.pos < lane.end &&
+          (next[static_cast<size_t>(lane.s) +
+                class_of[static_cast<unsigned char>(data[lane.pos])]] &
+           kExit) != 0) {
+        LaneSlowStep(lane, data, base);
+      }
+      // A checkpoint at the lane's end, and one every kCheckpointBytes of
+      // walk, so a stream with few exits still converges soon.
+      if (!lane.done &&
+          (lane.pos == lane.end ||
+           lane.pos - base >= lane.cps.back().pos + kCheckpointBytes)) {
+        lane.cps.push_back(Checkpoint{
+            static_cast<uint32_t>(lane.pos - base),
+            static_cast<int32_t>(static_cast<size_t>(lane.s) / num_classes_),
+            lane.t, 0, kNoSkip, false});
+        lane.done = lane.pos == lane.end;
+      }
+      if (!lane.done) live[kept++] = &lane;
+    }
+    num_live = kept;
+  }
+}
+
+void LazyDfaSession::NoteGuess(const Cursor& c) {
+  if (c.i != 0) guess_[static_cast<unsigned char>(c.data[c.i - 1])] = state_;
+}
+
+void LazyDfaSession::Superblock(Cursor& c, const TagSink& sink) {
+  const size_t base = c.i;
+  // Speculate: lane 0 from the true state, the others from guesses.
+  Lane* live[kLanes];
+  for (size_t k = 0; k < kLanes; ++k) {
+    Lane& lane = lanes_[k];
+    lane.pos = base + k * kSliceBytes;
+    lane.end = lane.pos + kSliceBytes;
+    const int32_t guess =
+        k == 0 ? -1 : guess_[static_cast<unsigned char>(c.data[lane.pos - 1])];
+    const int32_t start = guess >= 0 ? guess : state_;
+    lane.s = start * static_cast<int32_t>(num_classes_);
+    lane.t = static_cast<uint32_t>(k * kTrailStride);
+    lane.done = false;
+    lane.restarts = 0;
+    lane.cps.assign(1, Checkpoint{static_cast<uint32_t>(k * kSliceBytes),
+                                  start, lane.t, 0, kNoSkip, true});
+    live[k] = &lane;
+  }
+  WalkLanes(live, kLanes, c.data, base);
+
+  // Commit: the ordinary path runs from the true state, adopting a lane's
+  // guessed stretch at the first of its checkpoints it meets in the lane's
+  // state, and notes the states it passes through for later guesses.
+  // Checkpoints are in position order, so one cursor per lane finds them.
+  const uint64_t flushes = flushes_;
+  bool speculating = true;
+  for (const Lane& lane : lanes_) {
+    size_t q = 0;
+    while (c.i < lane.end) {
+      size_t stop = lane.end;
+      if (speculating) {
+        const size_t rel = c.i - base;
+        while (q < lane.cps.size() && lane.cps[q].pos < rel) ++q;
+        if (q < lane.cps.size() && lane.cps[q].pos == rel &&
+            lane.cps[q].state == state_) {
+          q = Adopt(c, lane, q, base, sink) + 1;
+          if (stopped_) return;
+          NoteGuess(c);
+          continue;
+        }
+        // Walk no further than the lane's next checkpoint, to test it.
+        size_t r = q;
+        while (r < lane.cps.size() && lane.cps[r].pos <= rel) ++r;
+        if (r < lane.cps.size()) stop = base + lane.cps[r].pos;
+      }
+      if (!StepSegment(c, stop, sink)) return;
+      NoteGuess(c);
+      // A flush renumbers states: the lanes' logs no longer apply.
+      if (flushes_ != flushes) speculating = false;
+    }
+  }
 }
 
 void LazyDfaSession::Feed(std::string_view chunk, const TagSink& sink) {
   if (finished_ || stopped_ || chunk.empty()) return;
-  const char* data = chunk.data();
-  const size_t n = chunk.size();
-  const ByteClassifier& classes = tagger_->fused().classifier();
-  const IdleSkipper skipper(tagger_->fused());
   if (attr_on_) attr_dirty_ = true;
+  const FusedTagger& f = tagger_->fused();
+  const ByteClassifier& classes = f.classifier();
+  Cursor c{chunk.data(), chunk.size(), 0, 0, 0};
 
-  size_t i = 0;
-
-  // Cached. The per-byte path below serves idle skips, first touches of
-  // baked rows, misses and transitions into non-plain states; from a plain
-  // state the inner loop takes one flat-table lookup per byte and leaves
-  // only on a special transition it cannot replay, or the chunk's end.
-  // Only a miss can enter fallback; the loop then hands the byte to the
-  // uncached loop below.
+  // Cached: superblocks while a full one remains (past the stream's first
+  // byte, which the walk does not count), then walks and per-byte steps.
+  // Only a miss can enter fallback; the byte then goes to the uncached
+  // loop below.
   if (!fallback_) {
-    const size_t nc = num_classes_;
-    size_t skipped = 0;
-    uint64_t misses = 0;
-    int32_t id = state_;
-    while (i < n) {
-      // Copy what the skip checks need before any build can grow the cache.
-      const DfaStateInfo& info = Info(id);
-      const IdleFacts cur{info.num_state != 0, info.num_armed != 0,
-                          info.prev_delim != 0, info.pending_cls};
-      if (!cur.live && cur.pending_cls >= 0) {
-        const size_t j = skipper.LastInertByte(cur, data, i, n);
-        consumed_ += j - i;
-        skipped += j - i;
-        i = j;
+    if (!trail_) trail_.reset(new TrailEntry[(kLanes + 1) * kTrailStride]);
+    while (c.i < c.n && !stopped_ && !fallback_) {
+      if (c.n - c.i >= kLanes * kSliceBytes &&
+          Info(state_).pending_cls >= 0) {
+        Superblock(c, sink);
+      } else {
+        StepSegment(c, c.n, sink);
       }
-      const uint8_t cls =
-          classes.ClassOf(static_cast<unsigned char>(data[i]));
-      int32_t entry = next_[static_cast<size_t>(id) * nc + cls];
-      if (entry == kUnbuilt) {
-        state_ = id;
-        const DfaTrans* baked =
-            id < num_aot_ ? &aot_->trans[static_cast<size_t>(id) * nc + cls]
-                          : nullptr;
-        if (baked != nullptr && baked->next >= 0) {
-          entry = Install(cls, baked->next,
-                          aot_->emit_pool.data() + baked->emit_begin,
-                          baked->emit_count);
-        } else {
-          ++misses;
-          entry = BuildTransition(cls);  // a flush may re-intern state_
-          if (fallback_) break;
-        }
-      }
-      int32_t s = entry;
-      bool plain = true;
-      if (entry < 0) {
-        const SpecialTrans& sp = special_[SpecialIndex(entry)];
-        Emit(cache_.emit_pool.data() + sp.emit_begin, sp.emit_count, sink);
-        s = sp.next;
-        plain = sp.plain;
-      }
-      if (cur.pending_cls >= 0) ++consumed_;
-      ++i;
-      if (plain && !stopped_) {
-        // The inner loop. `s` is premultiplied and plain: every byte
-        // consumes the pending one and no idle skip can fire.
-        const size_t i0 = i;
-        const uint64_t c0 = consumed_;
-        while (i < n) {
-          const int32_t e =
-              next_[static_cast<size_t>(s) +
-                    classes.ClassOf(static_cast<unsigned char>(data[i]))];
-          if (e >= 0) {
-            s = e;
-            ++i;
-            continue;
-          }
-          if (e == kUnbuilt) break;
-          const SpecialTrans& sp = special_[SpecialIndex(e)];
-          if (!sp.plain) break;
-          consumed_ = c0 + (i - i0);
-          Emit(cache_.emit_pool.data() + sp.emit_begin, sp.emit_count, sink);
-          s = sp.next;
-          ++i;
-          if (stopped_) break;
-        }
-        consumed_ = c0 + (i - i0);
-      }
-      id = static_cast<int32_t>(static_cast<size_t>(s) / nc);
-      if (stopped_) break;
     }
     // Every byte stepped in this mode is one lookup; a miss that entered
     // fallback looked up the byte the uncached loop then steps.
     if (attr_on_) {
-      attr_dfa_misses_ += misses;
-      attr_dfa_hits_ += (i - skipped) + (fallback_ ? 1 : 0) - misses;
+      attr_dfa_misses_ += c.misses;
+      attr_dfa_hits_ += (c.i - c.skipped) + (fallback_ ? 1 : 0) - c.misses;
     }
-    if (!fallback_) state_ = id;
     if (stopped_) return;
   }
 
   // Fallback: the configuration is in scratch_ and the pending class in
   // pending_cls_; each byte takes one uncached fused step on the pending
   // byte, with this byte as its look-ahead.
-  while (i < n) {
-    const IdleFacts cur{scratch_.any_live_, scratch_.armed_any_,
-                        scratch_.prev_was_delim_, pending_cls_};
-    if (!cur.live && cur.pending_cls >= 0) {
-      const size_t j = skipper.LastInertByte(cur, data, i, n);
-      consumed_ += j - i;
-      i = j;
-    }
-    const uint8_t cls = classes.ClassOf(static_cast<unsigned char>(data[i]));
+  while (c.i < c.n) {
+    const size_t j = TakeSkip(f,
+                              IdleFacts{scratch_.any_live_,
+                                        scratch_.armed_any_,
+                                        scratch_.prev_was_delim_,
+                                        pending_cls_},
+                              c.data, c.i, c.n);
+    consumed_ += j - c.i;
+    c.i = j;
+    const uint8_t cls =
+        classes.ClassOf(static_cast<unsigned char>(c.data[c.i]));
     StepScratch(/*has_next=*/true, cls, sink);
     pending_cls_ = cls;
-    ++i;
+    ++c.i;
     if (stopped_) return;
   }
 }

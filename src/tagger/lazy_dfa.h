@@ -76,39 +76,77 @@ struct DfaCacheMetrics {
 // step on a pair of classes builds a transition that is exact for every
 // byte of the class.
 //
-// Steady state runs out of one session-private flat table, next_[id *
-// num_classes + cls], over baked and session state ids alike, holding
-// premultiplied successor ids (RE2/Hyperscan layout): the inner loop is
-// `s = next_[s + class_of[byte]]` plus one sign test. A state is *plain*
-// when it has a pending byte and no idle skip can fire from it (live, or
-// dead but armed with a non-delimiter pending class). A non-negative entry
-// is a plain transition: built, emits nothing, leads to a plain state. A
-// negative entry is special: unbuilt, or an index into special_, which
-// holds the emitting transitions and those into non-plain states. The
-// inner loop replays an emitting transition into a plain state inline and
-// leaves for the per-byte path on every other special, which serves idle
-// skips, misses, flushes and fallback.
+// Steady state runs out of one flat table, next[id * num_classes + cls],
+// over baked and session state ids alike. A built entry holds
+// (premultiplied successor << 2) | flags: kEmits when the step emits, kExit
+// when an idle skip may start out of the entry's source state on its
+// class. Every idle-skip test is a function of (state facts, byte class),
+// so it is folded into the entry when the entry is installed, and the walk
+// checks it before taking the step; kUnbuilt (-1) has every bit set. Each
+// cached stretch runs in two passes. Pass 1 walks
+// `s = next[s + class_of[byte]] >> 2` and never branches on emission: it
+// appends (position, slot) to a trail without a branch and leaves only on
+// an exit bit. Pass 2 replays the trail in order through Emit, one TagSink
+// call per tag, with an exact consumed_ and an early stop at exactly the
+// tag the sink refused. The per-byte path then serves the exit: the idle
+// skip, misses, flushes and fallback.
 //
-// Baked (AOT) rows are shared and immutable; a session copies each baked
-// transition into its own table on first touch, so the loop never tells
-// the regions apart. A miss takes the construction step the AOT bake also
+// A cached chunk of at least kLanes * kSliceBytes bytes is cut into
+// superblocks of kLanes slices, walked in lockstep so the lanes' load chains
+// overlap. Lane 0 starts from the true state. Lane k guesses the state the
+// stream was last seen in after the byte that precedes its slice (lane 0's
+// state before anything was seen): a configuration forgets its past within a
+// few tokens, and the byte before fixes the pending class. Lanes take their
+// idle skips (bounded by the slice) but never build, never flush and never
+// shed: on an unbuilt entry a lane stalls and, its state most likely still a
+// wrong guess, guesses again past that byte from the same table. Each lane
+// logs a checkpoint (position, state) at its start, at every per-byte step
+// and every kCheckpointBytes of walk. The commit runs the ordinary path from
+// the true state and adopts lane k — its trail, skips and end state — at the
+// first checkpoint the ordinary path meets in the lane's state: from there
+// the guessed walk is exact up to the lane's next stall, because the DFA is
+// deterministic. Past a stall, or in a slice whose guess never converged,
+// the ordinary path walks on by itself, building what it lacks. An idle skip
+// that reaches its slice's end may run on past it, so a lane stops before
+// such a skip and the ordinary path takes it. A flush during the commit
+// discards the uncommitted lanes and the rest of the superblock runs on the
+// ordinary path; a shed or fallback ends it at the last committed byte.
+// Since only the ordinary path builds, cache traffic, flushes, sheds and the
+// fallback verdict are those of the ordinary path alone, and skip counts and
+// DFA hits cover committed bytes only.
+//
+// Baked (AOT) rows are shared and immutable. The tagger converts them to
+// the walk's entry format once, when it is created, and a session walks
+// that shared table in place until it first builds a transition of its
+// own; it then copies the baked rows into a private table that also holds
+// its own states. A miss takes the construction step the AOT bake also
 // takes (DfaConfig::Step, dfa_state.h) and interns the result. When the
-// cache — the flat table, special_ and the interned states, charged to
-// TaggerOptions::dfa_cache_bytes and the "dfa_cache" budget — grows past
-// the cap, or a premultiplied id would overflow int32_t, it is dropped
-// wholesale and rebuilt from the current configuration (RE2's flush
-// discipline); after dfa_flush_fallback flushes the session stops caching
-// for the rest of its life (Rebind to a different tagger clears the
-// verdict). In fallback the configuration lives in the scratch
-// FusedSession and the pending class in the session, and each byte takes
-// one uncached fused step, with the same idle skips and emission path as
-// the cached mode. Tags go to the sink one call each: buffering them per
-// Feed measured no gain.
+// cache — the private table, emit_ref_, the emission lists and the
+// interned states, charged to TaggerOptions::dfa_cache_bytes and the
+// "dfa_cache" budget — grows past the cap, or a premultiplied entry would
+// overflow int32_t, it is dropped wholesale and rebuilt from the current
+// configuration (RE2's flush discipline); after dfa_flush_fallback flushes
+// the session stops caching for the rest of its life (Rebind to a
+// different tagger clears the verdict). In fallback the configuration
+// lives in the scratch FusedSession and the pending class in the session,
+// and each byte takes one uncached fused step, with the same idle skips
+// and emission path as the cached mode.
+//
+// Besides the cache, a session that has walked a cached chunk holds fixed
+// scratch outside dfa_cache_bytes: the pass-1 trail, (kLanes + 1) regions
+// of a slice's worth of 8-byte entries (about 330 KiB of address space,
+// of which only the pages walks write become resident), and the lanes'
+// checkpoint logs: 20 bytes per exit a lane takes and per kCheckpointBytes
+// it walks, at most one per byte of a slice.
 //
 // Tag streams are byte-identical, order included, to the functional
 // reference — enforced by the differential and fuzz suites.
 class LazyDfaSession {
  public:
+  // The speculative interleave: lanes per superblock, and bytes per lane.
+  static constexpr size_t kLanes = 4;
+  static constexpr size_t kSliceBytes = 8 << 10;
+
   // The tagger must outlive the session.
   explicit LazyDfaSession(const LazyDfaTagger* tagger);
 
@@ -131,6 +169,10 @@ class LazyDfaSession {
   // Bytes fully processed so far (excludes the pending look-ahead byte).
   uint64_t bytes_consumed() const { return consumed_; }
 
+  // Tags handed to a sink since the last Reset(), the one it refused on an
+  // early stop included.
+  uint64_t tags_emitted() const { return tags_; }
+
   const LazyDfaTagger* tagger() const { return tagger_; }
 
   // Cache introspection (tests and metrics surfacing). cache_states()
@@ -143,6 +185,61 @@ class LazyDfaSession {
   bool fallback_active() const { return fallback_; }
 
  private:
+  // Longest lane walk between two checkpoints.
+  static constexpr size_t kCheckpointBytes = 256;
+  // Fresh guesses a lane may take after stalls, per superblock.
+  static constexpr uint32_t kMaxRestarts = 64;
+
+  // A token list in cache_.emit_pool that emitting entries replay, and
+  // how often pass 2 replayed it since attribution was last folded.
+  struct EmitList {
+    uint32_t begin;
+    uint32_t count;
+    uint64_t replays;
+  };
+  // An emitting step recorded by pass 1: its position, relative to the
+  // walk's base, and its table slot. Left uninitialized on purpose.
+  struct TrailEntry {
+    uint32_t pos;
+    uint32_t slot;
+  };
+  // A point a lane passed through in state `state`, relative to the
+  // superblock's base, with the lane's trail length there and the idle
+  // skip the lane took from it (skip_len 0: none). `restart` marks a
+  // guess: the lane's walk is exact from one checkpoint up to the next
+  // restart only.
+  struct Checkpoint {
+    uint32_t pos;
+    int32_t state;
+    uint32_t trail;
+    uint32_t skip_len;
+    SkipMetrics::Kind kind;
+    bool restart;
+  };
+  // One slice of a superblock, walked as guessed stretches. A stretch
+  // ends at a stall on an unbuilt entry, where the lane guesses again past
+  // that byte (at most kMaxRestarts times). The lane's last checkpoint is
+  // where it stopped: its end, a stall, or before a skip the slice end
+  // may have cut.
+  struct Lane {
+    size_t pos;
+    size_t end;
+    int32_t s;   // premultiplied current state
+    uint32_t t;  // next trail index, in the lane's trail region
+    uint32_t restarts;
+    bool done;
+    std::vector<Checkpoint> cps;
+  };
+  // Progress through one Feed chunk: the next byte, and the bytes so far
+  // jumped by idle skips and built on a miss (DFA hits are the rest).
+  struct Cursor {
+    const char* data;
+    size_t n;
+    size_t i;
+    uint64_t skipped;
+    uint64_t misses;
+  };
+
   // Resolves a state id across the two regions: baked AOT states occupy
   // [0, num_aot_), session-interned states live above.
   const DfaStateInfo& Info(int32_t id) const {
@@ -155,55 +252,92 @@ class LazyDfaSession {
            info.snap_begin;
   }
 
-  // Hands `count` tokens ending at the pending byte to `sink` (until it
-  // asks to stop) and counts them for attribution.
+  // Hands `count` tokens ending at the pending byte to `sink`, until it
+  // asks to stop.
   void Emit(const int32_t* toks, size_t count, const TagSink& sink);
+  // Emits the tokens of the emitting entry at `slot` and counts them for
+  // attribution.
+  void EmitSlot(size_t slot, const TagSink& sink);
+  // Pass 2: emits the steps recorded in trail_[from, to) in order, each at
+  // stream offset `off` + its pos. On an early stop, sets consumed_ past
+  // the refused step and state_ to its successor, and returns the step's
+  // pos + 1; otherwise returns 0.
+  size_t Replay(size_t from, size_t to, uint64_t off, const TagSink& sink);
   // One uncached fused step on the pending byte held with scratch_, with
   // `next_cls` as its look-ahead (has_next = false at end of stream), and
   // its emissions; nothing without a pending byte.
   void StepScratch(bool has_next, uint8_t next_cls, const TagSink& sink);
 
-  // A special transition: it emits, or its successor is not plain.
-  struct SpecialTrans {
-    int32_t next;         // premultiplied successor
-    uint32_t emit_begin;  // into cache_.emit_pool
-    uint32_t emit_count;
-    bool plain;           // the successor is a plain state
-  };
-  // next_ entries: >= 0 plain (premultiplied successor), kUnbuilt, or
-  // special_[kUnbuilt - 1 - entry].
-  static constexpr int32_t kUnbuilt = -1;
-  static size_t SpecialIndex(int32_t entry) {
-    return static_cast<size_t>(kUnbuilt - 1 - entry);
-  }
-
   // The global id of `cfg`: a baked state if one matches, else the
   // session's own, interned on first sight with an unbuilt row.
   int32_t InternState(const DfaConfig& cfg);
-  // Whether state `id` has a pending byte and no idle skip can fire from
-  // it (IdleSkipper::LastInertByte returns its input index).
-  bool IsPlain(int32_t id) const;
-  // Fills the unbuilt entry out of state_ on `cls` with a transition to
-  // `next` emitting `emit[0, count)`, and returns it.
-  int32_t Install(uint8_t cls, int32_t next, const int32_t* emit,
-                  size_t count);
+  // Fills the unbuilt entry at `slot` of the private table with a
+  // transition to `next`, its exit bit and the emission of
+  // `emit[0, count)`, and returns the bytes that adds to the cache (the
+  // caller charges them).
+  size_t Put(size_t slot, int32_t next, bool exit, const int32_t* emit,
+             size_t count);
   // Builds (and caches) the transition out of the current state on input
   // class `cls`, flushing first if the cache is over budget, and returns
   // its entry. May enter fallback mode — the caller must check
   // fallback_active() after a build.
   int32_t BuildTransition(uint8_t cls);
+  // Under budget pressure or an injected dfa.intern fault, enters fallback
+  // and returns true.
+  bool ShedOnMiss();
+  // Whether a build must flush first.
+  bool CacheFull() const;
+  // Steps state `from` on `cls`, interns the successor and installs the
+  // transition, returning its entry; no budget checks.
+  int32_t BuildFrom(int32_t from, uint8_t cls);
   void Flush();
   void EnterFallback();
   // Loads the current interned configuration into scratch_ and its
   // pending class into pending_cls_, ready for an uncached step.
   void LoadScratch();
-  // Drops the session's states and transitions; out of fallback the
-  // table keeps one unbuilt row per baked state.
+  // Drops the session's states and transitions, back to walking the
+  // tagger's baked table in place.
   void ClearCache();
+  // Before the first build into the table: copies the tagger's baked
+  // table into next_, which then also takes the session's own rows.
+  void OwnTable();
+  // The table the walks read: the tagger's baked one until OwnTable.
+  const int32_t* Table() const;
+
+  // The ordinary cached path from state_ at c.i: one pass-1 walk toward
+  // `end` and its pass-2 replay, or, when the walk cannot take a byte, the
+  // per-byte step. False on an early stop or on entering fallback.
+  bool StepSegment(Cursor& c, size_t end, const TagSink& sink);
+  // The per-byte step at c.i: the idle skip, if one may start, then one
+  // step, built on a miss.
+  bool StepSlow(Cursor& c, const TagSink& sink);
+  // Speculates the superblock of kLanes slices at c.i, then commits it.
+  void Superblock(Cursor& c, const TagSink& sink);
+  // Runs lanes live[0, num_live) to their stops: lockstep walks between
+  // per-byte steps.
+  void WalkLanes(Lane** live, size_t num_live, const char* data, size_t base);
+  // Walks the N lanes in lockstep until one reaches its end or meets an
+  // exit bit.
+  template <size_t N>
+  void Lockstep(Lane* const* lanes, const char* data, size_t base);
+  // A lane's per-byte step: logs a checkpoint, then takes the idle skip
+  // and the step, or stops the lane (a stall, or a skip its end may cut).
+  void LaneSlowStep(Lane& lane, const char* data, size_t base);
+  // Takes lane `lane` from checkpoint `from` to the end of its guessed
+  // stretch: its emissions, skips and end state. Returns the index of the
+  // stretch's last checkpoint (or of the one an early stop fell before).
+  size_t Adopt(Cursor& c, const Lane& lane, size_t from, size_t base,
+               const TagSink& sink);
+  // Records that the stream was in state_ after c.data[c.i - 1], for
+  // later lanes to guess from.
+  void NoteGuess(const Cursor& c);
 
   // Merges the per-token match counts and DFA hit/miss tallies into
   // obs::AttributionTable::Default() and zeroes them.
   void FlushAttribution();
+  // Expands the per-list replay counts into per-token counts, before the
+  // emission lists go away.
+  void FoldEmitCounts();
 
   const LazyDfaTagger* tagger_;
   FusedSession scratch_;
@@ -213,11 +347,16 @@ class LazyDfaSession {
   int32_t num_aot_ = 0;
 
   // Session-private cache. cache_.states[k] has global id num_aot_ + k;
-  // cache_.emit_pool holds the tags special_ replays, copied from the
-  // baked pool for baked transitions. next_ is the flat table above.
+  // cache_.emit_pool holds the tags emits_ replays. Once own_table_ is
+  // set, next_ is the flat table above; emit_ref_ parallels it and indexes
+  // emits_ at the slots the session built. Baked transitions emit straight
+  // out of the baked table.
   DfaPool cache_;
+  bool own_table_ = false;
   std::vector<int32_t> next_;
-  std::vector<SpecialTrans> special_;
+  std::vector<uint32_t> emit_ref_;
+  std::vector<EmitList> emits_;
+  size_t baked_slots_ = 0;  // num_aot_ * num_classes_
   size_t cache_bytes_ = 0;
   size_t num_classes_ = 0;
   // Mirrors cache_bytes_ into the process resource budget so a fleet of
@@ -229,18 +368,29 @@ class LazyDfaSession {
   DfaConfig tmp_;
   std::vector<int32_t> tmp_emit_;
 
+  // Pass-1 trail: one region per lane, then one for the ordinary path,
+  // each holding a slice's worth of entries. Allocated on first use and
+  // never zero-filled, so the pages no walk touches stay out of RSS.
+  std::unique_ptr<TrailEntry[]> trail_;
+  Lane lanes_[kLanes];
+  // The state the stream was last seen in right after each byte value
+  // (-1: not seen since the cache was last cleared): lane guesses.
+  int32_t guess_[256];
+
   int32_t state_ = 0;
   // The pending byte's class while scratch_ holds the configuration (in
   // fallback, and for Finish's last step); -1 = none.
   int16_t pending_cls_ = -1;
   uint64_t consumed_ = 0;
+  uint64_t tags_ = 0;
   uint64_t flushes_ = 0;
   bool fallback_ = false;
   bool finished_ = false;
   bool stopped_ = false;
 
   // Hot-path attribution (see obs::AttributionTable), sampled at Reset().
-  // Matches are counted in Emit, in both modes.
+  // Pass 2 counts replayed entries the session built (EmitList::replays);
+  // baked entries and uncached steps count tokens.
   bool attr_on_ = false;
   bool attr_dirty_ = false;
   std::vector<uint64_t> attr_matches_;
@@ -285,12 +435,17 @@ class LazyDfaTagger {
   // The stream-start configuration every session resets to.
   const DfaConfig& start_config() const { return start_; }
 
+  // The baked table in the sessions' walk format (see LazyDfaSession),
+  // one row per baked state; empty without one.
+  const std::vector<int32_t>& baked_next() const { return baked_next_; }
+
  private:
   LazyDfaTagger(FusedTagger fused, std::shared_ptr<const AotDfaTable> aot);
 
   FusedTagger fused_;
   std::shared_ptr<const AotDfaTable> aot_;
   DfaConfig start_;
+  std::vector<int32_t> baked_next_;
   std::shared_ptr<LazyDfaSessionPool> session_pool_;
 };
 

@@ -14,6 +14,7 @@
 #include "core/token_tagger.h"
 #include "grammar/grammar_parser.h"
 #include "obs/metrics.h"
+#include "oracle.h"
 #include "tagger/ll_parser.h"
 #include "xmlrpc/message_gen.h"
 #include "xmlrpc/router.h"
@@ -270,6 +271,66 @@ TEST(HardwareOnDemandTest, BadHardwareOptionFailsAtFirstHardwareCall) {
   EXPECT_EQ(hw.status().code(), StatusCode::kInvalidArgument);
   // The failure is remembered, not retried.
   EXPECT_EQ(compiled->Implement(rtl::Virtex4LX200()).status(), hw.status());
+}
+
+// NL also matches the flush padding, and scan mode arms it at every byte,
+// so the padded stream emits tags that end at or past scan_end (the input
+// plus kFlushPadding). Tag and TagWithControl drop exactly those, and
+// cfgtag_tag_tokens_total counts exactly the tags handed to the caller's
+// sink, the refused one of an early stop included.
+TEST(CompiledTaggerTest, PaddingTagsAreDroppedAndTagCountIsExact) {
+  grammar::Grammar g;
+  auto word = g.AddToken("WORD", "[a-z]+");
+  auto nl = g.AddToken("NL", "\\n");
+  ASSERT_TRUE(word.ok()) << word.status();
+  ASSERT_TRUE(nl.ok()) << nl.status();
+  const int32_t s = g.AddNonterminal("s");
+  g.AddProduction(s, {grammar::Symbol::Terminal(*nl)});
+  g.AddProduction(s, {grammar::Symbol::Terminal(*word),
+                      grammar::Symbol::Terminal(*nl)});
+  g.SetStart(s);
+  hwgen::HwOptions opt;
+  opt.tagger.arm_mode = tagger::ArmMode::kScan;
+  opt.tagger.delimiters = regex::CharClass::Of(' ');
+  const std::string input = "ab\ncd ef\n\ngh";
+  const auto want = testing_oracle::OracleTags(g, opt.tagger, input);
+  ASSERT_TRUE(want.ok()) << want.status();
+  auto compiled = CompiledTagger::Compile(g.Clone(), opt);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+
+  // The raw padded stream does reach past scan_end.
+  const uint64_t scan_end = input.size() + CompiledTagger::kFlushPadding;
+  std::string padded = input;
+  padded.append(CompiledTagger::kFlushPadding + 1, CompiledTagger::kFlushByte);
+  size_t past = 0;
+  for (const Tag& t : compiled->lazy_model()->TagAll(padded)) {
+    past += t.end >= scan_end ? 1 : 0;
+  }
+  ASSERT_GT(past, 0u);
+
+  obs::Counter* counted = obs::MetricsRegistry::Default().GetCounter(
+      "cfgtag_tag_tokens_total");
+  for (const bool control : {false, true}) {
+    SCOPED_TRACE(control ? "TagWithControl" : "Tag");
+    for (size_t limit = 0; limit <= want->size(); ++limit) {
+      SCOPED_TRACE("limit " + std::to_string(limit));
+      std::vector<Tag> got;
+      const tagger::TagSink sink = [&](const Tag& t) {
+        got.push_back(t);
+        return limit == 0 || got.size() < limit;
+      };
+      const uint64_t before = counted->Value();
+      if (control) {
+        ASSERT_TRUE(compiled->TagWithControl(input, sink, {}).ok());
+      } else {
+        compiled->Tag(input, sink);
+      }
+      const size_t n = limit == 0 ? want->size() : limit;
+      ASSERT_EQ(got.size(), n);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want->begin()));
+      EXPECT_EQ(counted->Value() - before, n);
+    }
+  }
 }
 
 }  // namespace

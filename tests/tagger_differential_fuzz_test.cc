@@ -295,5 +295,46 @@ TEST(DifferentialFuzzTest, CompiledTaggerMatchesOracleAndNetlist) {
   }
 }
 
+// Random streams concatenated past one superblock (LazyDfaSession::kLanes
+// slices of kSliceBytes), so cached sessions walk speculative lanes from
+// guessed states: the default cache, a starved one (flushing mid-
+// superblock, then falling back) and no cache at all (uncached fallback
+// from the first miss) must each match the functional reference, whole
+// and in chunks that cut superblocks at random points.
+TEST(DifferentialFuzzTest, SuperblockStreamsMatchAcrossCacheSizes) {
+  Rng rng(20261017);
+  const ArmMode kModes[] = {ArmMode::kAnchored, ArmMode::kScan,
+                            ArmMode::kResync};
+  const size_t block =
+      tagger::LazyDfaSession::kLanes * tagger::LazyDfaSession::kSliceBytes;
+  for (int iter = 0; iter < 6; ++iter) {
+    const Grammar g = RandomGrammar(rng);
+    TaggerOptions opt;
+    opt.arm_mode = kModes[iter % 3];
+    opt.longest_match = (iter % 2) == 0;
+    TaggerOptions starved = opt;
+    starved.dfa_cache_bytes = 1 << 10;
+    TaggerOptions uncached = opt;
+    uncached.dfa_cache_bytes = 0;
+    uncached.dfa_flush_fallback = 1;
+    auto functional = FunctionalTagger::Create(&g, opt);
+    ASSERT_TRUE(functional.ok()) << functional.status();
+    std::string input;
+    while (input.size() < block + block / 4) input += RandomStream(g, rng);
+    const std::vector<Tag> want = functional->TagAll(input);
+    const size_t chunk = block + rng.NextIndex(block);
+    for (const TaggerOptions& o : {opt, starved, uncached}) {
+      auto lazy = LazyDfaTagger::Create(&g, o);
+      ASSERT_TRUE(lazy.ok()) << lazy.status();
+      const std::string what =
+          "dfa_cache_bytes=" + std::to_string(o.dfa_cache_bytes);
+      ExpectSameTags(want, lazy->TagAll(input), what + " whole", input);
+      ExpectSameTags(want, lazy->TagAll(input), what + " warm", input);
+      ExpectSameTags(want, Chunked(*lazy, input, chunk),
+                     what + " chunk=" + std::to_string(chunk), input);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cfgtag

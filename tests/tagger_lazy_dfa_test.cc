@@ -4,16 +4,23 @@
 // paths, cache flushes under a starvation-sized budget, and the sticky
 // fallback to uncached fused steps, both after repeated flush thrash and
 // from the very first miss. Sessions over baked AOT rows and sessions
-// split at every point of an XML-RPC stream must match the oracle too.
+// split at every point of an XML-RPC stream must match the oracle too, and
+// so must streams long enough for the speculative lanes, whatever their
+// guesses do.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/resilience/budget.h"
+#include "core/resilience/fault_injector.h"
 #include "core/token_tagger.h"
 #include "grammar/grammar.h"
 #include "grammar/grammar_parser.h"
+#include "obs/attribution.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "oracle.h"
@@ -21,6 +28,7 @@
 #include "tagger/fused_model.h"
 #include "tagger/lazy_dfa.h"
 #include "tagger/skip_scan.h"
+#include "xmlrpc/message_gen.h"
 #include "xmlrpc/xmlrpc_grammar.h"
 
 namespace cfgtag::tagger {
@@ -266,11 +274,11 @@ TEST(LazyDfaTaggerTest, SkipPathsStayExact) {
   }
 }
 
-// The cached loop consults the idle skips only off plain states; the
-// fallback consults them on every byte. Both must jump exactly the same
-// bytes of every kind, cold and warm (where the built transitions let
-// the cached loop run on), so classing a state as plain never loses a
-// skip.
+// The cached loop consults the idle skips only at entries whose exit bit
+// is set; the fallback consults them on every byte. Both must jump
+// exactly the same bytes of every kind, cold and warm (where the built
+// transitions let the cached loop run on), so a missing exit bit never
+// loses a skip.
 TEST(LazyDfaTaggerTest, CachedSkipsEqualFallbackSkips) {
   grammar::Grammar g = MustParse(kCalcGrammar);
   const TagSink sink = [](const Tag&) { return true; };
@@ -289,6 +297,53 @@ TEST(LazyDfaTaggerTest, CachedSkipsEqualFallbackSkips) {
           session.Reset();
           for (size_t i = 0; i < c.input.size(); i += chunk) {
             session.Feed(std::string_view(c.input).substr(i, chunk), sink);
+          }
+          session.Finish(sink);
+          EXPECT_EQ(session.fallback_active(), FallsBackAtFirstMiss(opt))
+              << pass;
+          for (int k = 0; k < SkipMetrics::kNumKinds; ++k) {
+            delta[static_cast<size_t>(k)] =
+                SkippedBytes(static_cast<SkipMetrics::Kind>(k)) -
+                delta[static_cast<size_t>(k)];
+          }
+          jumped.push_back(delta);
+        }
+      }
+      ASSERT_EQ(jumped.size(), 4u);
+      EXPECT_GT(jumped[0][c.kind], 0u) << "skip kind " << c.kind;
+      EXPECT_EQ(jumped[0], jumped[2])
+          << "cold, skip kind " << c.kind << " chunk " << chunk;
+      EXPECT_EQ(jumped[1], jumped[3])
+          << "warm, skip kind " << c.kind << " chunk " << chunk;
+    }
+  }
+}
+
+// The same on streams of more than one superblock, where the lanes take
+// idle skips bounded by their slices and the commit counts them: each
+// case's input repeated past kLanes * kSliceBytes bytes.
+TEST(LazyDfaTaggerTest, KWayCachedSkipsEqualFallbackSkips) {
+  grammar::Grammar g = MustParse(kCalcGrammar);
+  const TagSink sink = [](const Tag&) { return true; };
+  const size_t block =
+      LazyDfaSession::kLanes * LazyDfaSession::kSliceBytes;
+  for (const SkipCase& c : SkipCases()) {
+    std::string input;
+    while (input.size() < block * 5 / 4) input += c.input;
+    for (size_t chunk : {input.size(), size_t{7}}) {
+      std::vector<std::vector<uint64_t>> jumped;
+      for (const TaggerOptions& opt : CachedAndFallback(c.opt)) {
+        auto t = LazyDfaTagger::Create(&g, opt);
+        ASSERT_TRUE(t.ok()) << t.status();
+        LazyDfaSession session = t->NewSession();
+        for (const char* pass : {"cold", "warm"}) {
+          std::vector<uint64_t> delta;
+          for (int k = 0; k < SkipMetrics::kNumKinds; ++k) {
+            delta.push_back(SkippedBytes(static_cast<SkipMetrics::Kind>(k)));
+          }
+          session.Reset();
+          for (size_t i = 0; i < input.size(); i += chunk) {
+            session.Feed(std::string_view(input).substr(i, chunk), sink);
           }
           session.Finish(sink);
           EXPECT_EQ(session.fallback_active(), FallsBackAtFirstMiss(opt))
@@ -520,8 +575,8 @@ std::vector<Tag> FeedSplit(LazyDfaSession* session, std::string_view stream,
 
 // CompiledTagger::Tag's stream contract (the input plus flush padding)
 // fed straight into sessions split in two at every byte: warm, cold,
-// flushing inside plain runs, and filling baked rows on first touch must
-// all deliver the oracle's tags, and exactly its prefix on early stop.
+// flushing, and out of baked AOT rows must all deliver the oracle's
+// tags, and exactly its prefix on early stop.
 TEST(LazyDfaTaggerTest, EverySplitPointMatchesOracle) {
   auto parsed = xmlrpc::XmlRpcGrammar();
   ASSERT_TRUE(parsed.ok()) << parsed.status();
@@ -601,6 +656,389 @@ TEST(LazyDfaTaggerTest, EverySplitPointMatchesOracle) {
       EXPECT_GT(flushes, 0u);
     }
   }
+}
+
+// ---- The speculative interleave --------------------------------------------
+
+constexpr size_t kSlice = LazyDfaSession::kSliceBytes;
+constexpr size_t kBlock = LazyDfaSession::kLanes * kSlice;
+
+// An XML-RPC stream of more than one superblock: copies of kXmlRpcStream
+// around one call whose STRING token has `len` bytes and ends just before
+// byte `end`. A scan's first superblock starts at byte 1, so a lane starts
+// right after each multiple of kSlice; inside the token those bytes are
+// 'Q', which the warm-up stream lacks, so the lanes starting there have
+// no state noted for it and guess lane 0's, outside any token. A token
+// longer than a slice leaves such a lane guessing wrong for its whole
+// slice; its end moves where the lanes converge.
+std::string KWayStream(size_t end, size_t len) {
+  const std::string msg = std::string(kXmlRpcStream) + "\n";
+  const std::string open =
+      "<methodCall><methodName>big</methodName><params><param><string>";
+  std::string s;
+  while (s.size() + msg.size() + open.size() + len <= end) s += msg;
+  s.append(end - len - open.size() - s.size(), ' ');
+  s += open;
+  s.append(len, 'x');
+  for (size_t q = kSlice; q < s.size(); q += kSlice) {
+    if (q + len >= s.size()) s[q] = 'Q';
+  }
+  s += "</string></param></params></methodCall>\n      ";
+  while (s.size() < kBlock + kSlice) s += msg;
+  return s;
+}
+
+struct KWayRun {
+  std::vector<Tag> tags;  // the tags before scan_end
+  uint64_t consumed = 0;  // bytes_consumed() before Finish
+  uint64_t flushes = 0;
+  bool fallback = false;
+};
+
+// Feeds `input` plus CompiledTagger::Tag's flush padding through
+// `session` from a reset, whole, stopping once `limit` tags were delivered
+// (never when 0).
+KWayRun FeedKWay(LazyDfaSession* session, const std::string& input,
+                 size_t limit = 0) {
+  std::string stream = input;
+  stream.append(core::CompiledTagger::kFlushPadding + 1,
+                core::CompiledTagger::kFlushByte);
+  const uint64_t scan_end = input.size() + core::CompiledTagger::kFlushPadding;
+  KWayRun run;
+  size_t delivered = 0;
+  const TagSink sink = [&](const Tag& tag) {
+    if (tag.end < scan_end) run.tags.push_back(tag);
+    return limit == 0 || ++delivered < limit;
+  };
+  session->Reset();
+  session->Feed(stream, sink);
+  run.consumed = session->bytes_consumed();
+  session->Finish(sink);
+  run.flushes = session->cache_flushes();
+  run.fallback = session->fallback_active();
+  return run;
+}
+
+// The taggers the speculative tests run: the default cache, a starved one
+// that keeps flushing (never falling back), and one loaded from an
+// artifact that baked only three states.
+struct KWayTaggers {
+  grammar::Grammar g;
+  TaggerOptions opt;
+  std::optional<LazyDfaTagger> lazy;
+  std::optional<LazyDfaTagger> tiny;
+  std::optional<core::CompiledTagger> loaded;
+
+  const LazyDfaTagger* baked() const { return loaded->lazy_model(); }
+};
+
+std::unique_ptr<KWayTaggers> MakeKWayTaggers() {
+  auto t = std::make_unique<KWayTaggers>();
+  auto parsed = xmlrpc::XmlRpcGrammar();
+  EXPECT_TRUE(parsed.ok()) << parsed.status();
+  t->g = std::move(parsed).value();
+  t->opt.arm_mode = ArmMode::kResync;
+  auto lazy = LazyDfaTagger::Create(&t->g, t->opt);
+  EXPECT_TRUE(lazy.ok()) << lazy.status();
+  t->lazy.emplace(std::move(lazy).value());
+  TaggerOptions tiny_opt = t->opt;
+  tiny_opt.dfa_cache_bytes = 1 << 10;
+  tiny_opt.dfa_flush_fallback = 1u << 30;  // keep flushing, never fall back
+  auto tiny = LazyDfaTagger::Create(&t->g, tiny_opt);
+  EXPECT_TRUE(tiny.ok()) << tiny.status();
+  t->tiny.emplace(std::move(tiny).value());
+  hwgen::HwOptions aot_opt;
+  aot_opt.tagger = t->opt;
+  aot_opt.tagger.aot_state_budget = 3;
+  auto compiled = core::CompiledTagger::Compile(t->g.Clone(), aot_opt);
+  EXPECT_TRUE(compiled.ok()) << compiled.status();
+  auto bytes = compiled->Serialize();
+  EXPECT_TRUE(bytes.ok()) << bytes.status();
+  auto loaded = core::CompiledTagger::Deserialize(*bytes);
+  EXPECT_TRUE(loaded.ok()) << loaded.status();
+  t->loaded.emplace(std::move(loaded).value());
+  return t;
+}
+
+// A stream of kXmlRpcStream copies, more than a superblock long.
+std::string WarmUpStream() {
+  std::string s;
+  while (s.size() < kBlock + kSlice) s += std::string(kXmlRpcStream) + "\n";
+  return s;
+}
+
+// Runs `input` warm (after WarmUpStream), cold, starved and from a
+// budget-3 artifact: every run must deliver the oracle's tags and consume
+// every byte but the pending one.
+void ExpectKWayMatchesOracle(const KWayTaggers& t, const std::string& input) {
+  const auto want = testing_oracle::OracleTags(t.g, t.opt, input);
+  ASSERT_TRUE(want.ok()) << want.status();
+  const uint64_t fed = input.size() + core::CompiledTagger::kFlushPadding + 1;
+  struct Case {
+    const char* name;
+    const LazyDfaTagger* tagger;
+  };
+  const Case cases[] = {{"warm", nullptr},
+                        {"cold", &*t.lazy},
+                        {"tiny-cache", &*t.tiny},
+                        {"aot-budget-3", t.baked()}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    KWayRun run;
+    if (c.tagger == nullptr) {
+      LazyDfaSession warm = t.lazy->NewSession();
+      (void)FeedKWay(&warm, WarmUpStream());
+      run = FeedKWay(&warm, input);
+    } else {
+      LazyDfaSession session = c.tagger->NewSession();
+      run = FeedKWay(&session, input);
+      EXPECT_EQ(session.aot_states(), c.tagger == t.baked() ? 3u : 0u);
+    }
+    ExpectSameTags(*want, run.tags);
+    EXPECT_EQ(run.consumed, fed - 1);
+    EXPECT_FALSE(run.fallback);
+    if (c.tagger == &*t.tiny) {
+      EXPECT_GT(run.flushes, 0u);
+    }
+  }
+}
+
+// A STRING token longer than a slice straddles the cuts, so the lane
+// starting inside it guesses a state outside any token and stalls; it
+// guesses again at each stall, and either never meets the true state in
+// its slice or meets it on the tokens after the string. Sweeping where
+// the token ends moves that point across a slice's last bytes into the
+// next slice.
+TEST(LazyDfaKWayTest, GuessesThatConvergeLateOrNeverMatchOracle) {
+  const auto t = MakeKWayTaggers();
+  for (size_t end = 2 * kSlice - 48; end <= 2 * kSlice + 4; ++end) {
+    SCOPED_TRACE("token ends at " + std::to_string(end));
+    ExpectKWayMatchesOracle(*t, KWayStream(end, kSlice + 600));
+  }
+  for (size_t end = kSlice - 8; end <= kSlice + 2; ++end) {
+    SCOPED_TRACE("short token ends at " + std::to_string(end));
+    ExpectKWayMatchesOracle(*t, KWayStream(end, 700));
+  }
+}
+
+// The lane starting inside a long WORD guesses lane 0's state, NUM after the
+// stream's first '1': the byte before its slice, 'q', is one the warm-up
+// never saw, so no state was noted for it. In resync mode the lane dies on
+// the word and skips to its end; it reaches the true state within the tokens
+// that follow, where it takes no per-byte step and so logs no checkpoint.
+// The warm-up starts with the lane's path, so the lane never stalls on it. A
+// run of spaces starting near the slice's end gives it one: the lane stops
+// before the skip the slice end cuts short. With the run starting on the
+// slice's next-to-last byte, that checkpoint — where the walk from the true
+// state meets the lane — is on the slice's last byte. Cold, the lane stalls
+// at once.
+TEST(LazyDfaKWayTest, GuessConvergingOnSliceLastByteMatchesOracle) {
+  grammar::Grammar g = MustParse(kCalcGrammar);
+  const std::string filler = "12+34 abc  7*8 1aa a ";
+  std::string tokens;
+  while (tokens.size() < 200) tokens += " 12+34 abc 7*8";
+  std::string warm_up = "1aaaa" + tokens + "      ";
+  while (warm_up.size() < kBlock + kSlice) warm_up += "1+2 aaaa  " + filler;
+  for (const ArmMode mode : {ArmMode::kResync, ArmMode::kScan}) {
+    TaggerOptions base;
+    base.arm_mode = mode;
+    for (const TaggerOptions& opt : CachedAndFallback(base)) {
+      auto t = LazyDfaTagger::Create(&g, opt);
+      ASSERT_TRUE(t.ok()) << t.status();
+      // Lane 1 covers bytes [kSlice + 1, 2 * kSlice + 1).
+      for (size_t run = 2 * kSlice - 3; run <= 2 * kSlice; ++run) {
+        std::string input = "1+2 ";
+        input.append(2 * kSlice - 100 - input.size(), 'a');
+        input[kSlice] = 'q';
+        input += tokens;
+        input.resize(run);
+        if (input.back() == ' ') input.back() = '9';
+        input.append(6, ' ');
+        while (input.size() < kBlock + kSlice) input += filler;
+        const auto want = testing_oracle::OracleTags(g, opt, input);
+        ASSERT_TRUE(want.ok()) << want.status();
+        for (const bool warm : {false, true}) {
+          SCOPED_TRACE(std::string(warm ? "warm" : "cold") + " run at " +
+                       std::to_string(run));
+          LazyDfaSession session = t->NewSession();
+          if (warm) (void)FeedKWay(&session, warm_up);
+          const KWayRun run_out = FeedKWay(&session, input);
+          ExpectSameTags(*want, run_out.tags);
+          EXPECT_EQ(run_out.consumed,
+                    input.size() + core::CompiledTagger::kFlushPadding);
+          EXPECT_EQ(run_out.fallback, FallsBackAtFirstMiss(opt));
+        }
+      }
+    }
+  }
+}
+
+// Early stop delivers exactly the oracle's prefix and consumes the byte
+// of the refused tag, wherever that tag falls: in lane 0, in the prefix of
+// lane 1 walked again from the true state, in an adopted lane.
+TEST(LazyDfaKWayTest, EarlyStopInEveryLaneMatchesOracle) {
+  const auto t = MakeKWayTaggers();
+  const std::string input = KWayStream(kSlice + 3000, 3500);
+  const auto want = testing_oracle::OracleTags(t->g, t->opt, input);
+  ASSERT_TRUE(want.ok()) << want.status();
+  std::vector<size_t> limits;
+  for (const size_t at : {size_t{0}, kSlice, kSlice + 2990, kSlice + 3010,
+                          2 * kSlice + kSlice / 2, 3 * kSlice + kSlice / 2}) {
+    size_t k = 0;
+    while (k < want->size() && (*want)[k].end < at) ++k;
+    ASSERT_LT(k + 1, want->size());
+    for (size_t d : {k, k + 1, k + 2}) limits.push_back(d + 1);
+  }
+  LazyDfaSession warm = t->lazy->NewSession();
+  (void)FeedKWay(&warm, input);
+  const LazyDfaTagger* taggers[] = {nullptr, &*t->lazy, &*t->tiny,
+                                    t->baked()};
+  for (const LazyDfaTagger* tagger : taggers) {
+    for (const size_t limit : limits) {
+      SCOPED_TRACE("limit " + std::to_string(limit));
+      const std::vector<Tag> prefix(want->begin(),
+                                    want->begin() + static_cast<long>(limit));
+      KWayRun run;
+      if (tagger == nullptr) {
+        run = FeedKWay(&warm, input, limit);
+      } else {
+        LazyDfaSession session = tagger->NewSession();
+        run = FeedKWay(&session, input, limit);
+      }
+      ExpectSameTags(prefix, run.tags);
+      EXPECT_EQ(run.consumed, prefix.back().end + 1);
+    }
+  }
+}
+
+// Shedding to fallback in a superblock — the dfa.intern fault site, or
+// the budget ladder's kShedDfa rung — keeps the tags and the byte count
+// exact, whichever build it hits.
+TEST(LazyDfaKWayTest, ShedDuringSuperblockMatchesOracle) {
+  namespace res = core::resilience;
+  const auto t = MakeKWayTaggers();
+  const std::string input = KWayStream(2 * kSlice + 100, kSlice + 600);
+  const auto want = testing_oracle::OracleTags(t->g, t->opt, input);
+  ASSERT_TRUE(want.ok()) << want.status();
+  const uint64_t fed = input.size() + core::CompiledTagger::kFlushPadding + 1;
+  bool fell_back = false;
+  for (const uint64_t period : {2u, 3u, 7u, 40u}) {
+    SCOPED_TRACE("dfa.intern period " + std::to_string(period));
+    ASSERT_TRUE(res::FaultInjector::Instance().Arm("dfa.intern", period).ok());
+    LazyDfaSession session = t->lazy->NewSession();
+    const KWayRun run = FeedKWay(&session, input);
+    res::FaultInjector::Instance().DisarmAll();
+    ExpectSameTags(*want, run.tags);
+    EXPECT_EQ(run.consumed, fed - 1);
+    fell_back |= run.fallback;
+  }
+  EXPECT_TRUE(fell_back);
+  // The ladder sheds at 85% of the limit: limits just above the usage of
+  // everything else shed once the session's own cache has grown a little.
+  res::ResourceBudget& budget = res::ResourceBudget::Process();
+  fell_back = false;
+  for (const uint64_t headroom : {uint64_t{16} << 10, uint64_t{64} << 10,
+                                  uint64_t{256} << 10}) {
+    SCOPED_TRACE("headroom " + std::to_string(headroom));
+    budget.SetLimit(budget.used() + headroom);
+    LazyDfaSession session = t->lazy->NewSession();
+    const KWayRun run = FeedKWay(&session, input);
+    budget.SetLimit(0);
+    ExpectSameTags(*want, run.tags);
+    EXPECT_EQ(run.consumed, fed - 1);
+    fell_back |= run.fallback;
+  }
+  EXPECT_TRUE(fell_back);
+}
+
+// What a scan leaves in and reports of a session's cache.
+struct CacheTraffic {
+  std::vector<Tag> tags;
+  size_t states = 0;
+  size_t bytes = 0;
+  uint64_t flushes = 0;
+  bool fallback = false;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+
+// Lanes never build, flush or shed, so speculation leaves a stream's
+// cache traffic — the states interned, the bytes charged, the flushes,
+// the fallback verdict, the DFA hits and misses — exactly as the walk
+// from the true state alone makes it: a stream fed whole, in superblocks,
+// matches the same stream fed in chunks too short for one, cold and warm,
+// with caps just above the stream's reachable set and below it.
+TEST(LazyDfaKWayTest, SpeculationLeavesCacheTrafficSequential) {
+  auto parsed = xmlrpc::XmlRpcGrammar();
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const grammar::Grammar g = std::move(parsed).value();
+  xmlrpc::MessageGenerator gen({}, /*seed=*/7);
+  const std::string input = gen.GenerateStream(0, 3 * kBlock);
+  TaggerOptions opt;
+  opt.arm_mode = ArmMode::kResync;
+  const auto scan = [&input](LazyDfaSession* session, size_t chunk) {
+    obs::AttributionTable::Default().Clear();
+    CacheTraffic traffic;
+    const TagSink sink = [&traffic](const Tag& tag) {
+      traffic.tags.push_back(tag);
+      return true;
+    };
+    session->Reset();
+    for (size_t i = 0; i < input.size(); i += chunk) {
+      session->Feed(std::string_view(input).substr(i, chunk), sink);
+    }
+    session->Finish(sink);
+    traffic.states = session->cache_states();
+    traffic.bytes = session->cache_bytes();
+    traffic.flushes = session->cache_flushes();
+    traffic.fallback = session->fallback_active();
+    traffic.hits = obs::AttributionTable::Default().dfa_cache_hits();
+    traffic.misses = obs::AttributionTable::Default().dfa_cache_misses();
+    return traffic;
+  };
+  obs::AttributionTable::set_enabled(true);
+  // The reachable set: what a cold scan in short chunks interns.
+  size_t reach = 0;
+  {
+    auto t = LazyDfaTagger::Create(&g, opt);
+    ASSERT_TRUE(t.ok()) << t.status();
+    LazyDfaSession session = t->NewSession();
+    const CacheTraffic cold = scan(&session, kSlice);
+    ASSERT_EQ(cold.flushes, 0u);
+    reach = cold.bytes;
+  }
+  bool flushed = false;
+  bool fell_back = false;
+  for (const size_t cap :
+       {reach + 1024, reach, reach / 2, reach / 3, reach / 6}) {
+    SCOPED_TRACE("cap " + std::to_string(cap) + " of reachable " +
+                 std::to_string(reach));
+    opt.dfa_cache_bytes = cap;
+    auto t = LazyDfaTagger::Create(&g, opt);
+    ASSERT_TRUE(t.ok()) << t.status();
+    LazyDfaSession whole = t->NewSession();
+    LazyDfaSession chunked = t->NewSession();
+    for (const char* pass : {"cold", "warm"}) {
+      SCOPED_TRACE(pass);
+      const CacheTraffic a = scan(&whole, input.size());
+      const CacheTraffic b = scan(&chunked, kSlice);
+      ExpectSameTags(b.tags, a.tags);
+      EXPECT_EQ(a.states, b.states);
+      EXPECT_EQ(a.bytes, b.bytes);
+      EXPECT_EQ(a.flushes, b.flushes);
+      EXPECT_EQ(a.fallback, b.fallback);
+      EXPECT_EQ(a.hits, b.hits);
+      EXPECT_EQ(a.misses, b.misses);
+      if (cap >= reach) {
+        EXPECT_EQ(a.flushes, 0u);
+      }
+      flushed |= a.flushes > 0;
+      fell_back |= a.fallback;
+    }
+  }
+  obs::AttributionTable::set_enabled(false);
+  EXPECT_TRUE(flushed);
+  EXPECT_TRUE(fell_back);
 }
 
 }  // namespace
