@@ -25,6 +25,12 @@ obs::Counter* CancelledCounter() {
 
 }  // namespace
 
+const ScanControl& ScanControl::InertOneChunk() {
+  static const ScanControl kControl{Deadline::Infinite(), CancelToken::None(),
+                                    0};
+  return kControl;
+}
+
 Status ScanControl::Check() const {
   if (cancel.cancelled()) {
     return CancelledError("scan cancelled");

@@ -104,18 +104,24 @@ class CancelToken {
   std::shared_ptr<State> state_;
 };
 
-// The bundle threaded through the controlled scan paths: a deadline, a
-// cancellation token, and the granularity at which both are checked. The
-// default is fully inert (infinite deadline, inert token), so a
-// default-constructed control reproduces the uncontrolled scan exactly,
-// minus one branch per chunk.
+// The bundle threaded through the scan paths: a deadline, a cancellation
+// token, and the granularity at which both are checked. The default is
+// fully inert (infinite deadline, inert token), so a default-constructed
+// control tags exactly like the uncontrolled entry points, which run
+// under InertOneChunk().
 struct ScanControl {
   Deadline deadline;
   CancelToken cancel = CancelToken::None();
   // Bytes fed between control checks. Smaller = tighter deadline/cancel
   // latency, larger = fewer clock reads; 64 KiB keeps the check cost
-  // below noise at memory-bandwidth scan speeds.
+  // below noise at memory-bandwidth scan speeds. 0 feeds the whole input
+  // as one chunk (checked once before it and once after).
   size_t check_interval_bytes = 64 * 1024;
+
+  // The control behind every uncontrolled entry point (CompiledTagger::
+  // Tag, ContextFilter::Scan, ScanEngine::ScanBatch/ScanStream without a
+  // control): never trips, and feeds each input as one chunk.
+  static const ScanControl& InertOneChunk();
 
   // kOk, kCancelled (checked first: an explicit cancel beats a timeout),
   // or kDeadlineExceeded. Does not record events — the scan that aborts

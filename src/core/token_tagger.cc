@@ -230,6 +230,14 @@ std::vector<tagger::Tag> CompiledTagger::Tag(std::string_view input) const {
 
 void CompiledTagger::Tag(std::string_view input,
                          const tagger::TagSink& sink) const {
+  (void)TagWithControl(input, sink, resilience::ScanControl::InertOneChunk());
+}
+
+Status CompiledTagger::TagWithControl(std::string_view input,
+                                      const tagger::TagSink& sink,
+                                      const resilience::ScanControl& control,
+                                      std::atomic<uint64_t>* progress,
+                                      uint64_t* consumed) const {
   const TagMetrics& metrics = TagMetrics::Get();
   obs::ScopedTimer timer(metrics.latency);
   // Stream the input and then the flush padding through a pooled session:
@@ -243,36 +251,6 @@ void CompiledTagger::Tag(std::string_view input,
   // Tags emitted while feeding the input end inside it, so only the
   // padding and Finish go through the scan_end gate, which counts what it
   // drops so the session's tag count yields the tags delivered.
-  uint64_t dropped = 0;
-  const tagger::TagSink gated = [&](const tagger::Tag& t) {
-    if (t.end < scan_end) return sink(t);
-    ++dropped;
-    return true;
-  };
-  uint64_t emitted = 0;
-  {
-    tagger::LazyDfaSessionPool::Handle session =
-        lazy_->session_pool().Acquire(lazy_.get());
-    session->Feed(input, sink);
-    session->Feed(kPadding, gated);
-    session->Finish(gated);
-    emitted = session->tags_emitted() - dropped;
-  }
-  metrics.calls->Increment();
-  metrics.bytes->Increment(input.size());
-  metrics.tags->Increment(emitted);
-}
-
-Status CompiledTagger::TagWithControl(std::string_view input,
-                                      const tagger::TagSink& sink,
-                                      const resilience::ScanControl& control,
-                                      std::atomic<uint64_t>* progress,
-                                      uint64_t* consumed) const {
-  const TagMetrics& metrics = TagMetrics::Get();
-  obs::ScopedTimer timer(metrics.latency);
-  static const std::string& kPadding =
-      *new std::string(kFlushPadding + 1, kFlushByte);
-  const size_t scan_end = input.size() + kFlushPadding;
   uint64_t dropped = 0;
   const tagger::TagSink gated = [&](const tagger::Tag& t) {
     if (t.end < scan_end) return sink(t);

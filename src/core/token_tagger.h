@@ -113,12 +113,13 @@ class CompiledTagger {
   // no new token can start there) before scanning; a trailing open-class
   // token may therefore report an end offset just past the input.
 
-  // Fast software tagging via the lazy DFA.
+  // Fast software tagging via the lazy DFA: TagWithControl() under
+  // ScanControl::InertOneChunk(), so the input is fed as one chunk.
   std::vector<tagger::Tag> Tag(std::string_view input) const;
   void Tag(std::string_view input, const tagger::TagSink& sink) const;
 
-  // Controlled tagging: the same tag stream as Tag(), but the input is
-  // fed in control.check_interval_bytes chunks with a deadline/cancel
+  // Controlled tagging, the one software scan path: the input is fed in
+  // control.check_interval_bytes chunks with a deadline/cancel
   // check (and the scan.chunk fault site) at each boundary — the byte-
   // stepping hot loops are untouched. On a trip the scan stops at the
   // last chunk boundary and returns kDeadlineExceeded / kCancelled; every

@@ -1,7 +1,6 @@
 #include "core/worker_pool.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "obs/metrics.h"
 
@@ -11,7 +10,6 @@ namespace {
 
 struct PoolMetrics {
   obs::Gauge* threads;
-  obs::Gauge* queue_depth;
   obs::Counter* tasks;
   obs::Histogram* task_seconds;
 
@@ -21,17 +19,20 @@ struct PoolMetrics {
       auto* m = new PoolMetrics;
       m->threads = reg.GetGauge("cfgtag_engine_threads",
                                 "Worker threads in the last-built pool");
-      m->queue_depth =
-          reg.GetGauge("cfgtag_engine_queue_depth",
-                       "Tasks waiting in the worker pool queue");
       m->tasks = reg.GetCounter("cfgtag_engine_tasks_total",
-                                "Tasks executed by pool workers");
+                                "Indices run by RunIndexed");
       m->task_seconds = reg.GetHistogram(
           "cfgtag_engine_task_seconds",
-          "Per-task wall time on a pool worker (busy time)");
+          "Per-index wall time in RunIndexed (busy time)");
       return m;
     }();
     return *kMetrics;
+  }
+
+  void Run(const std::function<void(size_t)>& fn, size_t i) const {
+    tasks->Increment();
+    obs::ScopedTimer timer(task_seconds);
+    fn(i);
   }
 };
 
@@ -55,67 +56,53 @@ WorkerPool::~WorkerPool() {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  cv_.notify_all();
+  work_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
-}
-
-void WorkerPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-    PoolMetrics::Get().queue_depth->Set(static_cast<double>(queue_.size()));
-  }
-  cv_.notify_one();
-}
-
-size_t WorkerPool::QueueDepth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
 }
 
 void WorkerPool::RunIndexed(size_t count,
                             const std::function<void(size_t)>& fn) {
-  if (count == 0) return;
-  if (threads_.empty() || count == 1) {
-    for (size_t i = 0; i < count; ++i) fn(i);
+  const PoolMetrics& metrics = PoolMetrics::Get();
+  if (count <= 1 || threads_.size() <= 1) {
+    for (size_t i = 0; i < count; ++i) metrics.Run(fn, i);
     return;
   }
-  struct Join {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t remaining;
-  };
-  auto join = std::make_shared<Join>();
-  join->remaining = count;
-  for (size_t i = 0; i < count; ++i) {
-    // Capturing fn by reference is safe: this call blocks until every
-    // task has run.
-    Submit([&fn, i, join] {
-      fn(i);
-      std::lock_guard<std::mutex> lock(join->mu);
-      if (--join->remaining == 0) join->cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(join->mu);
-  join->cv.wait(lock, [&] { return join->remaining == 0; });
+  std::lock_guard<std::mutex> run(run_mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  fn_ = &fn;
+  count_ = count;
+  next_.store(0);
+  busy_ = threads_.size();
+  ++run_id_;
+  work_cv_.notify_all();
+  // Every worker checks in under mu_ after its last index, so the wait
+  // also orders all of fn's writes before the return.
+  done_cv_.wait(lock, [this] { return busy_ == 0; });
+  fn_ = nullptr;
 }
 
 void WorkerPool::WorkerLoop() {
   const PoolMetrics& metrics = PoolMetrics::Get();
+  uint64_t done_id = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutdown with a drained queue
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      metrics.queue_depth->Set(static_cast<double>(queue_.size()));
-    }
-    metrics.tasks->Increment();
-    obs::ScopedTimer timer(metrics.task_seconds);
-    task();
+    work_cv_.wait(lock, [&] { return shutdown_ || run_id_ != done_id; });
+    if (shutdown_) return;
+    done_id = run_id_;
+    const std::function<void(size_t)>& fn = *fn_;
+    const size_t count = count_;
+    lock.unlock();
+    for (size_t i = next_++; i < count; i = next_++) metrics.Run(fn, i);
+    lock.lock();
+    if (--busy_ == 0) done_cv_.notify_one();
   }
+}
+
+bool RecordShardingIsExact(const tagger::TaggerOptions& options,
+                           const regex::CharClass& record_delimiters) {
+  return options.arm_mode == tagger::ArmMode::kResync &&
+         !record_delimiters.Empty() &&
+         record_delimiters.Minus(options.delimiters).Empty();
 }
 
 std::vector<size_t> ShardSplitPoints(std::string_view stream,

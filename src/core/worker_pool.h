@@ -1,9 +1,10 @@
 #ifndef CFGTAG_CORE_WORKER_POOL_H_
 #define CFGTAG_CORE_WORKER_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string_view>
@@ -11,15 +12,16 @@
 #include <vector>
 
 #include "regex/char_class.h"
+#include "tagger/tag.h"
 
 namespace cfgtag::core {
 
-// Fixed-size worker pool behind the parallel scan paths (nids::ScanEngine,
-// cfgtagc --threads). Workers are spawned once and live for the pool's
-// lifetime; work arrives through an internal queue whose depth and task
-// wall times are exported as cfgtag_engine_* metrics, so saturation and
-// worker utilization are visible in the same registry as the scan
-// counters.
+// Fixed-size fork-join pool behind the parallel scan paths
+// (nids::ScanEngine, cfgtagc --threads). Workers are spawned once and park
+// between runs; a run publishes (fn, count), wakes them once, and they
+// claim indices from one atomic counter. Every index is one task in the
+// cfgtag_engine_* metrics, so worker utilization is visible in the same
+// registry as the scan counters.
 class WorkerPool {
  public:
   // num_threads <= 0 picks one worker per hardware thread.
@@ -30,26 +32,39 @@ class WorkerPool {
 
   int num_threads() const { return static_cast<int>(threads_.size()); }
 
-  // Enqueues one task for any worker.
-  void Submit(std::function<void()> task);
-
-  // Runs fn(0), ..., fn(count-1) across the pool and returns once every
-  // call has completed. Callers key results by index, so the output is
-  // deterministic regardless of which worker ran which index. Not
-  // reentrant: must not be called from inside a pool task.
+  // Runs fn(0), ..., fn(count-1) across the workers and returns once every
+  // call has completed; every write fn made happens-before the return.
+  // Callers key results by index, so the output is deterministic
+  // regardless of which worker ran which index. A one-worker pool, and a
+  // count <= 1, run inline on the calling thread. Concurrent callers run
+  // one after another. Not reentrant: fn must not call RunIndexed on the
+  // same pool.
   void RunIndexed(size_t count, const std::function<void(size_t)>& fn);
-
-  size_t QueueDepth() const;
 
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> threads_;
+  std::mutex run_mu_;  // held by the one RunIndexed call in flight
+  std::mutex mu_;      // guards everything below except next_
+  std::condition_variable work_cv_;
+  std::condition_variable done_cv_;
+  const std::function<void(size_t)>* fn_ = nullptr;
+  size_t count_ = 0;
+  std::atomic<size_t> next_{0};
+  uint64_t run_id_ = 0;
+  size_t busy_ = 0;  // workers not yet finished with run run_id_
   bool shutdown_ = false;
+  std::vector<std::thread> threads_;
 };
+
+// True when a stream may be cut at `record_delimiters` bytes and each
+// piece tagged by a fresh tagger with `options`, with the tags unchanged:
+// resync arm mode, a non-empty record class, and every record byte a
+// tagger delimiter (a record byte that could be token content would make
+// the cut itself lossy). nids::ScanEngine and cfgtagc --threads shard
+// only when this holds.
+bool RecordShardingIsExact(const tagger::TaggerOptions& options,
+                           const regex::CharClass& record_delimiters);
 
 // Plans a record-aligned sharding of `stream` for parallel scanning:
 // returns shard start offsets, first always 0, at most `max_shards` of

@@ -100,58 +100,83 @@ StatusOr<ContextFilter> ContextFilter::Create(grammar::Grammar grammar,
                        std::move(global_rules));
 }
 
-void ContextFilter::OnTag(std::string_view stream, const tagger::Tag& tag,
-                          TagScanState* st, std::vector<Alert>* alerts,
-                          ScanStats* local) const {
+std::vector<Alert> ContextFilter::Scan(std::string_view stream,
+                                       ScanStats* stats) const {
+  std::vector<Alert> alerts;
+  (void)Scan(stream, core::resilience::ScanControl::InertOneChunk(), &alerts,
+             stats);
+  return alerts;
+}
+
+Status ContextFilter::Scan(std::string_view stream,
+                           const core::resilience::ScanControl& control,
+                           std::vector<Alert>* alerts, ScanStats* stats,
+                           std::atomic<uint64_t>* progress) const {
+  const ScanMetrics& metrics = ScanMetrics::Get();
+  obs::ScopedSpan span("nids.Scan");
+  obs::ScopedTimer timer(metrics.latency);
+  alerts->clear();
+  ScanStats local;
   // Context spans from the tag stream, matched as the tags arrive: a
   // target token's span is (previous tag end, its own tag end]. When
   // consecutive tags share an end offset (two tokens detected at the same
   // byte), they share the same span — advancing past the shared offset
   // would silently drop the later tags' spans.
-  local->tokens++;
-  const uint64_t begin = !st->any_tag              ? 0
-                         : tag.end == st->prev_end ? st->prev_begin
-                                                   : st->prev_end + 1;
-  // Tags arrive with nondecreasing ends, so begin <= tag.end always
-  // holds; a trailing open-class token can report an end inside the
-  // flush padding, which substr's count clamp absorbs.
-  if (tag.token >= 0 &&
-      static_cast<size_t>(tag.token) < token_has_rules_.size() &&
-      token_has_rules_[tag.token] && begin < stream.size()) {
-    local->spans_scanned++;
-    const std::string_view ctx = stream.substr(begin, tag.end - begin + 1);
-    const uint8_t* bound =
-        bound_bitmap_.data() + static_cast<size_t>(tag.token) * rules_.size();
-    matcher_.ScanWith(ctx, [&](int32_t pattern, uint64_t end) {
-      if (bound[pattern]) {
-        alerts->push_back(Alert{static_cast<size_t>(pattern), begin + end});
-      }
-      return true;
-    });
-  }
-  st->prev_begin = begin;
-  st->prev_end = tag.end;
-  st->any_tag = true;
-}
-
-void ContextFilter::FinalizeAlerts(std::string_view global_view,
-                                   std::vector<Alert>* alerts,
-                                   ScanStats* local, ScanStats* stats) const {
-  const ScanMetrics& metrics = ScanMetrics::Get();
-  // Context-free rules run over the whole (consumed) stream.
+  uint64_t prev_end = 0;
+  uint64_t prev_begin = 0;
+  bool any_tag = false;
+  uint64_t consumed = 0;
+  const Status status = tagger_.TagWithControl(
+      stream,
+      [&](const tagger::Tag& tag) {
+        local.tokens++;
+        const uint64_t begin = !any_tag              ? 0
+                               : tag.end == prev_end ? prev_begin
+                                                     : prev_end + 1;
+        // Tags arrive with nondecreasing ends, so begin <= tag.end always
+        // holds; a trailing open-class token can report an end inside the
+        // flush padding, which substr's count clamp absorbs.
+        if (tag.token >= 0 &&
+            static_cast<size_t>(tag.token) < token_has_rules_.size() &&
+            token_has_rules_[tag.token] && begin < stream.size()) {
+          local.spans_scanned++;
+          const std::string_view ctx =
+              stream.substr(begin, tag.end - begin + 1);
+          const uint8_t* bound = bound_bitmap_.data() +
+                                 static_cast<size_t>(tag.token) * rules_.size();
+          matcher_.ScanWith(ctx, [&](int32_t pattern, uint64_t end) {
+            if (bound[pattern]) {
+              alerts->push_back(
+                  Alert{static_cast<size_t>(pattern), begin + end});
+            }
+            return true;
+          });
+        }
+        prev_begin = begin;
+        prev_end = tag.end;
+        any_tag = true;
+        return true;
+      },
+      control, progress, &consumed);
+  // On a trip the scan stopped at `consumed`: account only those bytes
+  // and run the context-free rules over exactly that prefix, so the
+  // partial result is precisely "the alerts for stream[0, consumed)".
+  local.bytes = consumed;
   if (!global_rules_.empty()) {
-    matcher_.ScanWith(global_view, [&](int32_t pattern, uint64_t end) {
-      if (is_global_[pattern]) {
-        alerts->push_back(Alert{static_cast<size_t>(pattern), end});
-      }
-      return true;
-    });
+    matcher_.ScanWith(stream.substr(0, consumed),
+                      [&](int32_t pattern, uint64_t end) {
+                        if (is_global_[pattern]) {
+                          alerts->push_back(
+                              Alert{static_cast<size_t>(pattern), end});
+                        }
+                        return true;
+                      });
   }
 
   std::stable_sort(
       alerts->begin(), alerts->end(),
       [](const Alert& a, const Alert& b) { return a.end < b.end; });
-  local->alerts = alerts->size();
+  local.alerts = alerts->size();
   if (!alerts->empty()) {
     // Flight-record every alert (rare; correlation id inherited from the
     // enclosing ScanEngine shard, if any) and fold per-rule counts into
@@ -172,53 +197,11 @@ void ContextFilter::FinalizeAlerts(std::string_view global_view,
     }
   }
   metrics.scans->Increment();
-  metrics.bytes->Increment(local->bytes);
-  metrics.tokens->Increment(local->tokens);
-  metrics.spans->Increment(local->spans_scanned);
-  metrics.alerts->Increment(local->alerts);
-  if (stats != nullptr) *stats = *local;
-}
-
-std::vector<Alert> ContextFilter::Scan(std::string_view stream,
-                                       ScanStats* stats) const {
-  const ScanMetrics& metrics = ScanMetrics::Get();
-  obs::ScopedSpan span("nids.Scan");
-  obs::ScopedTimer timer(metrics.latency);
-  ScanStats local;
-  local.bytes = stream.size();
-  std::vector<Alert> alerts;
-  TagScanState st;
-  tagger_.Tag(stream, [&](const tagger::Tag& tag) {
-    OnTag(stream, tag, &st, &alerts, &local);
-    return true;
-  });
-  FinalizeAlerts(stream, &alerts, &local, stats);
-  return alerts;
-}
-
-Status ContextFilter::Scan(std::string_view stream,
-                           const core::resilience::ScanControl& control,
-                           std::vector<Alert>* alerts, ScanStats* stats,
-                           std::atomic<uint64_t>* progress) const {
-  const ScanMetrics& metrics = ScanMetrics::Get();
-  obs::ScopedSpan span("nids.Scan");
-  obs::ScopedTimer timer(metrics.latency);
-  alerts->clear();
-  ScanStats local;
-  TagScanState st;
-  uint64_t consumed = 0;
-  const Status status = tagger_.TagWithControl(
-      stream,
-      [&](const tagger::Tag& tag) {
-        OnTag(stream, tag, &st, alerts, &local);
-        return true;
-      },
-      control, progress, &consumed);
-  // On a trip the scan stopped at `consumed`: account only those bytes
-  // and run the context-free pass over exactly that prefix, so the
-  // partial result is precisely "the alerts for stream[0, consumed)".
-  local.bytes = consumed;
-  FinalizeAlerts(stream.substr(0, consumed), alerts, &local, stats);
+  metrics.bytes->Increment(local.bytes);
+  metrics.tokens->Increment(local.tokens);
+  metrics.spans->Increment(local.spans_scanned);
+  metrics.alerts->Increment(local.alerts);
+  if (stats != nullptr) *stats = local;
   return status;
 }
 

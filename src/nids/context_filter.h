@@ -55,7 +55,7 @@ struct ScanStats {
 // same span.
 //
 // The pattern matcher is an Aho–Corasick automaton compiled once at
-// Create() time; Scan() streams tags out of a pooled TaggerSession and
+// Create() time; Scan() streams tags out of a pooled LazyDfaSession and
 // matches each span as its tag arrives, so no tag vector is materialized.
 // Scan() is const and thread-safe: the scan engine calls it concurrently
 // from many workers against one filter.
@@ -65,16 +65,17 @@ class ContextFilter {
                                         std::vector<Rule> rules,
                                         const hwgen::HwOptions& options = {});
 
-  // Scans one message/stream; alerts are reported in stream order.
+  // Scans one message/stream; alerts are reported in stream order. The
+  // controlled Scan() below under ScanControl::InertOneChunk().
   std::vector<Alert> Scan(std::string_view stream,
                           ScanStats* stats = nullptr) const;
 
-  // Controlled scan: identical alerts to Scan() when the control never
-  // trips; on kDeadlineExceeded / kCancelled, *alerts holds every alert
-  // for the consumed prefix (context-bound alerts from the tags seen so
-  // far, plus the context-free rules run over exactly that prefix), still
-  // in stream order — a partial result with a precise meaning, not a
-  // truncated one. `progress` is advanced past every fed chunk (the scan
+  // Controlled scan, the one filter scan path: identical alerts to the
+  // uncontrolled Scan() when the control never trips; on
+  // kDeadlineExceeded / kCancelled, *alerts holds every alert for the
+  // consumed prefix (context-bound alerts from the tags seen so far, plus
+  // the context-free rules run over exactly that prefix), still in stream
+  // order — a partial result with a precise meaning, not a truncated one. `progress` is advanced past every fed chunk (the scan
   // engine watchdog's heartbeat).
   Status Scan(std::string_view stream,
               const core::resilience::ScanControl& control,
@@ -110,24 +111,6 @@ class ContextFilter {
         token_has_rules_(std::move(token_has_rules)),
         is_global_(std::move(is_global)),
         global_rules_(std::move(global_rules)) {}
-
-  // Span-recovery state threaded through the tag stream (see Scan()).
-  struct TagScanState {
-    uint64_t prev_end = 0;
-    uint64_t prev_begin = 0;
-    bool any_tag = false;
-  };
-  // Handles one arriving tag: recovers its context span and matches the
-  // bound rules over it. Shared verbatim by the fast and controlled scan
-  // paths so their alert streams cannot drift apart.
-  void OnTag(std::string_view stream, const tagger::Tag& tag,
-             TagScanState* st, std::vector<Alert>* alerts,
-             ScanStats* local) const;
-  // Context-free pass over `global_view`, stream-order sort, alert
-  // events/attribution, and the registry/stats accounting epilogue.
-  void FinalizeAlerts(std::string_view global_view,
-                      std::vector<Alert>* alerts, ScanStats* local,
-                      ScanStats* stats) const;
 
   std::vector<Rule> rules_;
   core::CompiledTagger tagger_;

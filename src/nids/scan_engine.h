@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <functional>
 #include <string_view>
 #include <vector>
 
@@ -36,7 +35,7 @@ struct ScanEngineOptions {
   // is flight-recorded as a kSlowShard event, tagged with the unit's
   // correlation id so its alerts can be tied back to it. <= 0 disables.
   double slow_shard_seconds = 0.25;
-  // Controlled scans only: a *running* unit that makes no byte progress
+  // Chunked scans only: a *running* unit that makes no byte progress
   // for this long is declared stuck by the engine watchdog — the event is
   // recorded, every sibling shard is cancelled (via an internal child
   // token, never the caller's), and the batch fails with context naming
@@ -44,8 +43,9 @@ struct ScanEngineOptions {
   // units are never flagged. Detection is cooperative: a shard wedged
   // *inside* one chunk is detected on time but the batch only completes
   // once that shard's thread yields back to a chunk boundary (or its
-  // stall ends). <= 0 disables the watchdog. The uncontrolled ScanBatch/
-  // ScanStream never run one.
+  // stall ends). <= 0 disables the watchdog. A control with
+  // check_interval_bytes 0 has no heartbeat to watch, so the uncontrolled
+  // ScanBatch/ScanStream never run one.
   double stuck_shard_seconds = 5.0;
 };
 
@@ -59,7 +59,7 @@ struct StreamResult {
 // Parallel batch-scan engine over one ContextFilter: a fixed worker pool
 // (core::WorkerPool) fans independent streams — or delimiter-aligned
 // shards of one large stream — out to workers, each of which runs the
-// filter's streaming Scan() with a pooled TaggerSession, and the results
+// filter's streaming Scan() with a pooled LazyDfaSession, and the results
 // are merged back in deterministic stream order. Alerts are byte-identical
 // to the sequential path: ScanBatch() by construction (results are keyed
 // by stream index), ScanStream() because shards are cut only at resync
@@ -75,6 +75,8 @@ class ScanEngine {
                       const ScanEngineOptions& options = {});
 
   // Scans a batch of independent streams; result i belongs to stream i.
+  // The controlled ScanBatch() under ScanControl::InertOneChunk(): no
+  // watchdog, and the results are always complete.
   std::vector<StreamResult> ScanBatch(
       const std::vector<std::string_view>& streams) const;
 
@@ -94,7 +96,8 @@ class ScanEngine {
   // in resync arm mode — the mode in which a fresh tagger after a record
   // separator equals the streaming tagger. Non-resync filters, streams
   // too small to cut, and record separators that are not tagger
-  // delimiters all fall back to one sequential Scan().
+  // delimiters all fall back to one sequential Scan(). Like ScanBatch(),
+  // the controlled twin under ScanControl::InertOneChunk().
   StreamResult ScanStream(std::string_view stream) const;
 
   // Controlled single-stream scan, sharded under the same rules. On error
@@ -109,17 +112,15 @@ class ScanEngine {
   const ContextFilter& filter() const { return *filter_; }
 
  private:
-  // One controlled work unit: scan index i under the effective control,
-  // heart-beating the progress atomic. Returns the unit's scan status.
-  using ControlledUnit = std::function<Status(
-      size_t, const core::resilience::ScanControl&, std::atomic<uint64_t>*)>;
-
-  // Fans n units across the pool under `control` plus an internal child
-  // cancel token, runs the stuck-shard watchdog when configured, and
+  // The one run behind all four entry points: scans units[i] into
+  // (*results)[i] across the pool under `control`, runs the stuck-shard
+  // watchdog when configured and the control has chunks to watch, and
   // aggregates per-unit statuses into one error naming every failing
-  // unit. `what` labels the operation in statuses and events.
-  Status RunControlled(size_t n, const core::resilience::ScanControl& control,
-                       const ControlledUnit& unit, const char* what) const;
+  // unit. `what` labels the operation in statuses and events, `slow_what`
+  // the slow-unit event.
+  Status Run(const std::vector<std::string_view>& units,
+             const core::resilience::ScanControl& control, const char* what,
+             const char* slow_what, std::vector<StreamResult>* results) const;
 
   const ContextFilter* filter_;
   ScanEngineOptions options_;

@@ -1,16 +1,20 @@
-// WorkerPool: every index runs exactly once regardless of pool size; and
-// ShardSplitPoints: shard starts are delimiter-aligned, bounded, and
-// degrade to {0} when the stream cannot be split.
+// WorkerPool: every index runs exactly once regardless of pool size, also
+// for concurrent callers, and a one-worker pool runs inline;
+// RecordShardingIsExact: the shard decision; and ShardSplitPoints: shard
+// starts are delimiter-aligned, bounded, and degrade to {0} when the
+// stream cannot be split.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/worker_pool.h"
 #include "regex/char_class.h"
+#include "tagger/tag.h"
 
 namespace cfgtag::core {
 namespace {
@@ -41,16 +45,53 @@ TEST(WorkerPoolTest, RunIndexedZeroAndOne) {
   EXPECT_EQ(runs, 1);
 }
 
-TEST(WorkerPoolTest, SubmitExecutes) {
-  WorkerPool pool(2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.Submit([&] { ran.fetch_add(1); });
+TEST(WorkerPoolTest, ConcurrentCallersEachRunTheirOwnIndicesOnce) {
+  WorkerPool pool(3);
+  constexpr size_t kCount = 513;
+  constexpr int kCallers = 2;
+  constexpr int kRounds = 20;
+  std::vector<std::vector<std::atomic<int>>> hits;
+  for (int c = 0; c < kCallers; ++c) hits.emplace_back(kCount);
+  std::latch start(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      start.arrive_and_wait();
+      for (int round = 0; round < kRounds; ++round) {
+        pool.RunIndexed(kCount, [&](size_t i) {
+          hits[c][i].fetch_add(1, std::memory_order_relaxed);
+        });
+      }
+    });
   }
-  // RunIndexed's barrier also drains previously submitted work before
-  // returning only if the same workers pick it up — so poll instead.
-  while (ran.load() < 16) std::this_thread::yield();
-  EXPECT_EQ(ran.load(), 16);
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    for (size_t i = 0; i < kCount; ++i) {
+      EXPECT_EQ(hits[c][i].load(), kRounds) << "caller " << c << " index " << i;
+    }
+  }
+}
+
+TEST(WorkerPoolTest, OneWorkerPoolRunsOnTheCallingThread) {
+  WorkerPool pool(1);
+  EXPECT_EQ(pool.num_threads(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(16);
+  pool.RunIndexed(ran_on.size(),
+                  [&](size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  for (const std::thread::id& id : ran_on) EXPECT_EQ(id, caller);
+}
+
+TEST(RecordShardingTest, NeedsResyncAndDelimiterRecords) {
+  const regex::CharClass nl = regex::CharClass::Of('\n');
+  tagger::TaggerOptions opt;
+  opt.arm_mode = tagger::ArmMode::kResync;
+  ASSERT_TRUE(opt.delimiters.Test('\n'));
+  EXPECT_TRUE(RecordShardingIsExact(opt, nl));
+  EXPECT_FALSE(RecordShardingIsExact(opt, regex::CharClass()));
+  EXPECT_FALSE(RecordShardingIsExact(opt, regex::CharClass::Of('x')));
+  opt.arm_mode = tagger::ArmMode::kAnchored;
+  EXPECT_FALSE(RecordShardingIsExact(opt, nl));
 }
 
 TEST(ShardSplitPointsTest, StartsAreDelimiterAligned) {

@@ -21,7 +21,10 @@
 #include "grammar/grammar_parser.h"
 #include "nids/context_filter.h"
 #include "nids/scan_engine.h"
+#include "obs/events.h"
+#include "oracle.h"
 #include "tagger/artifact/cache.h"
+#include "tagger/lazy_dfa.h"
 
 namespace cfgtag {
 namespace {
@@ -70,6 +73,49 @@ nids::ContextFilter ResyncFilter() {
   auto filter = nids::ContextFilter::Create(Protocol(), rules, opt);
   EXPECT_TRUE(filter.ok()) << filter.status();
   return std::move(filter).value();
+}
+
+// At least one superblock's worth of input, so that a chunked feed splits
+// superblocks the one-chunk feed walks whole.
+constexpr size_t kSuperblockBytes =
+    tagger::LazyDfaSession::kLanes * tagger::LazyDfaSession::kSliceBytes;
+
+// Traffic of at least `min_bytes` together with the alerts ResyncFilter()
+// must raise on it, worked out from how each message is built rather than
+// by any scan: "../" alerts (TRAVERSAL) only inside the path, so the
+// header decoy stays silent, and "forbidden" (GLOBAL) anywhere.
+struct LabeledTraffic {
+  std::string text;
+  std::vector<nids::Alert> alerts;
+};
+
+LabeledTraffic LabeledTrafficOf(size_t min_bytes) {
+  static const std::string kMessages[] = {
+      "REQ /a/../../etc/passwd HDR curl END\n",
+      "REQ /ok HDR ../decoy END\n",
+      "REQ /ok HDR forbidden END\n",
+  };
+  LabeledTraffic t;
+  for (size_t k = 0; t.text.size() < min_bytes; ++k) {
+    const std::string& m = kMessages[k % 3];
+    const uint64_t base = t.text.size();
+    const size_t path_end = m.find(" HDR ");
+    for (size_t p = m.find("../"); p < path_end; p = m.find("../", p + 1)) {
+      t.alerts.push_back(nids::Alert{0, base + p + 2});
+    }
+    const size_t word = m.find("forbidden");
+    if (word != std::string::npos) {
+      t.alerts.push_back(nids::Alert{1, base + word + 8});
+    }
+    t.text += m;
+  }
+  return t;
+}
+
+// The check intervals every controlled/plain comparison runs at: one
+// chunk, a prime that cuts tokens everywhere, 1 KiB, and the default.
+std::vector<size_t> CheckIntervals() {
+  return {0, 7, 1024, res::ScanControl{}.check_interval_bytes};
 }
 
 // The injector and the budget are process-wide; every test starts and ends
@@ -173,23 +219,27 @@ TEST_F(ResilienceTest, SpecParsesPeriodAndArg) {
 
 TEST_F(ResilienceTest, ControlledTagMatchesPlainTagWhenInert) {
   const core::CompiledTagger tagger = ResyncTagger();
-  const std::string input = Traffic(200);
-  const std::vector<tagger::Tag> plain = tagger.Tag(input);
-  std::vector<tagger::Tag> controlled;
-  uint64_t consumed = 0;
-  const Status s = tagger.TagWithControl(
-      input,
-      [&](const tagger::Tag& t) {
-        controlled.push_back(t);
-        return true;
-      },
-      res::ScanControl{}, nullptr, &consumed);
-  ASSERT_TRUE(s.ok()) << s;
-  EXPECT_EQ(consumed, input.size());
-  ASSERT_EQ(controlled.size(), plain.size());
-  for (size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(controlled[i].token, plain[i].token);
-    EXPECT_EQ(controlled[i].end, plain[i].end);
+  const std::string input = LabeledTrafficOf(2 * kSuperblockBytes + 100).text;
+  auto oracle = testing_oracle::OracleTags(tagger.grammar(),
+                                           tagger.options().tagger, input);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  ASSERT_FALSE(oracle->empty());
+  EXPECT_EQ(tagger.Tag(input), *oracle) << "plain Tag";
+  for (const size_t interval : CheckIntervals()) {
+    res::ScanControl control;
+    control.check_interval_bytes = interval;
+    std::vector<tagger::Tag> controlled;
+    uint64_t consumed = 0;
+    const Status s = tagger.TagWithControl(
+        input,
+        [&](const tagger::Tag& t) {
+          controlled.push_back(t);
+          return true;
+        },
+        control, nullptr, &consumed);
+    ASSERT_TRUE(s.ok()) << s;
+    EXPECT_EQ(consumed, input.size());
+    EXPECT_EQ(controlled, *oracle) << "check interval " << interval;
   }
 }
 
@@ -259,13 +309,18 @@ TEST_F(ResilienceTest, CrossThreadCancellationStopsScan) {
 
 TEST_F(ResilienceTest, ControlledFilterScanMatchesFastScan) {
   const nids::ContextFilter filter = ResyncFilter();
-  const std::string stream = Traffic(100) + "REQ /ok HDR forbidden END\n";
-  const std::vector<nids::Alert> fast = filter.Scan(stream);
-  std::vector<nids::Alert> controlled;
-  const Status s =
-      filter.Scan(stream, res::ScanControl{}, &controlled);
-  ASSERT_TRUE(s.ok()) << s;
-  EXPECT_EQ(controlled, fast);
+  const LabeledTraffic traffic = LabeledTrafficOf(2 * kSuperblockBytes + 100);
+  EXPECT_EQ(filter.Scan(traffic.text), traffic.alerts) << "plain Scan";
+  for (const size_t interval : CheckIntervals()) {
+    res::ScanControl control;
+    control.check_interval_bytes = interval;
+    std::vector<nids::Alert> controlled;
+    nids::ScanStats stats;
+    const Status s = filter.Scan(traffic.text, control, &controlled, &stats);
+    ASSERT_TRUE(s.ok()) << s;
+    EXPECT_EQ(stats.bytes, traffic.text.size());
+    EXPECT_EQ(controlled, traffic.alerts) << "check interval " << interval;
+  }
 }
 
 TEST_F(ResilienceTest, ControlledScanBatchReportsFailingShards) {
@@ -288,17 +343,29 @@ TEST_F(ResilienceTest, ControlledScanBatchReportsFailingShards) {
 TEST_F(ResilienceTest, ControlledScanBatchMatchesUncontrolled) {
   const nids::ContextFilter filter = ResyncFilter();
   const nids::ScanEngine engine(&filter);
-  std::vector<std::string> storage;
-  for (int i = 1; i <= 6; ++i) storage.push_back(Traffic(10 * i));
-  std::vector<std::string_view> streams(storage.begin(), storage.end());
+  std::vector<LabeledTraffic> traffic;
+  for (size_t bytes : {size_t{1}, size_t{500}, kSuperblockBytes + 100,
+                       2 * kSuperblockBytes + 100}) {
+    traffic.push_back(LabeledTrafficOf(bytes));
+  }
+  std::vector<std::string_view> streams;
+  for (const LabeledTraffic& t : traffic) streams.push_back(t.text);
   const std::vector<nids::StreamResult> plain = engine.ScanBatch(streams);
-  std::vector<nids::StreamResult> controlled;
-  const Status s =
-      engine.ScanBatch(streams, res::ScanControl{}, &controlled);
-  ASSERT_TRUE(s.ok()) << s;
-  ASSERT_EQ(controlled.size(), plain.size());
-  for (size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(controlled[i].alerts, plain[i].alerts) << "stream " << i;
+  ASSERT_EQ(plain.size(), traffic.size());
+  for (size_t i = 0; i < traffic.size(); ++i) {
+    EXPECT_EQ(plain[i].alerts, traffic[i].alerts) << "plain, stream " << i;
+  }
+  for (const size_t interval : CheckIntervals()) {
+    res::ScanControl control;
+    control.check_interval_bytes = interval;
+    std::vector<nids::StreamResult> controlled;
+    const Status s = engine.ScanBatch(streams, control, &controlled);
+    ASSERT_TRUE(s.ok()) << s;
+    ASSERT_EQ(controlled.size(), traffic.size());
+    for (size_t i = 0; i < traffic.size(); ++i) {
+      EXPECT_EQ(controlled[i].alerts, traffic[i].alerts)
+          << "check interval " << interval << ", stream " << i;
+    }
   }
 }
 
@@ -325,6 +392,47 @@ TEST_F(ResilienceTest, WatchdogDeclaresStuckShard) {
   EXPECT_NE(s.ToString().find("stuck"), std::string::npos) << s;
   // The batch still completes promptly once the stall releases.
   EXPECT_LT(elapsed, std::chrono::seconds(30));
+}
+
+// The uncontrolled entry points pass the engine.shard site too, but scan
+// one chunk each, so there is no heartbeat to watch: a stall longer than
+// stuck_shard_seconds only delays them, and their results stay complete.
+TEST_F(ResilienceTest, UncontrolledEngineScansOutlastAShardStall) {
+  const nids::ContextFilter filter = ResyncFilter();
+  nids::ScanEngineOptions opt;
+  opt.num_threads = 2;
+  opt.stuck_shard_seconds = 0.05;
+  opt.min_shard_bytes = 256;
+  const nids::ScanEngine engine(&filter, opt);
+  const LabeledTraffic traffic = LabeledTrafficOf(2000);
+  ASSERT_TRUE(res::FaultInjector::Instance()
+                  .Arm("engine.shard", /*period=*/1, /*arg_ms=*/200)
+                  .ok());
+  obs::FlightRecorder& rec = obs::FlightRecorder::Default();
+  const uint64_t recorded_before = rec.total_recorded();
+  const uint64_t stalls_before =
+      res::FaultInjector::Instance().injected_at("engine.shard");
+
+  const std::vector<nids::StreamResult> batch =
+      engine.ScanBatch({traffic.text, traffic.text});
+  ASSERT_EQ(batch.size(), 2u);
+  for (const nids::StreamResult& r : batch) {
+    EXPECT_EQ(r.alerts, traffic.alerts);
+    EXPECT_EQ(r.stats.bytes, traffic.text.size());
+  }
+  const nids::StreamResult stream = engine.ScanStream(traffic.text);
+  EXPECT_EQ(stream.alerts, traffic.alerts);
+  EXPECT_EQ(stream.stats.bytes, traffic.text.size());
+
+  // Both batch units and at least two stream shards hit the stall.
+  EXPECT_GE(res::FaultInjector::Instance().injected_at("engine.shard") -
+                stalls_before,
+            4u);
+  for (const obs::Event& e : rec.Snapshot()) {
+    if (e.seq <= recorded_before) continue;
+    EXPECT_NE(e.kind, obs::EventKind::kStuckShard);
+    EXPECT_NE(e.kind, obs::EventKind::kShardFailed);
+  }
 }
 
 // --- Resource budget ladder -----------------------------------------------

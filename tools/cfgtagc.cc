@@ -629,15 +629,7 @@ int RunTool(int argc, char** argv) {
     }
     cfgtag::obs::ScopedSpan tag_span("cfgtagc.Tag");
     std::vector<cfgtag::tagger::Tag> tags;
-    // One deadline for the whole tag run: with --threads every shard
-    // checks the same clock, so the first shard to notice trips them all.
     cfgtag::Status tag_status;
-    const bool controlled = deadline_ms > 0 && !cycle_accurate;
-    cfgtag::core::resilience::ScanControl control;
-    if (controlled) {
-      control.deadline =
-          cfgtag::core::resilience::Deadline::AfterMillis(deadline_ms);
-    }
     if (cycle_accurate) {
       if (deadline_ms > 0) {
         std::fprintf(stderr,
@@ -652,76 +644,67 @@ int RunTool(int argc, char** argv) {
       auto hw = tagger->TagCycleAccurate(input);
       if (!hw.ok()) return FailStatus("simulation", hw.status());
       tags = std::move(hw).value();
-    } else if (threads > 1) {
-      // Shard the input at newline record boundaries and tag shards in
-      // parallel. Only resync mode makes a fresh tagger at a record
-      // boundary equivalent to one that streamed through it — and only at
-      // a RECORD boundary: a mid-message token delimiter still carries
-      // follow-set arms a fresh tagger would not have.
+    } else {
+      // One deadline for the whole tag run (infinite without
+      // --deadline-ms): with --threads every shard checks the same clock,
+      // so the first shard to notice trips them all.
+      cfgtag::core::resilience::ScanControl control;
+      if (deadline_ms > 0) {
+        control.deadline =
+            cfgtag::core::resilience::Deadline::AfterMillis(deadline_ms);
+      }
+      // --threads shards the input at newline record boundaries, where a
+      // fresh resync tagger provably equals one that streamed through.
       const cfgtag::regex::CharClass record =
           cfgtag::regex::CharClass::Of('\n');
-      if (options.tagger.arm_mode != cfgtag::tagger::ArmMode::kResync) {
+      const bool sharded =
+          threads > 1 && cfgtag::core::RecordShardingIsExact(
+                             tagger->options().tagger, record);
+      if (threads > 1 && !sharded) {
         std::fprintf(stderr,
-                     "--threads needs --mode resync; tagging with one "
-                     "thread instead\n");
-        tags = tagger->Tag(input);
-      } else if (!record.Minus(options.tagger.delimiters).Empty()) {
-        std::fprintf(stderr,
-                     "--threads needs newline to be a tagger delimiter; "
-                     "tagging with one thread instead\n");
-        tags = tagger->Tag(input);
-      } else {
+                     "--threads needs --mode resync with newline as a "
+                     "tagger delimiter; tagging with one thread instead\n");
+      }
+      const std::vector<size_t> starts =
+          sharded ? cfgtag::core::ShardSplitPoints(
+                        input, record,
+                        /*max_shards=*/2 * static_cast<size_t>(threads),
+                        /*min_shard_bytes=*/4096)
+                  : std::vector<size_t>{0};
+      std::vector<std::vector<cfgtag::tagger::Tag>> shard(starts.size());
+      std::vector<cfgtag::Status> shard_status(starts.size());
+      const auto tag_shard = [&](size_t i) {
+        const size_t end =
+            i + 1 < starts.size() ? starts[i + 1] : input.size();
+        shard_status[i] = tagger->TagWithControl(
+            std::string_view(input).substr(starts[i], end - starts[i]),
+            [&](const cfgtag::tagger::Tag& t) {
+              shard[i].push_back(t);
+              return true;
+            },
+            control);
+      };
+      if (sharded) {
         cfgtag::core::WorkerPool pool(threads);
-        const std::vector<size_t> starts = cfgtag::core::ShardSplitPoints(
-            input, record,
-            /*max_shards=*/2 * static_cast<size_t>(threads),
-            /*min_shard_bytes=*/4096);
-        std::vector<std::vector<cfgtag::tagger::Tag>> shard(starts.size());
-        std::vector<cfgtag::Status> shard_status(starts.size());
-        pool.RunIndexed(starts.size(), [&](size_t i) {
-          const size_t begin = starts[i];
-          const size_t end =
-              i + 1 < starts.size() ? starts[i + 1] : input.size();
-          const std::string_view piece =
-              std::string_view(input).substr(begin, end - begin);
-          if (controlled) {
-            shard_status[i] = tagger->TagWithControl(
-                piece,
-                [&](const cfgtag::tagger::Tag& t) {
-                  shard[i].push_back(t);
-                  return true;
-                },
-                control);
-          } else {
-            shard[i] = tagger->Tag(piece);
-          }
-          for (cfgtag::tagger::Tag& t : shard[i]) t.end += begin;
-        });
-        // Merge every shard — a tripped shard still tagged its consumed
-        // prefix, and those partial tags are worth printing.
-        for (std::vector<cfgtag::tagger::Tag>& s : shard) {
-          tags.insert(tags.end(), s.begin(), s.end());
-        }
-        for (size_t i = 0; i < shard_status.size(); ++i) {
-          if (!shard_status[i].ok()) {
-            tag_status = shard_status[i].WithContext(
-                "shard " + std::to_string(i));
-            break;
-          }
-        }
+        pool.RunIndexed(starts.size(), tag_shard);
         std::printf("tagged with %d thread(s) across %zu shard(s)\n",
                     pool.num_threads(), starts.size());
+      } else {
+        tag_shard(0);
       }
-    } else if (controlled) {
-      tag_status = tagger->TagWithControl(
-          input,
-          [&](const cfgtag::tagger::Tag& t) {
-            tags.push_back(t);
-            return true;
-          },
-          control);
-    } else {
-      tags = tagger->Tag(input);
+      // Merge every shard — a tripped shard still tagged its consumed
+      // prefix, and those partial tags are worth printing.
+      for (size_t i = 0; i < starts.size(); ++i) {
+        for (cfgtag::tagger::Tag t : shard[i]) {
+          t.end += starts[i];
+          tags.push_back(t);
+        }
+        if (tag_status.ok() && !shard_status[i].ok()) {
+          tag_status = sharded ? shard_status[i].WithContext(
+                                     "shard " + std::to_string(i))
+                               : shard_status[i];
+        }
+      }
     }
     if (!testbench_path.empty()) {
       auto tb = tagger->ExportVhdlTestbench(entity, input);
