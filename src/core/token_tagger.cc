@@ -1,8 +1,10 @@
 #include "core/token_tagger.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cctype>
 #include <ostream>
+#include <utility>
 
 #include "core/resilience/budget.h"
 #include "grammar/canonical.h"
@@ -219,6 +221,21 @@ struct TagMetrics {
 
 }  // namespace
 
+TagSlot::TagSlot(const CompiledTagger& tagger)
+    : tagger_(tagger.lazy_model()),
+      session_(tagger_->session_pool().Acquire(tagger_)),
+      seconds_(TagMetrics::Get().latency) {}
+
+TagSlot::~TagSlot() {
+  if (calls_ != 0) {
+    const TagMetrics& metrics = TagMetrics::Get();
+    metrics.calls->Increment(calls_);
+    metrics.bytes->Increment(bytes_);
+    metrics.tags->Increment(tokens_);
+  }
+  seconds_.Merge();
+}
+
 std::vector<tagger::Tag> CompiledTagger::Tag(std::string_view input) const {
   std::vector<tagger::Tag> tags;
   Tag(input, [&tags](const tagger::Tag& t) {
@@ -237,36 +254,47 @@ Status CompiledTagger::TagWithControl(std::string_view input,
                                       const tagger::TagSink& sink,
                                       const resilience::ScanControl& control,
                                       std::atomic<uint64_t>* progress,
-                                      uint64_t* consumed) const {
-  const TagMetrics& metrics = TagMetrics::Get();
-  obs::ScopedTimer timer(metrics.latency);
-  // Stream the input and then the flush padding through a pooled session:
-  // the same bytes the simulator sees (Padded()), minus the per-call input
-  // copy and session construction. One extra pad byte beyond the scanned
-  // range keeps the Fig. 7 look-ahead identical to the gate-level
-  // simulation at the final scanned byte.
+                                      uint64_t* consumed,
+                                      TagSlot* slot) const {
+  if (slot == nullptr) {
+    TagSlot one_call(*this);
+    return TagWithControl(input, sink, control, progress, consumed,
+                          &one_call);
+  }
+  obs::ScopedTimer timer(&slot->seconds_);
+  // Stream the input and then the flush padding through the slot's pooled
+  // session: the same bytes the simulator sees (Padded()), minus the
+  // per-call input copy and session construction. One extra pad byte
+  // beyond the scanned range keeps the Fig. 7 look-ahead identical to the
+  // gate-level simulation at the final scanned byte.
   static const std::string& kPadding =
       *new std::string(kFlushPadding + 1, kFlushByte);
-  const size_t scan_end = input.size() + kFlushPadding;
   // Tags emitted while feeding the input end inside it, so only the
-  // padding and Finish go through the scan_end gate, which counts what it
-  // drops so the session's tag count yields the tags delivered.
-  uint64_t dropped = 0;
-  const tagger::TagSink gated = [&](const tagger::Tag& t) {
-    if (t.end < scan_end) return sink(t);
-    ++dropped;
+  // padding and Finish go through the gate at the scan end, which counts
+  // what it drops so the session's tag count yields the tags delivered.
+  // Two captures keep the gate inside std::function's inline buffer, so a
+  // call allocates nothing.
+  struct {
+    size_t scan_end;
+    uint64_t dropped;
+  } gate{input.size() + kFlushPadding, 0};
+  const tagger::TagSink gated = [&gate, &sink](const tagger::Tag& t) {
+    if (t.end < gate.scan_end) return sink(t);
+    ++gate.dropped;
     return true;
   };
-  uint64_t emitted = 0;
   const size_t step = control.check_interval_bytes == 0
                           ? input.size() + 1
                           : control.check_interval_bytes;
   size_t fed = 0;
   Status trip = Status::Ok();
-  // Pooled sessions tolerate being returned half-fed (Acquire resets), so
-  // an early trip just abandons the session — no padding, no Finish, and
-  // a tag still open at the stop point is never reported.
-  const auto run = [&](tagger::LazyDfaSession* session) {
+  // A held session is reset here (a fresh checkout was by Acquire), so an
+  // early trip just abandons the session half-fed — no padding, no
+  // Finish, and a tag still open at the stop point is never reported.
+  assert(slot->tagger_ == lazy_.get());
+  tagger::LazyDfaSession* session = slot->session_.get();
+  if (!std::exchange(slot->fresh_, false)) session->Reset();
+  const auto run = [&] {
     while (fed < input.size()) {
       trip = control.Check();
       if (!trip.ok()) return;
@@ -283,15 +311,10 @@ Status CompiledTagger::TagWithControl(std::string_view input,
     session->Feed(kPadding, gated);
     session->Finish(gated);
   };
-  {
-    tagger::LazyDfaSessionPool::Handle session =
-        lazy_->session_pool().Acquire(lazy_.get());
-    run(session.get());
-    emitted = session->tags_emitted() - dropped;
-  }
-  metrics.calls->Increment();
-  metrics.bytes->Increment(fed);
-  metrics.tags->Increment(emitted);
+  run();
+  ++slot->calls_;
+  slot->bytes_ += fed;
+  slot->tokens_ += session->tags_emitted() - gate.dropped;
   if (consumed != nullptr) *consumed = fed;
   if (!trip.ok()) {
     resilience::CountControlTrip(trip, fed, input.size(), "core.Tag");

@@ -14,6 +14,7 @@
 #include "core/resilience/deadline.h"
 #include "grammar/grammar.h"
 #include "hwgen/tagger_gen.h"
+#include "obs/metrics.h"
 #include "rtl/device.h"
 #include "rtl/techmap.h"
 #include "rtl/timing.h"
@@ -45,6 +46,34 @@ struct ImplementationReport {
   rtl::TimingReport timing;
   // Fmax x bytes-per-cycle x 8 bits.
   double bandwidth_gbps = 0.0;
+};
+
+class CompiledTagger;
+
+// Per-thread scratch for a run of CompiledTagger::TagWithControl calls (an
+// engine worker's share of a batch): a session checked out of the
+// tagger's pool at construction and held, reset rather than re-acquired,
+// across the calls, and a plain tally of the cfgtag_tag_* registry
+// writes. Destruction returns the session and folds the tally into the
+// registry, so registry totals are exact once every slot of a run is
+// gone. One thread uses a slot at a time, and the tagger must outlive it.
+class TagSlot {
+ public:
+  explicit TagSlot(const CompiledTagger& tagger);
+  ~TagSlot();
+  TagSlot(const TagSlot&) = delete;
+  TagSlot& operator=(const TagSlot&) = delete;
+
+ private:
+  friend class CompiledTagger;
+
+  const tagger::LazyDfaTagger* tagger_;
+  tagger::LazyDfaSessionPool::Handle session_;
+  bool fresh_ = true;  // Acquire reset the session and no call ran since
+  uint64_t calls_ = 0;
+  uint64_t bytes_ = 0;
+  uint64_t tokens_ = 0;
+  obs::HistogramTally seconds_;
 };
 
 // The library's main entry point: compiles a grammar into (a) a fast
@@ -129,11 +158,14 @@ class CompiledTagger {
   // (cfgtag_deadline_exceeded_total / cfgtag_scan_cancelled_total) and
   // flight-recorded once, here. `progress`, when set, is advanced to the
   // consumed byte count after every chunk (the scan-engine watchdog's
-  // heartbeat); `consumed` receives the final count.
+  // heartbeat); `consumed` receives the final count. With a `slot` (of
+  // this tagger), the scan runs on the slot's held session and adds to
+  // its tally; without one it runs on a one-call slot.
   Status TagWithControl(std::string_view input, const tagger::TagSink& sink,
                         const resilience::ScanControl& control,
                         std::atomic<uint64_t>* progress = nullptr,
-                        uint64_t* consumed = nullptr) const;
+                        uint64_t* consumed = nullptr,
+                        TagSlot* slot = nullptr) const;
 
   // Cycle-accurate tagging: simulates the generated netlist gate by gate
   // and decodes the per-token match registers. Bit-identical to Tag() —

@@ -29,10 +29,21 @@ struct PoolMetrics {
     return *kMetrics;
   }
 
-  void Run(const std::function<void(size_t)>& fn, size_t i) const {
-    tasks->Increment();
-    obs::ScopedTimer timer(task_seconds);
-    fn(i);
+  // Runs fn(slot, i) for `first` and each later index `claim` hands out
+  // below `count`, tallying the tasks and their wall times privately and
+  // folding the tally into the registry once, at the end of the share.
+  template <typename Claim>
+  void RunShare(const WorkerPool::IndexedFn& fn, size_t slot, size_t first,
+                size_t count, Claim claim) const {
+    uint64_t ran = 0;
+    obs::HistogramTally seconds(task_seconds);
+    for (size_t i = first; i < count; i = claim()) {
+      obs::ScopedTimer timer(&seconds);
+      fn(slot, i);
+      ++ran;
+    }
+    tasks->Increment(ran);
+    seconds.Merge();
   }
 };
 
@@ -60,11 +71,10 @@ WorkerPool::~WorkerPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void WorkerPool::RunIndexed(size_t count,
-                            const std::function<void(size_t)>& fn) {
-  const PoolMetrics& metrics = PoolMetrics::Get();
+void WorkerPool::RunIndexed(size_t count, const IndexedFn& fn) {
   if (count <= 1 || threads_.size() <= 1) {
-    for (size_t i = 0; i < count; ++i) metrics.Run(fn, i);
+    size_t next = 1;
+    PoolMetrics::Get().RunShare(fn, 0, 0, count, [&] { return next++; });
     return;
   }
   std::lock_guard<std::mutex> run(run_mu_);
@@ -72,6 +82,7 @@ void WorkerPool::RunIndexed(size_t count,
   fn_ = &fn;
   count_ = count;
   next_.store(0);
+  next_slot_.store(0);
   busy_ = threads_.size();
   ++run_id_;
   work_cv_.notify_all();
@@ -89,10 +100,14 @@ void WorkerPool::WorkerLoop() {
     work_cv_.wait(lock, [&] { return shutdown_ || run_id_ != done_id; });
     if (shutdown_) return;
     done_id = run_id_;
-    const std::function<void(size_t)>& fn = *fn_;
+    const IndexedFn& fn = *fn_;
     const size_t count = count_;
     lock.unlock();
-    for (size_t i = next_++; i < count; i = next_++) metrics.Run(fn, i);
+    const size_t first = next_++;
+    if (first < count) {
+      metrics.RunShare(fn, next_slot_++, first, count,
+                       [this] { return next_++; });
+    }
     lock.lock();
     if (--busy_ == 0) done_cv_.notify_one();
   }

@@ -21,7 +21,9 @@ namespace cfgtag::core {
 // between runs; a run publishes (fn, count), wakes them once, and they
 // claim indices from one atomic counter. Every index is one task in the
 // cfgtag_engine_* metrics, so worker utilization is visible in the same
-// registry as the scan counters.
+// registry as the scan counters; each worker tallies its tasks privately
+// and folds the tally into the registry once, when its share of the run
+// is done.
 class WorkerPool {
  public:
   // num_threads <= 0 picks one worker per hardware thread.
@@ -32,25 +34,32 @@ class WorkerPool {
 
   int num_threads() const { return static_cast<int>(threads_.size()); }
 
-  // Runs fn(0), ..., fn(count-1) across the workers and returns once every
-  // call has completed; every write fn made happens-before the return.
-  // Callers key results by index, so the output is deterministic
-  // regardless of which worker ran which index. A one-worker pool, and a
-  // count <= 1, run inline on the calling thread. Concurrent callers run
-  // one after another. Not reentrant: fn must not call RunIndexed on the
-  // same pool.
-  void RunIndexed(size_t count, const std::function<void(size_t)>& fn);
+  // Runs fn(slot, 0), ..., fn(slot, count-1) across the workers and
+  // returns once every call has completed; every write fn made
+  // happens-before the return. `slot` names the worker running the call:
+  // each worker that claims an index takes the next free slot for the
+  // rest of the run, so slots lie in [0, min(count, num_threads())) and
+  // calls with the same slot never overlap — fn may keep per-slot scratch
+  // (a held session, a metrics tally) without locking. Callers key
+  // results by index, so the output is deterministic regardless of which
+  // worker ran which index. A one-worker pool, and a count <= 1, run
+  // inline on the calling thread as slot 0. Concurrent callers run one
+  // after another. Not reentrant: fn must not call RunIndexed on the same
+  // pool.
+  using IndexedFn = std::function<void(size_t slot, size_t index)>;
+  void RunIndexed(size_t count, const IndexedFn& fn);
 
  private:
   void WorkerLoop();
 
   std::mutex run_mu_;  // held by the one RunIndexed call in flight
-  std::mutex mu_;      // guards everything below except next_
+  std::mutex mu_;  // guards everything below except next_, next_slot_
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  const std::function<void(size_t)>* fn_ = nullptr;
+  const IndexedFn* fn_ = nullptr;
   size_t count_ = 0;
   std::atomic<size_t> next_{0};
+  std::atomic<size_t> next_slot_{0};
   uint64_t run_id_ = 0;
   size_t busy_ = 0;  // workers not yet finished with run run_id_
   bool shutdown_ = false;

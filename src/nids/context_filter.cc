@@ -46,6 +46,21 @@ struct ScanMetrics {
 
 }  // namespace
 
+ScanSlot::ScanSlot(const ContextFilter& filter)
+    : tag_(filter.tagger()), seconds_(ScanMetrics::Get().latency) {}
+
+ScanSlot::~ScanSlot() {
+  if (scans_ != 0) {
+    const ScanMetrics& metrics = ScanMetrics::Get();
+    metrics.scans->Increment(scans_);
+    metrics.bytes->Increment(totals_.bytes);
+    metrics.tokens->Increment(totals_.tokens);
+    metrics.spans->Increment(totals_.spans_scanned);
+    metrics.alerts->Increment(totals_.alerts);
+  }
+  seconds_.Merge();
+}
+
 StatusOr<ContextFilter> ContextFilter::Create(grammar::Grammar grammar,
                                               std::vector<Rule> rules,
                                               const hwgen::HwOptions& options) {
@@ -111,10 +126,14 @@ std::vector<Alert> ContextFilter::Scan(std::string_view stream,
 Status ContextFilter::Scan(std::string_view stream,
                            const core::resilience::ScanControl& control,
                            std::vector<Alert>* alerts, ScanStats* stats,
-                           std::atomic<uint64_t>* progress) const {
-  const ScanMetrics& metrics = ScanMetrics::Get();
+                           std::atomic<uint64_t>* progress,
+                           ScanSlot* slot) const {
+  if (slot == nullptr) {
+    ScanSlot one_call(*this);
+    return Scan(stream, control, alerts, stats, progress, &one_call);
+  }
   obs::ScopedSpan span("nids.Scan");
-  obs::ScopedTimer timer(metrics.latency);
+  obs::ScopedTimer timer(&slot->seconds_);
   alerts->clear();
   ScanStats local;
   // Context spans from the tag stream, matched as the tags arrive: a
@@ -157,7 +176,7 @@ Status ContextFilter::Scan(std::string_view stream,
         any_tag = true;
         return true;
       },
-      control, progress, &consumed);
+      control, progress, &consumed, &slot->tag_);
   // On a trip the scan stopped at `consumed`: account only those bytes
   // and run the context-free rules over exactly that prefix, so the
   // partial result is precisely "the alerts for stream[0, consumed)".
@@ -196,11 +215,8 @@ Status ContextFilter::Scan(std::string_view stream,
       }
     }
   }
-  metrics.scans->Increment();
-  metrics.bytes->Increment(local.bytes);
-  metrics.tokens->Increment(local.tokens);
-  metrics.spans->Increment(local.spans_scanned);
-  metrics.alerts->Increment(local.alerts);
+  ++slot->scans_;
+  slot->totals_ += local;
   if (stats != nullptr) *stats = local;
   return status;
 }

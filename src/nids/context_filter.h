@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "core/resilience/deadline.h"
 #include "core/token_tagger.h"
+#include "obs/metrics.h"
 #include "tagger/naive_matcher.h"
 
 namespace cfgtag::nids {
@@ -44,6 +45,38 @@ struct ScanStats {
   uint64_t tokens = 0;        // tags seen
   uint64_t spans_scanned = 0; // context spans handed to the matcher
   uint64_t alerts = 0;
+
+  ScanStats& operator+=(const ScanStats& o) {
+    bytes += o.bytes;
+    tokens += o.tokens;
+    spans_scanned += o.spans_scanned;
+    alerts += o.alerts;
+    return *this;
+  }
+};
+
+class ContextFilter;
+
+// Per-thread scratch for a run of ContextFilter::Scan calls (an engine
+// worker's share of a batch): a core::TagSlot of the filter's tagger,
+// whose session is held across the scans, and a plain tally of the
+// cfgtag_nids_* registry writes. Destruction returns the session and
+// folds both tallies into the registry. One thread uses a slot at a time,
+// and the filter must outlive it.
+class ScanSlot {
+ public:
+  explicit ScanSlot(const ContextFilter& filter);
+  ~ScanSlot();
+  ScanSlot(const ScanSlot&) = delete;
+  ScanSlot& operator=(const ScanSlot&) = delete;
+
+ private:
+  friend class ContextFilter;
+
+  core::TagSlot tag_;
+  uint64_t scans_ = 0;
+  ScanStats totals_;
+  obs::HistogramTally seconds_;
 };
 
 // Streams bytes through the grammar tagger and applies each rule only
@@ -58,7 +91,7 @@ struct ScanStats {
 // Create() time; Scan() streams tags out of a pooled LazyDfaSession and
 // matches each span as its tag arrives, so no tag vector is materialized.
 // Scan() is const and thread-safe: the scan engine calls it concurrently
-// from many workers against one filter.
+// from many workers against one filter, each worker with its own ScanSlot.
 class ContextFilter {
  public:
   static StatusOr<ContextFilter> Create(grammar::Grammar grammar,
@@ -75,12 +108,16 @@ class ContextFilter {
   // kDeadlineExceeded / kCancelled, *alerts holds every alert for the
   // consumed prefix (context-bound alerts from the tags seen so far, plus
   // the context-free rules run over exactly that prefix), still in stream
-  // order — a partial result with a precise meaning, not a truncated one. `progress` is advanced past every fed chunk (the scan
-  // engine watchdog's heartbeat).
+  // order — a partial result with a precise meaning, not a truncated
+  // one. `progress` is advanced past every fed chunk (the scan engine
+  // watchdog's heartbeat). With a `slot` (of this filter), the scan runs
+  // on the slot's held session and adds to its tallies; without one it
+  // runs on a one-call slot.
   Status Scan(std::string_view stream,
               const core::resilience::ScanControl& control,
               std::vector<Alert>* alerts, ScanStats* stats = nullptr,
-              std::atomic<uint64_t>* progress = nullptr) const;
+              std::atomic<uint64_t>* progress = nullptr,
+              ScanSlot* slot = nullptr) const;
 
   // Only the context-free rules (empty context_token), applied over the
   // whole stream — the same set Scan()'s global pass raises, without the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -144,7 +145,22 @@ Status ScanEngine::Run(const std::vector<std::string_view>& units,
     });
   }
 
-  pool_.RunIndexed(n, [&](size_t i) {
+  // One slot per worker: a worker scans its whole share of the units on
+  // one held session and tallies their registry writes privately. Every
+  // slot checks its session out before the run, so the session pool sees
+  // the same concurrency however the workers get scheduled and keeps the
+  // sessions from run to run. Slots are cache-line aligned so the tallies
+  // share no line; they return their sessions and merge their tallies
+  // after the join.
+  struct alignas(64) WorkerSlot {
+    explicit WorkerSlot(const ContextFilter& filter) : scan(filter) {}
+    ScanSlot scan;
+  };
+  std::deque<WorkerSlot> slots;
+  while (slots.size() < std::min<size_t>(n, pool_.num_threads())) {
+    slots.emplace_back(*filter_);
+  }
+  pool_.RunIndexed(n, [&](size_t slot, size_t i) {
     UnitWatch* w = watched ? &watch[i] : nullptr;
     if (w != nullptr) w->state.store(kRunning, std::memory_order_relaxed);
     res::FaultInjector::MaybeStall("engine.shard");
@@ -155,7 +171,8 @@ Status ScanEngine::Run(const std::vector<std::string_view>& units,
     const auto t0 = std::chrono::steady_clock::now();
     StreamResult& r = (*results)[i];
     statuses[i] = filter_->Scan(units[i], eff, &r.alerts, &r.stats,
-                                w != nullptr ? &w->progress : nullptr);
+                                w != nullptr ? &w->progress : nullptr,
+                                &slots[slot].scan);
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -167,6 +184,7 @@ Status ScanEngine::Run(const std::vector<std::string_view>& units,
     }
     if (w != nullptr) w->state.store(kDone, std::memory_order_relaxed);
   });
+  slots.clear();
 
   if (watchdog.joinable()) {
     {
@@ -265,10 +283,7 @@ Status ScanEngine::ScanStream(std::string_view stream,
       a.end += starts[i];
       result->alerts.push_back(a);
     }
-    result->stats.bytes += shard[i].stats.bytes;
-    result->stats.tokens += shard[i].stats.tokens;
-    result->stats.spans_scanned += shard[i].stats.spans_scanned;
-    result->stats.alerts += shard[i].stats.alerts;
+    result->stats += shard[i].stats;
   }
   metrics.bytes->Increment(result->stats.bytes);
   return status;

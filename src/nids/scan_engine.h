@@ -59,8 +59,10 @@ struct StreamResult {
 // Parallel batch-scan engine over one ContextFilter: a fixed worker pool
 // (core::WorkerPool) fans independent streams — or delimiter-aligned
 // shards of one large stream — out to workers, each of which runs the
-// filter's streaming Scan() with a pooled LazyDfaSession, and the results
-// are merged back in deterministic stream order. Alerts are byte-identical
+// filter's streaming Scan() over its whole share on one held pooled
+// LazyDfaSession (a ScanSlot per worker, whose registry tallies merge
+// once per run), and the results are merged back in deterministic stream
+// order. Alerts are byte-identical
 // to the sequential path: ScanBatch() by construction (results are keyed
 // by stream index), ScanStream() because shards are cut only at resync
 // record boundaries, where a fresh tagger state is exactly the streaming

@@ -105,6 +105,13 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+void AddToSum(std::atomic<double>& sum, double delta) {
+  double cur = sum.load(std::memory_order_relaxed);
+  while (!sum.compare_exchange_weak(cur, cur + delta,
+                                    std::memory_order_relaxed)) {
+  }
+}
+
 }  // namespace
 
 Histogram::Histogram(std::vector<double> bounds)
@@ -114,7 +121,7 @@ Histogram::Histogram(std::vector<double> bounds)
   }
 }
 
-void Histogram::Observe(double value) {
+size_t Histogram::BucketIndex(double value) const {
   size_t lo = 0, hi = bounds_.size();
   while (lo < hi) {  // first bound with value <= bound
     const size_t mid = (lo + hi) / 2;
@@ -124,12 +131,29 @@ void Histogram::Observe(double value) {
       lo = mid + 1;
     }
   }
-  buckets_[lo].fetch_add(1, std::memory_order_relaxed);
+  return lo;
+}
+
+void Histogram::Observe(double value) {
+  buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + value,
-                                     std::memory_order_relaxed)) {
+  AddToSum(sum_, value);
+}
+
+void HistogramTally::Merge() {
+  if (count_ == 0) return;
+  // Stops after the last non-empty bucket: a latency tally's counts sit
+  // in its first few buckets.
+  for (size_t i = 0, left = count_; left != 0; ++i) {
+    if (buckets_[i] == 0) continue;
+    target_->buckets_[i].fetch_add(buckets_[i], std::memory_order_relaxed);
+    left -= buckets_[i];
+    buckets_[i] = 0;
   }
+  target_->count_.fetch_add(count_, std::memory_order_relaxed);
+  AddToSum(target_->sum_, sum_);
+  count_ = 0;
+  sum_ = 0.0;
 }
 
 const std::vector<double>& DefaultLatencyBuckets() {

@@ -1,7 +1,9 @@
 #ifndef CFGTAG_OBS_METRICS_H_
 #define CFGTAG_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -13,10 +15,11 @@
 
 namespace cfgtag::obs {
 
-// Process-wide observability primitives. Everything here is thread-safe:
-// counters and gauges are lock-free atomics, histograms take one atomic
-// add per bucket observation, and the registry locks only on first lookup
-// of a metric name (instrumented call sites cache the returned pointer).
+// Process-wide observability primitives. Everything here is thread-safe
+// except HistogramTally: counters and gauges are lock-free atomics,
+// histograms take one atomic add per bucket observation, and the registry
+// locks only on first lookup of a metric name (instrumented call sites
+// cache the returned pointer).
 //
 // Naming follows Prometheus conventions: `cfgtag_<area>_<what>_<unit>`,
 // optional labels inline in the metric name, e.g.
@@ -62,6 +65,9 @@ class Histogram {
   explicit Histogram(std::vector<double> bounds);
 
   void Observe(double value);
+  // The bucket `value` lands in: the first bound with value <= bound, or
+  // bounds().size() (+Inf).
+  size_t BucketIndex(double value) const;
 
   uint64_t TotalCount() const {
     return count_.load(std::memory_order_relaxed);
@@ -79,6 +85,40 @@ class Histogram {
   std::vector<std::atomic<uint64_t>> buckets_;
   std::atomic<uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
+
+  friend class HistogramTally;
+};
+
+// A plain, single-thread tally of observations bound for one Histogram.
+// A thread that observes many values (an engine worker's share of a run)
+// keeps one and merges it once, instead of writing the shared histogram
+// per value. Merge() adds one count per non-empty bucket, the total count
+// and the sum, then empties the tally, so bucket counts and _count equal
+// those of direct Observe() calls; _sum may differ by rounding. The
+// buckets live inline (no heap), so the histogram may have at most
+// kMaxBuckets buckets (every Default*Buckets() shape fits).
+class HistogramTally {
+ public:
+  static constexpr size_t kMaxBuckets = 32;
+
+  explicit HistogramTally(Histogram* target) : target_(target) {
+    assert(target->bounds().size() < kMaxBuckets);
+  }
+  HistogramTally(const HistogramTally&) = delete;
+  HistogramTally& operator=(const HistogramTally&) = delete;
+
+  void Observe(double value) {
+    ++buckets_[target_->BucketIndex(value)];
+    ++count_;
+    sum_ += value;
+  }
+  void Merge();
+
+ private:
+  Histogram* target_;
+  std::array<uint64_t, kMaxBuckets> buckets_{};
+  uint64_t count_ = 0;
+  double sum_ = 0.0;
 };
 
 // Default buckets for operation latencies, in seconds: 1us .. 10s,
@@ -133,15 +173,17 @@ class MetricsRegistry {
 };
 
 // RAII latency timer: observes the elapsed wall time, in seconds, into a
-// histogram at scope exit. A null histogram disables the timer.
+// Histogram or a HistogramTally at scope exit. A null target disables the
+// timer.
+template <typename Target>
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Histogram* histogram)
-      : histogram_(histogram), start_(std::chrono::steady_clock::now()) {}
+  explicit ScopedTimer(Target* target)
+      : target_(target), start_(std::chrono::steady_clock::now()) {}
   ~ScopedTimer() {
-    if (histogram_ == nullptr) return;
+    if (target_ == nullptr) return;
     const auto elapsed = std::chrono::steady_clock::now() - start_;
-    histogram_->Observe(
+    target_->Observe(
         std::chrono::duration_cast<std::chrono::duration<double>>(elapsed)
             .count());
   }
@@ -149,7 +191,7 @@ class ScopedTimer {
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-  Histogram* histogram_;
+  Target* target_;
   std::chrono::steady_clock::time_point start_;
 };
 

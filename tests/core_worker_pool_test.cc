@@ -1,5 +1,6 @@
 // WorkerPool: every index runs exactly once regardless of pool size, also
-// for concurrent callers, and a one-worker pool runs inline;
+// for concurrent callers, a one-worker pool runs inline, and each slot is
+// one worker's;
 // RecordShardingIsExact: the shard decision; and ShardSplitPoints: shard
 // starts are delimiter-aligned, bounded, and degrade to {0} when the
 // stream cannot be split.
@@ -25,7 +26,7 @@ TEST(WorkerPoolTest, RunIndexedCoversEveryIndexOnce) {
     EXPECT_EQ(pool.num_threads(), threads);
     constexpr size_t kCount = 257;
     std::vector<std::atomic<int>> hits(kCount);
-    pool.RunIndexed(kCount, [&](size_t i) {
+    pool.RunIndexed(kCount, [&](size_t, size_t i) {
       hits[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (size_t i = 0; i < kCount; ++i) {
@@ -36,9 +37,10 @@ TEST(WorkerPoolTest, RunIndexedCoversEveryIndexOnce) {
 
 TEST(WorkerPoolTest, RunIndexedZeroAndOne) {
   WorkerPool pool(2);
-  pool.RunIndexed(0, [](size_t) { FAIL() << "no index to run"; });
+  pool.RunIndexed(0, [](size_t, size_t) { FAIL() << "no index to run"; });
   int runs = 0;
-  pool.RunIndexed(1, [&](size_t i) {
+  pool.RunIndexed(1, [&](size_t slot, size_t i) {
+    EXPECT_EQ(slot, 0u);
     EXPECT_EQ(i, 0u);
     ++runs;
   });
@@ -58,7 +60,7 @@ TEST(WorkerPoolTest, ConcurrentCallersEachRunTheirOwnIndicesOnce) {
     callers.emplace_back([&, c] {
       start.arrive_and_wait();
       for (int round = 0; round < kRounds; ++round) {
-        pool.RunIndexed(kCount, [&](size_t i) {
+        pool.RunIndexed(kCount, [&](size_t, size_t i) {
           hits[c][i].fetch_add(1, std::memory_order_relaxed);
         });
       }
@@ -77,9 +79,36 @@ TEST(WorkerPoolTest, OneWorkerPoolRunsOnTheCallingThread) {
   EXPECT_EQ(pool.num_threads(), 1);
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::thread::id> ran_on(16);
-  pool.RunIndexed(ran_on.size(),
-                  [&](size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  pool.RunIndexed(ran_on.size(), [&](size_t slot, size_t i) {
+    EXPECT_EQ(slot, 0u);
+    ran_on[i] = std::this_thread::get_id();
+  });
   for (const std::thread::id& id : ran_on) EXPECT_EQ(id, caller);
+}
+
+// Each slot is one worker: slots stay below num_threads(), every call on
+// a slot runs on the same thread, and no two calls on one slot overlap —
+// so per-slot scratch needs no lock.
+TEST(WorkerPoolTest, SlotsAreExclusivePerWorker) {
+  WorkerPool pool(3);
+  constexpr size_t kCount = 600;
+  std::vector<std::atomic<int>> in_slot(3);
+  std::vector<std::thread::id> slot_thread(3);
+  std::vector<uint64_t> slot_calls(3, 0);  // plain: written by one worker
+  std::atomic<int> overlaps{0};
+  pool.RunIndexed(kCount, [&](size_t slot, size_t) {
+    ASSERT_LT(slot, 3u);
+    if (in_slot[slot].fetch_add(1) != 0) overlaps.fetch_add(1);
+    if (slot_calls[slot]++ == 0) {
+      slot_thread[slot] = std::this_thread::get_id();
+    } else {
+      EXPECT_EQ(slot_thread[slot], std::this_thread::get_id());
+    }
+    std::this_thread::yield();
+    in_slot[slot].fetch_sub(1);
+  });
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_EQ(slot_calls[0] + slot_calls[1] + slot_calls[2], kCount);
 }
 
 TEST(RecordShardingTest, NeedsResyncAndDelimiterRecords) {

@@ -12,7 +12,9 @@
 #include "nids/context_filter.h"
 #include "nids/scan_engine.h"
 #include "obs/events.h"
+#include "obs/metrics.h"
 #include "regex/char_class.h"
+#include "tagger/lazy_dfa.h"
 
 namespace cfgtag::nids {
 namespace {
@@ -251,6 +253,96 @@ TEST(ScanEngineTest, SlowShardDetectionIsOffByBoundZero) {
   for (const obs::Event& e : rec.Snapshot()) {
     if (e.seq <= recorded_before) continue;
     EXPECT_NE(e.kind, obs::EventKind::kSlowShard);
+  }
+}
+
+std::vector<std::string> ShortFlows(size_t n) {
+  std::vector<std::string> flows;
+  for (size_t i = 0; i < n; ++i) flows.push_back(Traffic(1, i));
+  return flows;
+}
+
+// Engine workers hold one pooled session each for their whole share of a
+// run, so once a warm-up batch has built both, the next batch creates and
+// drops none — however the two workers' scans interleave.
+TEST(ScanEngineTest, BatchKeepsItsSessionsWithoutChurn) {
+  obs::FlightRecorder& rec = obs::FlightRecorder::Default();
+  const ContextFilter filter = ResyncFilter();
+  ScanEngineOptions opt;
+  opt.num_threads = 2;
+  const ScanEngine engine(&filter, opt);
+  const std::vector<std::string> flows = ShortFlows(2000);
+  const std::vector<std::string_view> streams(flows.begin(), flows.end());
+  engine.ScanBatch(streams);
+
+  const tagger::LazyDfaSessionPool& pool =
+      filter.tagger().lazy_model()->session_pool();
+  const uint64_t created = pool.sessions_created();
+  const uint64_t dropped = pool.sessions_dropped();
+  const uint64_t recorded_before = rec.total_recorded();
+  engine.ScanBatch(streams);
+  EXPECT_EQ(pool.sessions_created(), created);
+  EXPECT_EQ(pool.sessions_dropped(), dropped);
+  for (const obs::Event& e : rec.Snapshot()) {
+    if (e.seq <= recorded_before) continue;
+    EXPECT_NE(e.kind, obs::EventKind::kSessionPoolDrop) << e.detail;
+  }
+}
+
+// The per-worker tallies reach the registry exactly: a batch moves every
+// scan and tag counter by what a sequential Scan loop over the same flows
+// moves it, and each per-flow latency histogram and the pool's task
+// counter rise by one per flow.
+TEST(ScanEngineTest, BatchAccountingEqualsSequentialScans) {
+  const ContextFilter filter = ResyncFilter();
+  ScanEngineOptions opt;
+  opt.num_threads = 2;
+  const ScanEngine engine(&filter, opt);
+  const std::vector<std::string> flows = ShortFlows(300);
+  const std::vector<std::string_view> streams(flows.begin(), flows.end());
+  filter.Scan(streams[0]);  // registers the scan and tag metrics
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  const std::vector<std::string> counters{
+      "cfgtag_nids_scans_total",         "cfgtag_nids_bytes_total",
+      "cfgtag_nids_tokens_total",        "cfgtag_nids_spans_scanned_total",
+      "cfgtag_nids_alerts_total",        "cfgtag_tag_calls_total",
+      "cfgtag_tag_bytes_total",          "cfgtag_tag_tokens_total",
+      "cfgtag_engine_tasks_total"};
+  const std::vector<std::string> histograms{
+      "cfgtag_nids_scan_seconds", "cfgtag_tag_seconds",
+      "cfgtag_engine_task_seconds"};
+  const auto snapshot = [&] {
+    std::vector<uint64_t> v;
+    for (const std::string& c : counters) v.push_back(reg.GetCounter(c)->Value());
+    for (const std::string& h : histograms) {
+      v.push_back(reg.GetHistogram(h)->TotalCount());
+    }
+    return v;
+  };
+
+  const std::vector<uint64_t> before = snapshot();
+  std::vector<std::vector<Alert>> sequential;
+  for (std::string_view s : streams) sequential.push_back(filter.Scan(s));
+  const std::vector<uint64_t> mid = snapshot();
+  const std::vector<StreamResult> batch = engine.ScanBatch(streams);
+  const std::vector<uint64_t> after = snapshot();
+
+  ASSERT_EQ(batch.size(), streams.size());
+  for (size_t i = 0; i < streams.size(); ++i) {
+    EXPECT_EQ(batch[i].alerts, sequential[i]) << "stream " << i;
+  }
+  const uint64_t n = streams.size();
+  EXPECT_GT(mid[1] - before[1], 0u);  // the flows have bytes
+  for (size_t i = 0; i + 1 < counters.size(); ++i) {
+    EXPECT_EQ(after[i] - mid[i], mid[i] - before[i]) << counters[i];
+  }
+  const size_t tasks = counters.size() - 1;
+  EXPECT_EQ(mid[tasks] - before[tasks], 0u);
+  EXPECT_EQ(after[tasks] - mid[tasks], n);
+  for (size_t h = 0; h < histograms.size(); ++h) {
+    EXPECT_EQ(after[counters.size() + h] - mid[counters.size() + h], n)
+        << histograms[h];
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -64,6 +65,30 @@ TEST(HistogramTest, NegativeAndZeroObservations) {
   EXPECT_EQ(h.BucketCount(0), 2u);  // -5 and 0 are both <= 0
   EXPECT_EQ(h.BucketCount(1), 1u);
   EXPECT_EQ(h.TotalCount(), 3u);
+}
+
+// A tally merged once gives the histogram the same buckets and count as
+// one Observe per value, and the same sum up to rounding; Merge empties
+// the tally, so a second merge adds nothing.
+TEST(HistogramTest, MergedTallyMatchesDirectObservations) {
+  Histogram direct(DefaultLatencyBuckets());
+  Histogram merged(DefaultLatencyBuckets());
+  HistogramTally tally(&merged);
+  std::vector<double> values{-1.0, 0.0, 1e-6, 2.5e-6, 3e-6, 1e-3, 10.0, 1e3};
+  for (int i = 0; i < 1000; ++i) values.push_back(1e-7 * (i * i % 977 + 1));
+  for (double v : values) {
+    direct.Observe(v);
+    tally.Observe(v);
+  }
+  EXPECT_EQ(merged.TotalCount(), 0u);  // nothing lands before the merge
+  tally.Merge();
+  tally.Merge();
+  ASSERT_EQ(merged.bounds().size(), direct.bounds().size());
+  for (size_t i = 0; i <= direct.bounds().size(); ++i) {
+    EXPECT_EQ(merged.BucketCount(i), direct.BucketCount(i)) << "bucket " << i;
+  }
+  EXPECT_EQ(merged.TotalCount(), direct.TotalCount());
+  EXPECT_NEAR(merged.Sum(), direct.Sum(), 1e-12 * std::abs(direct.Sum()));
 }
 
 TEST(RegistryTest, StablePointersAndIdempotentLookup) {

@@ -673,7 +673,7 @@ int RunTool(int argc, char** argv) {
                   : std::vector<size_t>{0};
       std::vector<std::vector<cfgtag::tagger::Tag>> shard(starts.size());
       std::vector<cfgtag::Status> shard_status(starts.size());
-      const auto tag_shard = [&](size_t i) {
+      const auto tag_shard = [&](size_t /*slot*/, size_t i) {
         const size_t end =
             i + 1 < starts.size() ? starts[i + 1] : input.size();
         shard_status[i] = tagger->TagWithControl(
@@ -690,7 +690,7 @@ int RunTool(int argc, char** argv) {
         std::printf("tagged with %d thread(s) across %zu shard(s)\n",
                     pool.num_threads(), starts.size());
       } else {
-        tag_shard(0);
+        tag_shard(0, 0);
       }
       // Merge every shard — a tripped shard still tagged its consumed
       // prefix, and those partial tags are worth printing.
