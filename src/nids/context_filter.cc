@@ -67,52 +67,53 @@ StatusOr<ContextFilter> ContextFilter::Create(grammar::Grammar grammar,
   if (rules.empty()) {
     return InvalidArgumentError("a filter needs at least one rule");
   }
-  std::vector<std::string> patterns;
-  patterns.reserve(rules.size());
-  for (const Rule& r : rules) {
+  std::vector<std::string> bound_patterns, free_patterns;
+  std::vector<size_t> bound_rules, free_rules;
+  std::vector<int32_t> bound_tokens;
+  for (size_t i = 0; i < rules.size(); ++i) {
+    const Rule& r = rules[i];
     if (r.pattern.empty()) {
       return InvalidArgumentError("rule '" + r.id + "' has an empty pattern");
     }
-    patterns.push_back(r.pattern);
-  }
-
-  const size_t num_tokens = grammar.NumTokens();
-  std::vector<std::vector<size_t>> by_token(num_tokens);
-  std::vector<uint8_t> is_global(rules.size(), 0);
-  std::vector<size_t> global_rules;
-  for (size_t i = 0; i < rules.size(); ++i) {
-    if (rules[i].context_token.empty()) {
-      is_global[i] = 1;
-      global_rules.push_back(i);
+    if (r.context_token.empty()) {
+      free_patterns.push_back(r.pattern);
+      free_rules.push_back(i);
       continue;
     }
-    const int32_t t = grammar.FindToken(rules[i].context_token);
+    const int32_t t = grammar.FindToken(r.context_token);
     if (t < 0) {
-      return NotFoundError("rule '" + rules[i].id + "' binds to token '" +
-                           rules[i].context_token +
+      return NotFoundError("rule '" + r.id + "' binds to token '" +
+                           r.context_token +
                            "' which the grammar does not define");
     }
-    by_token[t].push_back(i);
+    bound_patterns.push_back(r.pattern);
+    bound_rules.push_back(i);
+    bound_tokens.push_back(t);
   }
   // Flatten the binding into the forms Scan() reads per tag: a gate byte
-  // per token and a (token, rule) bitmap, so the hot loop does no
+  // per token and a (token, bound pattern) bitmap, so the hot loop does no
   // std::find over rule index vectors.
+  const size_t num_tokens = grammar.NumTokens();
   std::vector<uint8_t> token_has_rules(num_tokens, 0);
-  std::vector<uint8_t> bound_bitmap(num_tokens * rules.size(), 0);
-  for (size_t t = 0; t < num_tokens; ++t) {
-    token_has_rules[t] = by_token[t].empty() ? 0 : 1;
-    for (size_t rule : by_token[t]) {
-      bound_bitmap[t * rules.size() + rule] = 1;
-    }
+  std::vector<uint8_t> bound_bitmap(num_tokens * bound_rules.size(), 0);
+  for (size_t p = 0; p < bound_tokens.size(); ++p) {
+    token_has_rules[bound_tokens[p]] = 1;
+    bound_bitmap[bound_tokens[p] * bound_rules.size() + p] = 1;
   }
+  CFGTAG_ASSIGN_OR_RETURN(
+      auto bound_matcher,
+      tagger::NaiveMatcher::Create(std::move(bound_patterns)));
+  CFGTAG_ASSIGN_OR_RETURN(
+      auto free_matcher,
+      tagger::NaiveMatcher::Create(std::move(free_patterns)));
 
   CFGTAG_ASSIGN_OR_RETURN(
       auto tagger, core::CompiledTagger::Compile(std::move(grammar), options));
-  return ContextFilter(std::move(rules), std::move(tagger),
-                       tagger::NaiveMatcher(std::move(patterns)),
-                       std::move(by_token), std::move(bound_bitmap),
-                       std::move(token_has_rules), std::move(is_global),
-                       std::move(global_rules));
+  return ContextFilter(
+      std::move(rules), std::move(tagger),
+      RuleSet{std::move(bound_matcher), std::move(bound_rules)},
+      RuleSet{std::move(free_matcher), std::move(free_rules)},
+      std::move(bound_bitmap), std::move(token_has_rules));
 }
 
 std::vector<Alert> ContextFilter::Scan(std::string_view stream,
@@ -161,12 +162,14 @@ Status ContextFilter::Scan(std::string_view stream,
           local.spans_scanned++;
           const std::string_view ctx =
               stream.substr(begin, tag.end - begin + 1);
-          const uint8_t* bound = bound_bitmap_.data() +
-                                 static_cast<size_t>(tag.token) * rules_.size();
-          matcher_.ScanWith(ctx, [&](int32_t pattern, uint64_t end) {
+          const uint8_t* bound =
+              bound_bitmap_.data() +
+              static_cast<size_t>(tag.token) * bound_.rules.size();
+          // Spans are short (tens of bytes): stepping every byte beats a
+          // skip kernel call per return to the root.
+          bound_.matcher.ScanWith(ctx, [&](int32_t pattern, uint64_t end) {
             if (bound[pattern]) {
-              alerts->push_back(
-                  Alert{static_cast<size_t>(pattern), begin + end});
+              alerts->push_back(Alert{bound_.rules[pattern], begin + end});
             }
             return true;
           });
@@ -181,16 +184,7 @@ Status ContextFilter::Scan(std::string_view stream,
   // and run the context-free rules over exactly that prefix, so the
   // partial result is precisely "the alerts for stream[0, consumed)".
   local.bytes = consumed;
-  if (!global_rules_.empty()) {
-    matcher_.ScanWith(stream.substr(0, consumed),
-                      [&](int32_t pattern, uint64_t end) {
-                        if (is_global_[pattern]) {
-                          alerts->push_back(
-                              Alert{static_cast<size_t>(pattern), end});
-                        }
-                        return true;
-                      });
-  }
+  ScanWhole(free_, stream.substr(0, consumed), alerts);
 
   std::stable_sort(
       alerts->begin(), alerts->end(),
@@ -221,25 +215,29 @@ Status ContextFilter::Scan(std::string_view stream,
   return status;
 }
 
+void ContextFilter::ScanWhole(const RuleSet& set, std::string_view stream,
+                              std::vector<Alert>* alerts) {
+  set.matcher.SkipScanWith(stream, [&](int32_t pattern, uint64_t end) {
+    alerts->push_back(Alert{set.rules[pattern], end});
+    return true;
+  });
+}
+
 std::vector<Alert> ContextFilter::ScanContextFree(
     std::string_view stream) const {
   std::vector<Alert> alerts;
-  if (global_rules_.empty()) return alerts;
-  matcher_.ScanWith(stream, [&](int32_t pattern, uint64_t end) {
-    if (is_global_[pattern]) {
-      alerts.push_back(Alert{static_cast<size_t>(pattern), end});
-    }
-    return true;
-  });
+  ScanWhole(free_, stream, &alerts);
   return alerts;
 }
 
 std::vector<Alert> ContextFilter::ScanUngated(std::string_view stream) const {
-  std::vector<Alert> alerts;
-  matcher_.ScanWith(stream, [&](int32_t pattern, uint64_t end) {
-    alerts.push_back(Alert{static_cast<size_t>(pattern), end});
-    return true;
-  });
+  std::vector<Alert> bound, free;
+  ScanWhole(bound_, stream, &bound);
+  ScanWhole(free_, stream, &free);
+  std::vector<Alert> alerts(bound.size() + free.size());
+  std::merge(bound.begin(), bound.end(), free.begin(), free.end(),
+             alerts.begin(),
+             [](const Alert& a, const Alert& b) { return a.end < b.end; });
   return alerts;
 }
 

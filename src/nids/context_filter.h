@@ -87,9 +87,12 @@ class ScanSlot {
 // share an end offset — two tokens detected at the same byte — share the
 // same span.
 //
-// The pattern matcher is an Aho–Corasick automaton compiled once at
-// Create() time; Scan() streams tags out of a pooled LazyDfaSession and
-// matches each span as its tag arrives, so no tag vector is materialized.
+// The patterns run through two flat Aho–Corasick automata compiled once
+// at Create(): one over the context-bound rules, which steps each context
+// span as its tag arrives (Scan() streams tags out of a pooled
+// LazyDfaSession, so no tag vector is materialized), and one over the
+// context-free rules, which runs over the whole stream skipping from the
+// root to the next byte that can start one of them.
 // Scan() is const and thread-safe: the scan engine calls it concurrently
 // from many workers against one filter, each worker with its own ScanSlot.
 class ContextFilter {
@@ -133,36 +136,39 @@ class ContextFilter {
   const core::CompiledTagger& tagger() const { return tagger_; }
 
  private:
+  // One automaton and the rule index of each of its patterns.
+  struct RuleSet {
+    tagger::NaiveMatcher matcher;
+    std::vector<size_t> rules;
+  };
+
   ContextFilter(std::vector<Rule> rules, core::CompiledTagger tagger,
-                tagger::NaiveMatcher matcher,
-                std::vector<std::vector<size_t>> rules_by_token,
+                RuleSet bound, RuleSet free,
                 std::vector<uint8_t> bound_bitmap,
-                std::vector<uint8_t> token_has_rules,
-                std::vector<uint8_t> is_global,
-                std::vector<size_t> global_rules)
+                std::vector<uint8_t> token_has_rules)
       : rules_(std::move(rules)),
         tagger_(std::move(tagger)),
-        matcher_(std::move(matcher)),
-        rules_by_token_(std::move(rules_by_token)),
+        bound_(std::move(bound)),
+        free_(std::move(free)),
         bound_bitmap_(std::move(bound_bitmap)),
-        token_has_rules_(std::move(token_has_rules)),
-        is_global_(std::move(is_global)),
-        global_rules_(std::move(global_rules)) {}
+        token_has_rules_(std::move(token_has_rules)) {}
+
+  // Appends the alerts of `set` over the whole of `stream`, in stream
+  // order, skipping from the root.
+  static void ScanWhole(const RuleSet& set, std::string_view stream,
+                        std::vector<Alert>* alerts);
 
   std::vector<Rule> rules_;
   core::CompiledTagger tagger_;
-  // One pattern per rule, in rule order (Aho–Corasick, built at Create).
-  tagger::NaiveMatcher matcher_;
-  // rules_by_token_[token_id] = indices of rules bound to that token.
-  std::vector<std::vector<size_t>> rules_by_token_;
-  // Everything below is precomputed at Create() so Scan() does no rule
-  // table walking: bound_bitmap_[token * rules_.size() + rule] = 1 iff
-  // `rule` is bound to `token`; token_has_rules_[token] gates the span
-  // scan; is_global_/global_rules_ are the context-free rule set.
+  // The context-bound rules, in rule order (the span pass), and the
+  // context-free ones (the global pass).
+  RuleSet bound_;
+  RuleSet free_;
+  // Precomputed at Create() so Scan() does no rule table walking:
+  // bound_bitmap_[token * bound_.rules.size() + p] = 1 iff bound pattern
+  // `p` is bound to `token`; token_has_rules_[token] gates the span scan.
   std::vector<uint8_t> bound_bitmap_;
   std::vector<uint8_t> token_has_rules_;
-  std::vector<uint8_t> is_global_;
-  std::vector<size_t> global_rules_;
 };
 
 }  // namespace cfgtag::nids

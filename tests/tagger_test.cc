@@ -7,6 +7,7 @@
 #include "tagger/functional_model.h"
 #include "tagger/ll_parser.h"
 #include "tagger/naive_matcher.h"
+#include "tagger/simd/dispatch.h"
 
 namespace cfgtag::tagger {
 namespace {
@@ -252,6 +253,147 @@ TEST(NaiveMatcherTest, EarlyStopScan) {
   int seen = 0;
   m.Scan("aaaa", [&](int32_t, uint64_t) { return ++seen < 2; });
   EXPECT_EQ(seen, 2);
+}
+
+using Match = std::pair<int32_t, uint64_t>;  // (pattern, end)
+
+// Every occurrence by brute-force substring search, in Aho–Corasick report
+// order: by end offset, then longest pattern first (the node before its
+// failure chain), then pattern index (duplicates share a node).
+std::vector<Match> BruteForceMatches(const std::vector<std::string>& patterns,
+                                     const std::string& s) {
+  std::vector<Match> out;
+  for (size_t i = 0; i < s.size(); ++i) {
+    std::vector<int32_t> here;
+    for (size_t p = 0; p < patterns.size(); ++p) {
+      const std::string& pat = patterns[p];
+      if (!pat.empty() && i + 1 >= pat.size() &&
+          s.compare(i + 1 - pat.size(), pat.size(), pat) == 0) {
+        here.push_back(static_cast<int32_t>(p));
+      }
+    }
+    std::stable_sort(here.begin(), here.end(), [&](int32_t a, int32_t b) {
+      return patterns[a].size() > patterns[b].size();
+    });
+    for (int32_t p : here) out.emplace_back(p, i);
+  }
+  return out;
+}
+
+std::vector<Match> Stepped(const NaiveMatcher& m, const std::string& s) {
+  std::vector<Match> out;
+  m.ScanWith(s, [&](int32_t p, uint64_t end) {
+    out.emplace_back(p, end);
+    return true;
+  });
+  return out;
+}
+
+std::vector<Match> Skipped(const NaiveMatcher& m, const std::string& s) {
+  std::vector<Match> out;
+  m.SkipScanWith(s, [&](int32_t p, uint64_t end) {
+    out.emplace_back(p, end);
+    return true;
+  });
+  return out;
+}
+
+std::vector<simd::Isa> AvailableIsas() {
+  std::vector<simd::Isa> isas;
+  for (int i = 0; i < simd::kNumIsas; ++i) {
+    const simd::Isa isa = static_cast<simd::Isa>(i);
+    if (simd::IsaAvailable(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+TEST(NaiveMatcherTest, DifferentialAgainstBruteForceOnEveryIsa) {
+  Rng rng(2024);
+  // A small pattern alphabet with NUL and high bytes; inputs add bytes no
+  // pattern uses, so the root skip has runs to jump over.
+  const std::string pattern_alphabet("ab\0\x80\xff", 5);
+  const std::string input_alphabet = pattern_alphabet + "zzzz\x7f";
+  const size_t kLengths[] = {0,  1,  2,  15, 16, 17, 31, 32,
+                             33, 47, 48, 63, 64, 65, 100, 257};
+  for (int round = 0; round < 60; ++round) {
+    std::vector<std::string> patterns;
+    const size_t n = rng.NextIndex(9);
+    for (size_t k = 0; k < n; ++k) {
+      const size_t kind = rng.NextIndex(4);
+      if (kind == 0 && !patterns.empty()) {
+        // A duplicate, a prefix-sharing extension or a suffix of an
+        // earlier pattern.
+        const std::string& base = patterns[rng.NextIndex(patterns.size())];
+        const size_t pick = rng.NextIndex(3);
+        if (pick == 0) {
+          patterns.push_back(base);
+        } else if (pick == 1) {
+          patterns.push_back(base + rng.NextString(1 + rng.NextIndex(2),
+                                                   pattern_alphabet));
+        } else {
+          patterns.push_back(base.substr(rng.NextIndex(base.size())));
+        }
+      } else {
+        patterns.push_back(
+            rng.NextString(1 + rng.NextIndex(4), pattern_alphabet));
+      }
+    }
+    const NaiveMatcher m(patterns);
+    ASSERT_EQ(m.NumPatterns(), patterns.size());
+    for (size_t len : kLengths) {
+      const std::string s = rng.NextString(len, input_alphabet);
+      const std::vector<Match> want = BruteForceMatches(patterns, s);
+      ASSERT_EQ(Stepped(m, s), want) << "round " << round << " len " << len;
+      for (simd::Isa isa : AvailableIsas()) {
+        simd::ForceIsa(isa);
+        EXPECT_EQ(Skipped(m, s), want)
+            << "round " << round << " len " << len << " isa "
+            << simd::IsaName(isa);
+      }
+      simd::ClearForcedIsa();
+    }
+  }
+}
+
+TEST(NaiveMatcherTest, EmptyPatternSetMatchesNothing) {
+  const NaiveMatcher m({});
+  EXPECT_EQ(m.NumPatterns(), 0u);
+  const std::string s(100, 'a');
+  EXPECT_TRUE(Stepped(m, s).empty());
+  EXPECT_TRUE(Skipped(m, s).empty());
+  EXPECT_TRUE(m.Matches(s).empty());
+}
+
+TEST(NaiveMatcherTest, CallbackStopsInsideSkipRun) {
+  const NaiveMatcher m({"x", "xy"});
+  // Matches sit after long runs the root skip jumps over.
+  const std::string s = std::string(40, '.') + "xy" + std::string(40, '.') +
+                        "x" + std::string(70, '.') + "x";
+  for (simd::Isa isa : AvailableIsas()) {
+    simd::ForceIsa(isa);
+    for (int stop_at = 1; stop_at <= 4; ++stop_at) {
+      std::vector<Match> seen;
+      m.SkipScanWith(s, [&](int32_t p, uint64_t end) {
+        seen.emplace_back(p, end);
+        return static_cast<int>(seen.size()) < stop_at;
+      });
+      const std::vector<Match> all = {{0, 40}, {1, 41}, {0, 82}, {0, 153}};
+      EXPECT_EQ(seen, std::vector<Match>(all.begin(), all.begin() + stop_at))
+          << simd::IsaName(isa);
+    }
+  }
+  simd::ClearForcedIsa();
+}
+
+TEST(NaiveMatcherTest, CreateRejectsTablesThatOverflowTheEntries) {
+  // 257 classes (every byte value used, plus class 0) x 8.4 M pattern
+  // bytes exceeds the 31-bit premultiplied offsets.
+  std::string big(8'400'000, 'a');
+  for (int b = 0; b < 256; ++b) big[b] = static_cast<char>(b);
+  const auto m = NaiveMatcher::Create({big});
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(NaiveMatcher::Create({"fits"}).ok());
 }
 
 // ----------------------------------------------------- PredictiveParser
