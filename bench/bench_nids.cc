@@ -3,10 +3,12 @@
 // same signatures applied context-free. Reports per-rule-count false
 // positives on decoy-laden traffic, and scan throughput.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
@@ -64,10 +66,29 @@ std::string MakeDecoyTraffic(const std::vector<nids::Rule>& rules,
   return out;
 }
 
+// Median wall seconds of `reps` calls of `fn` after one untimed warm-up
+// call, so a column reads the warm steady state rather than one cold call
+// (first session checkout, transition-cache fill, worker wake-up).
+template <typename Fn>
+double MedianWarmSeconds(int reps, Fn&& fn) {
+  fn();
+  std::vector<double> secs;
+  for (int i = 0; i < reps; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    secs.push_back(std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count());
+  }
+  std::sort(secs.begin(), secs.end());
+  return secs[secs.size() / 2];
+}
+
 void Run(bool smoke) {
   auto g = grammar::ParseGrammar(kProtocol);
   CheckOk(g.status(), "protocol grammar");
   const int messages = smoke ? 60 : 400;
+  const int reps = smoke ? 3 : 15;
 
   std::printf(
       "Context-gated NIDS vs context-free signatures\n"
@@ -85,12 +106,9 @@ void Run(bool smoke) {
     const std::string traffic = MakeDecoyTraffic(rules, messages, 7);
 
     const auto naive = filter.ScanUngated(traffic);
-    nids::ScanStats stats;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto context = filter.Scan(traffic, &stats);
-    const auto t1 = std::chrono::steady_clock::now();
+    std::vector<nids::Alert> context;
     const double secs =
-        std::chrono::duration<double>(t1 - t0).count();
+        MedianWarmSeconds(reps, [&] { context = filter.Scan(traffic); });
 
     // The same scan through the parallel engine, sharded across 4
     // workers — the before/after of the batch-scan change.
@@ -98,11 +116,10 @@ void Run(bool smoke) {
     eopt.num_threads = 4;
     eopt.min_shard_bytes = 1 << 10;
     nids::ScanEngine engine(&filter, eopt);
-    const auto t2 = std::chrono::steady_clock::now();
-    const auto parallel = engine.ScanStream(traffic);
-    const auto t3 = std::chrono::steady_clock::now();
-    const double esecs = std::chrono::duration<double>(t3 - t2).count();
-    if (parallel.alerts != context) {
+    std::vector<nids::Alert> parallel;
+    const double esecs = MedianWarmSeconds(
+        reps, [&] { parallel = engine.ScanStream(traffic).alerts; });
+    if (parallel != context) {
       std::fprintf(stderr, "FATAL engine/sequential alert mismatch\n");
       std::abort();
     }

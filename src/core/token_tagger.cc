@@ -266,31 +266,20 @@ Status CompiledTagger::TagWithControl(std::string_view input,
   // session: the same bytes the simulator sees (Padded()), minus the
   // per-call input copy and session construction. One extra pad byte
   // beyond the scanned range keeps the Fig. 7 look-ahead identical to the
-  // gate-level simulation at the final scanned byte.
+  // gate-level simulation at the final scanned byte. That byte stays
+  // pending in the session, so every tag fed out ends before the scan end
+  // (input.size() + kFlushPadding), and the stream is never Finished: its
+  // one step would emit only at the scan end.
   static const std::string& kPadding =
       *new std::string(kFlushPadding + 1, kFlushByte);
-  // Tags emitted while feeding the input end inside it, so only the
-  // padding and Finish go through the gate at the scan end, which counts
-  // what it drops so the session's tag count yields the tags delivered.
-  // Two captures keep the gate inside std::function's inline buffer, so a
-  // call allocates nothing.
-  struct {
-    size_t scan_end;
-    uint64_t dropped;
-  } gate{input.size() + kFlushPadding, 0};
-  const tagger::TagSink gated = [&gate, &sink](const tagger::Tag& t) {
-    if (t.end < gate.scan_end) return sink(t);
-    ++gate.dropped;
-    return true;
-  };
   const size_t step = control.check_interval_bytes == 0
                           ? input.size() + 1
                           : control.check_interval_bytes;
   size_t fed = 0;
   Status trip = Status::Ok();
   // A held session is reset here (a fresh checkout was by Acquire), so an
-  // early trip just abandons the session half-fed — no padding, no
-  // Finish, and a tag still open at the stop point is never reported.
+  // early trip just abandons the session half-fed — no padding, and a tag
+  // still open at the stop point is never reported.
   assert(slot->tagger_ == lazy_.get());
   tagger::LazyDfaSession* session = slot->session_.get();
   if (!std::exchange(slot->fresh_, false)) session->Reset();
@@ -308,13 +297,13 @@ Status CompiledTagger::TagWithControl(std::string_view input,
     }
     trip = control.Check();
     if (!trip.ok()) return;
-    session->Feed(kPadding, gated);
-    session->Finish(gated);
+    session->Feed(kPadding, sink);
   };
   run();
+  session->FlushAttribution();
   ++slot->calls_;
   slot->bytes_ += fed;
-  slot->tokens_ += session->tags_emitted() - gate.dropped;
+  slot->tokens_ += session->tags_emitted();
   if (consumed != nullptr) *consumed = fed;
   if (!trip.ok()) {
     resilience::CountControlTrip(trip, fed, input.size(), "core.Tag");

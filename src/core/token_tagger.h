@@ -150,11 +150,16 @@ class CompiledTagger {
   // Controlled tagging, the one software scan path: the input is fed in
   // control.check_interval_bytes chunks with a deadline/cancel
   // check (and the scan.chunk fault site) at each boundary — the byte-
-  // stepping hot loops are untouched. On a trip the scan stops at the
-  // last chunk boundary and returns kDeadlineExceeded / kCancelled; every
-  // tag already emitted to `sink` is valid for the consumed prefix (a tag
-  // still open at the stop point is simply not reported, exactly as if
-  // the stream had ended there without its flush). The trip is counted
+  // stepping hot loops are untouched — and then the flush padding, whose
+  // last byte stays pending as the look-ahead: every tag ends before the
+  // scan end, so no end-of-stream step runs. A sink that returns false
+  // stops the scan at that tag; cfgtag_tag_tokens_total counts the tags
+  // handed to the sink, the refused one included. On a trip the scan
+  // stops at the last chunk boundary and returns kDeadlineExceeded /
+  // kCancelled; every tag already emitted to `sink` is valid for the
+  // consumed prefix (a tag still open at the stop point is simply not
+  // reported, exactly as if the stream had ended there without its
+  // flush). The trip is counted
   // (cfgtag_deadline_exceeded_total / cfgtag_scan_cancelled_total) and
   // flight-recorded once, here. `progress`, when set, is advanced to the
   // consumed byte count after every chunk (the scan-engine watchdog's

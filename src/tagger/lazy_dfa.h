@@ -157,6 +157,11 @@ class LazyDfaSession {
   // suppression. Further Feed() calls are ignored until Reset().
   void Finish(const TagSink& sink);
 
+  // Merges the per-token match counts and DFA hit/miss tallies gathered
+  // since the last merge into obs::AttributionTable::Default() and zeroes
+  // them; Finish and Reset do too. A no-op with attribution off.
+  void FlushAttribution();
+
   // Returns to the stream-start state. The transition cache (and a
   // standing fallback verdict) survives — pooled sessions get warm caches
   // across scans of the same tagger.
@@ -332,9 +337,6 @@ class LazyDfaSession {
   // later lanes to guess from.
   void NoteGuess(const Cursor& c);
 
-  // Merges the per-token match counts and DFA hit/miss tallies into
-  // obs::AttributionTable::Default() and zeroes them.
-  void FlushAttribution();
   // Expands the per-list replay counts into per-token counts, before the
   // emission lists go away.
   void FoldEmitCounts();

@@ -31,6 +31,45 @@ struct RouteMetrics {
   }
 };
 
+// RouteTags's rule (router.h), taken one tag at a time. Tags arrive in
+// stream order, so the first end offset at which a service keyword and
+// STRING both fire decides, and its first keyword names the method.
+class RouteDecision {
+ public:
+  RouteDecision(const RouterConfig& config, int32_t string_token)
+      : config_(config), string_token_(string_token) {}
+
+  // Takes the next tag in stream order; false once the method is decided.
+  bool Add(const tagger::Tag& t) {
+    if (t.end != end_) {
+      end_ = t.end;
+      keyword_ = -1;
+      string_ = false;
+    }
+    if (static_cast<size_t>(t.token) < config_.services.size()) {
+      if (keyword_ < 0) keyword_ = t.token;
+    } else if (t.token == string_token_) {
+      string_ = true;
+    }
+    return !decided();
+  }
+
+  // The decided service's port, or the default port.
+  int port() const {
+    return decided() ? config_.services[static_cast<size_t>(keyword_)].port
+                     : config_.default_port;
+  }
+
+ private:
+  bool decided() const { return keyword_ >= 0 && string_; }
+
+  const RouterConfig& config_;
+  const int32_t string_token_;
+  uint64_t end_ = ~uint64_t{0};
+  int32_t keyword_ = -1;  // first keyword tag at end_
+  bool string_ = false;   // STRING fired at end_
+};
+
 }  // namespace
 
 StatusOr<XmlRpcRouter> XmlRpcRouter::Create(const RouterConfig& config) {
@@ -57,13 +96,7 @@ StatusOr<XmlRpcRouter> XmlRpcRouter::Create(const RouterConfig& config) {
   CFGTAG_ASSIGN_OR_RETURN(auto tagger,
                           core::CompiledTagger::Compile(std::move(grammar),
                                                         options));
-
-  core::TagRouter switch_fabric(config.default_port);
-  for (size_t i = 0; i < config.services.size(); ++i) {
-    switch_fabric.AddRoute(static_cast<int32_t>(i), config.services[i].port);
-  }
-  return XmlRpcRouter(config, std::move(tagger), std::move(switch_fabric),
-                      string_token);
+  return XmlRpcRouter(config, std::move(tagger), string_token);
 }
 
 int32_t XmlRpcRouter::ServiceToken(const std::string& name) const {
@@ -74,27 +107,23 @@ int32_t XmlRpcRouter::ServiceToken(const std::string& name) const {
 }
 
 int XmlRpcRouter::RouteTags(const std::vector<tagger::Tag>& tags) const {
-  const int32_t num_services = static_cast<int32_t>(config_.services.size());
+  RouteDecision decision(config_, string_token_);
   for (const tagger::Tag& t : tags) {
-    if (t.token >= num_services) continue;
-    // A keyword counts only when the STRING fallback fires on the same
-    // cycle (same end offset), which under longest-match happens exactly at
-    // the full method-name boundary.
-    for (const tagger::Tag& u : tags) {
-      if (u.token == string_token_ && u.end == t.end) {
-        return switch_.Route({t});
-      }
-    }
+    if (!decision.Add(t)) break;
   }
-  return switch_.default_port();
+  return decision.port();
 }
 
 int XmlRpcRouter::Route(std::string_view message) const {
   const RouteMetrics& metrics = RouteMetrics::Get();
   obs::ScopedTimer timer(metrics.latency);
-  const int port = RouteTags(tagger_.Tag(message));
+  // The sink refuses the tag that decides, so the scan stops there.
+  RouteDecision decision(config_, string_token_);
+  tagger_.Tag(message,
+              [&decision](const tagger::Tag& t) { return decision.Add(t); });
+  const int port = decision.port();
   metrics.messages->Increment();
-  if (port == switch_.default_port()) metrics.defaulted->Increment();
+  if (port == config_.default_port) metrics.defaulted->Increment();
   if (obs::AttributionTable::enabled()) {
     // Reverse-map the routed port to its service name (linear: routers
     // hold a handful of services). The default port may also be a

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/tag_stream.h"
 #include "core/token_tagger.h"
 
 namespace cfgtag::xmlrpc {
@@ -28,7 +27,10 @@ class XmlRpcRouter {
  public:
   static StatusOr<XmlRpcRouter> Create(const RouterConfig& config);
 
-  // Routes one message using the fast functional model.
+  // Routes one message on the software tagger, deciding while it tags:
+  // the scan stops at the tag that decides (the method name's STRING tag
+  // for a known service), so only a message that names no service is
+  // tagged to its end. No tag vector is built.
   int Route(std::string_view message) const;
 
   // Routes via the cycle-accurate netlist simulation — the match wire of
@@ -41,25 +43,24 @@ class XmlRpcRouter {
   const core::CompiledTagger& tagger() const { return tagger_; }
   const RouterConfig& config() const { return config_; }
 
-  // Routing decision over a tag stream. A service keyword identifies the
-  // method name only when it matches on the same cycle as the STRING
-  // fallback token: under longest-match, STRING fires exactly once at the
-  // true end of the method name, so a keyword that is merely a *prefix* of
-  // a longer name fires alone and is ignored — the §3.4 simultaneous-
-  // detection discipline applied at the back-end.
+  // The same decision as Route over a whole tag stream, read up to the
+  // tag that decides. A service keyword identifies the method name only
+  // when it matches on the same cycle as the STRING fallback token: under
+  // longest-match, STRING fires exactly once at the true end of the method
+  // name, so a keyword that is merely a *prefix* of a longer name fires
+  // alone and is ignored — the §3.4 simultaneous-detection discipline
+  // applied at the back-end.
   int RouteTags(const std::vector<tagger::Tag>& tags) const;
 
  private:
   XmlRpcRouter(RouterConfig config, core::CompiledTagger tagger,
-               core::TagRouter switch_fabric, int32_t string_token)
+               int32_t string_token)
       : config_(std::move(config)),
         tagger_(std::move(tagger)),
-        switch_(std::move(switch_fabric)),
         string_token_(string_token) {}
 
   RouterConfig config_;
   core::CompiledTagger tagger_;
-  core::TagRouter switch_;
   int32_t string_token_;
 };
 

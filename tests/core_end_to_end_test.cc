@@ -274,10 +274,14 @@ TEST(HardwareOnDemandTest, BadHardwareOptionFailsAtFirstHardwareCall) {
 }
 
 // NL also matches the flush padding, and scan mode arms it at every byte,
-// so the padded stream emits tags that end at or past scan_end (the input
-// plus kFlushPadding). Tag and TagWithControl drop exactly those, and
-// cfgtag_tag_tokens_total counts exactly the tags handed to the caller's
-// sink, the refused one of an early stop included.
+// so a padded stream run to its end emits tags that end at or past
+// scan_end (the input plus kFlushPadding). Tag and TagWithControl never
+// see those: they feed the input and the padding without finishing the
+// stream, which keeps the last pad byte pending, and a session fed that
+// way emits nothing at or past scan_end in any arm mode. Tag delivers
+// exactly the oracle's tags, and cfgtag_tag_tokens_total counts exactly
+// the tags handed to the caller's sink, the refused one of an early stop
+// included.
 TEST(CompiledTaggerTest, PaddingTagsAreDroppedAndTagCountIsExact) {
   grammar::Grammar g;
   auto word = g.AddToken("WORD", "[a-z]+");
@@ -307,6 +311,27 @@ TEST(CompiledTaggerTest, PaddingTagsAreDroppedAndTagCountIsExact) {
     past += t.end >= scan_end ? 1 : 0;
   }
   ASSERT_GT(past, 0u);
+
+  for (const tagger::ArmMode mode :
+       {tagger::ArmMode::kAnchored, tagger::ArmMode::kScan,
+        tagger::ArmMode::kResync}) {
+    for (const bool longest : {true, false}) {
+      SCOPED_TRACE("arm mode " + std::to_string(static_cast<int>(mode)) +
+                   (longest ? " longest-match" : " no longest-match"));
+      hwgen::HwOptions o = opt;
+      o.tagger.arm_mode = mode;
+      o.tagger.longest_match = longest;
+      auto c = CompiledTagger::Compile(g.Clone(), o);
+      ASSERT_TRUE(c.ok()) << c.status();
+      const std::vector<Tag> fed =
+          testing_oracle::PaddedFeedTags(*c->lazy_model(), input);
+      for (const Tag& t : fed) EXPECT_LT(t.end, scan_end);
+      auto oracle = testing_oracle::OracleTags(g, o.tagger, input);
+      ASSERT_TRUE(oracle.ok()) << oracle.status();
+      EXPECT_EQ(fed, *oracle);
+      EXPECT_EQ(c->Tag(input), *oracle);
+    }
+  }
 
   obs::Counter* counted = obs::MetricsRegistry::Default().GetCounter(
       "cfgtag_tag_tokens_total");

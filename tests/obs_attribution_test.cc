@@ -1,6 +1,7 @@
 // AttributionTable semantics plus the end-to-end contract: with the
 // process-wide switch on, lazy-DFA sessions merge exact per-token match
-// counts into the default table when they finish — stepping out of the
+// counts into the default table when they finish (and CompiledTagger::Tag
+// before it returns) — stepping out of the
 // transition cache and in fallback alike — and the table mirrors rows
 // into the default MetricsRegistry as labeled counters.
 
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/token_tagger.h"
 #include "grammar/grammar.h"
 #include "grammar/grammar_parser.h"
 #include "obs/attribution.h"
@@ -255,6 +257,22 @@ TEST_F(AttributionTest, EnableTakesEffectAtNextSessionReset) {
     EXPECT_EQ(TokenHits(), CountTags(g, tags))
         << "dfa_cache_bytes=" << opt.dfa_cache_bytes;
   }
+}
+
+// CompiledTagger::Tag never finishes its stream (the padding's last byte
+// stays pending), yet a call's attribution is in the table when it
+// returns, on a fresh session and on a reused one.
+TEST_F(AttributionTest, CompiledTagCountsAreInTheTableOnReturn) {
+  AttributionTable::set_enabled(true);
+  auto compiled = core::CompiledTagger::Compile(MustParse(kCalcGrammar));
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  for (const char* input : {"12+34", "56*78"}) {
+    AttributionTable::Default().Clear();
+    const std::vector<tagger::Tag> tags = compiled->Tag(input);
+    EXPECT_FALSE(tags.empty());
+    EXPECT_EQ(TokenHits(), CountTags(compiled->grammar(), tags)) << input;
+  }
+  AttributionTable::set_enabled(false);
 }
 
 }  // namespace

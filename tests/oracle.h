@@ -4,7 +4,10 @@
 // The reference oracle the equivalence suites compare the production engine
 // against: the FunctionalTagger (one Glushkov automaton stepped per token)
 // run with CompiledTagger::Tag's stream contract — the input plus the flush
-// padding, with tags that end inside the padding dropped.
+// padding, with tags that end at or past the scan end (input size +
+// kFlushPadding) dropped. PaddedFeedTags is the other side of that
+// contract: what a lazy-DFA session emits for the same bytes with no
+// filter and no end-of-stream step, as CompiledTagger::Tag runs it.
 
 #include <string>
 #include <string_view>
@@ -14,6 +17,7 @@
 #include "core/token_tagger.h"
 #include "grammar/grammar.h"
 #include "tagger/functional_model.h"
+#include "tagger/lazy_dfa.h"
 #include "tagger/tag.h"
 
 namespace cfgtag::testing_oracle {
@@ -33,6 +37,22 @@ inline StatusOr<std::vector<tagger::Tag>> OracleTags(
     if (t.end < scan_end) tags.push_back(t);
     return true;
   });
+  return tags;
+}
+
+inline std::vector<tagger::Tag> PaddedFeedTags(
+    const tagger::LazyDfaTagger& lazy, std::string_view input) {
+  using core::CompiledTagger;
+  std::vector<tagger::Tag> tags;
+  const tagger::TagSink sink = [&tags](const tagger::Tag& t) {
+    tags.push_back(t);
+    return true;
+  };
+  tagger::LazyDfaSession session = lazy.NewSession();
+  session.Feed(input, sink);
+  session.Feed(std::string(CompiledTagger::kFlushPadding + 1,
+                           CompiledTagger::kFlushByte),
+               sink);
   return tags;
 }
 

@@ -295,6 +295,45 @@ TEST(DifferentialFuzzTest, CompiledTaggerMatchesOracleAndNetlist) {
   }
 }
 
+// CompiledTagger::Tag feeds the input and the flush padding and never
+// finishes the stream, with no filter on the tags: a session fed that way
+// must emit nothing that ends at or past the scan end (input size +
+// kFlushPadding), in every arm mode with and without longest-match, cached
+// and uncached, and must emit exactly the oracle's tags.
+TEST(DifferentialFuzzTest, PaddedFeedEndsBeforeScanEnd) {
+  Rng rng(20261018);
+  const ArmMode kModes[] = {ArmMode::kAnchored, ArmMode::kScan,
+                            ArmMode::kResync};
+  for (int iter = 0; iter < 24; ++iter) {
+    const Grammar g = RandomGrammar(rng);
+    TaggerOptions opt;
+    opt.arm_mode = kModes[iter % 3];
+    opt.longest_match = (iter / 3) % 2 == 0;
+    TaggerOptions uncached = opt;
+    uncached.dfa_cache_bytes = 0;
+    uncached.dfa_flush_fallback = 1;
+    for (const TaggerOptions& o : {opt, uncached}) {
+      auto lazy = LazyDfaTagger::Create(&g, o);
+      ASSERT_TRUE(lazy.ok()) << lazy.status();
+      for (int s = 0; s < 6; ++s) {
+        const std::string input = RandomStream(g, rng);
+        const uint64_t scan_end =
+            input.size() + core::CompiledTagger::kFlushPadding;
+        const std::vector<Tag> got =
+            testing_oracle::PaddedFeedTags(*lazy, input);
+        for (const Tag& t : got) {
+          ASSERT_LT(t.end, scan_end)
+              << "dfa_cache_bytes=" << o.dfa_cache_bytes
+              << " input: " << testing::PrintToString(input);
+        }
+        auto want = testing_oracle::OracleTags(g, o, input);
+        ASSERT_TRUE(want.ok()) << want.status();
+        ExpectSameTags(*want, got, "padded feed", input);
+      }
+    }
+  }
+}
+
 // Random streams concatenated past one superblock (LazyDfaSession::kLanes
 // slices of kSliceBytes), so cached sessions walk speculative lanes from
 // guessed states: the default cache, a starved one (flushing mid-

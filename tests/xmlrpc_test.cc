@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "core/token_tagger.h"
 #include "grammar/analysis.h"
+#include "obs/metrics.h"
 #include "tagger/ll_parser.h"
 #include "tagger/naive_matcher.h"
 #include "xmlrpc/message_gen.h"
@@ -168,6 +171,123 @@ TEST(RouterTest, PrefixServiceNamesDisambiguate) {
   EXPECT_EQ(router->Route(gen.GenerateWithMethod("buy")), 1);
   EXPECT_EQ(router->Route(gen.GenerateWithMethod("buyback")), 2);
   EXPECT_EQ(router->Route(gen.GenerateWithMethod("buybacks")), 0);
+}
+
+RouterConfig SixServices() {
+  RouterConfig config;
+  config.services = {{"deposit", 1}, {"withdraw", 2}, {"acctinfo", 3},
+                     {"buy", 4},     {"sell", 5},     {"price", 6}};
+  config.default_port = 0;
+  return config;
+}
+
+int ExpectedPort(const RouterConfig& config, const std::string& method) {
+  for (const RouterConfig::Service& s : config.services) {
+    if (s.name == method) return s.port;
+  }
+  return config.default_port;
+}
+
+// Route decides while it tags and stops at the deciding tag; RouteTags
+// reads a whole tag stream. On generated traffic — adversarial payloads,
+// unknown method names, service names with a suffix, and a service that
+// is a prefix of another — both pick each message's method port, and the
+// netlist simulation agrees on a sample.
+TEST(RouterTest, RouteEqualsRouteTagsOnGeneratedTraffic) {
+  RouterConfig prefix;
+  prefix.services = {{"buy", 1}, {"buyback", 2}};
+  prefix.default_port = 0;
+  const std::vector<std::string> methods = {
+      "deposit", "withdraw",   "acctinfo",  "buy",      "sell",
+      "price",   "buyback",    "buybacks",  "bu",       "audit",
+      "transfer", "depositall", "pricelist", "sellprice"};
+  for (const RouterConfig& config : {SixServices(), prefix}) {
+    auto router = XmlRpcRouter::Create(config);
+    ASSERT_TRUE(router.ok()) << router.status();
+    MessageGenOptions opt;
+    opt.method_names.clear();
+    for (const auto& svc : config.services) {
+      opt.method_names.push_back(svc.name);
+    }
+    MessageGenerator plain(opt, 51);
+    opt.adversarial = true;
+    MessageGenerator hostile(opt, 52);
+    for (size_t i = 0; i < 10 * methods.size(); ++i) {
+      const std::string& method = methods[i % methods.size()];
+      const std::string msg = i % 3 == 0 ? hostile.GenerateWithMethod(method)
+                                         : plain.GenerateWithMethod(method);
+      const int want = ExpectedPort(config, method);
+      ASSERT_EQ(router->Route(msg), want) << method << ": " << msg;
+      ASSERT_EQ(router->RouteTags(router->tagger().Tag(msg)), want)
+          << method << ": " << msg;
+      if (i % 9 == 0) {
+        auto hw = router->RouteCycleAccurate(msg);
+        ASSERT_TRUE(hw.ok()) << hw.status();
+        EXPECT_EQ(*hw, want) << method << ": " << msg;
+      }
+    }
+  }
+}
+
+// Within one end offset the tagger emits tags in token-id order, and the
+// service keywords are declared first (SVC_i = token i), so a method
+// name's keyword tag comes before its STRING tag and Route's scan stops at
+// the STRING tag.
+TEST(RouterTest, StringTokenFollowsServiceKeywords) {
+  const RouterConfig config = SixServices();
+  auto router = XmlRpcRouter::Create(config);
+  ASSERT_TRUE(router.ok()) << router.status();
+  for (size_t i = 0; i < config.services.size(); ++i) {
+    EXPECT_EQ(router->ServiceToken(config.services[i].name),
+              static_cast<int32_t>(i));
+  }
+  EXPECT_GE(router->tagger().grammar().FindToken("STRING"),
+            static_cast<int32_t>(config.services.size()));
+}
+
+// Route takes tags only up to the one that decides: for a message that
+// names a service, cfgtag_tag_tokens_total moves by the tags through the
+// method name's STRING tag, fewer than a full Tag returns; a message that
+// names no service is tagged to its end. Either way the whole message
+// counts in cfgtag_tag_bytes_total.
+TEST(RouterTest, RouteStopsTaggingAtItsDecision) {
+  const RouterConfig config = SixServices();
+  auto router = XmlRpcRouter::Create(config);
+  ASSERT_TRUE(router.ok()) << router.status();
+  const int32_t string_token = router->tagger().grammar().FindToken("STRING");
+  const int32_t num_services = static_cast<int32_t>(config.services.size());
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  obs::Counter* tokens = reg.GetCounter("cfgtag_tag_tokens_total");
+  obs::Counter* bytes = reg.GetCounter("cfgtag_tag_bytes_total");
+  MessageGenOptions opt;
+  opt.adversarial = true;
+  MessageGenerator gen(opt, 61);
+  for (const std::string method :
+       {"deposit", "price", "buy", "audit", "buyback", "sellprice"}) {
+    SCOPED_TRACE(method);
+    const std::string msg = gen.GenerateWithMethod(method);
+    const std::vector<tagger::Tag> full = router->tagger().Tag(msg);
+    // The first STRING tag that shares its end with an earlier keyword.
+    size_t taken = full.size();
+    for (size_t k = 0; k < full.size() && taken == full.size(); ++k) {
+      if (full[k].token != string_token) continue;
+      for (size_t j = 0; j < k; ++j) {
+        if (full[j].end == full[k].end && full[j].token < num_services) {
+          taken = k + 1;
+        }
+      }
+    }
+    const uint64_t tokens_before = tokens->Value();
+    const uint64_t bytes_before = bytes->Value();
+    EXPECT_EQ(router->Route(msg), ExpectedPort(config, method));
+    EXPECT_EQ(bytes->Value() - bytes_before, msg.size());
+    if (ExpectedPort(config, method) == config.default_port) {
+      EXPECT_EQ(tokens->Value() - tokens_before, full.size());
+    } else {
+      EXPECT_LT(taken, full.size());
+      EXPECT_EQ(tokens->Value() - tokens_before, taken);
+    }
+  }
 }
 
 TEST(RouterTest, RejectsBadConfig) {
