@@ -133,12 +133,15 @@ class ScopedCharge {
     held_ += bytes;
   }
 
-  void ReleaseAll() {
-    if (held_ != 0) {
-      ResourceBudget::Process().Release(held_);
-      held_ = 0;
-    }
+  // Releases `bytes` of what is held (all of it at most).
+  void Release(uint64_t bytes) {
+    bytes = bytes < held_ ? bytes : held_;
+    if (bytes == 0) return;
+    ResourceBudget::Process().Release(bytes);
+    held_ -= bytes;
   }
+
+  void ReleaseAll() { Release(held_); }
 
   uint64_t held() const { return held_; }
 

@@ -254,14 +254,14 @@ Status CompiledTagger::TagWithControl(std::string_view input,
                                       const tagger::TagSink& sink,
                                       const resilience::ScanControl& control,
                                       std::atomic<uint64_t>* progress,
-                                      uint64_t* consumed,
+                                      uint64_t* consumed, double* seconds,
                                       TagSlot* slot) const {
   if (slot == nullptr) {
     TagSlot one_call(*this);
-    return TagWithControl(input, sink, control, progress, consumed,
+    return TagWithControl(input, sink, control, progress, consumed, seconds,
                           &one_call);
   }
-  obs::ScopedTimer timer(&slot->seconds_);
+  obs::ScopedTimer timer(&slot->seconds_, seconds);
   // Stream the input and then the flush padding through the slot's pooled
   // session: the same bytes the simulator sees (Padded()), minus the
   // per-call input copy and session construction. One extra pad byte
@@ -269,7 +269,8 @@ Status CompiledTagger::TagWithControl(std::string_view input,
   // gate-level simulation at the final scanned byte. That byte stays
   // pending in the session, so every tag fed out ends before the scan end
   // (input.size() + kFlushPadding), and the stream is never Finished: its
-  // one step would emit only at the scan end.
+  // one step would emit only at the scan end. The padding is the same
+  // bytes on every call, so the session replays it from a per-state memo.
   static const std::string& kPadding =
       *new std::string(kFlushPadding + 1, kFlushByte);
   const size_t step = control.check_interval_bytes == 0
@@ -277,12 +278,12 @@ Status CompiledTagger::TagWithControl(std::string_view input,
                           : control.check_interval_bytes;
   size_t fed = 0;
   Status trip = Status::Ok();
-  // A held session is reset here (a fresh checkout was by Acquire), so an
-  // early trip just abandons the session half-fed — no padding, and a tag
-  // still open at the stop point is never reported.
+  // The session is reset here, so an early trip just abandons it half-fed
+  // — no padding, and a tag still open at the stop point is never
+  // reported.
   assert(slot->tagger_ == lazy_.get());
   tagger::LazyDfaSession* session = slot->session_.get();
-  if (!std::exchange(slot->fresh_, false)) session->Reset();
+  session->Reset();
   const auto run = [&] {
     while (fed < input.size()) {
       trip = control.Check();
@@ -297,7 +298,7 @@ Status CompiledTagger::TagWithControl(std::string_view input,
     }
     trip = control.Check();
     if (!trip.ok()) return;
-    session->Feed(kPadding, sink);
+    session->FeedPadding(kPadding, sink);
   };
   run();
   session->FlushAttribution();

@@ -179,7 +179,7 @@ Status ContextFilter::Scan(std::string_view stream,
         any_tag = true;
         return true;
       },
-      control, progress, &consumed, &slot->tag_);
+      control, progress, &consumed, /*seconds=*/nullptr, &slot->tag_);
   // On a trip the scan stopped at `consumed`: account only those bytes
   // and run the context-free rules over exactly that prefix, so the
   // partial result is precisely "the alerts for stream[0, consumed)".

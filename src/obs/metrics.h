@@ -173,25 +173,29 @@ class MetricsRegistry {
 };
 
 // RAII latency timer: observes the elapsed wall time, in seconds, into a
-// Histogram or a HistogramTally at scope exit. A null target disables the
-// timer.
+// Histogram or a HistogramTally at scope exit, and also stores it in
+// `*seconds` when that is set. A null target disables the timer.
 template <typename Target>
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Target* target)
-      : target_(target), start_(std::chrono::steady_clock::now()) {}
+  explicit ScopedTimer(Target* target, double* seconds = nullptr)
+      : target_(target),
+        seconds_(seconds),
+        start_(std::chrono::steady_clock::now()) {}
   ~ScopedTimer() {
     if (target_ == nullptr) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    target_->Observe(
-        std::chrono::duration_cast<std::chrono::duration<double>>(elapsed)
-            .count());
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start_)
+                               .count();
+    target_->Observe(elapsed);
+    if (seconds_ != nullptr) *seconds_ = elapsed;
   }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
   Target* target_;
+  double* seconds_;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -252,6 +252,8 @@ void LazyDfaSession::Rebind(const LazyDfaTagger* tagger) {
 }
 
 void LazyDfaSession::ClearCache() {
+  ClearPadMemo();
+  start_id_ = -1;
   FoldEmitCounts();
   cache_.Clear();
   emits_.clear();
@@ -297,7 +299,8 @@ void LazyDfaSession::Reset() {
     pending_cls_ = start.pending_cls;
     return;
   }
-  state_ = InternState(start);
+  if (start_id_ < 0) start_id_ = InternState(start);
+  state_ = start_id_;
 }
 
 int32_t LazyDfaSession::InternState(const DfaConfig& cfg) {
@@ -498,6 +501,12 @@ size_t LazyDfaSession::Replay(size_t from, size_t to, uint64_t off,
   return 0;
 }
 
+void LazyDfaSession::LogPadSkip(SkipMetrics::Kind kind, size_t len) {
+  pad_rec_->skips.push_back(PadSkip{
+      static_cast<uint32_t>(pad_rec_->tags.size()),
+      static_cast<uint32_t>(len), kind});
+}
+
 void LazyDfaSession::StepScratch(bool has_next, uint8_t next_cls,
                                  const TagSink& sink) {
   if (pending_cls_ < 0) return;
@@ -518,6 +527,11 @@ bool LazyDfaSession::StepSlow(Cursor& c, const TagSink& sink) {
   // Copy what the skip checks need before any build can grow the cache.
   const IdleFacts cur = FactsOf(Info(state_));
   const size_t j = TakeSkip(f, cur, c.data, c.i, c.n);
+  if (pad_rec_ != nullptr && j != c.i) {
+    LogPadSkip(SkipKind(f, cur, classes.ClassOf(
+                                    static_cast<unsigned char>(c.data[c.i]))),
+               j - c.i);
+  }
   consumed_ += j - c.i;
   c.skipped += j - c.i;
   c.i = j;
@@ -667,6 +681,7 @@ size_t LazyDfaSession::Adopt(Cursor& c, const Lane& lane, size_t from,
     if (cp.skip_len != 0) {
       CountSkip(f, cp.kind, cp.skip_len);
       c.skipped += cp.skip_len;
+      if (pad_rec_ != nullptr) LogPadSkip(cp.kind, cp.skip_len);
     }
     if (q + 1 == lane.cps.size() || lane.cps[q + 1].restart) break;
   }
@@ -822,6 +837,73 @@ void LazyDfaSession::Feed(std::string_view chunk, const TagSink& sink) {
     ++c.i;
     if (stopped_) return;
   }
+}
+
+void LazyDfaSession::FeedPadding(std::string_view pad, const TagSink& sink) {
+  // Fallback and attribution are slow paths that the plain Feed keeps
+  // exact by construction.
+  if (fallback_ || attr_on_ || finished_ || stopped_) {
+    Feed(pad, sink);
+    return;
+  }
+  if (pad != pad_bytes_) {
+    ClearPadMemo();
+    pad_bytes_.assign(pad);
+  }
+  const auto hit = pad_memo_.find(state_);
+  if (hit != pad_memo_.end()) {
+    ReplayPadding(hit->second, sink);
+    return;
+  }
+  const int32_t from = state_;
+  const uint64_t base = consumed_;
+  const uint64_t flushes = flushes_;
+  PadMemo memo;
+  pad_rec_ = &memo;
+  Feed(pad, [&](const Tag& t) {
+    memo.tags.push_back(PadTag{static_cast<uint32_t>(t.end - base), t.token});
+    return sink(t);
+  });
+  pad_rec_ = nullptr;
+  // A flush renumbers the states; a fallback or an early stop leaves the
+  // padding unfinished.
+  if (stopped_ || fallback_ || flushes_ != flushes) return;
+  memo.end_state = state_;
+  memo.consumed = static_cast<uint32_t>(consumed_ - base);
+  const size_t charged = sizeof(PadMemo) + kIndexNodeBytes +
+                         memo.tags.size() * sizeof(PadTag) +
+                         memo.skips.size() * sizeof(PadSkip);
+  pad_memo_bytes_ += charged;
+  cache_bytes_ += charged;
+  budget_.Add(charged);
+  pad_memo_.emplace(from, std::move(memo));
+}
+
+void LazyDfaSession::ReplayPadding(const PadMemo& memo, const TagSink& sink) {
+  const FusedTagger& f = tagger_->fused();
+  const uint64_t base = consumed_;
+  size_t s = 0;
+  for (size_t k = 0;; ++k) {
+    for (; s < memo.skips.size() && memo.skips[s].tags <= k; ++s) {
+      CountSkip(f, memo.skips[s].kind, memo.skips[s].len);
+    }
+    if (k == memo.tags.size()) break;
+    consumed_ = base + memo.tags[k].delta;
+    Emit(&memo.tags[k].token, 1, sink);
+    if (stopped_) {
+      ++consumed_;
+      return;
+    }
+  }
+  consumed_ = base + memo.consumed;
+  state_ = memo.end_state;
+}
+
+void LazyDfaSession::ClearPadMemo() {
+  pad_memo_.clear();
+  cache_bytes_ -= pad_memo_bytes_;
+  budget_.Release(pad_memo_bytes_);
+  pad_memo_bytes_ = 0;
 }
 
 void LazyDfaSession::Finish(const TagSink& sink) {

@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -132,6 +134,16 @@ struct DfaCacheMetrics {
 // and each byte takes one uncached fused step, with the same idle skips
 // and emission path as the cached mode.
 //
+// Two per-state memos ride on the cache and go with it wherever it is
+// cleared, since a flush renumbers states. Reset returns to the interned
+// stream-start id the session keeps, interning the start configuration
+// again only on the first Reset after a clear. FeedPadding memoizes the
+// end-of-input flush padding per state: the padding's tags, its idle
+// skips, its end state and its consumed count depend only on the state it
+// starts in, so the first padding fed from a state runs the ordinary Feed
+// and records them, and later ones replay the record. Its records are
+// charged to the cache like its rows.
+//
 // Besides the cache, a session that has walked a cached chunk holds fixed
 // scratch outside dfa_cache_bytes: the pass-1 trail, (kLanes + 1) regions
 // of a slice's worth of 8-byte entries (about 330 KiB of address space,
@@ -152,6 +164,12 @@ class LazyDfaSession {
 
   // Consumes a chunk, emitting tags in stream order.
   void Feed(std::string_view chunk, const TagSink& sink);
+
+  // Feed(pad, sink), memoized per state (see the class comment): the same
+  // tags, early stop, skip counts, consumed count and end state. `pad` is
+  // meant to be one constant; other bytes clear the memo. In fallback and
+  // with attribution on it is the plain Feed.
+  void FeedPadding(std::string_view pad, const TagSink& sink);
 
   // Ends the stream: processes the lagging pending byte with no look-ahead
   // suppression. Further Feed() calls are ignored until Reset().
@@ -235,6 +253,25 @@ class LazyDfaSession {
     bool done;
     std::vector<Checkpoint> cps;
   };
+  // FeedPadding's record of the padding fed from one state, in stream
+  // order: each tag, by its end past the consumed count the padding
+  // started at; each idle skip, after the `tags` tags before it; then the
+  // state the padding ends in and the bytes it consumes.
+  struct PadTag {
+    uint32_t delta;
+    int32_t token;
+  };
+  struct PadSkip {
+    uint32_t tags;
+    uint32_t len;
+    SkipMetrics::Kind kind;
+  };
+  struct PadMemo {
+    std::vector<PadTag> tags;
+    std::vector<PadSkip> skips;
+    int32_t end_state;
+    uint32_t consumed;
+  };
   // Progress through one Feed chunk: the next byte, and the bytes so far
   // jumped by idle skips and built on a miss (DFA hits are the rest).
   struct Cursor {
@@ -268,6 +305,15 @@ class LazyDfaSession {
   // the refused step and state_ to its successor, and returns the step's
   // pos + 1; otherwise returns 0.
   size_t Replay(size_t from, size_t to, uint64_t off, const TagSink& sink);
+  // Logs an idle skip of `len` bytes of `kind` into the padding being
+  // recorded (pad_rec_). The uncached loop never records.
+  void LogPadSkip(SkipMetrics::Kind kind, size_t len);
+  // Replays `memo` from the state it was recorded in. On an early stop it
+  // leaves consumed_ past the refused tag, as Replay does, and state_ as
+  // it was.
+  void ReplayPadding(const PadMemo& memo, const TagSink& sink);
+  // Drops FeedPadding's records and their charge.
+  void ClearPadMemo();
   // One uncached fused step on the pending byte held with scratch_, with
   // `next_cls` as its look-ahead (has_next = false at end of stream), and
   // its emissions; nothing without a pending byte.
@@ -300,8 +346,8 @@ class LazyDfaSession {
   // Loads the current interned configuration into scratch_ and its
   // pending class into pending_cls_, ready for an uncached step.
   void LoadScratch();
-  // Drops the session's states and transitions, back to walking the
-  // tagger's baked table in place.
+  // Drops the session's states, transitions and both memos, back to
+  // walking the tagger's baked table in place.
   void ClearCache();
   // Before the first build into the table: copies the tagger's baked
   // table into next_, which then also takes the session's own rows.
@@ -398,6 +444,16 @@ class LazyDfaSession {
   std::vector<uint64_t> attr_matches_;
   uint64_t attr_dfa_hits_ = 0;  // stepped bytes minus misses
   uint64_t attr_dfa_misses_ = 0;
+
+  // The interned stream-start state (-1: not interned since the cache was
+  // last cleared), and FeedPadding's records by the state they start in,
+  // for the padding bytes pad_bytes_, with their charge and the record
+  // being made while one is.
+  int32_t start_id_ = -1;
+  std::unordered_map<int32_t, PadMemo> pad_memo_;
+  std::string pad_bytes_;
+  size_t pad_memo_bytes_ = 0;
+  PadMemo* pad_rec_ = nullptr;
 };
 
 // The production tagging engine: owns the fused tables whose step it

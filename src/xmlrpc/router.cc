@@ -24,7 +24,7 @@ struct RouteMetrics {
           "cfgtag_xmlrpc_routed_default_total",
           "Messages that fell through to the default port");
       m->latency = reg.GetHistogram("cfgtag_xmlrpc_route_seconds",
-                                    "Per-message Route() wall time");
+                                    "Per-message routed-scan wall time");
       return m;
     }();
     return *kMetrics;
@@ -51,18 +51,19 @@ class RouteDecision {
     } else if (t.token == string_token_) {
       string_ = true;
     }
-    return !decided();
+    return service() < 0;
   }
+
+  // The index in the config of the service that decided, or -1.
+  int32_t service() const { return keyword_ >= 0 && string_ ? keyword_ : -1; }
 
   // The decided service's port, or the default port.
   int port() const {
-    return decided() ? config_.services[static_cast<size_t>(keyword_)].port
-                     : config_.default_port;
+    return service() >= 0 ? config_.services[static_cast<size_t>(keyword_)].port
+                          : config_.default_port;
   }
 
  private:
-  bool decided() const { return keyword_ >= 0 && string_; }
-
   const RouterConfig& config_;
   const int32_t string_token_;
   uint64_t end_ = ~uint64_t{0};
@@ -116,28 +117,25 @@ int XmlRpcRouter::RouteTags(const std::vector<tagger::Tag>& tags) const {
 
 int XmlRpcRouter::Route(std::string_view message) const {
   const RouteMetrics& metrics = RouteMetrics::Get();
-  obs::ScopedTimer timer(metrics.latency);
-  // The sink refuses the tag that decides, so the scan stops there.
+  // The sink refuses the tag that decides, so the scan stops there. The
+  // decision runs inside the scan, so the scan's wall time covers it.
   RouteDecision decision(config_, string_token_);
-  tagger_.Tag(message,
-              [&decision](const tagger::Tag& t) { return decision.Add(t); });
-  const int port = decision.port();
+  double seconds = 0;
+  (void)tagger_.TagWithControl(
+      message, [&decision](const tagger::Tag& t) { return decision.Add(t); },
+      core::resilience::ScanControl::InertOneChunk(), nullptr, nullptr,
+      &seconds);
+  metrics.latency->Observe(seconds);
   metrics.messages->Increment();
-  if (port == config_.default_port) metrics.defaulted->Increment();
+  const int32_t service = decision.service();
+  if (service < 0) metrics.defaulted->Increment();
   if (obs::AttributionTable::enabled()) {
-    // Reverse-map the routed port to its service name (linear: routers
-    // hold a handful of services). The default port may also be a
-    // service's port, in which case that service gets the credit.
-    const char* service = "(default)";
-    for (const RouterConfig::Service& s : config_.services) {
-      if (s.port == port) {
-        service = s.name.c_str();
-        break;
-      }
-    }
-    obs::AttributionTable::Default().AddService(service, 1);
+    obs::AttributionTable::Default().AddService(
+        service < 0 ? std::string_view("(default)")
+                    : config_.services[static_cast<size_t>(service)].name,
+        1);
   }
-  return port;
+  return decision.port();
 }
 
 StatusOr<int> XmlRpcRouter::RouteCycleAccurate(

@@ -8,20 +8,26 @@
 // CompiledTagger::Tag must match the same reference and the gate-level
 // simulation of its netlist. The artifact leg closes the loop through the
 // serializer: serialize → Deserialize → tag must be byte-identical to the
-// compiler that produced the artifact, whole-buffer and chunked.
+// compiler that produced the artifact, whole-buffer and chunked. The flush
+// padding's per-state memo must replay exactly what the plain Feed does.
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/token_tagger.h"
 #include "grammar/grammar.h"
+#include "obs/attribution.h"
+#include "obs/metrics.h"
 #include "oracle.h"
 #include "tagger/functional_model.h"
 #include "tagger/lazy_dfa.h"
 #include "tagger/simd/dispatch.h"
+#include "tagger/skip_scan.h"
 
 namespace cfgtag {
 namespace {
@@ -372,6 +378,188 @@ TEST(DifferentialFuzzTest, SuperblockStreamsMatchAcrossCacheSizes) {
       ExpectSameTags(want, Chunked(*lazy, input, chunk),
                      what + " chunk=" + std::to_string(chunk), input);
     }
+  }
+}
+
+// Every cfgtag_skip_bytes_total{kind,strategy} value.
+std::vector<uint64_t> SkipCounts() {
+  std::vector<uint64_t> counts;
+  for (const auto& row : tagger::SkipMetrics::Get().counters) {
+    for (const obs::Counter* c : row) counts.push_back(c->Value());
+  }
+  return counts;
+}
+
+// What the flush padding did after `input`: the tags the sink saw from
+// the padding, the session's counts, and the skip bytes it counted.
+struct PadRun {
+  std::vector<Tag> tags;
+  uint64_t emitted = 0;
+  uint64_t consumed = 0;
+  std::vector<uint64_t> skips;
+};
+
+// Feeds `input`, then the padding through FeedPadding (`memo`) or the
+// plain Feed, to a sink that refuses the padding's `stop`-th tag.
+PadRun FeedPadded(tagger::LazyDfaSession& session, std::string_view input,
+                  size_t stop, bool memo) {
+  const std::string pad(core::CompiledTagger::kFlushPadding + 1,
+                        core::CompiledTagger::kFlushByte);
+  PadRun run;
+  session.Reset();
+  session.Feed(input, [](const Tag&) { return true; });
+  const tagger::TagSink sink = [&](const Tag& t) {
+    run.tags.push_back(t);
+    return run.tags.size() != stop + 1;
+  };
+  const std::vector<uint64_t> before = SkipCounts();
+  if (memo) {
+    session.FeedPadding(pad, sink);
+  } else {
+    session.Feed(pad, sink);
+  }
+  run.skips = SkipCounts();
+  for (size_t k = 0; k < before.size(); ++k) run.skips[k] -= before[k];
+  run.emitted = session.tags_emitted();
+  run.consumed = session.bytes_consumed();
+  return run;
+}
+
+void ExpectSameRun(const PadRun& want, const PadRun& got,
+                   const std::string& what, const std::string& input) {
+  ExpectSameTags(want.tags, got.tags, what, input);
+  EXPECT_EQ(want.emitted, got.emitted) << what;
+  EXPECT_EQ(want.consumed, got.consumed) << what;
+  EXPECT_EQ(want.skips, got.skips) << what;
+}
+
+// The flush padding's per-state memo (LazyDfaSession::FeedPadding) in
+// every arm mode, with and without longest-match, on a cached session, in
+// fallback, from an AOT artifact and on a cache so small that it flushes
+// between calls. Each input is tagged twice on one held TagSlot, so the
+// first call records the padding and the second replays it, and both
+// equal the oracle. At the session level, a recording, a replay and an
+// early stop at every tag of the padding deliver the same tags, tag and
+// consumed counts and skip bytes as the plain Feed, and
+// cfgtag_tag_tokens_total counts each stopped call exactly. With
+// attribution on, the per-token counts are those of the tags delivered.
+TEST(DifferentialFuzzTest, FlushMemoReplaysThePlainFeed) {
+  Rng rng(20261019);
+  const ArmMode kModes[] = {ArmMode::kAnchored, ArmMode::kScan,
+                            ArmMode::kResync};
+  obs::Counter* tokens =
+      obs::MetricsRegistry::Default().GetCounter("cfgtag_tag_tokens_total");
+  for (int iter = 0; iter < 18; ++iter) {
+    Grammar g = RandomGrammar(rng);
+    hwgen::HwOptions options;
+    options.tagger.arm_mode = kModes[iter % 3];
+    options.tagger.longest_match = (iter / 3) % 2 == 0;
+    hwgen::HwOptions fallback_options = options;
+    fallback_options.tagger.dfa_cache_bytes = 0;
+    fallback_options.tagger.dfa_flush_fallback = 1;
+    hwgen::HwOptions tiny_options = options;
+    tiny_options.tagger.dfa_cache_bytes = 1 << 10;
+    tiny_options.tagger.dfa_flush_fallback =
+        std::numeric_limits<uint32_t>::max();
+    auto cached = core::CompiledTagger::Compile(g.Clone(), options);
+    auto fallback = core::CompiledTagger::Compile(g.Clone(), fallback_options);
+    auto tiny = core::CompiledTagger::Compile(g.Clone(), tiny_options);
+    ASSERT_TRUE(cached.ok()) << cached.status();
+    ASSERT_TRUE(fallback.ok()) << fallback.status();
+    ASSERT_TRUE(tiny.ok()) << tiny.status();
+    auto bytes = cached->Serialize();
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    auto artifact = core::CompiledTagger::Deserialize(*bytes);
+    ASSERT_TRUE(artifact.ok()) << artifact.status();
+    ASSERT_NE(artifact->lazy_model()->aot(), nullptr);
+    std::vector<std::string> inputs;
+    for (int s = 0; s < 6; ++s) inputs.push_back(RandomStream(g, rng));
+    inputs.push_back("");
+
+    const std::pair<const char*, const core::CompiledTagger*> flavors[] = {
+        {"cached", &*cached},
+        {"fallback", &*fallback},
+        {"artifact", &*artifact},
+        {"tiny cache", &*tiny}};
+    for (const auto& [name, tagger] : flavors) {
+      const std::string what = std::string(name) + " iter " +
+                               std::to_string(iter);
+      {
+        core::TagSlot slot(*tagger);
+        for (const std::string& input : inputs) {
+          auto want = testing_oracle::OracleTags(g, options.tagger, input);
+          ASSERT_TRUE(want.ok()) << want.status();
+          for (int pass = 0; pass < 2; ++pass) {
+            std::vector<Tag> got;
+            ASSERT_TRUE(tagger
+                            ->TagWithControl(
+                                input,
+                                [&got](const Tag& t) {
+                                  got.push_back(t);
+                                  return true;
+                                },
+                                core::resilience::ScanControl::InertOneChunk(),
+                                nullptr, nullptr, nullptr, &slot)
+                            .ok());
+            ExpectSameTags(*want, got,
+                           what + " held slot pass " + std::to_string(pass),
+                           input);
+          }
+          // A sink that refuses tag `stop` leaves cfgtag_tag_tokens_total
+          // exactly stop + 1 higher (a one-call slot merges on return).
+          for (size_t stop = 0; stop < want->size(); ++stop) {
+            const uint64_t before = tokens->Value();
+            size_t seen = 0;
+            tagger->Tag(input, [&](const Tag&) { return ++seen != stop + 1; });
+            ASSERT_EQ(seen, stop + 1) << what;
+            ASSERT_EQ(tokens->Value() - before, stop + 1) << what;
+          }
+        }
+      }
+
+      const LazyDfaTagger& lazy = *tagger->lazy_model();
+      tagger::LazyDfaSession plain = lazy.NewSession();
+      tagger::LazyDfaSession memo = lazy.NewSession();
+      for (const std::string& input : inputs) {
+        const size_t all = std::numeric_limits<size_t>::max();
+        const PadRun want = FeedPadded(plain, input, all, false);
+        // A recording that stops early is discarded; then a recording (or
+        // a replay, if another input left the same state) and a replay.
+        ExpectSameRun(FeedPadded(plain, input, 0, false),
+                      FeedPadded(memo, input, 0, true), what + " stop 0",
+                      input);
+        ExpectSameRun(want, FeedPadded(memo, input, all, true),
+                      what + " first", input);
+        ExpectSameRun(want, FeedPadded(memo, input, all, true),
+                      what + " second", input);
+        for (size_t stop = 0; stop < want.tags.size(); ++stop) {
+          ExpectSameRun(FeedPadded(plain, input, stop, false),
+                        FeedPadded(memo, input, stop, true),
+                        what + " stop " + std::to_string(stop), input);
+        }
+      }
+    }
+
+    // Attribution takes the plain Feed: each token is counted once per tag
+    // delivered, on every call.
+    obs::AttributionTable& table = obs::AttributionTable::Default();
+    table.Clear();
+    obs::AttributionTable::set_enabled(true);
+    std::map<std::string, uint64_t> want_counts;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::string& input : inputs) {
+        for (const Tag& t : cached->Tag(input)) {
+          ++want_counts[g.tokens()[static_cast<size_t>(t.token)].name];
+        }
+      }
+    }
+    obs::AttributionTable::set_enabled(false);
+    std::map<std::string, uint64_t> got_counts;
+    for (const obs::AttributionTable::Row& row : table.RankedTokens()) {
+      got_counts[row.name] = row.hits;
+    }
+    table.Clear();
+    EXPECT_EQ(want_counts, got_counts) << "attribution iter " << iter;
   }
 }
 

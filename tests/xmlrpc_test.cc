@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/token_tagger.h"
 #include "grammar/analysis.h"
+#include "obs/attribution.h"
 #include "obs/metrics.h"
 #include "tagger/ll_parser.h"
 #include "tagger/naive_matcher.h"
@@ -288,6 +291,71 @@ TEST(RouterTest, RouteStopsTaggingAtItsDecision) {
       EXPECT_EQ(tokens->Value() - tokens_before, taken);
     }
   }
+}
+
+// Route credits the service that decided, by name, even when two services
+// share a port, and counts a message as defaulted only when no service
+// decided, even when a service routes to the default port.
+TEST(RouterTest, AttributionCreditsTheDecidingService) {
+  RouterConfig config;
+  config.services = {{"deposit", 1}, {"withdraw", 1}, {"buy", 0}};
+  config.default_port = 0;
+  auto router = XmlRpcRouter::Create(config);
+  ASSERT_TRUE(router.ok()) << router.status();
+  obs::Counter* defaulted = obs::MetricsRegistry::Default().GetCounter(
+      "cfgtag_xmlrpc_routed_default_total");
+  obs::AttributionTable& table = obs::AttributionTable::Default();
+  table.Clear();
+  obs::AttributionTable::set_enabled(true);
+  const uint64_t defaulted_before = defaulted->Value();
+  const std::vector<std::pair<std::string, uint64_t>> traffic = {
+      {"deposit", 1}, {"withdraw", 3}, {"buy", 2}, {"audit", 1}};
+  MessageGenerator gen({}, 71);
+  for (const auto& [method, count] : traffic) {
+    for (uint64_t i = 0; i < count; ++i) {
+      EXPECT_EQ(router->Route(gen.GenerateWithMethod(method)),
+                ExpectedPort(config, method))
+          << method;
+    }
+  }
+  obs::AttributionTable::set_enabled(false);
+  std::map<std::string, uint64_t> credited;
+  for (const obs::AttributionTable::Row& row : table.RankedServices()) {
+    credited[row.name] = row.hits;
+  }
+  table.Clear();
+  EXPECT_EQ(credited, (std::map<std::string, uint64_t>{{"deposit", 1},
+                                                       {"withdraw", 3},
+                                                       {"buy", 2},
+                                                       {"(default)", 1}}));
+  EXPECT_EQ(defaulted->Value() - defaulted_before, 1u);
+}
+
+// Route times each message once, in its scan: over N routed messages
+// cfgtag_xmlrpc_route_seconds and cfgtag_tag_seconds each observe exactly
+// N values, whether the scan stops at its decision or runs to the end.
+TEST(RouterTest, RouteTimesEachMessageOnce) {
+  const RouterConfig config = SixServices();
+  auto router = XmlRpcRouter::Create(config);
+  ASSERT_TRUE(router.ok()) << router.status();
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  obs::Histogram* route = reg.GetHistogram("cfgtag_xmlrpc_route_seconds");
+  obs::Histogram* tag = reg.GetHistogram("cfgtag_tag_seconds");
+  const uint64_t route_before = route->TotalCount();
+  const uint64_t tag_before = tag->TotalCount();
+  const double route_sum_before = route->Sum();
+  MessageGenerator gen({}, 81);
+  const std::vector<std::string> methods = {"deposit", "audit", "price",
+                                            "sellprice", "buy"};
+  const uint64_t n = 4 * methods.size();
+  for (uint64_t i = 0; i < n; ++i) {
+    const std::string& method = methods[i % methods.size()];
+    EXPECT_EQ(router->Route(gen.GenerateWithMethod(method)),
+              ExpectedPort(config, method));
+  }
+  EXPECT_EQ(route->TotalCount() - route_before, n);
+  EXPECT_EQ(tag->TotalCount() - tag_before, n);
+  EXPECT_GT(route->Sum(), route_sum_before);
 }
 
 TEST(RouterTest, RejectsBadConfig) {
