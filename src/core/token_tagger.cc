@@ -254,14 +254,14 @@ Status CompiledTagger::TagWithControl(std::string_view input,
                                       const tagger::TagSink& sink,
                                       const resilience::ScanControl& control,
                                       std::atomic<uint64_t>* progress,
-                                      uint64_t* consumed, double* seconds,
+                                      uint64_t* consumed, obs::Lap* lap,
                                       TagSlot* slot) const {
   if (slot == nullptr) {
     TagSlot one_call(*this);
-    return TagWithControl(input, sink, control, progress, consumed, seconds,
+    return TagWithControl(input, sink, control, progress, consumed, lap,
                           &one_call);
   }
-  obs::ScopedTimer timer(&slot->seconds_, seconds);
+  obs::ScopedTimer timer(&slot->seconds_, lap);
   // Stream the input and then the flush padding through the slot's pooled
   // session: the same bytes the simulator sees (Padded()), minus the
   // per-call input copy and session construction. One extra pad byte

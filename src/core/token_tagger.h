@@ -162,15 +162,17 @@ class CompiledTagger {
   // (cfgtag_deadline_exceeded_total / cfgtag_scan_cancelled_total) and
   // flight-recorded once, here. `progress`, when set, is advanced to the
   // consumed byte count after every chunk (the scan-engine watchdog's
-  // heartbeat); `consumed` receives the final count, and `seconds` the
-  // call's wall time, the value cfgtag_tag_seconds observes. With a
-  // `slot` (of this tagger), the scan runs on the slot's held session and
-  // adds to its tally; without one it runs on a one-call slot.
+  // heartbeat); `consumed` receives the final count. The call's wall
+  // time, the value cfgtag_tag_seconds observes, starts at lap->start
+  // when the caller set it (a reading it already took) and is left in
+  // *lap with its end reading. With a `slot` (of this tagger), the scan
+  // runs on the slot's held session and adds to its tally; without one it
+  // runs on a one-call slot.
   Status TagWithControl(std::string_view input, const tagger::TagSink& sink,
                         const resilience::ScanControl& control,
                         std::atomic<uint64_t>* progress = nullptr,
                         uint64_t* consumed = nullptr,
-                        double* seconds = nullptr,
+                        obs::Lap* lap = nullptr,
                         TagSlot* slot = nullptr) const;
 
   // Cycle-accurate tagging: simulates the generated netlist gate by gate

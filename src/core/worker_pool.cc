@@ -1,6 +1,7 @@
 #include "core/worker_pool.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "obs/metrics.h"
 
@@ -29,19 +30,27 @@ struct PoolMetrics {
     return *kMetrics;
   }
 
-  // Runs fn(slot, i) for `first` and each later index `claim` hands out
-  // below `count`, tallying the tasks and their wall times privately and
+  // Runs fn(slot, i) over [begin, end) and each later block `claim`
+  // hands out, tallying the tasks and their wall times privately and
   // folding the tally into the registry once, at the end of the share.
+  // The clock readings form one chain: the reading that ends index i
+  // starts index i + 1.
   template <typename Claim>
-  void RunShare(const WorkerPool::IndexedFn& fn, size_t slot, size_t first,
-                size_t count, Claim claim) const {
+  void RunShare(const WorkerPool::IndexedFn& fn, size_t slot, size_t begin,
+                size_t end, Claim claim) const {
+    using Clock = std::chrono::steady_clock;
     uint64_t ran = 0;
     obs::HistogramTally seconds(task_seconds);
-    for (size_t i = first; i < count; i = claim()) {
-      obs::ScopedTimer timer(&seconds);
-      fn(slot, i);
-      ++ran;
-    }
+    Clock::time_point last = Clock::now();
+    do {
+      for (size_t i = begin; i < end; ++i) {
+        fn(slot, i);
+        const Clock::time_point now = Clock::now();
+        seconds.Observe(std::chrono::duration<double>(now - last).count());
+        last = now;
+      }
+      ran += end - begin;
+    } while (claim(&begin, &end));
     tasks->Increment(ran);
     seconds.Merge();
   }
@@ -73,8 +82,8 @@ WorkerPool::~WorkerPool() {
 
 void WorkerPool::RunIndexed(size_t count, const IndexedFn& fn) {
   if (count <= 1 || threads_.size() <= 1) {
-    size_t next = 1;
-    PoolMetrics::Get().RunShare(fn, 0, 0, count, [&] { return next++; });
+    PoolMetrics::Get().RunShare(fn, 0, 0, count,
+                                [](size_t*, size_t*) { return false; });
     return;
   }
   std::lock_guard<std::mutex> run(run_mu_);
@@ -103,14 +112,32 @@ void WorkerPool::WorkerLoop() {
     const IndexedFn& fn = *fn_;
     const size_t count = count_;
     lock.unlock();
-    const size_t first = next_++;
-    if (first < count) {
-      metrics.RunShare(fn, next_slot_++, first, count,
-                       [this] { return next_++; });
+    size_t begin = 0;
+    size_t end = 0;
+    if (ClaimBlock(count, &begin, &end)) {
+      metrics.RunShare(fn, next_slot_++, begin, end,
+                       [this, count](size_t* b, size_t* e) {
+                         return ClaimBlock(count, b, e);
+                       });
     }
     lock.lock();
     if (--busy_ == 0) done_cv_.notify_one();
   }
+}
+
+bool WorkerPool::ClaimBlock(size_t count, size_t* begin, size_t* end) {
+  // The run's parameters reach the workers under mu_, and its results
+  // reach the caller through the check-in under mu_, so the counter only
+  // has to hand out disjoint blocks: relaxed order suffices.
+  const size_t split = 4 * threads_.size();
+  size_t next = next_.load(std::memory_order_relaxed);
+  do {
+    if (next >= count) return false;
+    *end = next + std::max<size_t>(1, (count - next) / split);
+  } while (!next_.compare_exchange_weak(next, *end,
+                                        std::memory_order_relaxed));
+  *begin = next;
+  return true;
 }
 
 bool RecordShardingIsExact(const tagger::TaggerOptions& options,

@@ -19,11 +19,16 @@ namespace cfgtag::core {
 // Fixed-size fork-join pool behind the parallel scan paths
 // (nids::ScanEngine, cfgtagc --threads). Workers are spawned once and park
 // between runs; a run publishes (fn, count), wakes them once, and they
-// claim indices from one atomic counter. Every index is one task in the
-// cfgtag_engine_* metrics, so worker utilization is visible in the same
-// registry as the scan counters; each worker tallies its tasks privately
-// and folds the tally into the registry once, when its share of the run
-// is done.
+// claim guided blocks of indices from one atomic counter: each claim is
+// one compare-and-swap for max(1, remaining / (4 x workers)) indices, so
+// early blocks are large (the counter and neighbouring result entries do
+// not bounce between cores on every index) and the last ones are single
+// indices (a slow index at the end still leaves the other workers the
+// rest). Every index is one task in the cfgtag_engine_* metrics, so
+// worker utilization is visible in the same registry as the scan
+// counters; each worker tallies its tasks privately, timing each from
+// the clock reading that ended the one before, and folds the tally into
+// the registry once, when its share of the run is done.
 class WorkerPool {
  public:
   // num_threads <= 0 picks one worker per hardware thread.
@@ -51,6 +56,9 @@ class WorkerPool {
 
  private:
   void WorkerLoop();
+  // Claims the next guided block [*begin, *end) of a run over `count`
+  // indices; false once every index is claimed.
+  bool ClaimBlock(size_t count, size_t* begin, size_t* end);
 
   std::mutex run_mu_;  // held by the one RunIndexed call in flight
   std::mutex mu_;  // guards everything below except next_, next_slot_

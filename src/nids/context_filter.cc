@@ -5,7 +5,6 @@
 #include "obs/attribution.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace cfgtag::nids {
 
@@ -128,13 +127,16 @@ Status ContextFilter::Scan(std::string_view stream,
                            const core::resilience::ScanControl& control,
                            std::vector<Alert>* alerts, ScanStats* stats,
                            std::atomic<uint64_t>* progress,
-                           ScanSlot* slot) const {
+                           ScanSlot* slot, obs::Lap* lap) const {
   if (slot == nullptr) {
     ScanSlot one_call(*this);
-    return Scan(stream, control, alerts, stats, progress, &one_call);
+    return Scan(stream, control, alerts, stats, progress, &one_call, lap);
   }
-  obs::ScopedSpan span("nids.Scan");
-  obs::ScopedTimer timer(&slot->seconds_);
+  // One clock chain: the scan's start reading also starts the tagging's
+  // timer.
+  obs::ScopedTimer timer(&slot->seconds_, lap);
+  obs::Lap tag_lap;
+  tag_lap.start = timer.start();
   alerts->clear();
   ScanStats local;
   // Context spans from the tag stream, matched as the tags arrive: a
@@ -179,7 +181,7 @@ Status ContextFilter::Scan(std::string_view stream,
         any_tag = true;
         return true;
       },
-      control, progress, &consumed, /*seconds=*/nullptr, &slot->tag_);
+      control, progress, &consumed, &tag_lap, &slot->tag_);
   // On a trip the scan stopped at `consumed`: account only those bytes
   // and run the context-free rules over exactly that prefix, so the
   // partial result is precisely "the alerts for stream[0, consumed)".

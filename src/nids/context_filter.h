@@ -115,12 +115,14 @@ class ContextFilter {
   // one. `progress` is advanced past every fed chunk (the scan engine
   // watchdog's heartbeat). With a `slot` (of this filter), the scan runs
   // on the slot's held session and adds to its tallies; without one it
-  // runs on a one-call slot.
+  // runs on a one-call slot. The scan's wall time, the value
+  // cfgtag_nids_scan_seconds observes, starts at lap->start when the
+  // caller set it and is left in *lap with its end reading.
   Status Scan(std::string_view stream,
               const core::resilience::ScanControl& control,
               std::vector<Alert>* alerts, ScanStats* stats = nullptr,
               std::atomic<uint64_t>* progress = nullptr,
-              ScanSlot* slot = nullptr) const;
+              ScanSlot* slot = nullptr, obs::Lap* lap = nullptr) const;
 
   // Only the context-free rules (empty context_token), applied over the
   // whole stream — the same set Scan()'s global pass raises, without the

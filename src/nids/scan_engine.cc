@@ -160,24 +160,28 @@ Status ScanEngine::Run(const std::vector<std::string_view>& units,
   while (slots.size() < std::min<size_t>(n, pool_.num_threads())) {
     slots.emplace_back(*filter_);
   }
+  // Each unit gets its own correlation id, base + i, reserved for the
+  // whole run in one atomic add: alerts a unit raises inherit the id via
+  // the thread-local scope, and a slow unit's event carries the same id —
+  // so a dump ties alert to shard.
+  const uint64_t first_id = obs::NextCorrelationId(n);
+  const bool timed = options_.slow_shard_seconds > 0;
   pool_.RunIndexed(n, [&](size_t slot, size_t i) {
     UnitWatch* w = watched ? &watch[i] : nullptr;
     if (w != nullptr) w->state.store(kRunning, std::memory_order_relaxed);
+    // A unit's time starts before the stall site and ends at the scan's
+    // own end reading: a stalled unit is a slow unit.
+    const obs::Lap::Clock::time_point t0 =
+        timed ? obs::Lap::Clock::now() : obs::Lap::Clock::time_point{};
     res::FaultInjector::MaybeStall("engine.shard");
-    // Each unit gets its own correlation id: alerts it raises inherit the
-    // id via the thread-local scope, and a slow unit's event carries the
-    // same id — so a dump ties alert to shard.
-    obs::CorrelationScope cscope(obs::NextCorrelationId());
-    const auto t0 = std::chrono::steady_clock::now();
+    obs::CorrelationScope cscope(first_id + i);
     StreamResult& r = (*results)[i];
+    obs::Lap lap;
     statuses[i] = filter_->Scan(units[i], eff, &r.alerts, &r.stats,
                                 w != nullptr ? &w->progress : nullptr,
-                                &slots[slot].scan);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (options_.slow_shard_seconds > 0 &&
-        secs >= options_.slow_shard_seconds) {
+                                &slots[slot].scan, &lap);
+    if (timed && std::chrono::duration<double>(lap.end - t0).count() >=
+                     options_.slow_shard_seconds) {
       obs::RecordEvent(obs::EventKind::kSlowShard,
                        static_cast<int64_t>(units[i].size()),
                        static_cast<int64_t>(i), slow_what);

@@ -259,8 +259,8 @@ FlightRecorder& FlightRecorder::Default() {
   return *kRecorder;
 }
 
-uint64_t NextCorrelationId() {
-  return g_next_correlation.fetch_add(1, std::memory_order_relaxed);
+uint64_t NextCorrelationId(uint64_t count) {
+  return g_next_correlation.fetch_add(count, std::memory_order_relaxed);
 }
 
 uint64_t CurrentCorrelationId() { return g_correlation_id; }

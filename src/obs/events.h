@@ -123,8 +123,11 @@ class FlightRecorder {
   std::chrono::steady_clock::time_point epoch_;
 };
 
-// Fresh process-unique correlation id (starts at 1; 0 means "none").
-uint64_t NextCorrelationId();
+// Fresh process-unique correlation id (starts at 1; 0 means "none"). With
+// a `count`, reserves that many consecutive ids in one atomic add and
+// returns the first: a caller that needs one id per unit of a run takes
+// them as a block.
+uint64_t NextCorrelationId(uint64_t count = 1);
 
 // The current thread's correlation id, 0 when no scope is open. Events
 // recorded through RecordEvent() pick it up automatically, so an alert

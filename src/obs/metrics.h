@@ -172,31 +172,51 @@ class MetricsRegistry {
   std::map<std::string, std::string> help_;
 };
 
+// The clock readings of one timed stage, handed along a chain of stages
+// so that a reading one stage takes serves the next instead of every
+// stage reading the clock twice. A stage starts at `start` when its
+// caller set it (a reading the caller already holds) and reads the clock
+// otherwise; it leaves its end reading in `end` and its wall time in
+// `seconds`.
+struct Lap {
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point start{};  // the default time point: read the clock
+  Clock::time_point end{};
+  double seconds = 0;
+};
+
 // RAII latency timer: observes the elapsed wall time, in seconds, into a
-// Histogram or a HistogramTally at scope exit, and also stores it in
-// `*seconds` when that is set. A null target disables the timer.
+// Histogram or a HistogramTally at scope exit. With a `lap`, it starts at
+// lap->start when that is set and fills lap->end and lap->seconds. A null
+// target disables the timer.
 template <typename Target>
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Target* target, double* seconds = nullptr)
+  explicit ScopedTimer(Target* target, Lap* lap = nullptr)
       : target_(target),
-        seconds_(seconds),
-        start_(std::chrono::steady_clock::now()) {}
+        lap_(lap),
+        start_(lap != nullptr && lap->start != Lap::Clock::time_point{}
+                   ? lap->start
+                   : Lap::Clock::now()) {}
   ~ScopedTimer() {
     if (target_ == nullptr) return;
-    const double elapsed = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start_)
-                               .count();
+    const Lap::Clock::time_point end = Lap::Clock::now();
+    const double elapsed = std::chrono::duration<double>(end - start_).count();
     target_->Observe(elapsed);
-    if (seconds_ != nullptr) *seconds_ = elapsed;
+    if (lap_ != nullptr) {
+      lap_->end = end;
+      lap_->seconds = elapsed;
+    }
   }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
+  Lap::Clock::time_point start() const { return start_; }
+
  private:
   Target* target_;
-  double* seconds_;
-  std::chrono::steady_clock::time_point start_;
+  Lap* lap_;
+  Lap::Clock::time_point start_;
 };
 
 }  // namespace cfgtag::obs

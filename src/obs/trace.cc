@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <atomic>
 #include <ostream>
 #include <utility>
 
@@ -13,6 +14,8 @@ namespace {
 // Innermost live span of the current thread, across all tracers — spans
 // nest lexically regardless of which tracer they record into.
 thread_local ScopedSpan* g_current_span = nullptr;
+
+std::atomic<uint64_t> g_next_tracer_serial{0};
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -38,7 +41,9 @@ std::string JsonEscape(const std::string& s) {
 }  // namespace
 
 Tracer::Tracer(size_t capacity)
-    : capacity_(capacity), epoch_(std::chrono::steady_clock::now()) {}
+    : capacity_(capacity),
+      serial_(g_next_tracer_serial.fetch_add(1, std::memory_order_relaxed)),
+      epoch_(std::chrono::steady_clock::now()) {}
 
 uint64_t Tracer::NowUs() const {
   return static_cast<uint64_t>(
@@ -63,14 +68,14 @@ void Tracer::Record(SpanRecord record) {
       overwrote = true;
     }
   }
-  // Counter fetched per drop, not cached: drops are already the slow path
-  // and tests may Clear() the registry, which would dangle a cached
-  // pointer.
+  // Resolved once, like every other built-in metric handle: a full ring
+  // overwrites on every span, and a registry lookup per drop would take
+  // the registry mutex and build the name string each time.
   if (overwrote) {
-    MetricsRegistry::Default()
-        .GetCounter("cfgtag_trace_spans_dropped_total",
-                    "Trace spans overwritten because the span ring was full")
-        ->Increment();
+    static Counter* const kDropped = MetricsRegistry::Default().GetCounter(
+        "cfgtag_trace_spans_dropped_total",
+        "Trace spans overwritten because the span ring was full");
+    kDropped->Increment();
   }
 }
 
@@ -81,16 +86,16 @@ void Tracer::SetLastPath(std::string path) {
 
 uint32_t Tracer::ThreadId() {
   // Dense per-tracer thread ids, assigned on first use by each thread.
-  thread_local std::vector<std::pair<Tracer*, uint32_t>> cache;
-  for (const auto& [tracer, id] : cache) {
-    if (tracer == this) return id;
+  thread_local std::vector<std::pair<uint64_t, uint32_t>> cache;
+  for (const auto& [serial, id] : cache) {
+    if (serial == serial_) return id;
   }
   uint32_t id;
   {
     std::lock_guard<std::mutex> lock(mu_);
     id = next_tid_++;
   }
-  cache.emplace_back(this, id);
+  cache.emplace_back(serial_, id);
   return id;
 }
 

@@ -74,6 +74,9 @@ class Tracer {
   uint32_t ThreadId();
 
   size_t capacity_;
+  // Process-unique, unlike the tracer's address, which a later tracer can
+  // reuse: keys the per-thread id cache.
+  const uint64_t serial_;
   const std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;
   std::vector<SpanRecord> spans_;  // ring once full; spans_[ring_next_]

@@ -120,12 +120,12 @@ int XmlRpcRouter::Route(std::string_view message) const {
   // The sink refuses the tag that decides, so the scan stops there. The
   // decision runs inside the scan, so the scan's wall time covers it.
   RouteDecision decision(config_, string_token_);
-  double seconds = 0;
+  obs::Lap lap;
   (void)tagger_.TagWithControl(
       message, [&decision](const tagger::Tag& t) { return decision.Add(t); },
       core::resilience::ScanControl::InertOneChunk(), nullptr, nullptr,
-      &seconds);
-  metrics.latency->Observe(seconds);
+      &lap);
+  metrics.latency->Observe(lap.seconds);
   metrics.messages->Increment();
   const int32_t service = decision.service();
   if (service < 0) metrics.defaulted->Increment();

@@ -1,19 +1,29 @@
-// WorkerPool: every index runs exactly once regardless of pool size, also
-// for concurrent callers, a one-worker pool runs inline, and each slot is
-// one worker's;
+// WorkerPool: every index runs exactly once regardless of pool size and
+// of how the guided block claims fall, also for concurrent callers and
+// with a slow index last; a one-worker pool runs inline, and each slot is
+// one worker's; ScanEngine correlation ids: concurrent engines reserve
+// disjoint blocks;
 // RecordShardingIsExact: the shard decision; and ShardSplitPoints: shard
 // starts are delimiter-aligned, bounded, and degrade to {0} when the
 // stream cannot be split.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <latch>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/worker_pool.h"
+#include "grammar/grammar_parser.h"
+#include "nids/context_filter.h"
+#include "nids/scan_engine.h"
+#include "obs/events.h"
 #include "regex/char_class.h"
 #include "tagger/tag.h"
 
@@ -109,6 +119,120 @@ TEST(WorkerPoolTest, SlotsAreExclusivePerWorker) {
   });
   EXPECT_EQ(overlaps.load(), 0);
   EXPECT_EQ(slot_calls[0] + slot_calls[1] + slot_calls[2], kCount);
+}
+
+// Runs `count` indices on a `threads`-worker pool, index `slow` (if any)
+// sleeping, and checks the RunIndexed contract: every index exactly once,
+// slots below min(count, threads), no two calls on one slot at once.
+void ExpectEveryIndexOnceOnExclusiveSlots(int threads, size_t count,
+                                          size_t slow = SIZE_MAX) {
+  WorkerPool pool(threads);
+  const size_t slots = std::min<size_t>(count, threads);
+  std::vector<std::atomic<int>> hits(count);
+  std::vector<std::atomic<int>> in_slot(threads);
+  std::atomic<int> overlaps{0};
+  std::atomic<int> bad_slots{0};
+  pool.RunIndexed(count, [&](size_t slot, size_t i) {
+    if (slot >= slots) {
+      bad_slots.fetch_add(1);
+      return;
+    }
+    if (in_slot[slot].fetch_add(1) != 0) overlaps.fetch_add(1);
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+    if (i == slow) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    in_slot[slot].fetch_sub(1);
+  });
+  EXPECT_EQ(bad_slots.load(), 0) << "count " << count;
+  EXPECT_EQ(overlaps.load(), 0) << "count " << count;
+  for (size_t i = 0; i < count; ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "count " << count << " index " << i;
+  }
+}
+
+// Guided blocks shrink from remaining / (4 x workers) to single indices;
+// the counts cover no index, fewer indices than workers, exactly one
+// block boundary past 4 x workers, and many blocks.
+TEST(WorkerPoolTest, BlockClaimsCoverEveryIndexOnceOnExclusiveSlots) {
+  constexpr int kWorkers = 3;
+  for (size_t count : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
+                       size_t{4 * kWorkers + 1}, size_t{10007}}) {
+    ExpectEveryIndexOnceOnExclusiveSlots(kWorkers, count);
+  }
+}
+
+// A slow index at the end of the run is claimed alone, so the other
+// workers finish the rest; the contract holds either way.
+TEST(WorkerPoolTest, BlockClaimsWithASlowLastIndex) {
+  constexpr int kWorkers = 3;
+  for (size_t count : {size_t{2}, size_t{3}, size_t{4 * kWorkers + 1},
+                       size_t{10007}}) {
+    ExpectEveryIndexOnceOnExclusiveSlots(kWorkers, count, count - 1);
+  }
+}
+
+constexpr char kProtocol[] = R"grm(
+PATH [a-zA-Z0-9/._-]+
+WORD [a-zA-Z0-9/._-]+
+%%
+msg:  "REQ" path "HDR" hval "END";
+path: PATH;
+hval: WORD;
+%%
+)grm";
+
+// Each engine run reserves one block of correlation ids, one per unit.
+// Two engines batching at once must never hand the same id to two units:
+// every unit's kSlowShard event (the bound makes every unit slow) carries
+// its unit's id, and the two engines' flows differ in length, so the
+// event's size field says which engine raised it.
+TEST(CorrelationIdTest, ConcurrentEnginesGetDisjointIds) {
+  auto grammar = grammar::ParseGrammar(kProtocol);
+  ASSERT_TRUE(grammar.ok()) << grammar.status();
+  auto filter = nids::ContextFilter::Create(
+      std::move(grammar).value(), {{"TRAVERSAL", "../", "PATH", 3}});
+  ASSERT_TRUE(filter.ok()) << filter.status();
+  nids::ScanEngineOptions opt;
+  opt.num_threads = 2;
+  opt.slow_shard_seconds = 1e-12;  // every unit is "slow"
+  const nids::ScanEngine a(&filter.value(), opt);
+  const nids::ScanEngine b(&filter.value(), opt);
+  const std::string flow_a = "REQ /a HDR x END\n";
+  const std::string flow_b = "REQ /bb HDR yy END\n";
+  constexpr size_t kFlows = 150;
+  constexpr int kRounds = 4;
+  const std::vector<std::string_view> batch_a(kFlows, flow_a);
+  const std::vector<std::string_view> batch_b(kFlows, flow_b);
+
+  obs::FlightRecorder& rec = obs::FlightRecorder::Default();
+  ASSERT_GE(rec.capacity(), 2 * kFlows * kRounds);
+  const uint64_t recorded_before = rec.total_recorded();
+  std::latch start(2);
+  std::thread ta([&] {
+    start.arrive_and_wait();
+    for (int r = 0; r < kRounds; ++r) a.ScanBatch(batch_a);
+  });
+  std::thread tb([&] {
+    start.arrive_and_wait();
+    for (int r = 0; r < kRounds; ++r) b.ScanBatch(batch_b);
+  });
+  ta.join();
+  tb.join();
+
+  std::set<uint64_t> ids_a, ids_b;
+  for (const obs::Event& e : rec.Snapshot()) {
+    if (e.seq <= recorded_before || e.kind != obs::EventKind::kSlowShard) {
+      continue;
+    }
+    ASSERT_NE(e.correlation_id, 0u);
+    if (e.a == static_cast<int64_t>(flow_a.size())) {
+      EXPECT_TRUE(ids_a.insert(e.correlation_id).second) << e.correlation_id;
+    } else if (e.a == static_cast<int64_t>(flow_b.size())) {
+      EXPECT_TRUE(ids_b.insert(e.correlation_id).second) << e.correlation_id;
+    }
+  }
+  EXPECT_EQ(ids_a.size(), kFlows * kRounds);
+  EXPECT_EQ(ids_b.size(), kFlows * kRounds);
+  for (uint64_t id : ids_a) EXPECT_EQ(ids_b.count(id), 0u) << id;
 }
 
 TEST(RecordShardingTest, NeedsResyncAndDelimiterRecords) {

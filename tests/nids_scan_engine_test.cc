@@ -1,18 +1,22 @@
 // ScanEngine: the parallel paths must be byte-identical to the sequential
 // ContextFilter::Scan — ScanBatch per stream, ScanStream across resync
-// shard boundaries — and deterministic across repeated runs.
+// shard boundaries — and deterministic across repeated runs; a batch is
+// one trace span, and a unit's slow-shard time covers the whole unit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/resilience/fault_injector.h"
 #include "grammar/grammar_parser.h"
 #include "nids/context_filter.h"
 #include "nids/scan_engine.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "regex/char_class.h"
 #include "tagger/lazy_dfa.h"
 
@@ -344,6 +348,68 @@ TEST(ScanEngineTest, BatchAccountingEqualsSequentialScans) {
     EXPECT_EQ(after[counters.size() + h] - mid[counters.size() + h], n)
         << histograms[h];
   }
+}
+
+// A batch is one span, whatever its size: per-flow time lives in
+// cfgtag_nids_scan_seconds. A span per flow would take the tracer's
+// mutex on every flow and, once the ring is full, evict every other span,
+// so a span recorded before a batch larger than the ring survives it.
+TEST(ScanEngineTest, BatchRecordsOneSpanNotOnePerFlow) {
+  const ContextFilter filter = ResyncFilter();
+  ScanEngineOptions opt;
+  opt.num_threads = 2;
+  const ScanEngine engine(&filter, opt);
+  const std::vector<std::string> flows = ShortFlows(300);
+  const std::vector<std::string_view> streams(flows.begin(), flows.end());
+
+  obs::Tracer& tracer = obs::Tracer::Default();
+  const size_t capacity = tracer.capacity();
+  tracer.set_capacity(64);
+  { obs::ScopedSpan marker("test.before_batch"); }
+  const auto recorded = [&] {
+    return tracer.Snapshot().size() + tracer.dropped_spans();
+  };
+  const uint64_t before = recorded();
+  engine.ScanBatch(streams);
+  const uint64_t after = recorded();
+  const std::vector<obs::SpanRecord> spans = tracer.Snapshot();
+  const std::string path = tracer.LastSpanPath();
+  tracer.set_capacity(capacity);
+
+  EXPECT_EQ(after - before, 1u);
+  EXPECT_TRUE(std::any_of(spans.begin(), spans.end(),
+                          [](const obs::SpanRecord& s) {
+                            return s.name == "test.before_batch";
+                          }));
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans.back().name, "nids.ScanBatch");
+  EXPECT_EQ(path, "nids.ScanBatch");
+}
+
+// A unit's slow-shard time starts before the engine.shard stall site, so
+// a stalled unit is reported slow even when its scan alone is fast.
+TEST(ScanEngineTest, SlowShardTimesTheWholeUnit) {
+  obs::FlightRecorder& rec = obs::FlightRecorder::Default();
+  const ContextFilter filter = ResyncFilter();
+  ScanEngineOptions opt;
+  opt.num_threads = 2;
+  opt.slow_shard_seconds = 0.02;
+  const ScanEngine engine(&filter, opt);
+  const std::string flow = Traffic(1, 7);
+  const uint64_t recorded_before = rec.total_recorded();
+  core::resilience::FaultInjector& faults =
+      core::resilience::FaultInjector::Instance();
+  ASSERT_TRUE(faults.Arm("engine.shard", /*period=*/1, /*arg_ms=*/30).ok());
+  engine.ScanBatch({flow, flow});
+  faults.DisarmAll();
+
+  size_t slow = 0;
+  for (const obs::Event& e : rec.Snapshot()) {
+    if (e.seq > recorded_before && e.kind == obs::EventKind::kSlowShard) {
+      ++slow;
+    }
+  }
+  EXPECT_EQ(slow, 2u);
 }
 
 }  // namespace

@@ -93,6 +93,19 @@ TEST(TracerTest, RingDropsBumpTheDefaultRegistryCounter) {
   EXPECT_EQ(dropped->Value(), before + 1);
 }
 
+// The drop counter is resolved once, not per drop; every overwrite still
+// counts, however many spans the ring sheds.
+TEST(TracerTest, EveryOverwriteBumpsTheDropCounterOnce) {
+  Counter* dropped = MetricsRegistry::Default().GetCounter(
+      "cfgtag_trace_spans_dropped_total");
+  const uint64_t before = dropped->Value();
+  Tracer tracer(/*capacity=*/4);
+  for (int i = 0; i < 1000; ++i) ScopedSpan span("s", &tracer);
+  EXPECT_EQ(dropped->Value(), before + 996);
+  EXPECT_EQ(tracer.dropped_spans(), 996u);
+  EXPECT_EQ(tracer.Snapshot().size(), 4u);
+}
+
 TEST(TracerTest, SetCapacityShrinksKeepingTheMostRecent) {
   Tracer tracer(/*capacity=*/8);
   { ScopedSpan a("a", &tracer); }
