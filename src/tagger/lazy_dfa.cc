@@ -1,7 +1,7 @@
 #include "tagger/lazy_dfa.h"
 
 #include <algorithm>
-#include <limits>
+#include <cstdint>
 
 #include "core/resilience/fault_injector.h"
 #include "obs/attribution.h"
@@ -12,20 +12,27 @@ namespace cfgtag::tagger {
 namespace {
 
 // Table entry flags: the step emits; an idle skip may start out of the
-// entry's source state on its class. kUnbuilt keeps every bit set, so the
-// walk's exit test catches it too.
+// entry's source state on its class, and which one. kUnbuilt keeps every
+// bit set, so the walk's exit test catches it and its kind is kLeave.
 constexpr int32_t kEmits = 1;
 constexpr int32_t kExit = 2;
+constexpr int kKindShift = 2;
 constexpr int32_t kUnbuilt = -1;
+
+// The walk kind of an exit entry (bits 2-3): the run of a delimiter,
+// resync or armed skip may end at the entry's byte, which the next byte
+// tells (LazyDfaTagger::run_ends); any other exit leaves the walk.
+constexpr int32_t kRunDelimiter = 0;
+constexpr int32_t kRunResync = 1;
+constexpr int32_t kRunArmed = 2;
+constexpr int32_t kLeave = 3;
+// By SkipMetrics::Kind: an anchored run never ends before the chunk does.
+constexpr int32_t kWalkKind[] = {kRunDelimiter, kLeave, kRunResync,
+                                 kRunArmed};
 
 // Approximate per-state index cost (one unordered_multimap node plus
 // bucket share) folded into the cache budget accounting.
 constexpr size_t kIndexNodeBytes = 48;
-
-// Entries a flat table may hold: every premultiplied id plus class,
-// shifted past the two flag bits, fits int32_t.
-constexpr size_t kMaxTableEntries =
-    static_cast<size_t>(std::numeric_limits<int32_t>::max()) >> 2;
 
 constexpr SkipMetrics::Kind kNoSkip = SkipMetrics::kNumKinds;
 
@@ -134,18 +141,34 @@ size_t TakeSkip(const FusedTagger& f, const IdleFacts& cur, const char* data,
   return j;
 }
 
-// The exit bit of an entry out of a state with idle facts `facts` on a
-// byte of class `cls`: an idle skip may start there, or, out of the
-// stream-start state, the byte has no pending byte to consume, which only
-// the per-byte path accounts for.
-bool ExitOn(const FusedTagger& f, const IdleFacts& facts, uint8_t cls) {
-  return facts.pending_cls < 0 || SkipKind(f, facts, cls) != kNoSkip;
+// The exit flags of an entry out of a state with idle facts `facts` on a
+// byte of class `cls`: none unless an idle skip may start there, else the
+// exit bit and the skip's walk kind. Out of the stream-start state there
+// is no pending byte to consume, which only the per-byte path accounts
+// for, so that exit leaves.
+int32_t ExitFlags(const FusedTagger& f, const IdleFacts& facts, uint8_t cls) {
+  if (facts.pending_cls < 0) return kExit | kLeave << kKindShift;
+  const SkipMetrics::Kind kind = SkipKind(f, facts, cls);
+  return kind == kNoSkip ? 0 : kExit | kWalkKind[kind] << kKindShift;
 }
 
 // A built entry: the premultiplied successor and the flags.
-int32_t Entry(int32_t next, size_t num_classes, bool exit, bool emits) {
-  return ((next * static_cast<int32_t>(num_classes)) << 2) |
-         (exit ? kExit : 0) | (emits ? kEmits : 0);
+int32_t Entry(int32_t next, size_t num_classes, int32_t exit, bool emits) {
+  return LazyDfaSession::EncodeEntry(static_cast<size_t>(next) * num_classes,
+                                     exit | (emits ? kEmits : 0));
+}
+
+// Whether the idle run that exit entry `e` may start ends before byte
+// `after`: never for kLeave, unbuilt entries included.
+inline bool RunEndsBefore(int32_t e, unsigned char after,
+                          const uint8_t* run_ends) {
+  return ((run_ends[after] >> ((e >> kKindShift) & 3)) & 1) != 0;
+}
+
+// The low 32 bits of a byte's address: a trail position. Positions of
+// bytes less than 4 GiB apart subtract exactly.
+inline uint32_t Addr32(const void* at) {
+  return static_cast<uint32_t>(reinterpret_cast<uintptr_t>(at));
 }
 
 // The baked table's rows in the walk's entry format.
@@ -160,7 +183,7 @@ std::vector<int32_t> WalkFormat(const FusedTagger& f, const AotDfaTable& aot) {
           row[cls].next < 0
               ? kUnbuilt
               : Entry(row[cls].next, nc,
-                      ExitOn(f, facts, static_cast<uint8_t>(cls)),
+                      ExitFlags(f, facts, static_cast<uint8_t>(cls)),
                       row[cls].emit_count != 0);
     }
   }
@@ -193,6 +216,14 @@ LazyDfaTagger::LazyDfaTagger(FusedTagger fused,
       session_pool_(std::make_shared<LazyDfaSessionPool>()) {
   start_.SetStart(fused_);
   if (aot_ != nullptr) baked_next_ = WalkFormat(fused_, *aot_);
+  const RunScanner& delim = fused_.delimiter_scanner();
+  const RunScanner& arm = fused_.arm_scanner();
+  for (int b = 0; b < 256; ++b) {
+    const unsigned char c = static_cast<unsigned char>(b);
+    run_ends_[b] = static_cast<uint8_t>(
+        (delim.Test(c) ? 1 << kRunResync : 1 << kRunDelimiter) |
+        (arm.Test(c) ? 1 << kRunArmed : 0));
+  }
 }
 
 StatusOr<LazyDfaTagger> LazyDfaTagger::Create(const grammar::Grammar* grammar,
@@ -329,7 +360,7 @@ int32_t LazyDfaSession::InternState(const DfaConfig& cfg) {
   return num_aot_ + local;
 }
 
-size_t LazyDfaSession::Put(size_t slot, int32_t next, bool exit,
+size_t LazyDfaSession::Put(size_t slot, int32_t next, int32_t exit,
                            const int32_t* emit, size_t count) {
   size_t charged = 0;
   if (count != 0) {
@@ -430,7 +461,7 @@ bool LazyDfaSession::ShedOnMiss() {
 bool LazyDfaSession::CacheFull() const {
   // A build interns at most one state, so one more row must fit.
   return cache_bytes_ > tagger_->options().dfa_cache_bytes ||
-         next_.size() + num_classes_ > kMaxTableEntries;
+         TableFull(next_.size(), num_classes_);
 }
 
 int32_t LazyDfaSession::BuildTransition(uint8_t cls) {
@@ -449,7 +480,7 @@ int32_t LazyDfaSession::BuildFrom(int32_t from, uint8_t cls) {
   const int32_t next = InternState(tmp_);  // may move Info(from)
   const size_t slot = static_cast<size_t>(from) * num_classes_ + cls;
   const size_t charged =
-      Put(slot, next, ExitOn(tagger_->fused(), FactsOf(Info(from)), cls),
+      Put(slot, next, ExitFlags(tagger_->fused(), FactsOf(Info(from)), cls),
           tmp_emit_.data(), tmp_emit_.size());
   cache_bytes_ += charged;
   budget_.Add(charged);
@@ -485,17 +516,19 @@ inline void LazyDfaSession::EmitSlot(size_t slot, const TagSink& sink) {
   Emit(cache_.emit_pool.data() + list.begin, list.count, sink);
 }
 
-size_t LazyDfaSession::Replay(size_t from, size_t to, uint64_t off,
-                              const TagSink& sink) {
+size_t LazyDfaSession::Replay(size_t from, size_t to, const char* origin,
+                              uint64_t off, const TagSink& sink) {
   const TrailEntry* const trail = trail_.get();
+  const uint32_t at = Addr32(origin);
   for (size_t k = from; k < to; ++k) {
-    consumed_ = off + trail[k].pos;
+    const uint32_t rel = trail[k].pos - at;
+    consumed_ = off + rel;
     EmitSlot(trail[k].slot, sink);
     if (stopped_) {
       ++consumed_;
-      state_ = static_cast<int32_t>(
-          static_cast<size_t>(Table()[trail[k].slot] >> 2) / num_classes_);
-      return static_cast<size_t>(trail[k].pos) + 1;
+      state_ = static_cast<int32_t>(Successor(Table()[trail[k].slot]) /
+                                    num_classes_);
+      return static_cast<size_t>(rel) + 1;
     }
   }
   return 0;
@@ -547,74 +580,122 @@ bool LazyDfaSession::StepSlow(Cursor& c, const TagSink& sink) {
   }
   if (cur.pending_cls >= 0) ++consumed_;
   ++c.i;
-  state_ = static_cast<int32_t>(static_cast<size_t>(entry >> 2) / num_classes_);
+  state_ = static_cast<int32_t>(Successor(entry) / num_classes_);
   return !stopped_;
 }
 
 bool LazyDfaSession::StepSegment(Cursor& c, size_t end, const TagSink& sink) {
-  // Pass 1: a one-lane walk into the ordinary path's trail region, which
-  // follows the lanes'.
+  // Pass 1: a one-lane walk of at most kCheckpointBytes into the ordinary
+  // path's trail region, which follows the lanes'. It leaves on every exit
+  // bit, one-byte runs included: its callers often stop early (the router
+  // at the method name), and walking on past the stop is work pass 2
+  // throws away.
+  const int32_t* const next = Table();
+  const uint8_t* const class_of = tagger_->fused().classifier().class_map();
+  const unsigned char* const p =
+      reinterpret_cast<const unsigned char*>(c.data) + c.i;
+  const size_t m = std::min(end - c.i, kCheckpointBytes);
+  TrailEntry* const trail = trail_.get();
   const size_t region = kLanes * kTrailStride;
-  Lane walk{c.i, end, state_ * static_cast<int32_t>(num_classes_),
-            static_cast<uint32_t>(region), 0, false, {}};
-  Lane* one = &walk;
-  Lockstep<1>(&one, c.data, c.i);
-  if (walk.pos == c.i) return StepSlow(c, sink);
+  size_t t = region;
+  int32_t s = state_ * static_cast<int32_t>(num_classes_);
+  size_t r = 0;
+  for (; r < m; ++r) {
+    const uint32_t slot = static_cast<uint32_t>(s) + class_of[p[r]];
+    const int32_t e = next[slot];
+    if ((e & kExit) != 0) break;
+    trail[t] = TrailEntry{Addr32(p + r), slot};
+    t += static_cast<size_t>(e & kEmits);
+    s = e >> kFlagBits;
+  }
+  if (r == 0) return StepSlow(c, sink);
   // Pass 2. The walk consumed one pending byte per byte it took.
   const uint64_t off = consumed_;
-  const size_t stop = Replay(region, walk.t, off, sink);
+  const size_t stop = Replay(region, t, c.data + c.i, off, sink);
   if (stop != 0) {
     c.i += stop;
     return false;
   }
-  consumed_ = off + (walk.pos - c.i);
-  c.i = walk.pos;
-  state_ = static_cast<int32_t>(static_cast<size_t>(walk.s) / num_classes_);
+  consumed_ = off + r;
+  c.i += r;
+  state_ = static_cast<int32_t>(static_cast<size_t>(s) / num_classes_);
   return true;
 }
 
 template <size_t N>
-void LazyDfaSession::Lockstep(Lane* const* lanes, const char* data,
-                              size_t base) {
+size_t LazyDfaSession::Lockstep(Lane* const* lanes, const char* data) {
   const int32_t* const next = Table();
   const uint8_t* const class_of = tagger_->fused().classifier().class_map();
+  const uint8_t* const run_ends = tagger_->run_ends();
   TrailEntry* const trail = trail_.get();
-  const unsigned char* p[N];
-  int32_t s[N];
-  uint32_t t[N];
-  uint32_t rel[N];
-  size_t m = kCheckpointBytes;
+  const unsigned char* const base =
+      reinterpret_cast<const unsigned char*>(data);
+  // Each lane's next byte. The round reads these from memory (volatile):
+  // held in registers, they would push the lanes' states out, and a
+  // spilled state puts a store-to-load round trip on its lane's load chain.
+  const unsigned char* volatile p[N];
+  uint32_t s[N];
+  TrailEntry* t[N];
   for (size_t k = 0; k < N; ++k) {
-    p[k] = reinterpret_cast<const unsigned char*>(data) + lanes[k]->pos;
-    s[k] = lanes[k]->s;
-    t[k] = lanes[k]->t;
-    rel[k] = static_cast<uint32_t>(lanes[k]->pos - base);
-    m = std::min(m, lanes[k]->end - lanes[k]->pos);
+    p[k] = base + lanes[k]->pos;
+    s[k] = static_cast<uint32_t>(lanes[k]->s);
+    t[k] = trail + lanes[k]->t;
   }
-  // One exit test per round over all lanes: the lane that met the exit
-  // bit and the ones that did not all wait for the per-byte steps.
-  size_t r = 0;
-  for (; r < m; ++r) {
-    uint32_t slot[N];
-    int32_t e[N];
-    int32_t any = 0;
+  size_t rounds = kCheckpointBytes;
+  size_t left = N;
+  for (;;) {
+    size_t m = rounds;
     for (size_t k = 0; k < N; ++k) {
-      slot[k] = static_cast<uint32_t>(s[k]) + class_of[p[k][r]];
-      e[k] = next[slot[k]];
-      any |= e[k];
+      m = std::min(m, static_cast<size_t>(base + lanes[k]->end - p[k]));
     }
-    if ((any & kExit) != 0) break;
+    // Each lane tests its own exit bit as it steps, so no lane's lookup
+    // stays live across the round; the lanes before the one that met an
+    // exit bit keep the round's byte.
+    size_t r = 0;
+    size_t exit = N;
+    for (; r < m; ++r) {
+      size_t k = 0;
+      for (; k < N; ++k) {
+        const unsigned char* const at = p[k] + r;
+        const size_t slot = size_t{s[k]} + class_of[*at];
+        const int32_t e = next[slot];
+        if ((e & kExit) != 0) break;
+        *t[k] = TrailEntry{Addr32(at), static_cast<uint32_t>(slot)};
+        t[k] += e & kEmits;
+        s[k] = static_cast<uint32_t>(e) >> kFlagBits;
+      }
+      if (k < N) {
+        exit = k;
+        break;
+      }
+    }
     for (size_t k = 0; k < N; ++k) {
-      trail[t[k]] = TrailEntry{rel[k] + static_cast<uint32_t>(r), slot[k]};
-      t[k] += static_cast<uint32_t>(e[k] & kEmits);
-      s[k] = e[k] >> 2;
+      p[k] = p[k] + r + (k < exit && exit < N ? 1 : 0);
     }
+    if (exit == N) break;
+    rounds -= r;
+    // Off the round: when lane `exit`'s byte ends the idle run and the next
+    // byte lies before the lane's end, the skip would jump nothing and the
+    // per-byte path would take this same entry, so the lane takes it here.
+    const unsigned char* const at = p[exit];
+    const size_t slot = size_t{s[exit]} + class_of[*at];
+    const int32_t e = next[slot];
+    if (at + 1 == base + lanes[exit]->end ||
+        !RunEndsBefore(e, at[1], run_ends)) {
+      left = exit;
+      break;
+    }
+    *t[exit] = TrailEntry{Addr32(at), static_cast<uint32_t>(slot)};
+    t[exit] += e & kEmits;
+    s[exit] = static_cast<uint32_t>(e) >> kFlagBits;
+    p[exit] = at + 1;
   }
   for (size_t k = 0; k < N; ++k) {
-    lanes[k]->pos += r;
-    lanes[k]->s = s[k];
-    lanes[k]->t = t[k];
+    lanes[k]->pos = static_cast<size_t>(p[k] - base);
+    lanes[k]->s = static_cast<int32_t>(s[k]);
+    lanes[k]->t = static_cast<uint32_t>(t[k] - trail);
   }
+  return left;
 }
 
 void LazyDfaSession::LaneSlowStep(Lane& lane, const char* data,
@@ -656,10 +737,9 @@ void LazyDfaSession::LaneSlowStep(Lane& lane, const char* data,
   }
   cp.skip_len = static_cast<uint32_t>(j - lane.pos);
   lane.cps.push_back(cp);
-  trail_[lane.t] = TrailEntry{static_cast<uint32_t>(j - base),
-                              static_cast<uint32_t>(slot)};
+  trail_[lane.t] = TrailEntry{Addr32(data + j), static_cast<uint32_t>(slot)};
   lane.t += static_cast<uint32_t>(entry & kEmits);
-  lane.s = entry >> 2;
+  lane.s = entry >> kFlagBits;
   lane.pos = j + 1;
 }
 
@@ -672,7 +752,7 @@ size_t LazyDfaSession::Adopt(Cursor& c, const Lane& lane, size_t from,
   size_t q = from;
   for (;; ++q) {
     const Checkpoint& cp = lane.cps[q];
-    const size_t stop = Replay(trail, cp.trail, off, sink);
+    const size_t stop = Replay(trail, cp.trail, c.data + base, off, sink);
     if (stop != 0) {
       c.i = base + stop;
       return q;
@@ -695,24 +775,18 @@ size_t LazyDfaSession::Adopt(Cursor& c, const Lane& lane, size_t from,
 void LazyDfaSession::WalkLanes(Lane** live, size_t num_live,
                                const char* data, size_t base) {
   static_assert(kLanes == 4, "WalkLanes dispatches 1 to 4 live lanes");
-  const uint8_t* const class_of = tagger_->fused().classifier().class_map();
-  const int32_t* const next = Table();
   while (num_live > 0) {
+    size_t left;
     switch (num_live) {
-      case 4: Lockstep<4>(live, data, base); break;
-      case 3: Lockstep<3>(live, data, base); break;
-      case 2: Lockstep<2>(live, data, base); break;
-      default: Lockstep<1>(live, data, base); break;
+      case 4: left = Lockstep<4>(live, data); break;
+      case 3: left = Lockstep<3>(live, data); break;
+      case 2: left = Lockstep<2>(live, data); break;
+      default: left = Lockstep<1>(live, data); break;
     }
+    if (left < num_live) LaneSlowStep(*live[left], data, base);
     size_t kept = 0;
     for (size_t k = 0; k < num_live; ++k) {
       Lane& lane = *live[k];
-      if (lane.pos < lane.end &&
-          (next[static_cast<size_t>(lane.s) +
-                class_of[static_cast<unsigned char>(data[lane.pos])]] &
-           kExit) != 0) {
-        LaneSlowStep(lane, data, base);
-      }
       // A checkpoint at the lane's end, and one every kCheckpointBytes of
       // walk, so a stream with few exits still converges soon.
       if (!lane.done &&

@@ -2,6 +2,7 @@
 #define CFGTAG_TAGGER_LAZY_DFA_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -80,22 +81,30 @@ struct DfaCacheMetrics {
 //
 // Steady state runs out of one flat table, next[id * num_classes + cls],
 // over baked and session state ids alike. A built entry holds
-// (premultiplied successor << 2) | flags: kEmits when the step emits, kExit
-// when an idle skip may start out of the entry's source state on its
-// class. Every idle-skip test is a function of (state facts, byte class),
-// so it is folded into the entry when the entry is installed, and the walk
-// checks it before taking the step; kUnbuilt (-1) has every bit set. Each
-// cached stretch runs in two passes. Pass 1 walks
-// `s = next[s + class_of[byte]] >> 2` and never branches on emission: it
-// appends (position, slot) to a trail without a branch and leaves only on
-// an exit bit. Pass 2 replays the trail in order through Emit, one TagSink
-// call per tag, with an exact consumed_ and an early stop at exactly the
-// tag the sink refused. The per-byte path then serves the exit: the idle
-// skip, misses, flushes and fallback.
+// (premultiplied successor << kFlagBits) | flags: bit 0 when the step
+// emits, bit 1 (exit) when an idle skip may start out of the entry's
+// source state on its class, and in bits 2-3 which skip: a delimiter,
+// resync or armed run, or "leave" (an anchored tail, a step out of the
+// stream-start state). Every idle-skip test is a function of (state
+// facts, byte class), so it is folded into the entry when the entry is
+// installed, and the walk checks it before taking the step; an unbuilt
+// entry (-1) has every bit set, so it is an exit that leaves. Each cached
+// stretch runs in two passes. Pass 1 walks
+// `s = next[s + class_of[byte]] >> kFlagBits` and never branches on
+// emission: it appends (the byte's address, slot) to a trail without a
+// branch and leaves on an exit bit. Pass 2 replays the trail in order
+// through Emit, one TagSink call per tag, with an exact consumed_ and an
+// early stop at exactly the tag the sink refused. The per-byte path then
+// serves the exit: the idle skip, misses, flushes and fallback.
 //
 // A cached chunk of at least kLanes * kSliceBytes bytes is cut into
 // superblocks of kLanes slices, walked in lockstep so the lanes' load chains
-// overlap. Lane 0 starts from the true state. Lane k guesses the state the
+// overlap; each lane's state stays in a register, and a lane that meets an
+// exit bit leaves the round. A delimiter, resync or armed run that the
+// lane's byte ends skips nothing, and the per-byte path would take this same
+// entry, so when the next byte lies before the slice's end the lane takes it
+// and the lockstep goes on; any other exit stops the lane for its per-byte
+// step. Lane 0 starts from the true state. Lane k guesses the state the
 // stream was last seen in after the byte that precedes its slice (lane 0's
 // state before anything was seen): a configuration forgets its past within a
 // few tokens, and the byte before fixes the pending class. Lanes take their
@@ -159,6 +168,24 @@ class LazyDfaSession {
   static constexpr size_t kLanes = 4;
   static constexpr size_t kSliceBytes = 8 << 10;
 
+  // The flat table's entry format: a premultiplied successor (its row's
+  // first slot) above kFlagBits flag bits. Every row start of a table of at
+  // most kMaxTableEntries entries encodes into a non-negative int32_t, and
+  // a build that would grow the table past that flushes first.
+  static constexpr int kFlagBits = 4;
+  static constexpr size_t kMaxTableEntries =
+      static_cast<size_t>(std::numeric_limits<int32_t>::max()) >> kFlagBits;
+  static constexpr int32_t EncodeEntry(size_t successor, int32_t flags) {
+    return static_cast<int32_t>(successor << kFlagBits) | flags;
+  }
+  static constexpr size_t Successor(int32_t entry) {
+    return static_cast<size_t>(entry >> kFlagBits);
+  }
+  // Whether a table of `entries` entries has no room for one more row.
+  static constexpr bool TableFull(size_t entries, size_t num_classes) {
+    return entries + num_classes > kMaxTableEntries;
+  }
+
   // The tagger must outlive the session.
   explicit LazyDfaSession(const LazyDfaTagger* tagger);
 
@@ -220,8 +247,9 @@ class LazyDfaSession {
     uint32_t count;
     uint64_t replays;
   };
-  // An emitting step recorded by pass 1: its position, relative to the
-  // walk's base, and its table slot. Left uninitialized on purpose.
+  // An emitting step recorded by pass 1: the low 32 bits of its byte's
+  // address (Replay subtracts the walk's origin) and its table slot. Left
+  // uninitialized on purpose.
   struct TrailEntry {
     uint32_t pos;
     uint32_t slot;
@@ -301,10 +329,11 @@ class LazyDfaSession {
   // attribution.
   void EmitSlot(size_t slot, const TagSink& sink);
   // Pass 2: emits the steps recorded in trail_[from, to) in order, each at
-  // stream offset `off` + its pos. On an early stop, sets consumed_ past
-  // the refused step and state_ to its successor, and returns the step's
-  // pos + 1; otherwise returns 0.
-  size_t Replay(size_t from, size_t to, uint64_t off, const TagSink& sink);
+  // stream offset `off` + its byte's distance from `origin`. On an early
+  // stop, sets consumed_ past the refused step and state_ to its
+  // successor, and returns that distance + 1; otherwise returns 0.
+  size_t Replay(size_t from, size_t to, const char* origin, uint64_t off,
+                const TagSink& sink);
   // Logs an idle skip of `len` bytes of `kind` into the padding being
   // recorded (pad_rec_). The uncached loop never records.
   void LogPadSkip(SkipMetrics::Kind kind, size_t len);
@@ -323,10 +352,10 @@ class LazyDfaSession {
   // session's own, interned on first sight with an unbuilt row.
   int32_t InternState(const DfaConfig& cfg);
   // Fills the unbuilt entry at `slot` of the private table with a
-  // transition to `next`, its exit bit and the emission of
+  // transition to `next`, its exit flags and the emission of
   // `emit[0, count)`, and returns the bytes that adds to the cache (the
   // caller charges them).
-  size_t Put(size_t slot, int32_t next, bool exit, const int32_t* emit,
+  size_t Put(size_t slot, int32_t next, int32_t exit, const int32_t* emit,
              size_t count);
   // Builds (and caches) the transition out of the current state on input
   // class `cls`, flushing first if the cache is over budget, and returns
@@ -367,10 +396,11 @@ class LazyDfaSession {
   // Runs lanes live[0, num_live) to their stops: lockstep walks between
   // per-byte steps.
   void WalkLanes(Lane** live, size_t num_live, const char* data, size_t base);
-  // Walks the N lanes in lockstep until one reaches its end or meets an
-  // exit bit.
+  // Walks the N lanes in lockstep for at most kCheckpointBytes rounds,
+  // until one reaches its end or stops on an exit it cannot take. Returns
+  // that lane, left at the byte it stopped on, or N.
   template <size_t N>
-  void Lockstep(Lane* const* lanes, const char* data, size_t base);
+  size_t Lockstep(Lane* const* lanes, const char* data);
   // A lane's per-byte step: logs a checkpoint, then takes the idle skip
   // and the step, or stops the lane (a stall, or a skip its end may cut).
   void LaneSlowStep(Lane& lane, const char* data, size_t base);
@@ -497,6 +527,11 @@ class LazyDfaTagger {
   // one row per baked state; empty without one.
   const std::vector<int32_t>& baked_next() const { return baked_next_; }
 
+  // Per byte value, bit k set when the byte ends an idle run of walk kind
+  // k (see LazyDfaSession): it is not a delimiter (delimiter runs), it is
+  // one (resync runs), it can arm (armed runs). Bit 3, "leave", is clear.
+  const uint8_t* run_ends() const { return run_ends_; }
+
  private:
   LazyDfaTagger(FusedTagger fused, std::shared_ptr<const AotDfaTable> aot);
 
@@ -504,6 +539,7 @@ class LazyDfaTagger {
   std::shared_ptr<const AotDfaTable> aot_;
   DfaConfig start_;
   std::vector<int32_t> baked_next_;
+  uint8_t run_ends_[256];
   std::shared_ptr<LazyDfaSessionPool> session_pool_;
 };
 

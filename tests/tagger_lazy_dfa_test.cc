@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -248,6 +250,28 @@ std::vector<SkipCase> SkipCases() {
     input += "abc";
     cases.push_back({opt, input, SkipMetrics::kArmed});
   }
+  // Runs of 1 to 6 idle bytes between tokens, so the idle runs the skips
+  // could start are one byte long as often as they are longer: a walk takes
+  // a one-byte run's step itself.
+  const auto runs = [](const std::string& before, char idle,
+                       const std::string& after) {
+    std::string input;
+    for (size_t n = 1; input.size() < 6000; n = n % 6 + 1) {
+      input += before + std::string(n, idle) + after;
+    }
+    return input;
+  };
+  {
+    TaggerOptions opt;
+    opt.arm_mode = ArmMode::kResync;
+    cases.push_back({opt, runs("abc", ' ', "9*9"), SkipMetrics::kDelimiter});
+    cases.push_back({opt, runs("12+34 ", '?', " xy "), SkipMetrics::kResync});
+  }
+  {
+    TaggerOptions opt;
+    opt.arm_mode = ArmMode::kScan;
+    cases.push_back({opt, runs("abc", '#', "9*9"), SkipMetrics::kArmed});
+  }
   return cases;
 }
 
@@ -390,6 +414,32 @@ TEST(LazyDfaTaggerTest, TinyCacheFlushesButStaysExact) {
   EXPECT_GT(session.cache_flushes(), 0u);
   EXPECT_FALSE(session.fallback_active());
   EXPECT_LE(session.cache_bytes(), opt.dfa_cache_bytes * 2);
+}
+
+// The entry encoding at its edge. A session flushes before a build would
+// grow its table past kMaxTableEntries (TableFull, checked by every build),
+// so every row it can hold starts at most kMaxTableEntries - num_classes,
+// and that row start encodes with every flag set into a non-negative
+// int32_t that decodes back. A row start past the limit would not.
+// A real table at the limit would take gigabytes, so this pins the
+// arithmetic.
+TEST(LazyDfaTaggerTest, TableLimitKeepsEveryEntryInInt32) {
+  using Session = LazyDfaSession;
+  static_assert(Session::kMaxTableEntries ==
+                static_cast<size_t>(std::numeric_limits<int32_t>::max()) >>
+                    Session::kFlagBits);
+  const int32_t all_flags = (1 << Session::kFlagBits) - 1;
+  for (const size_t classes : {size_t{1}, size_t{37}, size_t{256}}) {
+    SCOPED_TRACE("classes " + std::to_string(classes));
+    const size_t last_row = Session::kMaxTableEntries - classes;
+    EXPECT_FALSE(Session::TableFull(last_row, classes));
+    EXPECT_TRUE(Session::TableFull(last_row + 1, classes));
+    const int32_t entry = Session::EncodeEntry(last_row, all_flags);
+    EXPECT_GE(entry, 0);
+    EXPECT_EQ(Session::Successor(entry), last_row);
+    EXPECT_EQ(entry & all_flags, all_flags);
+  }
+  EXPECT_LT(Session::EncodeEntry(Session::kMaxTableEntries + 1, 0), 0);
 }
 
 TEST(LazyDfaTaggerTest, FlushThrashFallsBackToFused) {
@@ -1039,6 +1089,122 @@ TEST(LazyDfaKWayTest, SpeculationLeavesCacheTrafficSequential) {
   obs::AttributionTable::set_enabled(false);
   EXPECT_TRUE(flushed);
   EXPECT_TRUE(fell_back);
+}
+
+// Bytes every idle skip has jumped so far, per label (kind and strategy).
+std::vector<uint64_t> SkipLabels() {
+  std::vector<uint64_t> labels;
+  for (int k = 0; k < SkipMetrics::kNumKinds; ++k) {
+    for (int s = 0; s < kNumSkipStrategies; ++s) {
+      labels.push_back(SkipMetrics::Get().counters[k][s]->Value());
+    }
+  }
+  return labels;
+}
+
+// A lane takes the step of a one-byte idle run itself only when the byte
+// after lies in its slice; any other run leaves the lockstep for the per-byte
+// path, which may skip on past the slice's end. Idle runs of 1 to 4 bytes of
+// each kind end on and around every slice's last byte, so one-byte runs fall
+// on a slice's last and next-to-last bytes, on a chunk's last byte (fed in
+// superblock-sized chunks, a chunk's superblock ends where the chunk does),
+// and longer runs straddle those ends. Cold and warm, fed whole and in
+// chunks, a session must deliver the oracle's tags, consume every byte but
+// the pending one and jump the same bytes per skip label as the fallback
+// configuration, which takes every skip on the per-byte path.
+TEST(LazyDfaKWayTest, OneByteRunsAtSliceEdgesMatchOracle) {
+  grammar::Grammar g = MustParse(kCalcGrammar);
+  // Per arm mode, the idle runs of two kinds: the bytes before the run, its
+  // byte, and the byte that ends it.
+  struct Run {
+    const char* before;
+    char idle;
+    char after;
+  };
+  struct Mode {
+    ArmMode mode;
+    Run runs[2];
+  };
+  const Mode modes[] = {
+      {ArmMode::kResync, {{"abc", ' ', '9'}, {"12 ", '?', ' '}}},
+      {ArmMode::kScan, {{"abc", ' ', '9'}, {"abc", '#', '9'}}},
+  };
+  for (const Mode& mode : modes) {
+    TaggerOptions opt;
+    opt.arm_mode = mode.mode;
+    // One run of n idle bytes per edge e * kSlice, its last idle byte d
+    // bytes past it. Fed whole, byte e * kSlice is a slice's last; fed in
+    // chunks, byte e * kSlice - 1 is.
+    std::string input;
+    size_t edge = 2;
+    for (const Run& run : mode.runs) {
+      for (size_t n = 1; n <= 4; ++n) {
+        for (int d = -3; d <= 1; ++d, ++edge) {
+          const std::string pattern =
+              run.before + std::string(n, run.idle) + run.after;
+          const size_t last = edge * kSlice + d;
+          while (input.size() < last + 40) input += " 12+34 abc 7*8";
+          input.replace(last + 1 - n - std::strlen(run.before),
+                        pattern.size(), pattern);
+        }
+      }
+    }
+    while (input.size() < (edge + 1) * kSlice) input += " 12+34 abc 7*8";
+    input.resize((edge + 1) * kSlice);
+    const auto want = testing_oracle::OracleTags(g, opt, input);
+    ASSERT_TRUE(want.ok()) << want.status();
+    std::string stream = input;
+    stream.append(core::CompiledTagger::kFlushPadding + 1,
+                  core::CompiledTagger::kFlushByte);
+    const uint64_t scan_end =
+        input.size() + core::CompiledTagger::kFlushPadding;
+    // One scan of the stream in `chunk`-byte pieces: its tags before the
+    // scan end, bytes consumed before Finish and skips per label.
+    struct Scan {
+      std::vector<Tag> tags;
+      uint64_t consumed;
+      std::vector<uint64_t> jumped;
+    };
+    const auto scan = [&](LazyDfaSession* session, size_t chunk) {
+      Scan out;
+      const TagSink sink = [&](const Tag& tag) {
+        if (tag.end < scan_end) out.tags.push_back(tag);
+        return true;
+      };
+      const std::vector<uint64_t> before = SkipLabels();
+      session->Reset();
+      for (size_t i = 0; i < stream.size(); i += chunk) {
+        session->Feed(std::string_view(stream).substr(i, chunk), sink);
+      }
+      out.consumed = session->bytes_consumed();
+      session->Finish(sink);
+      out.jumped = SkipLabels();
+      for (size_t k = 0; k < before.size(); ++k) out.jumped[k] -= before[k];
+      return out;
+    };
+    const std::vector<TaggerOptions> configs = CachedAndFallback(opt);
+    auto cached = LazyDfaTagger::Create(&g, configs[0]);
+    ASSERT_TRUE(cached.ok()) << cached.status();
+    auto fallback = LazyDfaTagger::Create(&g, configs[1]);
+    ASSERT_TRUE(fallback.ok()) << fallback.status();
+    for (const size_t chunk : {stream.size(), kBlock}) {
+      // A skip also stops at a chunk's end, so the reference is fed in the
+      // same chunks.
+      LazyDfaSession reference = fallback->NewSession();
+      const Scan ref = scan(&reference, chunk);
+      ASSERT_TRUE(reference.fallback_active());
+      ExpectSameTags(*want, ref.tags);
+      LazyDfaSession session = cached->NewSession();
+      for (const char* pass : {"cold", "warm"}) {
+        SCOPED_TRACE(std::string(pass) + " chunk " + std::to_string(chunk));
+        const Scan got = scan(&session, chunk);
+        EXPECT_FALSE(session.fallback_active());
+        ExpectSameTags(*want, got.tags);
+        EXPECT_EQ(got.consumed, stream.size() - 1);
+        EXPECT_EQ(got.jumped, ref.jumped);
+      }
+    }
+  }
 }
 
 }  // namespace
