@@ -171,20 +171,31 @@ inline uint32_t Addr32(const void* at) {
   return static_cast<uint32_t>(reinterpret_cast<uintptr_t>(at));
 }
 
-// The baked table's rows in the walk's entry format.
+// The baked table's rows in the walk's entry format. Exit flags depend on
+// a state's idle facts and the byte class alone, so each distinct facts
+// value (of at most 8 * (classes + 1)) gets one row of them, filled when a
+// state first has it.
 std::vector<int32_t> WalkFormat(const FusedTagger& f, const AotDfaTable& aot) {
   const size_t nc = aot.num_classes;
+  std::vector<int32_t> exits(8 * (nc + 1) * nc, kUnbuilt);
   std::vector<int32_t> next(aot.states.size() * nc);
   for (size_t id = 0; id < aot.states.size(); ++id) {
     const IdleFacts facts = FactsOf(aot.states[id]);
+    const size_t key =
+        (facts.live * 4u + facts.armed * 2u + facts.prev_delim) * (nc + 1) +
+        static_cast<size_t>(facts.pending_cls + 1);
+    int32_t* const flags = exits.data() + key * nc;
+    if (flags[0] == kUnbuilt) {
+      for (size_t cls = 0; cls < nc; ++cls) {
+        flags[cls] = ExitFlags(f, facts, static_cast<uint8_t>(cls));
+      }
+    }
     const DfaTrans* const row = aot.trans.data() + id * nc;
     for (size_t cls = 0; cls < nc; ++cls) {
       next[id * nc + cls] =
-          row[cls].next < 0
-              ? kUnbuilt
-              : Entry(row[cls].next, nc,
-                      ExitFlags(f, facts, static_cast<uint8_t>(cls)),
-                      row[cls].emit_count != 0);
+          row[cls].next < 0 ? kUnbuilt
+                            : Entry(row[cls].next, nc, flags[cls],
+                                    row[cls].emit_count != 0);
     }
   }
   return next;
@@ -585,16 +596,18 @@ bool LazyDfaSession::StepSlow(Cursor& c, const TagSink& sink) {
 }
 
 bool LazyDfaSession::StepSegment(Cursor& c, size_t end, const TagSink& sink) {
-  // Pass 1: a one-lane walk of at most kCheckpointBytes into the ordinary
-  // path's trail region, which follows the lanes'. It leaves on every exit
-  // bit, one-byte runs included: its callers often stop early (the router
-  // at the method name), and walking on past the stop is work pass 2
-  // throws away.
+  // Pass 1: a one-lane walk of at most kWalkBytes into the ordinary path's
+  // trail region, which follows the lanes'. Its callers often stop early
+  // (the router at the method name), and a short window bounds the walk
+  // past the stop that pass 2 throws away. Like a lane, it takes the step
+  // of an idle run that its byte ends when the next byte lies in the
+  // window, and leaves on any other exit bit.
   const int32_t* const next = Table();
   const uint8_t* const class_of = tagger_->fused().classifier().class_map();
+  const uint8_t* const run_ends = tagger_->run_ends();
   const unsigned char* const p =
       reinterpret_cast<const unsigned char*>(c.data) + c.i;
-  const size_t m = std::min(end - c.i, kCheckpointBytes);
+  const size_t m = std::min(end - c.i, kWalkBytes);
   TrailEntry* const trail = trail_.get();
   const size_t region = kLanes * kTrailStride;
   size_t t = region;
@@ -603,7 +616,10 @@ bool LazyDfaSession::StepSegment(Cursor& c, size_t end, const TagSink& sink) {
   for (; r < m; ++r) {
     const uint32_t slot = static_cast<uint32_t>(s) + class_of[p[r]];
     const int32_t e = next[slot];
-    if ((e & kExit) != 0) break;
+    if ((e & kExit) != 0 &&
+        (r + 1 == m || !RunEndsBefore(e, p[r + 1], run_ends))) {
+      break;
+    }
     trail[t] = TrailEntry{Addr32(p + r), slot};
     t += static_cast<size_t>(e & kEmits);
     s = e >> kFlagBits;

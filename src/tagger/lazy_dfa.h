@@ -92,10 +92,14 @@ struct DfaCacheMetrics {
 // stretch runs in two passes. Pass 1 walks
 // `s = next[s + class_of[byte]] >> kFlagBits` and never branches on
 // emission: it appends (the byte's address, slot) to a trail without a
-// branch and leaves on an exit bit. Pass 2 replays the trail in order
-// through Emit, one TagSink call per tag, with an exact consumed_ and an
-// early stop at exactly the tag the sink refused. The per-byte path then
-// serves the exit: the idle skip, misses, flushes and fallback.
+// branch and leaves on an exit bit, unless the exit's idle run ends at its
+// byte (the per-byte path would skip nothing and take the same entry).
+// Pass 2 replays the trail in order through Emit, one TagSink call per
+// tag, with an exact consumed_ and an early stop at exactly the tag the
+// sink refused. On the ordinary path pass 1 walks at most kWalkBytes
+// before pass 2 runs, so a sink that stops early costs at most that much
+// walk past its stop. The per-byte path then serves the exit: the idle
+// skip, misses, flushes and fallback.
 //
 // A cached chunk of at least kLanes * kSliceBytes bytes is cut into
 // superblocks of kLanes slices, walked in lockstep so the lanes' load chains
@@ -235,8 +239,13 @@ class LazyDfaSession {
   bool fallback_active() const { return fallback_; }
 
  private:
-  // Longest lane walk between two checkpoints.
+  // Longest lane walk between two checkpoints. A lane's walk is replayed
+  // only at the commit, so its length costs nothing when a sink stops.
   static constexpr size_t kCheckpointBytes = 256;
+  // Longest pass-1 walk of the ordinary path (StepSegment), and so the most
+  // it walks past a sink's stop: with kCheckpointBytes in its place, routing
+  // short XML-RPC messages ran about 20% slower.
+  static constexpr size_t kWalkBytes = 32;
   // Fresh guesses a lane may take after stalls, per superblock.
   static constexpr uint32_t kMaxRestarts = 64;
 
@@ -384,8 +393,9 @@ class LazyDfaSession {
   // The table the walks read: the tagger's baked one until OwnTable.
   const int32_t* Table() const;
 
-  // The ordinary cached path from state_ at c.i: one pass-1 walk toward
-  // `end` and its pass-2 replay, or, when the walk cannot take a byte, the
+  // The ordinary cached path from state_ at c.i: one pass-1 walk of at
+  // most kWalkBytes toward `end`, taking one-byte idle runs as a lane does,
+  // and its pass-2 replay, or, when the walk cannot take a byte, the
   // per-byte step. False on an early stop or on entering fallback.
   bool StepSegment(Cursor& c, size_t end, const TagSink& sink);
   // The per-byte step at c.i: the idle skip, if one may start, then one

@@ -1207,5 +1207,104 @@ TEST(LazyDfaKWayTest, OneByteRunsAtSliceEdgesMatchOracle) {
   }
 }
 
+// A unit shorter than a superblock runs on the one-lane walk, whose pass 1
+// walks at most 32 bytes before pass 2 replays them. It takes the step of a
+// one-byte idle run itself only when the byte after lies in its window; any
+// other run leaves for the per-byte path, which may skip on past the window.
+// Warm, a unit's first window starts at byte 1 (byte 0 leaves the
+// stream-start state), or later after a run the walk left on. Idle runs of 1
+// to 4 bytes of each kind end on every byte from 24 to 40, so they fall on
+// and around a window's bytes 31, 32 and 33, and a second run ends on the
+// unit's last byte. Fed whole and in 7-byte chunks, cold and warm, with the
+// sink stopping at every tag, a cached session must deliver the tags, the
+// consumed count and the skip bytes per label of the fallback
+// configuration, which takes every skip on the per-byte path.
+TEST(LazyDfaTaggerTest, OneByteRunsAtWindowEdgesMatchFallback) {
+  grammar::Grammar g = MustParse(kCalcGrammar);
+  // Per kind, SkipCases style: the arm mode, the bytes before the run, its
+  // byte and the bytes after it.
+  struct Run {
+    ArmMode mode;
+    const char* before;
+    char idle;
+    const char* after;
+  };
+  const Run runs[] = {
+      {ArmMode::kResync, "abc", ' ', "9*9"},      // delimiter
+      {ArmMode::kResync, "12+34 ", '?', " xy"},   // resync
+      {ArmMode::kScan, "abc", '#', "9*9"},        // armed
+      {ArmMode::kAnchored, "12+34 ", 'z', " "},  // anchored
+  };
+  // One scan of `unit` in `chunk`-byte pieces from a reset, stopping once
+  // `limit` tags were delivered (never when 0).
+  struct Scan {
+    std::vector<Tag> tags;
+    uint64_t consumed;
+    std::vector<uint64_t> jumped;
+  };
+  const auto scan = [](LazyDfaSession* session, const std::string& unit,
+                       size_t chunk, size_t limit) {
+    Scan out;
+    const TagSink sink = [&](const Tag& tag) {
+      out.tags.push_back(tag);
+      return limit == 0 || out.tags.size() < limit;
+    };
+    const std::vector<uint64_t> before = SkipLabels();
+    session->Reset();
+    for (size_t i = 0; i < unit.size(); i += chunk) {
+      session->Feed(std::string_view(unit).substr(i, chunk), sink);
+    }
+    out.consumed = session->bytes_consumed();
+    session->Finish(sink);
+    out.jumped = SkipLabels();
+    for (size_t k = 0; k < before.size(); ++k) out.jumped[k] -= before[k];
+    return out;
+  };
+  const auto expect_same = [](const Scan& got, const Scan& want) {
+    ExpectSameTags(want.tags, got.tags);
+    EXPECT_EQ(got.consumed, want.consumed);
+    EXPECT_EQ(got.jumped, want.jumped);
+  };
+  for (const Run& run : runs) {
+    TaggerOptions opt;
+    opt.arm_mode = run.mode;
+    const std::vector<TaggerOptions> configs = CachedAndFallback(opt);
+    auto cached = LazyDfaTagger::Create(&g, configs[0]);
+    ASSERT_TRUE(cached.ok()) << cached.status();
+    auto fallback = LazyDfaTagger::Create(&g, configs[1]);
+    ASSERT_TRUE(fallback.ok()) << fallback.status();
+    LazyDfaSession warm = cached->NewSession();
+    for (size_t n = 1; n <= 4; ++n) {
+      const std::string idle(n, run.idle);
+      for (size_t last = 24; last <= 40; ++last) {
+        const std::string pattern = run.before + idle + run.after;
+        std::string unit;
+        while (unit.size() < last + 24) unit += " 12+34 abc 7*8";
+        unit.replace(last + 1 - n - std::strlen(run.before), pattern.size(),
+                     pattern);
+        unit.resize(last + 24);
+        unit += run.before + idle;
+        ExpectSameTags(Functional(g, opt, unit), cached->TagAll(unit));
+        scan(&warm, unit, unit.size(), 0);
+        for (const size_t chunk : {unit.size(), size_t{7}}) {
+          SCOPED_TRACE("mode " + std::to_string(static_cast<int>(run.mode)) +
+                       " unit '" + unit + "' chunk " + std::to_string(chunk));
+          LazyDfaSession reference = fallback->NewSession();
+          const Scan all = scan(&reference, unit, chunk, 0);
+          ASSERT_TRUE(reference.fallback_active());
+          for (size_t limit = 0; limit <= all.tags.size(); ++limit) {
+            SCOPED_TRACE("limit " + std::to_string(limit));
+            const Scan want = scan(&reference, unit, chunk, limit);
+            LazyDfaSession cold = cached->NewSession();
+            expect_same(scan(&cold, unit, chunk, limit), want);
+            expect_same(scan(&warm, unit, chunk, limit), want);
+            EXPECT_FALSE(warm.fallback_active());
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cfgtag::tagger

@@ -248,6 +248,25 @@ TEST(RouterTest, StringTokenFollowsServiceKeywords) {
             static_cast<int32_t>(config.services.size()));
 }
 
+// The tags Route takes of a message that tags to `full` with `router`:
+// through the first STRING tag that shares its end with an earlier service
+// keyword (the method name that decides), or all of them when none does.
+size_t TagsThroughDecision(const XmlRpcRouter& router,
+                           const std::vector<tagger::Tag>& full) {
+  const int32_t string_token = router.tagger().grammar().FindToken("STRING");
+  const int32_t num_services =
+      static_cast<int32_t>(router.config().services.size());
+  for (size_t k = 0; k < full.size(); ++k) {
+    if (full[k].token != string_token) continue;
+    for (size_t j = 0; j < k; ++j) {
+      if (full[j].end == full[k].end && full[j].token < num_services) {
+        return k + 1;
+      }
+    }
+  }
+  return full.size();
+}
+
 // Route takes tags only up to the one that decides: for a message that
 // names a service, cfgtag_tag_tokens_total moves by the tags through the
 // method name's STRING tag, fewer than a full Tag returns; a message that
@@ -257,8 +276,6 @@ TEST(RouterTest, RouteStopsTaggingAtItsDecision) {
   const RouterConfig config = SixServices();
   auto router = XmlRpcRouter::Create(config);
   ASSERT_TRUE(router.ok()) << router.status();
-  const int32_t string_token = router->tagger().grammar().FindToken("STRING");
-  const int32_t num_services = static_cast<int32_t>(config.services.size());
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   obs::Counter* tokens = reg.GetCounter("cfgtag_tag_tokens_total");
   obs::Counter* bytes = reg.GetCounter("cfgtag_tag_bytes_total");
@@ -270,16 +287,7 @@ TEST(RouterTest, RouteStopsTaggingAtItsDecision) {
     SCOPED_TRACE(method);
     const std::string msg = gen.GenerateWithMethod(method);
     const std::vector<tagger::Tag> full = router->tagger().Tag(msg);
-    // The first STRING tag that shares its end with an earlier keyword.
-    size_t taken = full.size();
-    for (size_t k = 0; k < full.size() && taken == full.size(); ++k) {
-      if (full[k].token != string_token) continue;
-      for (size_t j = 0; j < k; ++j) {
-        if (full[j].end == full[k].end && full[j].token < num_services) {
-          taken = k + 1;
-        }
-      }
-    }
+    const size_t taken = TagsThroughDecision(*router, full);
     const uint64_t tokens_before = tokens->Value();
     const uint64_t bytes_before = bytes->Value();
     EXPECT_EQ(router->Route(msg), ExpectedPort(config, method));
@@ -291,6 +299,51 @@ TEST(RouterTest, RouteStopsTaggingAtItsDecision) {
       EXPECT_EQ(tokens->Value() - tokens_before, taken);
     }
   }
+}
+
+// The same on a warmed session: full Tag calls over a mix of services,
+// unknown methods and adversarial payloads first fill the pooled session's
+// transition cache, as a long run of routed traffic does, so Route's walks
+// run long stretches out of cached transitions. Each Route still picks its
+// method's port, agrees with RouteTags on the full tag stream and takes the
+// tags through the deciding STRING tag only.
+TEST(RouterTest, WarmRouteStopsTaggingAtItsDecision) {
+  const RouterConfig config = SixServices();
+  auto router = XmlRpcRouter::Create(config);
+  ASSERT_TRUE(router.ok()) << router.status();
+  obs::Counter* tokens =
+      obs::MetricsRegistry::Default().GetCounter("cfgtag_tag_tokens_total");
+  MessageGenOptions opt;
+  opt.method_names.clear();
+  for (const auto& svc : config.services) opt.method_names.push_back(svc.name);
+  for (const char* unknown :
+       {"audit", "transfer", "depositall", "buyback", "pricelist"}) {
+    opt.method_names.push_back(unknown);
+  }
+  MessageGenerator plain(opt, 71);
+  opt.adversarial = true;
+  MessageGenerator hostile(opt, 72);
+  std::vector<std::string> methods;
+  std::vector<std::string> msgs;
+  std::vector<std::vector<tagger::Tag>> full;
+  for (size_t i = 0; i < 12 * opt.method_names.size(); ++i) {
+    methods.push_back(opt.method_names[i % opt.method_names.size()]);
+    msgs.push_back(i % 3 == 0 ? hostile.GenerateWithMethod(methods.back())
+                              : plain.GenerateWithMethod(methods.back()));
+    full.push_back(router->tagger().Tag(msgs.back()));
+  }
+  size_t decided = 0;
+  for (size_t i = 0; i < msgs.size(); ++i) {
+    SCOPED_TRACE(methods[i] + ": " + msgs[i]);
+    const size_t taken = TagsThroughDecision(*router, full[i]);
+    const uint64_t tokens_before = tokens->Value();
+    const int port = router->Route(msgs[i]);
+    EXPECT_EQ(port, ExpectedPort(config, methods[i]));
+    EXPECT_EQ(port, router->RouteTags(full[i]));
+    EXPECT_EQ(tokens->Value() - tokens_before, taken);
+    decided += taken < full[i].size();
+  }
+  EXPECT_GT(decided, msgs.size() / 2);
 }
 
 // Route credits the service that decided, by name, even when two services
