@@ -11,7 +11,7 @@
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "grammar/grammar_parser.h"
-#include "tagger/ll_parser.h"
+#include "reference/ll_parser.h"
 #include "xmlrpc/message_gen.h"
 
 namespace cfgtag::bench {

@@ -18,10 +18,10 @@
 #include "bench/bench_util.h"
 #include "tagger/artifact/cache.h"
 #include "obs/metrics.h"
-#include "tagger/functional_model.h"
+#include "reference/functional_model.h"
+#include "reference/lexer.h"
+#include "reference/ll_parser.h"
 #include "tagger/lazy_dfa.h"
-#include "tagger/lexer.h"
-#include "tagger/ll_parser.h"
 #include "tagger/naive_matcher.h"
 #include "tagger/simd/dispatch.h"
 #include "xmlrpc/message_gen.h"

@@ -11,7 +11,7 @@
 
 #include "core/token_tagger.h"
 #include "grammar/grammar_parser.h"
-#include "tagger/ll_parser.h"
+#include "reference/ll_parser.h"
 
 int main() {
   using namespace cfgtag;

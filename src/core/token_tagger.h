@@ -19,6 +19,7 @@
 #include "rtl/techmap.h"
 #include "rtl/timing.h"
 #include "tagger/lazy_dfa.h"
+#include "tagger/session_pool.h"
 #include "tagger/tag.h"
 
 namespace cfgtag::tagger::artifact {

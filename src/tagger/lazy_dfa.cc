@@ -6,6 +6,7 @@
 #include "core/resilience/fault_injector.h"
 #include "obs/attribution.h"
 #include "obs/events.h"
+#include "tagger/session_pool.h"
 
 namespace cfgtag::tagger {
 

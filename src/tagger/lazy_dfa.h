@@ -15,7 +15,6 @@
 #include "obs/metrics.h"
 #include "tagger/dfa_state.h"
 #include "tagger/fused_model.h"
-#include "tagger/session_pool.h"
 #include "tagger/table_view.h"
 #include "tagger/tag.h"
 
@@ -520,7 +519,8 @@ class LazyDfaTagger {
   // Streaming interface: feed the input in arbitrary chunks.
   LazyDfaSession NewSession() const { return LazyDfaSession(this); }
 
-  // Shared scratch pool behind Run(); see SessionPool. Thread-safe.
+  // Shared scratch pool behind Run(); see tagger/session_pool.h.
+  // Thread-safe.
   LazyDfaSessionPool& session_pool() const { return *session_pool_; }
 
   const FusedTagger& fused() const { return fused_; }
@@ -552,12 +552,6 @@ class LazyDfaTagger {
   uint8_t run_ends_[256];
   std::shared_ptr<LazyDfaSessionPool> session_pool_;
 };
-
-// Pool of reusable LazyDfaSession scratch (see BasicSessionPool). Reused
-// sessions keep their transition cache when re-acquired for the same
-// tagger — repeated scans run almost entirely out of cached transitions.
-class LazyDfaSessionPool final
-    : public BasicSessionPool<LazyDfaTagger, LazyDfaSession> {};
 
 }  // namespace cfgtag::tagger
 

@@ -1,30 +1,25 @@
 #ifndef CFGTAG_TAGGER_SESSION_POOL_H_
 #define CFGTAG_TAGGER_SESSION_POOL_H_
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
 
-#include "core/resilience/budget.h"
-#include "obs/events.h"
-#include "obs/metrics.h"
-#include "tagger/functional_model.h"
+#include "tagger/lazy_dfa.h"
 
 namespace cfgtag::tagger {
 
-// Thread-safe pool of reusable tagging-session scratch state, generic over
-// the (tagger, session) pair — LazyDfaSessionPool pools the production
-// engine's LazyDfaSessions and SessionPool pools the reference model's
-// TaggerSessions. A session owns several vectors sized to the tagger;
-// allocating them per scan dominates the cost of tagging short messages,
-// so the hot paths (the taggers' Run, core::CompiledTagger::Tag, the nids
-// scan engine workers) check sessions out of a pool instead.
-// Checked-in sessions keep their buffers; Acquire() rebinds and resets
-// them, so a returned session carries no state into its next use —
-// early-stopped and half-fed sessions are safe to return as-is.
+// Thread-safe pool of reusable LazyDfaSessions. A session owns its
+// transition cache and several buffers sized to the tagger; building them
+// per scan dominates the cost of tagging short messages, so the hot paths
+// (LazyDfaTagger::Run, core::CompiledTagger::Tag, the nids scan engine
+// workers) check sessions out of a pool instead. Checked-in sessions keep
+// their buffers and, when re-acquired for the same tagger, their cache —
+// repeated scans run almost entirely out of cached transitions. Acquire()
+// rebinds and resets them, so a returned session carries no stream state
+// into its next use: early-stopped and half-fed sessions are safe to
+// return as-is.
 //
 // Retention is bounded so a one-off burst of concurrent checkouts cannot
 // pin scratch memory forever. The idle list never exceeds max_idle (a hard
@@ -32,13 +27,9 @@ namespace cfgtag::tagger {
 // outstanding sessions it is trimmed to the high-water mark of the burst
 // that just ended — so after a 100-way burst, the first steady
 // single-threaded scan shrinks the pool to one retained session. Dropped
-// sessions are freed on the spot and counted in sessions_dropped().
-//
-// Session requirements: constructible from `const Tagger*` and
-// `Rebind(const Tagger*)` re-targeting it without reallocating when the
-// buffer shapes match.
-template <typename Tagger, typename Session>
-class BasicSessionPool {
+// sessions are freed after the pool lock is released and counted in
+// sessions_dropped().
+class LazyDfaSessionPool {
  public:
   static constexpr size_t kDefaultMaxIdle = 64;
 
@@ -46,7 +37,7 @@ class BasicSessionPool {
   class Handle {
    public:
     Handle() = default;
-    Handle(BasicSessionPool* pool, std::unique_ptr<Session> session)
+    Handle(LazyDfaSessionPool* pool, std::unique_ptr<LazyDfaSession> session)
         : pool_(pool), session_(std::move(session)) {}
     ~Handle() { Release(); }
     Handle(Handle&& other) noexcept
@@ -65,9 +56,9 @@ class BasicSessionPool {
     Handle(const Handle&) = delete;
     Handle& operator=(const Handle&) = delete;
 
-    Session* operator->() const { return session_.get(); }
-    Session& operator*() const { return *session_; }
-    Session* get() const { return session_.get(); }
+    LazyDfaSession* operator->() const { return session_.get(); }
+    LazyDfaSession& operator*() const { return *session_; }
+    LazyDfaSession* get() const { return session_.get(); }
 
    private:
     void Release() {
@@ -78,70 +69,27 @@ class BasicSessionPool {
       session_.reset();
     }
 
-    BasicSessionPool* pool_ = nullptr;
-    std::unique_ptr<Session> session_;
+    LazyDfaSessionPool* pool_ = nullptr;
+    std::unique_ptr<LazyDfaSession> session_;
   };
 
-  BasicSessionPool() = default;
-  BasicSessionPool(const BasicSessionPool&) = delete;
-  BasicSessionPool& operator=(const BasicSessionPool&) = delete;
+  LazyDfaSessionPool() = default;
+  LazyDfaSessionPool(const LazyDfaSessionPool&) = delete;
+  LazyDfaSessionPool& operator=(const LazyDfaSessionPool&) = delete;
 
   // Checks out a session bound to `tagger`, reset to stream start. Reuses
   // an idle session when one exists (rebinding it if it was built for a
-  // since-moved tagger — buffer shapes are preserved across moves, so the
-  // rebind is allocation-free); otherwise constructs a fresh one.
-  Handle Acquire(const Tagger* tagger) {
-    std::unique_ptr<Session> session;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++outstanding_;
-      high_water_ = std::max(high_water_, outstanding_);
-      burst_high_ = std::max(burst_high_, outstanding_);
-      if (!idle_.empty()) {
-        session = std::move(idle_.back());
-        idle_.pop_back();
-      }
-      PoolMetrics().idle->Set(static_cast<double>(idle_.size()));
-    }
-    if (session == nullptr) {
-      created_.fetch_add(1, std::memory_order_relaxed);
-      session = std::make_unique<Session>(tagger);
-    } else {
-      reused_.fetch_add(1, std::memory_order_relaxed);
-      session->Rebind(tagger);
-    }
-    return Handle(this, std::move(session));
-  }
+  // since-moved tagger); otherwise constructs a fresh one.
+  Handle Acquire(const LazyDfaTagger* tagger);
 
   // Idle sessions retained will not exceed max(1, n) from the next Return.
-  void set_max_idle(size_t n) {
-    std::lock_guard<std::mutex> lock(mu_);
-    max_idle_ = std::max<size_t>(1, n);
-  }
+  void set_max_idle(size_t n);
 
   // One-shot trim: drops idle sessions until at most `keep` remain, right
   // now, counting them in sessions_dropped(). Unlike set_max_idle this is
   // not a standing cap — the pool may grow past `keep` again afterwards.
-  // Safe concurrently with Acquire/Return; the freed sessions are
-  // destroyed outside the pool lock.
-  void TrimIdle(size_t keep) {
-    std::vector<std::unique_ptr<Session>> victims;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      while (idle_.size() > keep) {
-        victims.push_back(std::move(idle_.back()));
-        idle_.pop_back();
-      }
-      PoolMetrics().idle->Set(static_cast<double>(idle_.size()));
-    }
-    if (!victims.empty()) {
-      dropped_.fetch_add(victims.size(), std::memory_order_relaxed);
-      PoolMetrics().dropped->Increment(victims.size());
-      obs::RecordEvent(obs::EventKind::kSessionPoolDrop,
-                       static_cast<int64_t>(victims.size()),
-                       static_cast<int64_t>(keep), "session pool TrimIdle");
-    }
-  }
+  // Safe concurrently with Acquire/Return.
+  void TrimIdle(size_t keep);
 
   size_t IdleCount() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -153,95 +101,40 @@ class BasicSessionPool {
     return high_water_;
   }
   uint64_t sessions_created() const {
-    return created_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    return created_;
   }
   uint64_t sessions_reused() const {
-    return reused_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    return reused_;
   }
   uint64_t sessions_dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    return dropped_;
   }
 
  private:
-  friend class Handle;
+  using Sessions = std::vector<std::unique_ptr<LazyDfaSession>>;
 
-  // Process-wide pool accounting. Pools are per-tagger, so the gauge holds
-  // the last-updated pool's reading; the counter aggregates across pools.
-  struct Metrics {
-    obs::Gauge* idle;
-    obs::Counter* dropped;
-  };
-  static const Metrics& PoolMetrics() {
-    static const Metrics kMetrics = [] {
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-      return Metrics{
-          reg.GetGauge("cfgtag_session_pool_idle_sessions",
-                       "Idle sessions retained by the last-touched pool"),
-          reg.GetCounter("cfgtag_session_pool_dropped_total",
-                         "Sessions freed by the pool retention cap")};
-    }();
-    return kMetrics;
-  }
+  void Return(std::unique_ptr<LazyDfaSession> session);
 
-  void Return(std::unique_ptr<Session> session) {
-    // Budget pressure (kTrimPools rung): read the flag before taking the
-    // pool lock and trim after releasing it — TrimIdle relocks, and the
-    // trim is a best-effort shed, not part of the return itself.
-    const bool trim_for_pressure =
-        core::resilience::ResourceBudget::Process().ShouldTrimPools();
-    ReturnToIdle(std::move(session));
-    if (trim_for_pressure) TrimIdle(1);
-  }
-
-  void ReturnToIdle(std::unique_ptr<Session> session) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (outstanding_ > 0) --outstanding_;
-    size_t freed = 0;
-    if (idle_.size() < max_idle_) {
-      idle_.push_back(std::move(session));
-    } else {
-      session.reset();
-      ++freed;
-    }
-    // High-water-mark trim: once the burst that grew the pool has fully
-    // drained, keep only as much idle scratch as that burst's peak
-    // concurrency — the next burst's peak starts being tracked afresh, so
-    // a later, smaller workload shrinks the pool further.
-    if (outstanding_ == 0) {
-      const size_t bound = std::max<size_t>(1, burst_high_);
-      while (idle_.size() > bound) {
-        idle_.pop_back();
-        ++freed;
-      }
-      burst_high_ = 0;
-    }
-    if (freed > 0) {
-      dropped_.fetch_add(freed, std::memory_order_relaxed);
-      PoolMetrics().dropped->Increment(freed);
-      obs::RecordEvent(obs::EventKind::kSessionPoolDrop,
-                       static_cast<int64_t>(freed),
-                       static_cast<int64_t>(idle_.size()),
-                       "session pool retention cap");
-    }
-    PoolMetrics().idle->Set(static_cast<double>(idle_.size()));
-  }
+  // The one drop path. Called with mu_ held through `lock` and `victims`
+  // already off the idle list: counts them and sets the idle gauge, then
+  // releases the lock before freeing them (a session can own up to
+  // dfa_cache_bytes of cache) and reporting the drop under `why`.
+  void DropAndUnlock(std::unique_lock<std::mutex>& lock, Sessions victims,
+                     const char* why);
 
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Session>> idle_;
+  Sessions idle_;
   size_t outstanding_ = 0;
   size_t high_water_ = 0;  // lifetime peak (accessor/observability)
   size_t burst_high_ = 0;  // peak of the burst in flight; reset on drain
   size_t max_idle_ = kDefaultMaxIdle;
-  std::atomic<uint64_t> created_{0};
-  std::atomic<uint64_t> reused_{0};
-  std::atomic<uint64_t> dropped_{0};
+  uint64_t created_ = 0;
+  uint64_t reused_ = 0;
+  uint64_t dropped_ = 0;
 };
-
-// The functional reference model's pool (the original SessionPool name —
-// call sites and the FunctionalTagger forward declaration predate the
-// template).
-class SessionPool final
-    : public BasicSessionPool<FunctionalTagger, TaggerSession> {};
 
 }  // namespace cfgtag::tagger
 

@@ -15,7 +15,7 @@
 #include "grammar/grammar_parser.h"
 #include "obs/metrics.h"
 #include "oracle.h"
-#include "tagger/ll_parser.h"
+#include "reference/ll_parser.h"
 #include "xmlrpc/message_gen.h"
 #include "xmlrpc/router.h"
 #include "xmlrpc/xmlrpc_grammar.h"

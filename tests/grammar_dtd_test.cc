@@ -2,7 +2,7 @@
 
 #include "grammar/analysis.h"
 #include "grammar/dtd.h"
-#include "tagger/ll_parser.h"
+#include "reference/ll_parser.h"
 #include "xmlrpc/xmlrpc_grammar.h"
 
 namespace cfgtag::grammar {

@@ -16,7 +16,7 @@
 #include "core/token_tagger.h"
 #include "grammar/grammar.h"
 #include "oracle.h"
-#include "tagger/ll_parser.h"
+#include "reference/ll_parser.h"
 
 namespace cfgtag {
 namespace {

@@ -11,7 +11,7 @@
 #include "common/rng.h"
 #include "core/token_tagger.h"
 #include "grammar/grammar_parser.h"
-#include "tagger/ll_parser.h"
+#include "reference/ll_parser.h"
 
 namespace cfgtag {
 namespace {

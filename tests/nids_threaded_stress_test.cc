@@ -11,7 +11,7 @@
 //   * the FlightRecorder is hammered with events and snapshotted
 //     concurrently (the starved-cache filter also records
 //     dfa_cache_flush/fallback events from inside the scan workers), and
-//   * pooled sessions churn through BasicSessionPool retention.
+//   * pooled sessions churn through LazyDfaSessionPool retention.
 //
 // The oracle: every parallel result is byte-identical to the same
 // filter's sequential Scan() computed before the storm, both filters agree,

@@ -16,7 +16,7 @@
 #include "common/status.h"
 #include "core/token_tagger.h"
 #include "grammar/grammar.h"
-#include "tagger/functional_model.h"
+#include "reference/functional_model.h"
 #include "tagger/lazy_dfa.h"
 #include "tagger/tag.h"
 

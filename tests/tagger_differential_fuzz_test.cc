@@ -24,7 +24,7 @@
 #include "obs/attribution.h"
 #include "obs/metrics.h"
 #include "oracle.h"
-#include "tagger/functional_model.h"
+#include "reference/functional_model.h"
 #include "tagger/lazy_dfa.h"
 #include "tagger/simd/dispatch.h"
 #include "tagger/skip_scan.h"

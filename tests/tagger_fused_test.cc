@@ -12,8 +12,8 @@
 
 #include "grammar/grammar.h"
 #include "grammar/grammar_parser.h"
+#include "reference/functional_model.h"
 #include "tagger/byte_classes.h"
-#include "tagger/functional_model.h"
 #include "tagger/fused_model.h"
 #include "tagger/lazy_dfa.h"
 

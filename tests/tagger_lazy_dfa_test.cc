@@ -26,7 +26,7 @@
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "oracle.h"
-#include "tagger/functional_model.h"
+#include "reference/functional_model.h"
 #include "tagger/fused_model.h"
 #include "tagger/lazy_dfa.h"
 #include "tagger/skip_scan.h"

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "grammar/grammar_parser.h"
-#include "tagger/lexer.h"
-#include "tagger/ll_parser.h"
+#include "reference/lexer.h"
+#include "reference/ll_parser.h"
 #include "xmlrpc/xmlrpc_grammar.h"
 
 namespace cfgtag::tagger {

@@ -6,7 +6,7 @@
 
 #include "core/token_tagger.h"
 #include "grammar/grammar_parser.h"
-#include "tagger/functional_model.h"
+#include "reference/functional_model.h"
 #include "xmlrpc/message_gen.h"
 #include "xmlrpc/xmlrpc_grammar.h"
 

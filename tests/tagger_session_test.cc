@@ -5,7 +5,7 @@
 
 #include "common/rng.h"
 #include "grammar/grammar_parser.h"
-#include "tagger/functional_model.h"
+#include "reference/functional_model.h"
 #include "xmlrpc/message_gen.h"
 #include "xmlrpc/xmlrpc_grammar.h"
 

@@ -4,8 +4,8 @@
 
 #include "common/rng.h"
 #include "grammar/grammar_parser.h"
-#include "tagger/functional_model.h"
-#include "tagger/ll_parser.h"
+#include "reference/functional_model.h"
+#include "reference/ll_parser.h"
 #include "tagger/naive_matcher.h"
 #include "tagger/simd/dispatch.h"
 

@@ -10,7 +10,7 @@
 #include "grammar/analysis.h"
 #include "obs/attribution.h"
 #include "obs/metrics.h"
-#include "tagger/ll_parser.h"
+#include "reference/ll_parser.h"
 #include "tagger/naive_matcher.h"
 #include "xmlrpc/message_gen.h"
 #include "xmlrpc/router.h"
