@@ -26,14 +26,14 @@ void EncoderAblation() {
     hwgen::HwOptions naive;
     naive.pipelined_encoder = false;
 
-    core::CompiledTagger a = CompileXmlRpc(copies, pipelined);
-    core::CompiledTagger b = CompileXmlRpc(copies, naive);
+    core::HardwareDesign a = DesignXmlRpc(copies, pipelined);
+    core::HardwareDesign b = DesignXmlRpc(copies, naive);
     auto ra = ValueOrDie(a.Implement(rtl::Virtex4LX200()), "implement");
     auto rb = ValueOrDie(b.Implement(rtl::Virtex4LX200()), "implement");
     std::printf("%8d %8zu | %10.0f %9d | %10.0f %9d\n", copies,
-                a.grammar().NumTokens(), ra.timing.fmax_mhz,
-                a.hardware().value()->index_latency, rb.timing.fmax_mhz,
-                b.hardware().value()->index_latency);
+                a.generated().num_tokens, ra.timing.fmax_mhz,
+                a.generated().index_latency, rb.timing.fmax_mhz,
+                b.generated().index_latency);
   }
   std::printf(
       "\nExpected shape (paper §3.4: a CASE-statement encoder \"is almost\n"
@@ -54,9 +54,10 @@ void LongestMatchAblation() {
 
   core::CompiledTagger with = CompileXmlRpc(1, on);
   core::CompiledTagger without = CompileXmlRpc(1, off);
-  auto r_with = ValueOrDie(with.Implement(rtl::Virtex4LX200()), "implement");
-  auto r_without =
-      ValueOrDie(without.Implement(rtl::Virtex4LX200()), "implement");
+  auto r_with = ValueOrDie(DesignXmlRpc(1, on).Implement(rtl::Virtex4LX200()),
+                           "implement");
+  auto r_without = ValueOrDie(
+      DesignXmlRpc(1, off).Implement(rtl::Virtex4LX200()), "implement");
 
   std::printf("%22s | %10s %10s\n", "", "look-ahead", "disabled");
   std::printf("%22s | %10zu %10zu\n", "LUTs", r_with.area.luts,
@@ -81,8 +82,8 @@ void ReplicationAblation() {
     hwgen::HwOptions opt;
     opt.decoder_replication = threshold != 0;
     opt.replication_threshold = threshold == 0 ? 1 : threshold;
-    core::CompiledTagger tagger = CompileXmlRpc(10, opt);
-    auto report = ValueOrDie(tagger.Implement(rtl::Virtex4LX200()),
+    core::HardwareDesign design = DesignXmlRpc(10, opt);
+    auto report = ValueOrDie(design.Implement(rtl::Virtex4LX200()),
                              "implement");
     const std::string label =
         threshold == 0 ? "off" : std::to_string(threshold);
@@ -105,10 +106,10 @@ void SynthesisOptimizationAblation() {
   std::printf("%8s | %9s %9s %8s | %10s %10s\n", "Copies", "raw LUT",
               "opt LUT", "saved", "raw MHz", "opt MHz");
   for (int copies : {1, 4, 10}) {
-    core::CompiledTagger tagger = CompileXmlRpc(copies);
-    auto raw = ValueOrDie(tagger.Implement(rtl::Virtex4LX200(), false),
+    core::HardwareDesign design = DesignXmlRpc(copies);
+    auto raw = ValueOrDie(design.Implement(rtl::Virtex4LX200(), false),
                           "implement");
-    auto opt = ValueOrDie(tagger.Implement(rtl::Virtex4LX200(), true),
+    auto opt = ValueOrDie(design.Implement(rtl::Virtex4LX200(), true),
                           "implement");
     std::printf("%8d | %9zu %9zu %7.1f%% | %10.0f %10.0f\n", copies,
                 raw.area.luts, opt.area.luts,
@@ -133,8 +134,8 @@ void MultiByteAblation() {
   for (int w : {1, 2, 4}) {
     hwgen::HwOptions opt;
     opt.bytes_per_cycle = w;
-    core::CompiledTagger tagger = CompileXmlRpc(1, opt);
-    auto report = ValueOrDie(tagger.Implement(rtl::Virtex4LX200()),
+    core::HardwareDesign design = DesignXmlRpc(1, opt);
+    auto report = ValueOrDie(design.Implement(rtl::Virtex4LX200()),
                              "implement");
     std::printf("%8d | %10.0f %10.2f %9zu %9zu\n", w, report.timing.fmax_mhz,
                 report.bandwidth_gbps, report.area.luts, report.area.ffs);

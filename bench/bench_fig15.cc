@@ -20,8 +20,8 @@ void Run() {
 
   const rtl::Device device = rtl::Virtex4LX200();
   for (int copies : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) {
-    core::CompiledTagger tagger = CompileXmlRpc(copies);
-    auto report = ValueOrDie(tagger.Implement(device), "Implement");
+    core::HardwareDesign design = DesignXmlRpc(copies);
+    auto report = ValueOrDie(design.Implement(device), "Implement");
     std::string bar(static_cast<size_t>(report.timing.fmax_mhz / 10.0), '#');
     std::printf("%8d %8zu %10.0f %9.2f %9u   %s\n", copies,
                 report.area.pattern_bytes, report.timing.fmax_mhz,

@@ -55,8 +55,8 @@ void Run() {
     const rtl::Device device = row.device == std::string("VirtexE 2000")
                                    ? rtl::VirtexE2000()
                                    : rtl::Virtex4LX200();
-    core::CompiledTagger tagger = CompileXmlRpc(row.copies);
-    auto report = ValueOrDie(tagger.Implement(device), "Implement");
+    core::HardwareDesign design = DesignXmlRpc(row.copies);
+    auto report = ValueOrDie(design.Implement(device), "Implement");
     std::printf(
         "%-14s %6d | %9.0f %8.2f %7zu %7zu %9.2f | %9.0f %8.2f %7d %9.2f\n",
         row.device, row.copies, report.timing.fmax_mhz,
@@ -67,7 +67,7 @@ void Run() {
 
   // §4.3 timing analysis: the critical path of the large design must be
   // routing delay on a decoded-character net approaching 2 ns.
-  core::CompiledTagger big = CompileXmlRpc(10);
+  core::HardwareDesign big = DesignXmlRpc(10);
   auto report = ValueOrDie(big.Implement(rtl::Virtex4LX200()), "Implement");
   std::printf(
       "\nCritical path of the 3000-byte design (paper: \"entirely routing "
@@ -79,7 +79,7 @@ void Run() {
   // decoder (and encoder) amortize while tokenizer logic grows linearly.
   std::printf("\nLUT breakdown by module (decoder amortization):\n");
   std::printf("  %-10s | %10s %10s\n", "module", "300 B", "3000 B");
-  core::CompiledTagger small = CompileXmlRpc(1);
+  core::HardwareDesign small = DesignXmlRpc(1);
   auto small_report =
       ValueOrDie(small.Implement(rtl::Virtex4LX200()), "Implement");
   for (const rtl::AreaBucket& bucket : small_report.area.breakdown) {

@@ -123,11 +123,11 @@ void BM_NaiveMatcher(benchmark::State& state) {
 BENCHMARK(BM_NaiveMatcher)->Unit(benchmark::kMillisecond);
 
 void BM_CycleAccurateSim(benchmark::State& state) {
-  core::CompiledTagger tagger = CompileXmlRpc(1);
+  core::HardwareDesign design = DesignXmlRpc(1);
   xmlrpc::MessageGenerator gen({}, 7);
   const std::string msg = gen.Generate();
   for (auto _ : state) {
-    auto tags = tagger.TagCycleAccurate(msg);
+    auto tags = design.TagCycleAccurate(msg);
     CheckOk(tags.status(), "sim");
     benchmark::DoNotOptimize(tags);
   }
@@ -148,9 +148,9 @@ BENCHMARK(BM_CompileTagger)->Arg(1)->Arg(10)->Unit(benchmark::kMillisecond);
 void BM_ImplementFlow(benchmark::State& state) {
   // Tech map + timing analysis (the "vendor flow" substitute).
   const int copies = static_cast<int>(state.range(0));
-  core::CompiledTagger tagger = CompileXmlRpc(copies);
+  core::HardwareDesign design = DesignXmlRpc(copies);
   for (auto _ : state) {
-    auto report = tagger.Implement(rtl::Virtex4LX200());
+    auto report = design.Implement(rtl::Virtex4LX200());
     CheckOk(report.status(), "implement");
     benchmark::DoNotOptimize(report->area.luts);
   }

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/status.h"
+#include "core/hardware_design.h"
 #include "core/token_tagger.h"
 #include "grammar/transforms.h"
 #include "obs/attribution.h"
@@ -59,6 +60,13 @@ inline core::CompiledTagger CompileXmlRpc(int copies,
   auto compiled = core::CompiledTagger::Compile(DuplicatedXmlRpc(copies), opt);
   CheckOk(compiled.status(), "Compile");
   return std::move(compiled).value();
+}
+
+inline core::HardwareDesign DesignXmlRpc(int copies,
+                                         const hwgen::HwOptions& opt = {}) {
+  auto design = core::HardwareDesign::Create(DuplicatedXmlRpc(copies), opt);
+  CheckOk(design.status(), "HardwareDesign");
+  return std::move(design).value();
 }
 
 // Strips the suite-wide --smoke flag out of argv (so downstream parsers —

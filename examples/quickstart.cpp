@@ -1,12 +1,14 @@
 // Quickstart: compile the paper's if-then-else grammar (Fig. 9) into a
-// hardware token tagger, tag a sentence three ways (fast software model,
-// cycle-accurate gate-level simulation, index-encoder bus), and print the
-// implementation report for the paper's FPGA devices.
+// software token tagger and generate its hardware design, tag a sentence
+// three ways (fast software model, cycle-accurate gate-level simulation,
+// index-encoder bus), and print the implementation report for the paper's
+// FPGA devices.
 //
 // Build & run:  ./build/examples/quickstart
 
 #include <cstdio>
 
+#include "core/hardware_design.h"
 #include "core/token_tagger.h"
 #include "grammar/analysis.h"
 #include "grammar/grammar_parser.h"
@@ -35,8 +37,14 @@ cond: "true" | "false";
   std::printf("--- First/Follow analysis (paper Fig. 10) ---\n%s\n",
               analysis->ToString(*grammar).c_str());
 
-  // 3. Compile: grammar -> fast software tagger (the gate-level netlist is
-  // generated on the first hardware call below).
+  // 3. Two halves from one grammar: the hardware design (the gate-level
+  // netlist of the paper's architecture) and the fast software tagger.
+  auto design = core::HardwareDesign::Create(*grammar);
+  if (!design.ok()) {
+    std::fprintf(stderr, "hwgen error: %s\n",
+                 design.status().ToString().c_str());
+    return 1;
+  }
   auto tagger = core::CompiledTagger::Compile(std::move(grammar).value());
   if (!tagger.ok()) {
     std::fprintf(stderr, "compile error: %s\n",
@@ -54,8 +62,8 @@ cond: "true" | "false";
   }
 
   // 5. The same tags, but from the cycle-accurate netlist simulation.
-  auto hw_tags = tagger->TagCycleAccurate(input);
-  auto bus_tags = tagger->TagViaIndexBus(input);
+  auto hw_tags = design->TagCycleAccurate(input);
+  auto bus_tags = design->TagViaIndexBus(input);
   std::printf(
       "\ncycle-accurate simulation: %zu tags (%s the software tagger)\n",
       hw_tags->size(),
@@ -65,7 +73,7 @@ cond: "true" | "false";
   // 6. Area and timing on the paper's devices.
   for (const rtl::Device& device :
        {rtl::VirtexE2000(), rtl::Virtex4LX200()}) {
-    auto report = tagger->Implement(device);
+    auto report = design->Implement(device);
     std::printf(
         "\n%s: %zu LUTs, %zu FFs, %.0f MHz, %.2f Gbps\n  %s\n",
         device.name.c_str(), report->area.luts, report->area.ffs,
@@ -74,7 +82,7 @@ cond: "true" | "false";
   }
 
   // 7. Export the design as VHDL (the paper generator's artifact).
-  auto vhdl = tagger->ExportVhdl("ifthenelse_tagger");
+  auto vhdl = design->ExportVhdl("ifthenelse_tagger");
   std::printf("\nVHDL export: %zu bytes (entity ifthenelse_tagger)\n",
               vhdl->size());
   return 0;

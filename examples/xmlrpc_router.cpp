@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "core/hardware_design.h"
 #include "rtl/device.h"
 #include "xmlrpc/message_gen.h"
 #include "xmlrpc/router.h"
@@ -57,12 +58,21 @@ int main() {
               "  -> port %d (%s)\n",
               router->Route(tricky), port_names[router->Route(tricky)]);
 
-  // Cycle-accurate confirmation: the gate-level netlist routes identically.
-  auto hw_port = router->RouteCycleAccurate(tricky);
-  std::printf("  gate-level simulation agrees: port %d\n", *hw_port);
+  // Cycle-accurate confirmation: the gate-level netlist of the router's
+  // grammar routes identically.
+  auto design = core::HardwareDesign::Create(router->tagger().grammar(),
+                                             router->tagger().options());
+  if (!design.ok()) {
+    std::fprintf(stderr, "hwgen error: %s\n",
+                 design.status().ToString().c_str());
+    return 1;
+  }
+  auto hw_tags = design->TagCycleAccurate(tricky);
+  std::printf("  gate-level simulation agrees: port %d\n",
+              router->RouteTags(*hw_tags));
 
   // What this costs in hardware.
-  auto report = router->tagger().Implement(rtl::Virtex4LX200());
+  auto report = design->Implement(rtl::Virtex4LX200());
   std::printf(
       "\nrouter tagger on %s: %zu LUTs, %.0f MHz, %.2f Gbps\n",
       report->device.c_str(), report->area.luts, report->timing.fmax_mhz,

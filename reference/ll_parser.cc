@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/strings.h"
-#include "regex/nfa.h"
 
 namespace cfgtag::tagger {
 
@@ -62,7 +61,7 @@ size_t PredictiveParser::MatchTokenAt(int32_t t, std::string_view input,
   const regex::PositionAutomaton& pa = automata_[t];
   const size_t nw = pa.NumWords();
   std::vector<uint64_t> state(nw, 0), next(nw, 0);
-  size_t best = regex::Nfa::kNoMatch;
+  size_t best = kNoMatch;
   bool first_step = true;
   for (size_t i = pos; i < input.size(); ++i) {
     pa.StepState(state.data(), first_step, static_cast<unsigned char>(input[i]),
@@ -99,7 +98,7 @@ StatusOr<std::vector<Tag>> PredictiveParser::Parse(
     size_t best_len = 0;
     for (int32_t t : candidates) {
       const size_t len = MatchTokenAt(t, input, pos);
-      if (len != regex::Nfa::kNoMatch && len > best_len) {
+      if (len != kNoMatch && len > best_len) {
         best_len = len;
         best_tok = t;
       }
@@ -112,7 +111,7 @@ StatusOr<std::vector<Tag>> PredictiveParser::Parse(
     const grammar::Symbol top = stack.back();
     if (top.IsTerminal()) {
       const size_t len = MatchTokenAt(top.index, input, pos);
-      if (len == regex::Nfa::kNoMatch || len == 0) {
+      if (len == kNoMatch || len == 0) {
         return InvalidArgumentError(
             "parse error at offset " + std::to_string(pos) + ": expected " +
             grammar_->tokens()[top.index].name);

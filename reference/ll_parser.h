@@ -38,6 +38,9 @@ class PredictiveParser {
 
   const grammar::Analysis& analysis() const { return analysis_; }
 
+  // MatchTokenAt's result when no prefix matches.
+  static constexpr size_t kNoMatch = static_cast<size_t>(-1);
+
  private:
   PredictiveParser(const grammar::Grammar* grammar, TaggerOptions options);
 

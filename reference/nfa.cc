@@ -1,4 +1,4 @@
-#include "regex/nfa.h"
+#include "reference/nfa.h"
 
 #include <algorithm>
 #include <utility>

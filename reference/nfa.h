@@ -1,5 +1,5 @@
-#ifndef CFGTAG_REGEX_NFA_H_
-#define CFGTAG_REGEX_NFA_H_
+#ifndef CFGTAG_REFERENCE_NFA_H_
+#define CFGTAG_REFERENCE_NFA_H_
 
 #include <cstdint>
 #include <string_view>
@@ -9,8 +9,10 @@
 
 namespace cfgtag::regex {
 
-// Thompson-construction NFA. Serves as the software matching oracle: tests
-// cross-check both the DFA lexer and the generated hardware against it.
+// Thompson-construction NFA: the matching oracle the position automaton
+// (the tokenizers' structure) is cross-checked against. A reference model,
+// not part of the product; it keeps the regex namespace of the AST it
+// compiles.
 class Nfa {
  public:
   static constexpr size_t kNoMatch = static_cast<size_t>(-1);
@@ -35,8 +37,6 @@ class Nfa {
   size_t NumStates() const { return states_.size(); }
 
  private:
-  friend class Dfa;
-
   // Adds eps-reachable states of `from` into `set` (a membership bitmap +
   // worklist pattern).
   void EpsClosure(std::vector<uint32_t>& worklist,
@@ -49,4 +49,4 @@ class Nfa {
 
 }  // namespace cfgtag::regex
 
-#endif  // CFGTAG_REGEX_NFA_H_
+#endif  // CFGTAG_REFERENCE_NFA_H_

@@ -23,32 +23,24 @@ StatusOr<ContextualTagger> ContextualTagger::Compile(
                           std::move(tagger));
 }
 
-ContextTag ContextualTagger::Annotate(const tagger::Tag& t) const {
-  ContextTag out;
-  out.tag = t;
-  if (t.token >= 0 && static_cast<size_t>(t.token) < contexts_.size()) {
-    const grammar::TokenContext& ctx = contexts_[t.token];
-    out.base_token = ctx.base_token;
-    out.production = ctx.production;
-    out.position = ctx.position;
-  }
-  return out;
-}
-
 std::vector<ContextTag> ContextualTagger::Tag(std::string_view input) const {
-  std::vector<ContextTag> out;
-  for (const tagger::Tag& t : tagger_.Tag(input)) {
-    out.push_back(Annotate(t));
-  }
-  return out;
+  return AnnotateTags(tagger_.Tag(input));
 }
 
-StatusOr<std::vector<ContextTag>> ContextualTagger::TagCycleAccurate(
-    std::string_view input) const {
-  CFGTAG_ASSIGN_OR_RETURN(auto tags, tagger_.TagCycleAccurate(input));
+std::vector<ContextTag> ContextualTagger::AnnotateTags(
+    const std::vector<tagger::Tag>& tags) const {
   std::vector<ContextTag> out;
   out.reserve(tags.size());
-  for (const tagger::Tag& t : tags) out.push_back(Annotate(t));
+  for (const tagger::Tag& t : tags) {
+    ContextTag& ct = out.emplace_back();
+    ct.tag = t;
+    if (t.token >= 0 && static_cast<size_t>(t.token) < contexts_.size()) {
+      const grammar::TokenContext& ctx = contexts_[t.token];
+      ct.base_token = ctx.base_token;
+      ct.production = ctx.production;
+      ct.position = ctx.position;
+    }
+  }
   return out;
 }
 

@@ -33,12 +33,14 @@ class ContextualTagger {
   static StatusOr<ContextualTagger> Compile(
       const grammar::Grammar& grammar, const hwgen::HwOptions& options = {});
 
-  // Tags with context, via the functional model.
+  // Tags with context: AnnotateTags over tagger().Tag(input).
   std::vector<ContextTag> Tag(std::string_view input) const;
 
-  // Cycle-accurate variant (gate-level netlist of the expanded design).
-  StatusOr<std::vector<ContextTag>> TagCycleAccurate(
-      std::string_view input) const;
+  // Attaches each tag's context. The tags are of the expanded grammar,
+  // tagger().grammar(): the software tagger's, or those of a
+  // HardwareDesign built from that grammar (the cycle-accurate variant).
+  std::vector<ContextTag> AnnotateTags(
+      const std::vector<tagger::Tag>& tags) const;
 
   // Human-readable description of a tag's context, e.g.
   // "NUM in time -> NUM ':' NUM ':' NUM at position 2".
@@ -54,8 +56,6 @@ class ContextualTagger {
       : original_(std::move(original)),
         contexts_(std::move(contexts)),
         tagger_(std::move(tagger)) {}
-
-  ContextTag Annotate(const tagger::Tag& t) const;
 
   std::unique_ptr<grammar::Grammar> original_;
   std::vector<grammar::TokenContext> contexts_;  // by expanded token id

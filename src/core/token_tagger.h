@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -11,13 +10,12 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/hardware_design.h"
 #include "core/resilience/deadline.h"
 #include "grammar/grammar.h"
 #include "hwgen/tagger_gen.h"
 #include "obs/metrics.h"
 #include "rtl/device.h"
-#include "rtl/techmap.h"
-#include "rtl/timing.h"
 #include "tagger/lazy_dfa.h"
 #include "tagger/session_pool.h"
 #include "tagger/tag.h"
@@ -27,27 +25,6 @@ struct LoadedTagger;
 }  // namespace cfgtag::tagger::artifact
 
 namespace cfgtag::core {
-
-// Area of an implementation, in the units of the paper's Table 1.
-struct AreaReport {
-  size_t luts = 0;
-  size_t ffs = 0;
-  size_t pattern_bytes = 0;
-  double luts_per_byte = 0.0;
-  // Per-module attribution (decoder / tokenizer / syntax / encoder) — the
-  // breakdown behind the paper's "as the size of the grammar increases ...
-  // the number of LUTs per byte decreases" amortization argument.
-  std::vector<rtl::AreaBucket> breakdown;
-};
-
-// One Table 1 row: what the vendor flow would report for a device.
-struct ImplementationReport {
-  std::string device;
-  AreaReport area;
-  rtl::TimingReport timing;
-  // Fmax x bytes-per-cycle x 8 bits.
-  double bandwidth_gbps = 0.0;
-};
 
 class CompiledTagger;
 
@@ -76,14 +53,12 @@ class TagSlot {
   obs::HistogramTally seconds_;
 };
 
-// The library's main entry point: compiles a grammar into (a) a fast
-// software tagger (the lazy DFA over the fused tables), (b) on demand, a
-// gate-level netlist of the paper's architecture, and (c) area/timing
-// reports for a target FPGA device. Compile builds only the software
-// engine; the first hardware call generates the netlist, once, and every
-// later hardware call reuses it. The cycle-accurate engine exists to
-// validate the hardware, the lazy DFA to use it at speed; the two tag
-// identically.
+// The library's main entry point: compiles a grammar into the fast
+// software tagger (the lazy DFA over the fused tables), or loads one from
+// an artifact. The hardware half of the same grammar — the gate-level
+// netlist, its reports and exports, the cycle-accurate engine that
+// validates it — is a separate object, HardwareDesign, built from the
+// grammar; the two tag identically.
 class CompiledTagger {
  public:
   static StatusOr<CompiledTagger> Compile(grammar::Grammar grammar,
@@ -99,8 +74,8 @@ class CompiledTagger {
   StatusOr<std::string> Serialize() const;
 
   // Rebuilds a tagger from artifact bytes (one aligned copy) or straight
-  // from a file (mmap'd; the zero-copy path). The result is software-only:
-  // has_hardware() is false and the netlist/report methods return errors.
+  // from a file (mmap'd; the zero-copy path). An artifact carries the
+  // software engine only; hardware is built from a grammar (HardwareDesign).
   static StatusOr<CompiledTagger> Deserialize(std::string_view bytes);
   static StatusOr<CompiledTagger> LoadArtifact(const std::string& path);
   // Like LoadArtifact but via artifact::LoadFromFileCopied: no mapping,
@@ -111,26 +86,19 @@ class CompiledTagger {
   // (grammar::CanonicalHash, artifact::OptionsHash) — pure content, so
   // textually reordered but equivalent grammars share an entry. A hit
   // loads the artifact (no regex compilation of the tables); a miss
-  // compiles, stores the artifact atomically, and returns the full tagger.
+  // compiles and stores the artifact atomically.
   static StatusOr<CompiledTagger> CompileCached(grammar::Grammar grammar,
                                                 const hwgen::HwOptions& options,
                                                 const std::string& cache_dir);
 
-  // False when this tagger was loaded from an artifact: only the software
-  // engine exists — hardware() and the netlist-backed methods
-  // (TagCycleAccurate, Implement, ExportVhdl, ...) fail with
-  // FailedPrecondition.
-  bool has_hardware() const { return hardware_ != nullptr; }
+  // True when this tagger was loaded from an artifact (a compile-cache hit
+  // included): it has no grammar source to build a HardwareDesign from.
+  bool loaded_from_artifact() const { return grammar_ == nullptr; }
 
   CompiledTagger(CompiledTagger&&) = default;
   CompiledTagger& operator=(CompiledTagger&&) = default;
 
   const grammar::Grammar& grammar() const { return lazy_->grammar(); }
-  // The generated netlist, built by the first call (from any hardware
-  // method) and shared by every later one. Fails with the generator's
-  // error for invalid hardware options (e.g. bytes_per_cycle 3), and with
-  // FailedPrecondition on an artifact-loaded tagger. Thread-safe.
-  StatusOr<const hwgen::GeneratedTagger*> hardware() const;
   // The tagging engine. It owns the fused tables whose step it memoizes;
   // the step serves as its miss path and, for sessions whose cache keeps
   // flushing, as the uncached fallback (see LazyDfaSession).
@@ -176,51 +144,29 @@ class CompiledTagger {
                         obs::Lap* lap = nullptr,
                         TagSlot* slot = nullptr) const;
 
-  // Cycle-accurate tagging: simulates the generated netlist gate by gate
-  // and decodes the per-token match registers. Bit-identical to Tag() —
-  // the equivalence tests enforce it — but orders of magnitude slower.
-  StatusOr<std::vector<tagger::Tag>> TagCycleAccurate(
-      std::string_view input) const;
-
-  // Cycle-accurate tagging through the §3.4 index-encoder bus instead of
-  // the per-token match bits. Valid when at most one token matches per
-  // cycle (or priorities per eq. 5 are in force).
-  StatusOr<std::vector<tagger::Tag>> TagViaIndexBus(
-      std::string_view input) const;
-
-  // --- Implementation reports --------------------------------------------
-  // Maps the generated netlist onto `device` and runs timing analysis.
-  // With `optimize` set, a synthesis-style cleanup pass (CSE, constant
-  // folding, dead-logic removal) runs first; the default reports the raw
-  // generated structure, which is what the Table 1 calibration assumes.
+  // --- Kept only for perfbench ------------------------------------------
+  // HardwareDesign::Implement and ::TagCycleAccurate on a design generated
+  // from this tagger's grammar and options by the first call and shared by
+  // every later one (token_tagger_hw.cc, so a binary that never calls
+  // them links no hardware code). They fail with the generator's error
+  // for invalid hardware options, and with FailedPrecondition on an
+  // artifact-loaded tagger. Every other caller builds a HardwareDesign.
   StatusOr<ImplementationReport> Implement(const rtl::Device& device,
                                            bool optimize = false) const;
-
-  // Structural VHDL for the generated design (the paper generator's output
-  // artifact).
-  StatusOr<std::string> ExportVhdl(const std::string& entity_name) const;
-
-  // Debug aid: simulates `input` through the netlist while dumping a VCD
-  // waveform of the input byte, every match register and the index bus to
-  // `os`. View with any VCD viewer (gtkwave etc.).
-  Status DumpWaveform(std::string_view input, std::ostream& os) const;
-
-  // Emits a self-checking VHDL testbench that feeds `input` into the
-  // exported design (ExportVhdl with the same entity name) and asserts the
-  // match outputs this library computed — the hand-off artifact for users
-  // verifying the VHDL in a real simulator (GHDL etc.).
-  StatusOr<std::string> ExportVhdlTestbench(const std::string& entity_name,
-                                            std::string_view input) const;
+  StatusOr<std::vector<tagger::Tag>> TagCycleAccurate(
+      std::string_view input) const;
 
   static constexpr size_t kFlushPadding = 8;
   static constexpr char kFlushByte = '\n';
 
  private:
-  // The netlist slot: generated at most once, on the first hardware call.
+  // The perfbench forwarders' design, generated at most once, on the
+  // first call. The shared_ptr's deleter is made where the design is, so
+  // this object file never destroys a HardwareDesign.
   struct HardwareSlot {
     std::once_flag once;
     Status status;
-    hwgen::GeneratedTagger design;
+    std::shared_ptr<const HardwareDesign> design;
   };
 
   CompiledTagger() = default;
@@ -230,6 +176,8 @@ class CompiledTagger {
   StatusOr<std::string> SerializeWithHashes(uint64_t grammar_hash,
                                             uint64_t options_hash) const;
   static StatusOr<CompiledTagger> AdoptLoaded(tagger::artifact::LoadedTagger);
+  // The forwarders' design (token_tagger_hw.cc).
+  StatusOr<const HardwareDesign*> Design() const;
 
   // Owns the compiled grammar at a stable address (null for artifact-loaded
   // taggers, whose grammar lives in the engine's backing).

@@ -4,7 +4,7 @@
 #include <set>
 
 #include "grammar/analysis.h"
-#include "regex/nfa.h"
+#include "regex/position_automaton.h"
 
 namespace cfgtag::grammar {
 
@@ -108,11 +108,26 @@ StatusOr<std::vector<LintFinding>> Lint(const Grammar& g) {
   // by the other (identical match ending the same cycle) — the paper's
   // §3.4 simultaneous-detection case, needing set partitioning or eq. 5
   // priorities.
-  std::vector<regex::Nfa> nfas;
-  nfas.reserve(g.NumTokens());
+  std::vector<regex::PositionAutomaton> automata;
+  automata.reserve(g.NumTokens());
   for (const TokenDef& def : g.tokens()) {
-    nfas.push_back(regex::Nfa::Build(*def.regex));
+    automata.push_back(regex::PositionAutomaton::Build(*def.regex));
   }
+  // Whether token t's pattern matches all of `text`: the start positions
+  // are injected on the first byte only, and the last state must accept.
+  std::vector<uint64_t> state, next;
+  auto full_match = [&](int32_t t, const std::string& text) {
+    const regex::PositionAutomaton& pa = automata[t];
+    if (text.empty()) return pa.nullable;
+    state.assign(pa.NumWords(), 0);
+    next.assign(pa.NumWords(), 0);
+    for (size_t i = 0; i < text.size(); ++i) {
+      pa.StepState(state.data(), i == 0, static_cast<unsigned char>(text[i]),
+                   next.data());
+      state.swap(next);
+    }
+    return pa.Accepts(state.data());
+  };
 
   std::set<std::pair<int32_t, int32_t>> reported_conflicts;
   std::set<std::pair<int32_t, int32_t>> reported_shadows;
@@ -124,8 +139,8 @@ StatusOr<std::vector<LintFinding>> Lint(const Grammar& g) {
     // Definite same-cycle match: a literal accepted in full by the other
     // token, or two identical patterns.
     bool conflict = ta.pattern == tb.pattern;
-    if (!conflict && ta.is_literal) conflict = nfas[b].FullMatch(ta.literal_text);
-    if (!conflict && tb.is_literal) conflict = nfas[a].FullMatch(tb.literal_text);
+    if (!conflict && ta.is_literal) conflict = full_match(b, ta.literal_text);
+    if (!conflict && tb.is_literal) conflict = full_match(a, tb.literal_text);
     if (conflict && reported_conflicts.emplace(a, b).second) {
       findings.push_back(
           {LintFinding::Kind::kArmConflict,

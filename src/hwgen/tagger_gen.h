@@ -18,6 +18,8 @@ struct HwOptions {
   tagger::TaggerOptions tagger;
 
   // Emit the §3.4 token-index encoder (match bits are always emitted).
+  // Single-lane designs only: with bytes_per_cycle > 1 no encoder is
+  // generated, and the back end encodes the per-lane match bits.
   bool emit_index_encoder = true;
   // true: pipelined OR-tree encoder (eqs. 1-4); false: the naive
   // single-stage encoder (ablation baseline).

@@ -138,10 +138,4 @@ int XmlRpcRouter::Route(std::string_view message) const {
   return decision.port();
 }
 
-StatusOr<int> XmlRpcRouter::RouteCycleAccurate(
-    std::string_view message) const {
-  CFGTAG_ASSIGN_OR_RETURN(auto tags, tagger_.TagCycleAccurate(message));
-  return RouteTags(tags);
-}
-
 }  // namespace cfgtag::xmlrpc

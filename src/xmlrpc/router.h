@@ -33,10 +33,6 @@ class XmlRpcRouter {
   // tagged to its end. No tag vector is built.
   int Route(std::string_view message) const;
 
-  // Routes via the cycle-accurate netlist simulation — the match wire of
-  // the service token is observed exactly as the Fig. 12 switch would.
-  StatusOr<int> RouteCycleAccurate(std::string_view message) const;
-
   // Token id of a service's dedicated wire (-1 if unknown).
   int32_t ServiceToken(const std::string& name) const;
 
@@ -44,12 +40,15 @@ class XmlRpcRouter {
   const RouterConfig& config() const { return config_; }
 
   // The same decision as Route over a whole tag stream, read up to the
-  // tag that decides. A service keyword identifies the method name only
-  // when it matches on the same cycle as the STRING fallback token: under
-  // longest-match, STRING fires exactly once at the true end of the method
-  // name, so a keyword that is merely a *prefix* of a longer name fires
-  // alone and is ignored — the §3.4 simultaneous-detection discipline
-  // applied at the back-end.
+  // tag that decides. Routing the cycle-accurate tags of a HardwareDesign
+  // built from tagger().grammar() and tagger().options() observes the
+  // service token's match wire exactly as the Fig. 12 switch would. A
+  // service keyword identifies the method name only when it matches on
+  // the same cycle as the STRING fallback token: under longest-match,
+  // STRING fires exactly once at the true end of the method name, so a
+  // keyword that is merely a *prefix* of a longer name fires alone and is
+  // ignored — the §3.4 simultaneous-detection discipline applied at the
+  // back-end.
   int RouteTags(const std::vector<tagger::Tag>& tags) const;
 
  private:

@@ -1,21 +1,33 @@
-# Fails when a product library defines a symbol of a reference model
-# (FunctionalTagger, TaggerSession, PredictiveParser, tagger::Lexer): those
-# live in cfgtag_reference, which only tests, benches and examples link.
+# Fails when one of FILES (static archives or linked binaries) defines a
+# symbol whose `nm -C` line matches PATTERN; the whole line is matched,
+# parameter list included (a pattern anchored as ^[^(]* reads only the
+# name before it). The ctests in CMakeLists.txt use it to keep the
+# reference models out of the product libraries and the hardware
+# generator out of binaries that only compile and tag.
 #
-#   cmake -DNM=<nm> -DARCHIVES="<lib1.a>;<lib2.a>" -P check_product_symbols.cmake
-set(pattern
-    "cfgtag::tagger::(FunctionalTagger|TaggerSession|PredictiveParser|Lexer)([^A-Za-z0-9_]|$)")
+#   cmake -DNM=<nm> "-DPATTERN=<regex>" "-DFILES=<a>;<b>" \
+#         -P check_product_symbols.cmake
+if(NOT NM OR NOT PATTERN OR NOT FILES)
+  message(FATAL_ERROR "usage: -DNM=<nm> -DPATTERN=<regex> -DFILES=<files>")
+endif()
 set(failed FALSE)
-foreach(archive IN LISTS ARCHIVES)
-  execute_process(COMMAND ${NM} -C --defined-only ${archive}
+foreach(file IN LISTS FILES)
+  execute_process(COMMAND ${NM} -C --defined-only ${file}
                   OUTPUT_VARIABLE symbols RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${NM} failed on ${archive}")
+    message(FATAL_ERROR "${NM} failed on ${file}")
   endif()
+  # Square brackets and semicolons confuse CMake's list splitting; no
+  # pattern needs them.
+  string(REPLACE "[" "<" symbols "${symbols}")
+  string(REPLACE "]" ">" symbols "${symbols}")
+  string(REPLACE ";" ":" symbols "${symbols}")
+  # Nor should an anonymous namespace end a name the way "(" does.
+  string(REPLACE "(anonymous namespace)" "{anonymous}" symbols "${symbols}")
   string(REPLACE "\n" ";" lines "${symbols}")
   set(hits 0)
   foreach(line IN LISTS lines)
-    if(line MATCHES "${pattern}")
+    if(line MATCHES "${PATTERN}")
       math(EXPR hits "${hits} + 1")
       if(hits LESS_EQUAL 5)
         message("  ${line}")
@@ -23,10 +35,10 @@ foreach(archive IN LISTS ARCHIVES)
     endif()
   endforeach()
   if(hits GREATER 0)
-    message("${archive}: ${hits} reference-model symbols defined")
+    message("${file}: ${hits} defined symbols match ${PATTERN}")
     set(failed TRUE)
   endif()
 endforeach()
 if(failed)
-  message(FATAL_ERROR "product libraries define reference-model symbols")
+  message(FATAL_ERROR "symbols matching ${PATTERN} are defined")
 endif()

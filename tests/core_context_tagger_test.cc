@@ -3,6 +3,7 @@
 #include <set>
 
 #include "core/context_tagger.h"
+#include "core/hardware_design.h"
 #include "grammar/grammar_parser.h"
 #include "xmlrpc/xmlrpc_grammar.h"
 
@@ -63,14 +64,17 @@ TEST(ContextualTaggerTest, SingleSiteTokensKeepPositionMinusOne) {
 TEST(ContextualTaggerTest, CycleAccurateAgrees) {
   auto tagger = ContextualTagger::Compile(MustParse(kTime));
   ASSERT_TRUE(tagger.ok());
+  auto design = core::HardwareDesign::Create(tagger->tagger().grammar());
+  ASSERT_TRUE(design.ok()) << design.status();
   const std::string input = "12:34:56";
-  auto hw = tagger->TagCycleAccurate(input);
-  ASSERT_TRUE(hw.ok()) << hw.status();
+  auto cycles = design->TagCycleAccurate(input);
+  ASSERT_TRUE(cycles.ok()) << cycles.status();
+  auto hw = tagger->AnnotateTags(*cycles);
   auto sw = tagger->Tag(input);
-  ASSERT_EQ(hw->size(), sw.size());
+  ASSERT_EQ(hw.size(), sw.size());
   for (size_t i = 0; i < sw.size(); ++i) {
-    EXPECT_TRUE((*hw)[i].tag == sw[i].tag);
-    EXPECT_EQ((*hw)[i].position, sw[i].position);
+    EXPECT_TRUE(hw[i].tag == sw[i].tag);
+    EXPECT_EQ(hw[i].position, sw[i].position);
   }
 }
 

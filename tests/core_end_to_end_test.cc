@@ -1,8 +1,9 @@
 // End-to-end tests: grammar text -> generated hardware -> tags, with the
 // three engines (the lazy DFA behind Tag, the cycle-accurate netlist, the
 // LL reference parser) cross-checked on the paper's own examples; and the
-// netlist's on-demand generation: Compile and Tag never run hwgen, the
-// first hardware call runs it exactly once, even under racing threads.
+// split between the two halves: Compile and Tag never run hwgen, a
+// HardwareDesign runs it exactly once, and every hardware call on the
+// design, racing threads included, reuses that one netlist.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/hardware_design.h"
 #include "core/token_tagger.h"
 #include "grammar/grammar_parser.h"
 #include "obs/metrics.h"
@@ -24,6 +26,7 @@ namespace cfgtag {
 namespace {
 
 using core::CompiledTagger;
+using core::HardwareDesign;
 using grammar::ParseGrammar;
 using tagger::Tag;
 
@@ -81,11 +84,14 @@ TEST(IfThenElseTest, CycleAccurateMatchesFunctionalModel) {
   auto compiled = CompiledTagger::Compile(std::move(g).value());
   ASSERT_TRUE(compiled.ok()) << compiled.status();
 
+  auto design = HardwareDesign::Create(compiled->grammar());
+  ASSERT_TRUE(design.ok()) << design.status();
+
   for (const std::string& input :
        {std::string("if true then go else stop"), std::string("go"),
         std::string("  stop  "),
         std::string("if true then if false then go else stop else go")}) {
-    auto hw = compiled->TagCycleAccurate(input);
+    auto hw = design->TagCycleAccurate(input);
     ASSERT_TRUE(hw.ok()) << hw.status();
     EXPECT_EQ(compiled->Tag(input), hw.value()) << "input: " << input;
   }
@@ -97,8 +103,11 @@ TEST(IfThenElseTest, IndexBusMatchesFunctionalModel) {
   auto compiled = CompiledTagger::Compile(std::move(g).value());
   ASSERT_TRUE(compiled.ok()) << compiled.status();
 
+  auto design = HardwareDesign::Create(compiled->grammar());
+  ASSERT_TRUE(design.ok()) << design.status();
+
   const std::string input = "if true then go else stop";
-  auto bus = compiled->TagViaIndexBus(input);
+  auto bus = design->TagViaIndexBus(input);
   ASSERT_TRUE(bus.ok()) << bus.status();
   EXPECT_EQ(compiled->Tag(input), bus.value());
 }
@@ -153,10 +162,13 @@ TEST(XmlRpcTest, CycleAccurateMatchesFunctionalModel) {
   auto compiled = CompiledTagger::Compile(std::move(g).value());
   ASSERT_TRUE(compiled.ok()) << compiled.status();
 
+  auto design = HardwareDesign::Create(compiled->grammar());
+  ASSERT_TRUE(design.ok()) << design.status();
+
   xmlrpc::MessageGenerator gen({}, /*seed=*/7);
   for (int i = 0; i < 3; ++i) {
     const std::string msg = gen.Generate();
-    auto hw = compiled->TagCycleAccurate(msg);
+    auto hw = design->TagCycleAccurate(msg);
     ASSERT_TRUE(hw.ok()) << hw.status();
     EXPECT_EQ(compiled->Tag(msg), hw.value()) << "msg: " << msg;
   }
@@ -165,10 +177,10 @@ TEST(XmlRpcTest, CycleAccurateMatchesFunctionalModel) {
 TEST(XmlRpcTest, ImplementationReportIsPlausible) {
   auto g = xmlrpc::XmlRpcGrammar();
   ASSERT_TRUE(g.ok()) << g.status();
-  auto compiled = CompiledTagger::Compile(std::move(g).value());
-  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto design = HardwareDesign::Create(*g);
+  ASSERT_TRUE(design.ok()) << design.status();
 
-  auto report = compiled->Implement(rtl::Virtex4LX200());
+  auto report = design->Implement(rtl::Virtex4LX200());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_GT(report->area.luts, 100u);
   EXPECT_GT(report->area.pattern_bytes, 200u);
@@ -219,33 +231,39 @@ TEST(HardwareOnDemandTest, OnlyHardwareCallsGenerateTheNetlist) {
   const uint64_t before = HwgenRuns();
   auto compiled = CompiledTagger::Compile(std::move(g).value());
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  // One engine, and no netlist behind it yet.
+  // One engine, and no netlist behind it.
   ASSERT_NE(compiled->lazy_model(), nullptr);
   EXPECT_EQ(compiled->Tag("if true then go else stop").size(), 6u);
   EXPECT_EQ(HwgenRuns(), before);
 
-  // Every hardware call shares the one generation the first call runs.
-  ASSERT_TRUE(compiled->Implement(rtl::Virtex4LX200()).ok());
-  ASSERT_TRUE(compiled->TagCycleAccurate("go").ok());
-  ASSERT_TRUE(compiled->ExportVhdl("tagger").ok());
+  // Every hardware call shares the one generation Create runs.
+  auto design = HardwareDesign::Create(compiled->grammar());
+  ASSERT_TRUE(design.ok()) << design.status();
+  EXPECT_EQ(HwgenRuns(), before + 1);
+  ASSERT_TRUE(design->Implement(rtl::Virtex4LX200()).ok());
+  ASSERT_TRUE(design->TagCycleAccurate("go").ok());
+  ASSERT_TRUE(design->ExportVhdl("tagger").ok());
   std::ostringstream vcd;
-  ASSERT_TRUE(compiled->DumpWaveform("go", vcd).ok());
+  ASSERT_TRUE(design->DumpWaveform("go", vcd).ok());
   EXPECT_EQ(HwgenRuns(), before + 1);
 }
 
+// Racing first Implement calls on one design share the netlist Create
+// generated: the whole run generates once. (The perfbench forwarders'
+// lazy generation is raced in artifact_roundtrip_test.)
 TEST(HardwareOnDemandTest, RacingFirstImplementGeneratesOnce) {
   auto g = ParseGrammar(kIfThenElse);
   ASSERT_TRUE(g.ok()) << g.status();
-  auto compiled = CompiledTagger::Compile(std::move(g).value());
-  ASSERT_TRUE(compiled.ok()) << compiled.status();
   const uint64_t before = HwgenRuns();
+  auto design = HardwareDesign::Create(*g);
+  ASSERT_TRUE(design.ok()) << design.status();
   constexpr int kThreads = 4;
   std::vector<StatusOr<core::ImplementationReport>> reports(
       kThreads, InternalError("not run"));
   std::vector<std::thread> threads;
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
-      reports[i] = compiled->Implement(rtl::Virtex4LX200());
+      reports[i] = design->Implement(rtl::Virtex4LX200());
     });
   }
   for (std::thread& t : threads) t.join();
@@ -258,19 +276,19 @@ TEST(HardwareOnDemandTest, RacingFirstImplementGeneratesOnce) {
   }
 }
 
+// bytes_per_cycle means nothing to the software engine: the compile
+// succeeds and tags, and the hardware half fails at its construction.
 TEST(HardwareOnDemandTest, BadHardwareOptionFailsAtFirstHardwareCall) {
   auto g = ParseGrammar(kIfThenElse);
   ASSERT_TRUE(g.ok()) << g.status();
   hwgen::HwOptions opt;
   opt.bytes_per_cycle = 3;
+  auto design = HardwareDesign::Create(*g, opt);
+  ASSERT_FALSE(design.ok());
+  EXPECT_EQ(design.status().code(), StatusCode::kInvalidArgument);
   auto compiled = CompiledTagger::Compile(std::move(g).value(), opt);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
   EXPECT_EQ(compiled->Tag("go").size(), 1u);
-  auto hw = compiled->TagCycleAccurate("go");
-  ASSERT_FALSE(hw.ok());
-  EXPECT_EQ(hw.status().code(), StatusCode::kInvalidArgument);
-  // The failure is remembered, not retried.
-  EXPECT_EQ(compiled->Implement(rtl::Virtex4LX200()).status(), hw.status());
 }
 
 // NL also matches the flush padding, and scan mode arms it at every byte,

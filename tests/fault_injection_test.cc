@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/hardware_design.h"
 #include "core/token_tagger.h"
 #include "grammar/grammar_parser.h"
 #include "rtl/optimize.h"
@@ -167,14 +168,14 @@ bool DivergesOnStream(const Netlist& a, const Netlist& b,
 }
 
 TEST(FaultInjectionTest, EquivalenceCheckerCatchesGateFaults) {
-  auto compiled = core::CompiledTagger::Compile(MustParse(R"(
+  auto design = core::HardwareDesign::Create(MustParse(R"(
 NUM [0-9]+
 %%
 s: "<n>" NUM "</n>";
 %%
 )"));
-  ASSERT_TRUE(compiled.ok());
-  const Netlist& golden = compiled->hardware().value()->netlist;
+  ASSERT_TRUE(design.ok());
+  const Netlist& golden = design->generated().netlist;
 
   // Conforming stimulus covering every byte the grammar decodes (all ten
   // digits, every tag character) plus near-miss variants.
@@ -212,15 +213,17 @@ s: "<n>" NUM "</n>";
   auto compiled = core::CompiledTagger::Compile(g.Clone());
   ASSERT_TRUE(compiled.ok());
   const auto golden_tags = compiled->Tag("<n>123</n>");
+  auto design = core::HardwareDesign::Create(g);
+  ASSERT_TRUE(design.ok());
   ASSERT_FALSE(golden_tags.empty());
 
   int caught = 0, injected = 0;
   for (size_t site = 0;; ++site) {
-    auto mutated = Mutator::Apply(compiled->hardware().value()->netlist,
+    auto mutated = Mutator::Apply(design->generated().netlist,
                                   Mutator::Fault::kStuckAt0, site);
     if (!mutated.ok()) break;  // ran out of gate sites
     ++injected;
-    caught += DivergesOnStream(compiled->hardware().value()->netlist, *mutated,
+    caught += DivergesOnStream(design->generated().netlist, *mutated,
                                "<n>1234567890</n> <n>9</n> <n>05</n>");
   }
   ASSERT_GE(injected, 20);
@@ -231,13 +234,13 @@ TEST(FaultInjectionTest, FlippedRegisterInitIsDetected) {
   // Flipping the boot register's init kills the start pulse: the anchored
   // tagger then tags nothing — the equivalence checker must see outputs
   // diverge.
-  auto compiled = core::CompiledTagger::Compile(MustParse(R"(
+  auto design = core::HardwareDesign::Create(MustParse(R"(
 %%
 s: "ab";
 %%
 )"));
-  ASSERT_TRUE(compiled.ok());
-  const Netlist& golden = compiled->hardware().value()->netlist;
+  ASSERT_TRUE(design.ok());
+  const Netlist& golden = design->generated().netlist;
   int caught = 0, injected = 0;
   // Sweep every register; most init flips wash out in a cycle or two
   // (pipeline registers reload immediately), but the boot register's init

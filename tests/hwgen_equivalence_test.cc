@@ -13,6 +13,7 @@
 #include <ostream>
 
 #include "common/rng.h"
+#include "core/hardware_design.h"
 #include "core/token_tagger.h"
 #include "grammar/grammar.h"
 #include "oracle.h"
@@ -151,13 +152,15 @@ TEST_P(EquivalenceTest, NetlistMatchesFunctionalModel) {
   Grammar g_input = g.Clone();
   auto compiled = CompiledTagger::Compile(std::move(g_input), opt);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto design = core::HardwareDesign::Create(g, opt);
+  ASSERT_TRUE(design.ok()) << design.status();
 
   for (int round = 0; round < 4; ++round) {
     // Half conforming sentences, half random garbage.
     const std::string input =
         round % 2 == 0 ? RandomSentence(g, rng)
                        : rng.NextString(rng.NextIndex(40), "abxyz 0<>/");
-    auto hw = compiled->TagCycleAccurate(input);
+    auto hw = design->TagCycleAccurate(input);
     ASSERT_TRUE(hw.ok()) << hw.status();
     auto oracle = testing_oracle::OracleTags(g, opt.tagger, input);
     ASSERT_TRUE(oracle.ok()) << oracle.status();

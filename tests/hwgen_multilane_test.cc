@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/hardware_design.h"
 #include "core/token_tagger.h"
 #include "grammar/grammar_parser.h"
 #include "rtl/device.h"
@@ -49,12 +50,14 @@ TEST_P(MultiLaneTest, IfThenElseTagsMatchFunctionalModel) {
   auto compiled =
       core::CompiledTagger::Compile(MustParse(kIfThenElse), opt);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto design = core::HardwareDesign::Create(compiled->grammar(), opt);
+  ASSERT_TRUE(design.ok()) << design.status();
 
   for (const std::string& input :
        {std::string("if true then go else stop"), std::string("go"),
         std::string("   stop"),
         std::string("if false then if true then go else stop else go")}) {
-    auto hw = compiled->TagCycleAccurate(input);
+    auto hw = design->TagCycleAccurate(input);
     ASSERT_TRUE(hw.ok()) << hw.status();
     EXPECT_EQ(compiled->Tag(input), *hw)
         << "lanes=" << GetParam() << " input='" << input << "'";
@@ -68,11 +71,13 @@ TEST_P(MultiLaneTest, XmlRpcTagsMatchFunctionalModel) {
   opt.bytes_per_cycle = GetParam();
   auto compiled = core::CompiledTagger::Compile(std::move(g).value(), opt);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto design = core::HardwareDesign::Create(compiled->grammar(), opt);
+  ASSERT_TRUE(design.ok()) << design.status();
 
   xmlrpc::MessageGenerator gen({}, /*seed=*/GetParam() * 100 + 9);
   for (int i = 0; i < 2; ++i) {
     const std::string msg = gen.Generate();
-    auto hw = compiled->TagCycleAccurate(msg);
+    auto hw = design->TagCycleAccurate(msg);
     ASSERT_TRUE(hw.ok()) << hw.status();
     EXPECT_EQ(compiled->Tag(msg), *hw) << "lanes=" << GetParam();
   }
@@ -90,10 +95,12 @@ s: "a" "b" "c" "d" "e";
 )"),
                                                 opt);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto design = core::HardwareDesign::Create(compiled->grammar(), opt);
+  ASSERT_TRUE(design.ok()) << design.status();
   for (const std::string& input :
        {std::string("abcde"), std::string("a b c d e"),
         std::string(" abcde"), std::string("ab cde")}) {
-    auto hw = compiled->TagCycleAccurate(input);
+    auto hw = design->TagCycleAccurate(input);
     ASSERT_TRUE(hw.ok()) << hw.status();
     EXPECT_EQ(compiled->Tag(input), *hw)
         << "lanes=" << GetParam() << " input='" << input << "'";
@@ -111,10 +118,12 @@ s: NUM "x" NUM;
 )"),
                                                 opt);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto design = core::HardwareDesign::Create(compiled->grammar(), opt);
+  ASSERT_TRUE(design.ok()) << design.status();
   for (const std::string& input :
        {std::string("1234567x89"), std::string("1x2"),
         std::string("123x45678901")}) {
-    auto hw = compiled->TagCycleAccurate(input);
+    auto hw = design->TagCycleAccurate(input);
     ASSERT_TRUE(hw.ok()) << hw.status();
     EXPECT_EQ(compiled->Tag(input), *hw)
         << "lanes=" << GetParam() << " input='" << input << "'";
@@ -126,10 +135,10 @@ INSTANTIATE_TEST_SUITE_P(Lanes, MultiLaneTest, ::testing::Values(2, 4));
 TEST(MultiLaneTest, BandwidthScalesButFrequencyDrops) {
   // The §5.2 trade-off: W bytes/cycle multiplies bandwidth per MHz, but the
   // W-deep combinational ladder costs clock frequency.
-  auto one = core::CompiledTagger::Compile(MustParse(kIfThenElse), {});
+  auto one = core::HardwareDesign::Create(MustParse(kIfThenElse), {});
   HwOptions opt4;
   opt4.bytes_per_cycle = 4;
-  auto four = core::CompiledTagger::Compile(MustParse(kIfThenElse), opt4);
+  auto four = core::HardwareDesign::Create(MustParse(kIfThenElse), opt4);
   ASSERT_TRUE(one.ok());
   ASSERT_TRUE(four.ok());
   auto r1 = one->Implement(rtl::Virtex4LX200());
@@ -147,6 +156,33 @@ TEST(MultiLaneTest, NoEncoderOnMultiLane) {
   auto gen = TaggerGenerator::Generate(MustParse(kIfThenElse), opt);
   ASSERT_TRUE(gen.ok());
   EXPECT_EQ(gen->index_valid, rtl::kInvalidNode);
+}
+
+// The §3.4 index bus exists only on single-lane designs: a 2-lane design
+// under the default emit_index_encoder names the lane count, not a
+// missing encoder option.
+TEST(MultiLaneTest, IndexBusIsSingleLaneOnly) {
+  HwOptions opt;
+  opt.bytes_per_cycle = 2;
+  ASSERT_TRUE(opt.emit_index_encoder);
+  auto two = core::HardwareDesign::Create(MustParse(kIfThenElse), opt);
+  ASSERT_TRUE(two.ok()) << two.status();
+  auto bus = two->TagViaIndexBus("go");
+  ASSERT_FALSE(bus.ok());
+  EXPECT_EQ(bus.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(bus.status().message().find("single-lane"), std::string::npos)
+      << bus.status();
+
+  HwOptions no_encoder;
+  no_encoder.emit_index_encoder = false;
+  auto one = core::HardwareDesign::Create(MustParse(kIfThenElse), no_encoder);
+  ASSERT_TRUE(one.ok()) << one.status();
+  bus = one->TagViaIndexBus("go");
+  ASSERT_FALSE(bus.ok());
+  EXPECT_EQ(bus.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(bus.status().message().find("without the index encoder"),
+            std::string::npos)
+      << bus.status();
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/hardware_design.h"
 #include "core/token_tagger.h"
 #include "grammar/grammar_parser.h"
 #include "hwgen/tagger_gen.h"
@@ -107,9 +108,10 @@ TEST(TaggerGeneratorTest, ReplicationPreservesTags) {
   replicated.decoder_replication = true;
   replicated.replication_threshold = 8;
 
-  auto plain = core::CompiledTagger::Compile(base->Clone());
-  auto repl = core::CompiledTagger::Compile(std::move(base).value(),
-                                            replicated);
+  auto compiled = core::CompiledTagger::Compile(base->Clone());
+  auto plain = core::HardwareDesign::Create(*base);
+  auto repl = core::HardwareDesign::Create(*base, replicated);
+  ASSERT_TRUE(compiled.ok());
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(repl.ok());
 
@@ -121,7 +123,7 @@ TEST(TaggerGeneratorTest, ReplicationPreservesTags) {
   ASSERT_TRUE(t_plain.ok());
   ASSERT_TRUE(t_repl.ok());
   EXPECT_EQ(*t_plain, *t_repl);
-  EXPECT_EQ(plain->Tag(msg), *t_repl);
+  EXPECT_EQ(compiled->Tag(msg), *t_repl);
 }
 
 TEST(TaggerGeneratorTest, RejectsBadBytesPerCycle) {
@@ -138,7 +140,7 @@ TEST(TaggerGeneratorTest, RejectsInvalidGrammar) {
 TEST(TaggerGeneratorTest, GrammarScalingSharesDecoders) {
   // LUTs per pattern byte must *fall* as the grammar grows (Table 1's
   // LUTs/Byte column): decoders and encoder amortize.
-  auto small = core::CompiledTagger::Compile(MustParse(kSmall));
+  auto small = core::HardwareDesign::Create(MustParse(kSmall));
   ASSERT_TRUE(small.ok());
   auto big_grammar = MustParse(R"(
 NUM [0-9]+
@@ -148,7 +150,7 @@ s: "<n>" NUM "</n>" | "<m>" NUM "</m>" | "<o>" ALT "</o>"
  | "<p>" ALT "</p>" | "<q>" NUM "</q>";
 %%
 )");
-  auto big = core::CompiledTagger::Compile(std::move(big_grammar));
+  auto big = core::HardwareDesign::Create(big_grammar);
   ASSERT_TRUE(big.ok());
   auto r_small = small->Implement(rtl::Virtex4LX200());
   auto r_big = big->Implement(rtl::Virtex4LX200());

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "common/rng.h"
+#include "core/hardware_design.h"
 #include "core/token_tagger.h"
 #include "grammar/grammar_parser.h"
 #include "reference/ll_parser.h"
@@ -140,7 +141,9 @@ TEST_P(JsonFuzzTest, EnginesAgreeOnRandomDocuments) {
     EXPECT_EQ(hw.size(), ll->size()) << doc;
     // Gate-level agreement on a sample.
     if (i == 0) {
-      auto cyc = compiled->TagCycleAccurate(doc);
+      auto design = core::HardwareDesign::Create(compiled->grammar());
+      ASSERT_TRUE(design.ok()) << design.status();
+      auto cyc = design->TagCycleAccurate(doc);
       ASSERT_TRUE(cyc.ok());
       EXPECT_EQ(*cyc, hw) << doc;
     }

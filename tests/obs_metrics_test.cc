@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/hardware_design.h"
 #include "core/token_tagger.h"
 #include "grammar/grammar_parser.h"
 #include "obs/metrics.h"
@@ -245,7 +246,8 @@ greeting: "hello" | "bye";
                 ->Value(),
             bytes_before + 9);
 
-  ASSERT_TRUE(tagger->hardware().ok()) << tagger->hardware().status();
+  auto design = core::HardwareDesign::Create(tagger->grammar());
+  ASSERT_TRUE(design.ok()) << design.status();
   EXPECT_GT(
       MetricsRegistry::Default().GetGauge("cfgtag_compile_gates")->Value(),
       0.0);

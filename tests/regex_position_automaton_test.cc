@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "regex/nfa.h"
+#include "reference/nfa.h"
 #include "regex/position_automaton.h"
 #include "regex/regex_parser.h"
 
@@ -198,16 +198,18 @@ TEST_P(PaVsNfaTest, LongestPrefixAgrees) {
   Rng rng(GetParam() * 7919 + 1);
   std::function<std::string(int)> gen = [&](int depth) -> std::string {
     if (depth <= 0 || rng.NextBool(0.4)) {
-      static constexpr const char* kAtoms[] = {"a", "b", "[ab]", "c"};
-      return kAtoms[rng.NextIndex(4)];
+      static constexpr const char* kAtoms[] = {"a", "b", "[ab]", "c", "[^a]"};
+      return kAtoms[rng.NextIndex(5)];
     }
     switch (rng.NextIndex(3)) {
       case 0:
         return gen(depth - 1) + gen(depth - 1);
       case 1:
         return "(" + gen(depth - 1) + "|" + gen(depth - 1) + ")";
-      default:
-        return "(" + gen(depth - 1) + ")" + (rng.NextBool() ? "+" : "?");
+      default: {
+        static constexpr const char* kPostfix[] = {"*", "+", "?"};
+        return "(" + gen(depth - 1) + ")" + kPostfix[rng.NextIndex(3)];
+      }
     }
   };
   const std::string pattern = gen(4);

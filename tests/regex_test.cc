@@ -1,11 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <functional>
-
-#include "common/rng.h"
+#include "reference/nfa.h"
 #include "regex/char_class.h"
-#include "regex/dfa.h"
-#include "regex/nfa.h"
 #include "regex/regex_parser.h"
 
 namespace cfgtag::regex {
@@ -219,76 +215,6 @@ TEST(NfaTest, AlternationPrefixPicksLongest) {
   Nfa nfa = Nfa::Build(*MustParse("a|ab|abc"));
   EXPECT_EQ(nfa.LongestPrefixMatch("abcd", 0), 3u);
 }
-
-// ------------------------------------------------------------------- DFA
-
-TEST(DfaTest, MatchesLikeNfa) {
-  auto re = MustParse("(a|b)*abb");
-  Nfa nfa = Nfa::Build(*re);
-  Dfa dfa = Dfa::Build(nfa);
-  for (const std::string s : {"abb", "aabb", "babb", "abab", "", "abbb"}) {
-    EXPECT_EQ(dfa.FullMatch(s), nfa.FullMatch(s)) << s;
-    EXPECT_EQ(dfa.LongestPrefixMatch(s, 0), nfa.LongestPrefixMatch(s, 0)) << s;
-  }
-}
-
-TEST(DfaTest, MinimizationPreservesLanguageAndShrinks) {
-  auto re = MustParse("(a|b)*abb");
-  Dfa dfa = Dfa::Build(Nfa::Build(*re));
-  Dfa min = dfa.Minimize();
-  EXPECT_LE(min.NumStates(), dfa.NumStates());
-  for (const std::string s :
-       {"abb", "aabb", "ab", "", "bbabb", "abba", "aaabbb"}) {
-    EXPECT_EQ(min.FullMatch(s), dfa.FullMatch(s)) << s;
-  }
-  // The classic minimal DFA for (a|b)*abb has 4 live states.
-  EXPECT_LE(min.NumStates(), 5u);
-}
-
-class RandomRegexTest : public ::testing::TestWithParam<uint64_t> {};
-
-// Generates a random regex AST, then checks NFA, DFA and minimized DFA all
-// agree on random strings over a tiny alphabet (where matches are likely).
-TEST_P(RandomRegexTest, NfaDfaMinimizedAgree) {
-  Rng rng(GetParam());
-
-  std::function<std::string(int)> gen = [&](int depth) -> std::string {
-    if (depth <= 0 || rng.NextBool(0.35)) {
-      static constexpr const char* kAtoms[] = {"a", "b", "c", "[ab]", "[^a]"};
-      return kAtoms[rng.NextIndex(5)];
-    }
-    switch (rng.NextIndex(4)) {
-      case 0:
-        return gen(depth - 1) + gen(depth - 1);
-      case 1:
-        return "(" + gen(depth - 1) + "|" + gen(depth - 1) + ")";
-      case 2:
-        return "(" + gen(depth - 1) + ")" +
-               (rng.NextBool() ? "*" : (rng.NextBool() ? "+" : "?"));
-      default:
-        return gen(depth - 1);
-    }
-  };
-
-  const std::string pattern = gen(4);
-  auto re = ParseRegex(pattern);
-  ASSERT_TRUE(re.ok()) << pattern;
-  Nfa nfa = Nfa::Build(**re);
-  Dfa dfa = Dfa::Build(nfa);
-  Dfa min = dfa.Minimize();
-
-  for (int i = 0; i < 60; ++i) {
-    const std::string s = rng.NextString(rng.NextIndex(8), "abc");
-    const bool expected = nfa.FullMatch(s);
-    EXPECT_EQ(dfa.FullMatch(s), expected) << pattern << " on " << s;
-    EXPECT_EQ(min.FullMatch(s), expected) << pattern << " on " << s;
-    EXPECT_EQ(dfa.LongestPrefixMatch(s, 0), nfa.LongestPrefixMatch(s, 0))
-        << pattern << " on " << s;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RandomRegexTest,
-                         ::testing::Range<uint64_t>(0, 25));
 
 }  // namespace
 }  // namespace cfgtag::regex

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/hardware_design.h"
 #include "core/token_tagger.h"
 #include "grammar/grammar_parser.h"
 
@@ -11,6 +12,7 @@ namespace cfgtag {
 namespace {
 
 using core::CompiledTagger;
+using core::HardwareDesign;
 
 grammar::Grammar MustParse(const std::string& text) {
   auto g = grammar::ParseGrammar(text);
@@ -20,7 +22,9 @@ grammar::Grammar MustParse(const std::string& text) {
 
 void ExpectEnginesAgree(const CompiledTagger& tagger,
                         const std::string& input) {
-  auto hw = tagger.TagCycleAccurate(input);
+  auto design = HardwareDesign::Create(tagger.grammar(), tagger.options());
+  ASSERT_TRUE(design.ok()) << design.status();
+  auto hw = design->TagCycleAccurate(input);
   ASSERT_TRUE(hw.ok()) << hw.status();
   EXPECT_EQ(tagger.Tag(input), *hw) << "input size " << input.size();
 }
@@ -129,14 +133,14 @@ TEST(RobustnessTest, AnyByteClassToken) {
 }
 
 TEST(RobustnessTest, RepeatedCompilationIsDeterministic) {
-  auto a = CompiledTagger::Compile(
+  auto a = HardwareDesign::Create(
       MustParse("NUM [0-9]+\n%%\ns: \"<\" NUM \">\";\n%%\n"));
-  auto b = CompiledTagger::Compile(
+  auto b = HardwareDesign::Create(
       MustParse("NUM [0-9]+\n%%\ns: \"<\" NUM \">\";\n%%\n"));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->hardware().value()->netlist.NumNodes(),
-            b->hardware().value()->netlist.NumNodes());
+  EXPECT_EQ(a->generated().netlist.NumNodes(),
+            b->generated().netlist.NumNodes());
   auto va = a->ExportVhdl("t");
   auto vb = b->ExportVhdl("t");
   ASSERT_TRUE(va.ok());
@@ -145,10 +149,10 @@ TEST(RobustnessTest, RepeatedCompilationIsDeterministic) {
 }
 
 TEST(RobustnessTest, GeneratedVhdlHasMatchPorts) {
-  auto compiled = CompiledTagger::Compile(
+  auto design = HardwareDesign::Create(
       MustParse("%%\ns: \"ab\" \"cd\";\n%%\n"));
-  ASSERT_TRUE(compiled.ok());
-  auto vhdl = compiled->ExportVhdl("tagger");
+  ASSERT_TRUE(design.ok());
+  auto vhdl = design->ExportVhdl("tagger");
   ASSERT_TRUE(vhdl.ok()) << vhdl.status();
   EXPECT_NE(vhdl->find("port_match_t0 : out std_logic"), std::string::npos);
   EXPECT_NE(vhdl->find("port_match_t1 : out std_logic"), std::string::npos);
@@ -156,10 +160,10 @@ TEST(RobustnessTest, GeneratedVhdlHasMatchPorts) {
 }
 
 TEST(RobustnessTest, AreaBreakdownCoversAllLuts) {
-  auto compiled = CompiledTagger::Compile(
+  auto design = HardwareDesign::Create(
       MustParse("NUM [0-9]+\n%%\ns: \"<\" NUM \">\";\n%%\n"));
-  ASSERT_TRUE(compiled.ok());
-  auto report = compiled->Implement(rtl::Virtex4LX200());
+  ASSERT_TRUE(design.ok());
+  auto report = design->Implement(rtl::Virtex4LX200());
   ASSERT_TRUE(report.ok());
   size_t luts = 0, ffs = 0;
   for (const auto& bucket : report->area.breakdown) {

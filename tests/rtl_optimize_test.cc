@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/hardware_design.h"
 #include "core/token_tagger.h"
 #include "rtl/netlist.h"
 #include "rtl/optimize.h"
@@ -103,23 +104,23 @@ TEST(OptimizeTest, DoesNotMergeRegisters) {
 TEST(OptimizeTest, GeneratedTaggerShrinksAndStaysEquivalent) {
   auto g = xmlrpc::XmlRpcGrammar();
   ASSERT_TRUE(g.ok());
-  auto compiled = core::CompiledTagger::Compile(std::move(g).value());
-  ASSERT_TRUE(compiled.ok());
+  auto design = core::HardwareDesign::Create(*g);
+  ASSERT_TRUE(design.ok());
 
   OptimizeStats stats;
-  auto opt = Optimize(compiled->hardware().value()->netlist, &stats);
+  auto opt = Optimize(design->generated().netlist, &stats);
   ASSERT_TRUE(opt.ok()) << opt.status();
   EXPECT_LT(stats.gates_after, stats.gates_before);
   EXPECT_GT(stats.cse_hits, 0u);
 
   // Random-vector equivalence over all match/index outputs.
-  EXPECT_TRUE(CheckEquivalent(compiled->hardware().value()->netlist, *opt,
+  EXPECT_TRUE(CheckEquivalent(design->generated().netlist, *opt,
                               /*vectors=*/3, /*cycles=*/48, /*seed=*/7)
                   .ok());
 
   // Mapping still works and is never larger.
   TechMapper mapper(4);
-  auto m_raw = mapper.Map(compiled->hardware().value()->netlist);
+  auto m_raw = mapper.Map(design->generated().netlist);
   auto m_opt = mapper.Map(*opt);
   ASSERT_TRUE(m_raw.ok());
   ASSERT_TRUE(m_opt.ok());

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/hardware_design.h"
 #include "core/token_tagger.h"
 #include "rtl/netlist.h"
 #include "rtl/optimize.h"
@@ -68,9 +69,9 @@ TEST(SerializeTest, EscapedNamesSurvive) {
 TEST(SerializeTest, GeneratedTaggerRoundTrips) {
   auto g = xmlrpc::XmlRpcGrammar();
   ASSERT_TRUE(g.ok());
-  auto compiled = core::CompiledTagger::Compile(std::move(g).value());
-  ASSERT_TRUE(compiled.ok());
-  const Netlist& original = compiled->hardware().value()->netlist;
+  auto design = core::HardwareDesign::Create(*g);
+  ASSERT_TRUE(design.ok());
+  const Netlist& original = design->generated().netlist;
   auto loaded = ParseNetlist(SerializeNetlist(original));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->NumNodes(), original.NumNodes());

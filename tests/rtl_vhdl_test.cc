@@ -137,6 +137,7 @@ TEST(VcdWriterTest, OnlyChangesAreEmitted) {
 }  // namespace
 }  // namespace cfgtag::rtl
 
+#include "core/hardware_design.h"
 #include "core/token_tagger.h"
 #include "grammar/grammar_parser.h"
 #include "rtl/vhdl_testbench.h"
@@ -147,9 +148,12 @@ namespace {
 TEST(VhdlTestbenchTest, EmitsSelfCheckingBench) {
   auto g = grammar::ParseGrammar("%%\ns: \"ab\" \"cd\";\n%%\n");
   ASSERT_TRUE(g.ok());
+  auto design = core::HardwareDesign::Create(*g);
+  ASSERT_TRUE(design.ok());
   auto compiled = core::CompiledTagger::Compile(std::move(g).value());
   ASSERT_TRUE(compiled.ok());
-  auto tb = compiled->ExportVhdlTestbench("tagger", "ab cd");
+  auto tb =
+      design->ExportVhdlTestbench("tagger", "ab cd", compiled->Tag("ab cd"));
   ASSERT_TRUE(tb.ok()) << tb.status();
   // Instantiates the DUT, clocks it, and asserts both match ports high at
   // some cycle.

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/hardware_design.h"
 #include "core/token_tagger.h"
 #include "grammar/grammar.h"
 #include "obs/attribution.h"
@@ -252,7 +253,7 @@ TEST(DifferentialFuzzTest, ArtifactRoundTripMatchesDirectCompile) {
     ASSERT_TRUE(bytes.ok()) << bytes.status();
     auto loaded = core::CompiledTagger::Deserialize(*bytes);
     ASSERT_TRUE(loaded.ok()) << loaded.status();
-    EXPECT_FALSE(loaded->has_hardware());
+    EXPECT_TRUE(loaded->loaded_from_artifact());
     for (int s = 0; s < 6; ++s) {
       const std::string input = RandomStream(direct->grammar(), rng);
       const std::vector<Tag> want = direct->Tag(input);
@@ -285,8 +286,10 @@ TEST(DifferentialFuzzTest, CompiledTaggerMatchesOracleAndNetlist) {
     hwgen::HwOptions starved_options = options;
     starved_options.tagger.dfa_cache_bytes = 1 << 10;
     auto starved = core::CompiledTagger::Compile(g.Clone(), starved_options);
+    auto design = core::HardwareDesign::Create(g, options);
     ASSERT_TRUE(compiled.ok()) << compiled.status();
     ASSERT_TRUE(starved.ok()) << starved.status();
+    ASSERT_TRUE(design.ok()) << design.status();
     for (int s = 0; s < 6; ++s) {
       const std::string input = RandomStream(g, rng);
       auto want = testing_oracle::OracleTags(g, options.tagger, input);
@@ -294,7 +297,7 @@ TEST(DifferentialFuzzTest, CompiledTaggerMatchesOracleAndNetlist) {
       ExpectSameTags(*want, compiled->Tag(input), "CompiledTagger", input);
       ExpectSameTags(*want, starved->Tag(input), "CompiledTagger starved",
                      input);
-      auto hw = compiled->TagCycleAccurate(input);
+      auto hw = design->TagCycleAccurate(input);
       ASSERT_TRUE(hw.ok()) << hw.status();
       ExpectSameTags(*want, *hw, "gate-level simulation", input);
     }

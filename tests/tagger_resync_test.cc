@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/hardware_design.h"
 #include "core/token_tagger.h"
 #include "grammar/grammar_parser.h"
 #include "reference/functional_model.h"
@@ -72,12 +73,14 @@ TEST_P(ResyncLaneTest, NetlistMatchesFunctionalModel) {
   opt.bytes_per_cycle = GetParam();
   auto compiled = core::CompiledTagger::Compile(MustParse(kPair), opt);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto design = core::HardwareDesign::Create(compiled->grammar(), opt);
+  ASSERT_TRUE(design.ok()) << design.status();
 
   for (const std::string& input :
        {std::string("ab xx ab cd"), std::string("ab cd ab cd"),
         std::string("xab"), std::string("  ab  cd"),
         std::string("junk ab cd junk")}) {
-    auto hw = compiled->TagCycleAccurate(input);
+    auto hw = design->TagCycleAccurate(input);
     ASSERT_TRUE(hw.ok()) << hw.status();
     EXPECT_EQ(compiled->Tag(input), *hw)
         << "lanes=" << GetParam() << " input='" << input << "'";
@@ -122,9 +125,11 @@ TEST(ResyncTest, NetlistMatchesOnXmlRpcStream) {
   opt.tagger.arm_mode = ArmMode::kResync;
   auto compiled = core::CompiledTagger::Compile(std::move(g).value(), opt);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto design = core::HardwareDesign::Create(compiled->grammar(), opt);
+  ASSERT_TRUE(design.ok()) << design.status();
   xmlrpc::MessageGenerator gen({}, 9);
   const std::string stream = gen.GenerateStream(2);
-  auto hw = compiled->TagCycleAccurate(stream);
+  auto hw = design->TagCycleAccurate(stream);
   ASSERT_TRUE(hw.ok()) << hw.status();
   EXPECT_EQ(compiled->Tag(stream), *hw);
 }

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/hardware_design.h"
 #include "core/token_tagger.h"
 #include "grammar/analysis.h"
 #include "obs/attribution.h"
@@ -152,13 +153,16 @@ TEST(RouterTest, CycleAccurateAgreesWithFunctional) {
   config.default_port = 0;
   auto router = XmlRpcRouter::Create(config);
   ASSERT_TRUE(router.ok());
+  auto design = core::HardwareDesign::Create(router->tagger().grammar(),
+                                             router->tagger().options());
+  ASSERT_TRUE(design.ok()) << design.status();
 
   MessageGenerator gen({}, 21);
   for (const std::string method : {"deposit", "buy", "unknown"}) {
     const std::string msg = gen.GenerateWithMethod(method);
-    auto hw = router->RouteCycleAccurate(msg);
+    auto hw = design->TagCycleAccurate(msg);
     ASSERT_TRUE(hw.ok()) << hw.status();
-    EXPECT_EQ(*hw, router->Route(msg)) << method;
+    EXPECT_EQ(router->RouteTags(*hw), router->Route(msg)) << method;
   }
 }
 
@@ -207,6 +211,9 @@ TEST(RouterTest, RouteEqualsRouteTagsOnGeneratedTraffic) {
   for (const RouterConfig& config : {SixServices(), prefix}) {
     auto router = XmlRpcRouter::Create(config);
     ASSERT_TRUE(router.ok()) << router.status();
+    auto design = core::HardwareDesign::Create(router->tagger().grammar(),
+                                               router->tagger().options());
+    ASSERT_TRUE(design.ok()) << design.status();
     MessageGenOptions opt;
     opt.method_names.clear();
     for (const auto& svc : config.services) {
@@ -224,9 +231,9 @@ TEST(RouterTest, RouteEqualsRouteTagsOnGeneratedTraffic) {
       ASSERT_EQ(router->RouteTags(router->tagger().Tag(msg)), want)
           << method << ": " << msg;
       if (i % 9 == 0) {
-        auto hw = router->RouteCycleAccurate(msg);
+        auto hw = design->TagCycleAccurate(msg);
         ASSERT_TRUE(hw.ok()) << hw.status();
-        EXPECT_EQ(*hw, want) << method << ": " << msg;
+        EXPECT_EQ(router->RouteTags(*hw), want) << method << ": " << msg;
       }
     }
   }

@@ -82,6 +82,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/hardware_design.h"
 #include "core/resilience/budget.h"
 #include "core/resilience/deadline.h"
 #include "core/resilience/fault_injector.h"
@@ -541,7 +542,7 @@ int RunTool(int argc, char** argv) {
       }
     }
 
-    // Hardware outputs need the netlist, which artifacts do not carry, so
+    // Hardware outputs need the grammar, which artifacts do not carry, so
     // the cache only serves software-tagging runs.
     auto compiled =
         (!cache_dir.empty() && !needs_hardware)
@@ -553,18 +554,20 @@ int RunTool(int argc, char** argv) {
     tagger.emplace(std::move(compiled).value());
   }
   // The netlist is generated only for runs that write a hardware output.
-  const cfgtag::hwgen::GeneratedTagger* hardware = nullptr;
-  if (!tagger->has_hardware()) {
+  std::optional<cfgtag::core::HardwareDesign> design;
+  if (tagger->loaded_from_artifact()) {
     std::printf("software engine loaded from artifact (no netlist)\n");
   } else if (needs_hardware) {
-    auto generated = tagger->hardware();
-    if (!generated.ok()) return FailStatus("hwgen", generated.status());
-    hardware = generated.value();
-    const auto stats = hardware->netlist.ComputeStats();
+    auto created =
+        cfgtag::core::HardwareDesign::Create(tagger->grammar(), options);
+    if (!created.ok()) return FailStatus("hwgen", created.status());
+    design.emplace(std::move(created).value());
+    const cfgtag::hwgen::GeneratedTagger& hardware = design->generated();
+    const auto stats = hardware.netlist.ComputeStats();
     std::printf("netlist: %zu gates, %zu registers, %d byte(s)/cycle, "
                 "match latency %d cycle(s)\n",
-                stats.num_gates, stats.num_regs, hardware->lanes,
-                hardware->match_latency);
+                stats.num_gates, stats.num_regs, hardware.lanes,
+                hardware.match_latency);
   }
 
   if (!save_artifact.empty()) {
@@ -580,7 +583,7 @@ int RunTool(int argc, char** argv) {
   if (report) {
     for (const cfgtag::rtl::Device& device :
          {cfgtag::rtl::VirtexE2000(), cfgtag::rtl::Virtex4LX200()}) {
-      auto r = tagger->Implement(device);
+      auto r = design->Implement(device);
       if (!r.ok()) return FailStatus("implement", r.status());
       std::printf("\n%s: %zu LUTs (%.2f/byte), %zu FFs, %.0f MHz, "
                   "%.2f Gbps\n",
@@ -596,7 +599,7 @@ int RunTool(int argc, char** argv) {
   }
 
   if (!vhdl_path.empty()) {
-    auto vhdl = tagger->ExportVhdl(entity);
+    auto vhdl = design->ExportVhdl(entity);
     if (!vhdl.ok()) return FailStatus("vhdl", vhdl.status());
     std::ofstream out(vhdl_path, std::ios::binary);
     out << *vhdl;
@@ -611,7 +614,7 @@ int RunTool(int argc, char** argv) {
   if (!netlist_path.empty()) {
     std::ofstream out(netlist_path, std::ios::binary);
     const std::string text =
-        cfgtag::rtl::SerializeNetlist(hardware->netlist);
+        cfgtag::rtl::SerializeNetlist(design->generated().netlist);
     out << text;
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", netlist_path.c_str());
@@ -641,7 +644,7 @@ int RunTool(int argc, char** argv) {
                      "--threads is ignored with --cycle-accurate "
                      "(the simulator is single-stream)\n");
       }
-      auto hw = tagger->TagCycleAccurate(input);
+      auto hw = design->TagCycleAccurate(input);
       if (!hw.ok()) return FailStatus("simulation", hw.status());
       tags = std::move(hw).value();
     } else {
@@ -707,7 +710,9 @@ int RunTool(int argc, char** argv) {
       }
     }
     if (!testbench_path.empty()) {
-      auto tb = tagger->ExportVhdlTestbench(entity, input);
+      // The software engine's tags are the oracle the bench asserts.
+      const std::vector<cfgtag::tagger::Tag> expected = tagger->Tag(input);
+      auto tb = design->ExportVhdlTestbench(entity, input, expected);
       if (!tb.ok()) return FailStatus("testbench", tb.status());
       std::ofstream out(testbench_path, std::ios::binary);
       out << *tb;
@@ -716,7 +721,7 @@ int RunTool(int argc, char** argv) {
     }
     if (!vcd_path.empty()) {
       std::ofstream vcd(vcd_path, std::ios::binary);
-      auto status = tagger->DumpWaveform(input, vcd);
+      auto status = design->DumpWaveform(input, vcd);
       if (!status.ok()) return FailStatus("vcd", status);
       std::printf("wrote waveform to %s\n", vcd_path.c_str());
     }
