@@ -162,7 +162,6 @@ BENCHMARK(BM_ImplementFlow)->Arg(1)->Arg(10)->Unit(benchmark::kMillisecond);
 tagger::LazyDfaTagger FallbackTagger(const grammar::Grammar& g,
                                      tagger::TaggerOptions topt) {
   topt.dfa_cache_bytes = 0;
-  topt.dfa_flush_fallback = 1;
   return ValueOrDie(tagger::LazyDfaTagger::Create(&g, topt), "fallback");
 }
 

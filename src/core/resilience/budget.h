@@ -16,21 +16,20 @@ namespace cfgtag::core::resilience {
 // describes the whole ladder state.
 enum class DegradationRung : int {
   kNone = 0,
-  kShedDfa = 1,          // lazy-DFA sessions stop growing caches (fused)
-  kTrimPools = 2,        // session pools trim idle scratch to the floor
+  kShedDfa = 1,          // lazy-DFA tables stop growing (fused fallback)
+  kTrimPools = 2,        // no consumer left: there is no session pool
   kArtifactReadOnly = 3, // artifact compile cache stops storing new entries
 };
 
 const char* DegradationRungName(DegradationRung rung);
 
 // A process-wide byte ceiling for the engine's discretionary memory: lazy-
-// DFA transition caches, loaded artifacts, and (indirectly) pooled session
-// scratch. Components Charge/Release as they grow and shrink; the budget
-// tracks usage against the limit and walks a degradation ladder instead of
-// failing outright:
+// DFA transition tables and loaded artifacts. Components Charge/Release as
+// they grow and shrink; the budget tracks usage against the limit and walks
+// a degradation ladder instead of failing outright:
 //
 //   usage >= 85% of limit  -> kShedDfa          (stop growing DFA caches)
-//   usage >= 95% of limit  -> kTrimPools        (trim idle pooled sessions)
+//   usage >= 95% of limit  -> kTrimPools        (no consumer left)
 //   usage >= 100% of limit -> kArtifactReadOnly (stop storing new artifacts;
 //                             TryCharge admissions are denied)
 //

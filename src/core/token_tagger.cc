@@ -166,9 +166,7 @@ struct TagMetrics {
 }  // namespace
 
 TagSlot::TagSlot(const CompiledTagger& tagger)
-    : tagger_(tagger.lazy_model()),
-      session_(tagger_->session_pool().Acquire(tagger_)),
-      seconds_(TagMetrics::Get().latency) {}
+    : session_(tagger.lazy_model()), seconds_(TagMetrics::Get().latency) {}
 
 TagSlot::~TagSlot() {
   if (calls_ != 0) {
@@ -206,9 +204,9 @@ Status CompiledTagger::TagWithControl(std::string_view input,
                           &one_call);
   }
   obs::ScopedTimer timer(&slot->seconds_, lap);
-  // Stream the input and then the flush padding through the slot's pooled
+  // Stream the input and then the flush padding through the slot's
   // session: the same bytes the simulator sees (Padded()), minus the
-  // per-call input copy and session construction. One extra pad byte
+  // per-call input copy. One extra pad byte
   // beyond the scanned range keeps the Fig. 7 look-ahead identical to the
   // gate-level simulation at the final scanned byte. That byte stays
   // pending in the session, so every tag fed out ends before the scan end
@@ -225,8 +223,8 @@ Status CompiledTagger::TagWithControl(std::string_view input,
   // The session is reset here, so an early trip just abandons it half-fed
   // — no padding, and a tag still open at the stop point is never
   // reported.
-  assert(slot->tagger_ == lazy_.get());
-  tagger::LazyDfaSession* session = slot->session_.get();
+  assert(slot->session_.tagger() == lazy_.get());
+  tagger::LazyDfaSession* session = &slot->session_;
   session->Reset();
   const auto run = [&] {
     while (fed < input.size()) {

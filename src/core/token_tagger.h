@@ -17,7 +17,6 @@
 #include "obs/metrics.h"
 #include "rtl/device.h"
 #include "tagger/lazy_dfa.h"
-#include "tagger/session_pool.h"
 #include "tagger/tag.h"
 
 namespace cfgtag::tagger::artifact {
@@ -29,10 +28,9 @@ namespace cfgtag::core {
 class CompiledTagger;
 
 // Per-thread scratch for a run of CompiledTagger::TagWithControl calls (an
-// engine worker's share of a batch): a session checked out of the
-// tagger's pool at construction and held, reset rather than re-acquired,
-// across the calls, and a plain tally of the cfgtag_tag_* registry
-// writes. Destruction returns the session and folds the tally into the
+// engine worker's share of a batch): a session (a cursor over the tagger's
+// shared table) held and reset across the calls, and a plain tally of the
+// cfgtag_tag_* registry writes. Destruction folds the tally into the
 // registry, so registry totals are exact once every slot of a run is
 // gone. One thread uses a slot at a time, and the tagger must outlive it.
 class TagSlot {
@@ -45,8 +43,7 @@ class TagSlot {
  private:
   friend class CompiledTagger;
 
-  const tagger::LazyDfaTagger* tagger_;
-  tagger::LazyDfaSessionPool::Handle session_;
+  tagger::LazyDfaSession session_;
   uint64_t calls_ = 0;
   uint64_t bytes_ = 0;
   uint64_t tokens_ = 0;
@@ -100,8 +97,8 @@ class CompiledTagger {
 
   const grammar::Grammar& grammar() const { return lazy_->grammar(); }
   // The tagging engine. It owns the fused tables whose step it memoizes;
-  // the step serves as its miss path and, for sessions whose cache keeps
-  // flushing, as the uncached fallback (see LazyDfaSession).
+  // the step serves as its miss path and, for streams that miss once its
+  // table is full, as the uncached fallback (see LazyDfaSession).
   const tagger::LazyDfaTagger* lazy_model() const { return lazy_.get(); }
   const hwgen::HwOptions& options() const { return options_; }
 

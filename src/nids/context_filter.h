@@ -60,9 +60,9 @@ class ContextFilter;
 // Per-thread scratch for a run of ContextFilter::Scan calls (an engine
 // worker's share of a batch): a core::TagSlot of the filter's tagger,
 // whose session is held across the scans, and a plain tally of the
-// cfgtag_nids_* registry writes. Destruction returns the session and
-// folds both tallies into the registry. One thread uses a slot at a time,
-// and the filter must outlive it.
+// cfgtag_nids_* registry writes. Destruction folds both tallies into the
+// registry. One thread uses a slot at a time, and the filter must outlive
+// it.
 class ScanSlot {
  public:
   explicit ScanSlot(const ContextFilter& filter);

@@ -146,12 +146,9 @@ Status ScanEngine::Run(const std::vector<std::string_view>& units,
   }
 
   // One slot per worker: a worker scans its whole share of the units on
-  // one held session and tallies their registry writes privately. Every
-  // slot checks its session out before the run, so the session pool sees
-  // the same concurrency however the workers get scheduled and keeps the
-  // sessions from run to run. Slots are cache-line aligned so the tallies
-  // share no line; they return their sessions and merge their tallies
-  // after the join.
+  // one held session and tallies their registry writes privately. Slots
+  // are cache-line aligned so the tallies share no line; they merge their
+  // tallies after the join.
   struct alignas(64) WorkerSlot {
     explicit WorkerSlot(const ContextFilter& filter) : scan(filter) {}
     ScanSlot scan;

@@ -59,7 +59,7 @@ struct StreamResult {
 // Parallel batch-scan engine over one ContextFilter: a fixed worker pool
 // (core::WorkerPool) fans independent streams — or delimiter-aligned
 // shards of one large stream — out to workers, each of which runs the
-// filter's streaming Scan() over its whole share on one held pooled
+// filter's streaming Scan() over its whole share on one held
 // LazyDfaSession (a ScanSlot per worker, whose registry tallies merge
 // once per run), and the results are merged back in deterministic stream
 // order. Alerts are byte-identical

@@ -77,14 +77,10 @@ const char* EventKindName(EventKind kind) {
       return "status_error";
     case EventKind::kNidsAlert:
       return "nids_alert";
-    case EventKind::kDfaCacheFlush:
-      return "dfa_cache_flush";
     case EventKind::kDfaCacheFallback:
       return "dfa_cache_fallback";
     case EventKind::kSlowShard:
       return "slow_shard";
-    case EventKind::kSessionPoolDrop:
-      return "session_pool_drop";
     case EventKind::kCustom:
       return "custom";
     case EventKind::kDeadlineExceeded:

@@ -16,10 +16,8 @@ namespace cfgtag::obs {
 enum class EventKind : uint16_t {
   kStatusError = 0,     // a Status failure surfaced to a dump point
   kNidsAlert = 1,       // nids::ContextFilter raised an alert
-  kDfaCacheFlush = 2,   // lazy-DFA transition cache dropped at the byte cap
-  kDfaCacheFallback = 3,// lazy-DFA session gave up caching (fused fallback)
+  kDfaCacheFallback = 3,// lazy-DFA stream missed with no room (fused steps)
   kSlowShard = 4,       // a ScanEngine shard/stream exceeded the slow bound
-  kSessionPoolDrop = 5, // session pool freed scratch at the retention cap
   kCustom = 6,
   kDeadlineExceeded = 7,  // a controlled scan aborted at its deadline
   kScanCancelled = 8,     // a controlled scan observed its CancelToken

@@ -95,7 +95,7 @@ struct ArtifactHeader {
   uint32_t num_tokens;
   uint32_t num_words;
   uint32_t total_positions;
-  uint32_t dfa_flush_fallback;
+  uint32_t reserved1;  // written 0, ignored on load
   uint64_t dfa_cache_bytes;
   uint32_t aot_states;  // baked DFA states (0 = no AOT region)
   uint32_t num_sections;

@@ -439,7 +439,6 @@ class Loader {
     options.arm_mode = static_cast<ArmMode>(hdr.arm_mode);
     options.longest_match = hdr.longest_match != 0;
     options.dfa_cache_bytes = hdr.dfa_cache_bytes;
-    options.dfa_flush_fallback = hdr.dfa_flush_fallback;
     options.aot_state_budget = hdr.aot_states;
 
     auto backing = std::make_shared<Backing>();

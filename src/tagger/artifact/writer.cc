@@ -104,7 +104,6 @@ uint64_t OptionsHash(const TaggerOptions& options) {
   h = HashMix64(h, static_cast<uint64_t>(options.arm_mode));
   h = HashMix64(h, options.longest_match ? 1 : 0);
   h = HashMix64(h, options.dfa_cache_bytes);
-  h = HashMix64(h, options.dfa_flush_fallback);
   h = HashMix64(h, options.aot_state_budget);
   return h;
 }
@@ -170,7 +169,6 @@ class Writer {
     hdr.num_tokens = static_cast<uint32_t>(f.num_tokens_);
     hdr.num_words = static_cast<uint32_t>(f.num_words_);
     hdr.total_positions = static_cast<uint32_t>(f.total_positions_);
-    hdr.dfa_flush_fallback = f.options().dfa_flush_fallback;
     hdr.dfa_cache_bytes = f.options().dfa_cache_bytes;
     hdr.aot_states = static_cast<uint32_t>(aot.states.size());
     hdr.num_sections = static_cast<uint32_t>(secs.size());

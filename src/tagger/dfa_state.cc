@@ -128,14 +128,6 @@ DfaTrans DfaPool::AddTrans(int32_t next, const std::vector<int32_t>& emit) {
   return tr;
 }
 
-void DfaPool::Clear() {
-  states.clear();
-  trans.clear();
-  snap_pool.clear();
-  emit_pool.clear();
-  index.clear();
-}
-
 DfaPool BuildAotDfa(const FusedTagger& fused, uint32_t max_states) {
   DfaPool out;
   if (max_states == 0) return out;

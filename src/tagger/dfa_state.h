@@ -11,12 +11,12 @@
 namespace cfgtag::tagger {
 
 // The lazy DFA's construction, in one place. Two callers build DFA states
-// over the fused tables: a LazyDfaSession on a transition-cache miss, and
+// over the fused tables: a LazyDfaTagger's shared table on a miss, and
 // BuildAotDfa below, which bakes states into saved artifacts ahead of
-// time. Both start from DfaConfig::SetStart, step with DfaConfig::Step and
-// intern into a DfaPool, so a baked state and the state a session would
-// build from the same configuration are the same bytes, and a fresh
-// session resolves to baked state 0.
+// time. Both start from DfaConfig::SetStart and step with DfaConfig::Step,
+// so a baked state and the state the table would build from the same
+// configuration are the same bytes, and the stream-start state of a
+// tagger with a baked table is baked state 0.
 
 // An interned lazy-DFA configuration. Snapshot words live in the owning
 // pool at [snap_begin, snap_begin + num_state + num_armed): state words
@@ -84,17 +84,15 @@ using DfaIndex = std::unordered_multimap<uint64_t, int32_t>;
 
 // The one probe loop: the id of the state equal to `cfg` among `states`
 // (words in `snap_pool`, hashes in `index`), or -1. Serves the baked views
-// and the session vectors alike.
+// and the shared table's storage alike.
 int32_t FindDfaState(const DfaStateInfo* states, const WordBits* snap_pool,
                      const DfaIndex& index, const DfaConfig& cfg);
 
 // Interned states and built transitions in build form: the AOT bake's
-// output (exactly the four pools an artifact serves back at run time) and
-// a LazyDfaSession's private cache.
+// output, exactly the four pools an artifact serves back at run time.
 struct DfaPool {
   std::vector<DfaStateInfo> states;
-  // Row-major [id * num_classes + cls]; filled by the bake only (a
-  // session keeps its transitions in its own flat table).
+  // Row-major [id * num_classes + cls].
   std::vector<DfaTrans> trans;
   std::vector<WordBits> snap_pool;
   std::vector<int32_t> emit_pool;
@@ -107,13 +105,12 @@ struct DfaPool {
   int32_t Append(const DfaConfig& cfg);
   // Pools `emit` and returns the transition to `next` that replays it.
   DfaTrans AddTrans(int32_t next, const std::vector<int32_t>& emit);
-  void Clear();
 };
 
 // The ahead-of-time bake: walks the reachable (configuration x byte class)
 // product breadth-first from the start configuration (state 0), interning
 // at most `max_states` states. Transitions whose successor would exceed
-// the budget stay unbuilt (next = -1) for sessions to build; with
+// the budget stay unbuilt (next = -1) for the run-time table to build; with
 // max_states == 0 the pool is empty. The walk is deterministic, so equal
 // (grammar, options) pairs bake byte-identical artifact regions.
 DfaPool BuildAotDfa(const FusedTagger& fused, uint32_t max_states);

@@ -1,12 +1,16 @@
 #include "tagger/lazy_dfa.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <mutex>
+#include <new>
+#include <utility>
 
 #include "core/resilience/fault_injector.h"
 #include "obs/attribution.h"
 #include "obs/events.h"
-#include "tagger/session_pool.h"
 
 namespace cfgtag::tagger {
 
@@ -35,12 +39,38 @@ constexpr int32_t kWalkKind[] = {kRunDelimiter, kLeave, kRunResync,
 // bucket share) folded into the cache budget accounting.
 constexpr size_t kIndexNodeBytes = 48;
 
+// The most of dfa_cache_bytes a table's storage is sized for: past it, the
+// table is full when its storage is.
+constexpr size_t kMaxSizedBytes = size_t{1} << 30;
+
 constexpr SkipMetrics::Kind kNoSkip = SkipMetrics::kNumKinds;
 
 // Trail entries between the starts of two lanes' trail regions: a slice's
 // worth plus an odd number of cache lines, so the lanes' lockstep trail
 // writes do not all fall in one cache set.
 constexpr size_t kTrailStride = LazyDfaSession::kSliceBytes + 136;
+
+// Reads entry `slot` of a table that builds publish into: with acquire, so
+// whatever the build wrote before publishing it (the successor's state and
+// row, the emission list) is visible. A plain load on x86.
+inline int32_t LoadEntry(const int32_t* table, size_t slot) {
+  return std::atomic_ref<int32_t>(const_cast<int32_t&>(table[slot]))
+      .load(std::memory_order_acquire);
+}
+
+// Storage for `n` objects of an implicit-lifetime type, left uninitialized
+// so that the pages nothing writes stay out of RSS.
+struct FreeDeleter {
+  void operator()(void* p) const { std::free(p); }
+};
+template <typename T>
+using RawArray = std::unique_ptr<T[], FreeDeleter>;
+template <typename T>
+RawArray<T> Reserve(size_t n) {
+  void* p = std::malloc(std::max<size_t>(n, 1) * sizeof(T));
+  if (p == nullptr) throw std::bad_alloc();
+  return RawArray<T>(static_cast<T*>(p));
+}
 
 // What the idle skips read of the current configuration: an interned
 // state's, or in fallback the scratch configuration's plus the session's
@@ -172,14 +202,13 @@ inline uint32_t Addr32(const void* at) {
   return static_cast<uint32_t>(reinterpret_cast<uintptr_t>(at));
 }
 
-// The baked table's rows in the walk's entry format. Exit flags depend on
-// a state's idle facts and the byte class alone, so each distinct facts
-// value (of at most 8 * (classes + 1)) gets one row of them, filled when a
-// state first has it.
-std::vector<int32_t> WalkFormat(const FusedTagger& f, const AotDfaTable& aot) {
+// Writes the baked table's rows into `next` in the walk's entry format.
+// Exit flags depend on a state's idle facts and the byte class alone, so
+// each distinct facts value (of at most 8 * (classes + 1)) gets one row of
+// them, filled when a state first has it.
+void WalkFormat(const FusedTagger& f, const AotDfaTable& aot, int32_t* next) {
   const size_t nc = aot.num_classes;
   std::vector<int32_t> exits(8 * (nc + 1) * nc, kUnbuilt);
-  std::vector<int32_t> next(aot.states.size() * nc);
   for (size_t id = 0; id < aot.states.size(); ++id) {
     const IdleFacts facts = FactsOf(aot.states[id]);
     const size_t key =
@@ -199,7 +228,14 @@ std::vector<int32_t> WalkFormat(const FusedTagger& f, const AotDfaTable& aot) {
                                     row[cls].emit_count != 0);
     }
   }
-  return next;
+}
+
+// Under budget pressure or an injected dfa.intern fault, a miss builds
+// nothing. The miss path is the only place the table grows, so it is where
+// the budget (and the fault site) sheds; the hit path never reaches here.
+bool ShedOnMiss() {
+  return core::resilience::ResourceBudget::Process().ShouldShedDfa() ||
+         core::resilience::FaultInjector::ShouldFail("dfa.intern");
 }
 
 }  // namespace
@@ -209,25 +245,231 @@ const DfaCacheMetrics& DfaCacheMetrics::Get() {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
     return DfaCacheMetrics{
         reg.GetCounter("cfgtag_dfa_cache_states",
-                       "DFA configurations interned by lazy-DFA sessions"),
-        reg.GetCounter("cfgtag_dfa_cache_flushes",
-                       "Lazy-DFA transition caches dropped at the byte cap"),
+                       "DFA configurations interned by lazy-DFA taggers"),
         reg.GetCounter("cfgtag_dfa_cache_fallbacks",
-                       "Lazy-DFA sessions that fell back to uncached fused steps "
-                       "after repeated cache flushes")};
+                       "Lazy-DFA streams that missed with no room to build "
+                       "and took uncached fused steps")};
   }();
   return kMetrics;
+}
+
+// ---------------------------------------------------------- LazyDfaCache
+
+// The one transition table of a tagger (see LazyDfaSession). The fields
+// above `mu` are fixed at construction, or written under it only before
+// the entry that leads to them is published; the ones below it are the
+// build side, read and written under it.
+struct LazyDfaCache {
+  LazyDfaCache(const FusedTagger& f, const AotDfaTable* baked);
+
+  const DfaStateInfo& Info(int32_t id) const {
+    return id < num_aot ? aot->states[static_cast<size_t>(id)]
+                        : states[static_cast<size_t>(id - num_aot)];
+  }
+  // First snapshot word of `info`, resolved into the owning pool.
+  const WordBits* Snap(const DfaStateInfo& info, int32_t id) const {
+    return (id < num_aot ? aot->snap_pool.data() : words.get()) +
+           info.snap_begin;
+  }
+  // The record of `pad` fed from `state`, or null.
+  const LazyDfaSession::PadMemo* FindPad(std::string_view pad,
+                                         int32_t state) const {
+    const LazyDfaSession::PadMemo* memo =
+        std::atomic_ref<const LazyDfaSession::PadMemo*>(pads[state])
+            .load(std::memory_order_acquire);
+    return memo != nullptr && pad == pad_bytes ? memo : nullptr;
+  }
+
+  // The entry for `cls` out of `from`: built under the build mutex unless
+  // another cursor built it first, or kUnbuilt with the table full.
+  int32_t Build(const FusedTagger& f, int32_t from, uint8_t cls);
+  // Publishes the record of `pad` fed from `state`, unless the table is
+  // full, the state has one, or other padding was memoized first.
+  void AddPad(std::string_view pad, int32_t state,
+              LazyDfaSession::PadMemo memo);
+
+  // The global id of `cfg`: a baked state if one matches, else an
+  // interned one, interned on first sight with an unbuilt row.
+  int32_t Intern(const DfaConfig& cfg);
+  // Whether a build has no room: past dfa_cache_bytes, or the storage
+  // could not take one more state, its words and its emission list.
+  bool Full() const;
+  void Charge(size_t n) {
+    bytes += n;
+    budget.Add(n);
+  }
+
+  const AotDfaTable* aot;
+  size_t num_classes;
+  int32_t num_aot;
+  size_t baked_slots;  // num_aot * num_classes
+  size_t cap_bytes;
+  // The most snapshot words, and emission-pool words, one build adds.
+  size_t build_words;
+  size_t build_emits;
+  size_t max_states;  // ids, baked included
+  size_t max_words;
+  size_t max_emits;
+  // The flat table, baked rows first, and per slot built at run time the
+  // offset in emit_pool of its emission list: a count, then the tokens.
+  RawArray<int32_t> next;
+  RawArray<uint32_t> emit_at;
+  // Interned states (by id - num_aot) and their snapshot words.
+  RawArray<DfaStateInfo> states;
+  RawArray<WordBits> words;
+  RawArray<int32_t> emit_pool;
+  // FeedPadding's records by the state they start in (null: none), for
+  // the padding bytes pad_bytes.
+  RawArray<const LazyDfaSession::PadMemo*> pads;
+  std::string pad_bytes;
+  int32_t start_id;
+  // The lane guesses the last superblock of any cursor left, by byte
+  // value: a cursor's first superblock starts from these.
+  std::atomic<int32_t> guesses[256];
+
+  std::mutex mu;
+  DfaIndex index;
+  size_t num_states = 0;  // interned
+  size_t num_words = 0;
+  size_t num_emits = 0;
+  size_t bytes = 0;
+  // Mirrors bytes into the process resource budget, so that the tables
+  // show up as one "dfa_cache" footprint.
+  core::resilience::ScopedCharge budget{"dfa_cache"};
+  std::vector<std::unique_ptr<LazyDfaSession::PadMemo>> pad_memos;
+  // Scratch for build steps, kept allocated across them.
+  FusedSession scratch;
+  DfaConfig tmp;
+  std::vector<int32_t> tmp_emit;
+};
+
+LazyDfaCache::LazyDfaCache(const FusedTagger& f, const AotDfaTable* baked)
+    : aot(baked),
+      num_classes(f.NumByteClasses()),
+      num_aot(baked != nullptr ? static_cast<int32_t>(baked->states.size())
+                               : 0),
+      baked_slots(static_cast<size_t>(num_aot) * num_classes),
+      cap_bytes(f.options().dfa_cache_bytes),
+      build_words(2 * f.NumStateWords()),
+      build_emits(1 + f.grammar().NumTokens()),
+      scratch(&f) {
+  const size_t nc = num_classes;
+  const size_t sized = std::min(cap_bytes, kMaxSizedBytes);
+  const size_t per_state = sizeof(DfaStateInfo) +
+                           nc * (sizeof(int32_t) + sizeof(uint32_t)) +
+                           kIndexNodeBytes;
+  // What dfa_cache_bytes pays for, and room for the stream-start state and
+  // for the one build that may cross the cap.
+  max_states = static_cast<size_t>(num_aot) + 2 + sized / per_state;
+  max_words = 2 * build_words + sized / sizeof(WordBits);
+  max_emits = 2 * build_emits + sized / sizeof(int32_t);
+  next = Reserve<int32_t>(max_states * nc);
+  emit_at = Reserve<uint32_t>(max_states * nc);
+  states = Reserve<DfaStateInfo>(max_states - static_cast<size_t>(num_aot));
+  words = Reserve<WordBits>(max_words);
+  emit_pool = Reserve<int32_t>(max_emits);
+  pads = Reserve<const LazyDfaSession::PadMemo*>(max_states);
+  for (std::atomic<int32_t>& guess : guesses) guess.store(-1);
+  if (aot != nullptr) WalkFormat(f, *aot, next.get());
+  std::fill(pads.get(), pads.get() + num_aot, nullptr);
+  DfaConfig start;
+  start.SetStart(f);
+  start_id = Intern(start);
+}
+
+int32_t LazyDfaCache::Intern(const DfaConfig& cfg) {
+  // Baked states first: they cost nothing.
+  if (aot != nullptr) {
+    const int32_t id = FindDfaState(aot->states.data(),
+                                    aot->snap_pool.data(), aot->index, cfg);
+    if (id >= 0) return id;
+  }
+  int32_t local = FindDfaState(states.get(), words.get(), index, cfg);
+  if (local >= 0) return num_aot + local;
+  local = static_cast<int32_t>(num_states++);
+  DfaStateInfo& info = states[static_cast<size_t>(local)];
+  info = DfaStateInfo{};
+  info.hash = cfg.hash;
+  info.snap_begin = static_cast<uint32_t>(num_words);
+  info.num_state = static_cast<uint32_t>(cfg.state.size());
+  info.num_armed = static_cast<uint32_t>(cfg.armed.size());
+  info.pending_cls = cfg.pending_cls;
+  info.prev_delim = cfg.prev_delim ? 1 : 0;
+  WordBits* const armed = std::copy(cfg.state.begin(), cfg.state.end(),
+                                    words.get() + num_words);
+  std::copy(cfg.armed.begin(), cfg.armed.end(), armed);
+  num_words += cfg.state.size() + cfg.armed.size();
+  index.emplace(cfg.hash, local);
+  const int32_t id = num_aot + local;
+  int32_t* const row = next.get() + static_cast<size_t>(id) * num_classes;
+  std::fill(row, row + num_classes, kUnbuilt);
+  pads[static_cast<size_t>(id)] = nullptr;
+  Charge(sizeof(DfaStateInfo) +
+         num_classes * (sizeof(int32_t) + sizeof(uint32_t)) +
+         (cfg.state.size() + cfg.armed.size()) * sizeof(WordBits) +
+         kIndexNodeBytes);
+  DfaCacheMetrics::Get().states->Increment();
+  return id;
+}
+
+bool LazyDfaCache::Full() const {
+  const size_t rows = static_cast<size_t>(num_aot) + num_states;
+  return bytes > cap_bytes || rows == max_states ||
+         LazyDfaSession::TableFull(rows * num_classes, num_classes) ||
+         num_words + build_words > max_words ||
+         num_emits + build_emits > max_emits;
+}
+
+int32_t LazyDfaCache::Build(const FusedTagger& f, int32_t from,
+                            uint8_t cls) {
+  const size_t slot = static_cast<size_t>(from) * num_classes + cls;
+  std::lock_guard<std::mutex> lock(mu);
+  const int32_t built = LoadEntry(next.get(), slot);
+  if (built != kUnbuilt || Full()) return built;
+  // The tagger may have moved since the last build.
+  scratch.Rebind(&f);
+  const DfaStateInfo& info = Info(from);
+  tmp.Step(info, Snap(info, from), cls, &scratch, &tmp_emit);
+  const int32_t to = Intern(tmp);
+  const size_t count = tmp_emit.size();
+  if (count != 0) {
+    emit_at[slot] = static_cast<uint32_t>(num_emits);
+    emit_pool[num_emits] = static_cast<int32_t>(count);
+    std::copy(tmp_emit.begin(), tmp_emit.end(),
+              emit_pool.get() + num_emits + 1);
+    num_emits += 1 + count;
+    Charge((1 + count) * sizeof(int32_t));
+  }
+  const int32_t entry =
+      Entry(to, num_classes, ExitFlags(f, FactsOf(info), cls), count != 0);
+  std::atomic_ref<int32_t>(next[slot]).store(entry,
+                                             std::memory_order_release);
+  return entry;
+}
+
+void LazyDfaCache::AddPad(std::string_view pad, int32_t state,
+                          LazyDfaSession::PadMemo memo) {
+  std::lock_guard<std::mutex> lock(mu);
+  if (bytes > cap_bytes || pads[state] != nullptr) return;
+  if (pad_bytes.empty()) {
+    pad_bytes.assign(pad);
+  } else if (pad != pad_bytes) {
+    return;
+  }
+  Charge(sizeof(LazyDfaSession::PadMemo) + kIndexNodeBytes +
+         memo.tags.size() * sizeof(LazyDfaSession::PadTag) +
+         memo.skips.size() * sizeof(LazyDfaSession::PadSkip));
+  pad_memos.push_back(
+      std::make_unique<LazyDfaSession::PadMemo>(std::move(memo)));
+  std::atomic_ref<const LazyDfaSession::PadMemo*>(pads[state])
+      .store(pad_memos.back().get(), std::memory_order_release);
 }
 
 // --------------------------------------------------------- LazyDfaTagger
 
 LazyDfaTagger::LazyDfaTagger(FusedTagger fused,
                              std::shared_ptr<const AotDfaTable> aot)
-    : fused_(std::move(fused)),
-      aot_(std::move(aot)),
-      session_pool_(std::make_shared<LazyDfaSessionPool>()) {
-  start_.SetStart(fused_);
-  if (aot_ != nullptr) baked_next_ = WalkFormat(fused_, *aot_);
+    : fused_(std::move(fused)), aot_(std::move(aot)) {
   const RunScanner& delim = fused_.delimiter_scanner();
   const RunScanner& arm = fused_.arm_scanner();
   for (int b = 0; b < 256; ++b) {
@@ -236,6 +478,30 @@ LazyDfaTagger::LazyDfaTagger(FusedTagger fused,
         (delim.Test(c) ? 1 << kRunResync : 1 << kRunDelimiter) |
         (arm.Test(c) ? 1 << kRunArmed : 0));
   }
+}
+
+LazyDfaTagger::LazyDfaTagger(LazyDfaTagger&& other) noexcept
+    : fused_(std::move(other.fused_)),
+      aot_(std::move(other.aot_)),
+      cache_(other.cache_.exchange(nullptr)) {
+  std::copy(std::begin(other.run_ends_), std::end(other.run_ends_),
+            run_ends_);
+}
+
+LazyDfaTagger::~LazyDfaTagger() { delete cache_.load(); }
+
+LazyDfaCache& LazyDfaTagger::Cache() const {
+  LazyDfaCache* cache = cache_.load(std::memory_order_acquire);
+  if (cache == nullptr) {
+    static std::mutex make;
+    std::lock_guard<std::mutex> lock(make);
+    cache = cache_.load(std::memory_order_relaxed);
+    if (cache == nullptr) {
+      cache = new LazyDfaCache(fused_, aot_.get());
+      cache_.store(cache, std::memory_order_release);
+    }
+  }
+  return *cache;
 }
 
 StatusOr<LazyDfaTagger> LazyDfaTagger::Create(const grammar::Grammar* grammar,
@@ -251,9 +517,9 @@ LazyDfaTagger LazyDfaTagger::Wrap(FusedTagger fused,
 }
 
 void LazyDfaTagger::Run(std::string_view input, const TagSink& sink) const {
-  LazyDfaSessionPool::Handle session = session_pool_->Acquire(this);
-  session->Feed(input, sink);
-  session->Finish(sink);
+  LazyDfaSession session(this);
+  session.Feed(input, sink);
+  session.Finish(sink);
 }
 
 std::vector<Tag> LazyDfaTagger::TagAll(std::string_view input) const {
@@ -265,62 +531,58 @@ std::vector<Tag> LazyDfaTagger::TagAll(std::string_view input) const {
   return tags;
 }
 
+size_t LazyDfaTagger::cache_states() const {
+  LazyDfaCache& cache = Cache();
+  std::lock_guard<std::mutex> lock(cache.mu);
+  return cache.num_states;
+}
+
+size_t LazyDfaTagger::cache_bytes() const {
+  LazyDfaCache& cache = Cache();
+  std::lock_guard<std::mutex> lock(cache.mu);
+  return cache.bytes;
+}
+
 // -------------------------------------------------------- LazyDfaSession
 
-LazyDfaSession::LazyDfaSession(const LazyDfaTagger* tagger)
-    : tagger_(nullptr), scratch_(&tagger->fused()) {
-  Rebind(tagger);
-}
+// A superblock's trail regions, one per lane, and its lanes.
+struct LazyDfaSession::LaneScratch {
+  std::unique_ptr<TrailEntry[]> trail{new TrailEntry[kLanes * kTrailStride]};
+  Lane lanes[kLanes];
+};
 
-void LazyDfaSession::Rebind(const LazyDfaTagger* tagger) {
-  if (tagger != tagger_) {
-    // The old tagger may already be gone (pooled sessions outlive the
-    // tagger that last used them), so unflushed attribution cannot be
-    // resolved to token names any more: drop it rather than merge it.
-    attr_dirty_ = false;
-    std::fill(attr_matches_.begin(), attr_matches_.end(), 0);
-    for (EmitList& list : emits_) list.replays = 0;
-    attr_dfa_hits_ = attr_dfa_misses_ = 0;
-    tagger_ = tagger;
-    scratch_.Rebind(&tagger_->fused());
-    num_classes_ = tagger_->fused().NumByteClasses();
-    aot_ = tagger_->aot();
-    num_aot_ = aot_ ? static_cast<int32_t>(aot_->states.size()) : 0;
-    baked_slots_ = static_cast<size_t>(num_aot_) * num_classes_;
-    flushes_ = 0;
-    fallback_ = false;
-    ClearCache();
+// Borrows the calling thread's lane scratch for one superblock, or makes a
+// fresh set while a superblock further up the stack (one whose sink tags)
+// holds it, and leaves one set with the thread when done.
+class LazyDfaSession::LaneLease {
+ public:
+  LaneLease() : set_(std::move(Idle())) {
+    if (set_ == nullptr) set_ = std::make_unique<LaneScratch>();
   }
+  ~LaneLease() {
+    if (Idle() == nullptr) Idle() = std::move(set_);
+  }
+  LaneLease(const LaneLease&) = delete;
+  LaneLease& operator=(const LaneLease&) = delete;
+
+  LaneScratch& operator*() const { return *set_; }
+
+ private:
+  // The thread's set while no superblock holds it.
+  static std::unique_ptr<LaneScratch>& Idle() {
+    thread_local std::unique_ptr<LaneScratch> idle;
+    return idle;
+  }
+
+  std::unique_ptr<LaneScratch> set_;
+};
+
+LazyDfaSession::LazyDfaSession(const LazyDfaTagger* tagger)
+    : tagger_(tagger),
+      cache_(&tagger->Cache()),
+      next_(cache_->next.get()),
+      num_classes_(cache_->num_classes) {
   Reset();
-}
-
-void LazyDfaSession::ClearCache() {
-  ClearPadMemo();
-  start_id_ = -1;
-  FoldEmitCounts();
-  cache_.Clear();
-  emits_.clear();
-  own_table_ = false;
-  next_.clear();
-  emit_ref_.clear();
-  std::fill(std::begin(guess_), std::end(guess_), -1);
-  cache_bytes_ = 0;
-  budget_.ReleaseAll();
-}
-
-inline const int32_t* LazyDfaSession::Table() const {
-  return own_table_ ? next_.data() : tagger_->baked_next().data();
-}
-
-void LazyDfaSession::OwnTable() {
-  if (own_table_) return;
-  own_table_ = true;
-  const std::vector<int32_t>& baked = tagger_->baked_next();
-  next_.assign(baked.begin(), baked.end());
-  emit_ref_.assign(baked.size(), 0);
-  const size_t charged = baked.size() * (sizeof(int32_t) + sizeof(uint32_t));
-  cache_bytes_ += charged;
-  budget_.Add(charged);
 }
 
 void LazyDfaSession::Reset() {
@@ -332,97 +594,34 @@ void LazyDfaSession::Reset() {
   }
   consumed_ = 0;
   tags_ = 0;
+  fallback_ = false;
   finished_ = false;
   stopped_ = false;
-  const DfaConfig& start = tagger_->start_config();
-  if (fallback_) {
-    scratch_.LoadConfig(start.state.data(), start.state.size(),
-                        start.armed.data(), start.armed.size(),
-                        start.prev_delim);
-    pending_cls_ = start.pending_cls;
-    return;
-  }
-  if (start_id_ < 0) start_id_ = InternState(start);
-  state_ = start_id_;
-}
-
-int32_t LazyDfaSession::InternState(const DfaConfig& cfg) {
-  // Baked states first: they can never be evicted, so a hit here costs the
-  // session nothing and keeps its transitions shared.
-  if (aot_ != nullptr) {
-    const int32_t id = FindDfaState(aot_->states.data(),
-                                    aot_->snap_pool.data(), aot_->index, cfg);
-    if (id >= 0) return id;
-  }
-  int32_t local = cache_.Find(cfg);
-  if (local < 0) {
-    OwnTable();
-    local = cache_.Append(cfg);
-    next_.resize(next_.size() + num_classes_, kUnbuilt);
-    emit_ref_.resize(next_.size());
-    const size_t charged =
-        sizeof(DfaStateInfo) +
-        num_classes_ * (sizeof(int32_t) + sizeof(uint32_t)) +
-        (cfg.state.size() + cfg.armed.size()) * sizeof(WordBits) +
-        kIndexNodeBytes;
-    cache_bytes_ += charged;
-    budget_.Add(charged);
-    DfaCacheMetrics::Get().states->Increment();
-  }
-  return num_aot_ + local;
-}
-
-size_t LazyDfaSession::Put(size_t slot, int32_t next, int32_t exit,
-                           const int32_t* emit, size_t count) {
-  size_t charged = 0;
-  if (count != 0) {
-    emit_ref_[slot] = static_cast<uint32_t>(emits_.size());
-    emits_.push_back(EmitList{static_cast<uint32_t>(cache_.emit_pool.size()),
-                              static_cast<uint32_t>(count), 0});
-    cache_.emit_pool.insert(cache_.emit_pool.end(), emit, emit + count);
-    charged = sizeof(EmitList) + count * sizeof(int32_t);
-  }
-  next_[slot] = Entry(next, num_classes_, exit, count != 0);
-  return charged;
+  state_ = cache_->start_id;
 }
 
 void LazyDfaSession::LoadScratch() {
-  const DfaStateInfo& info = Info(state_);
-  const WordBits* snap = Snap(info, state_);
-  scratch_.LoadConfig(snap, info.num_state, snap + info.num_state,
-                      info.num_armed, info.prev_delim != 0);
+  if (!scratch_) scratch_.emplace(&tagger_->fused());
+  const DfaStateInfo& info = cache_->Info(state_);
+  const WordBits* snap = cache_->Snap(info, state_);
+  scratch_->LoadConfig(snap, info.num_state, snap + info.num_state,
+                       info.num_armed, info.prev_delim != 0);
   pending_cls_ = info.pending_cls;
 }
 
 void LazyDfaSession::EnterFallback() {
-  // Order matters: scratch_ must absorb the current interned configuration
-  // before the pools holding it are freed.
   LoadScratch();
   fallback_ = true;
-  ClearCache();
   DfaCacheMetrics::Get().fallbacks->Increment();
   obs::RecordEvent(obs::EventKind::kDfaCacheFallback,
-                   static_cast<int64_t>(flushes_),
+                   static_cast<int64_t>(state_),
                    static_cast<int64_t>(consumed_),
-                   "lazy-dfa session fell back to fused");
-}
-
-void LazyDfaSession::FoldEmitCounts() {
-  if (!attr_on_) return;
-  for (EmitList& list : emits_) {
-    if (list.replays == 0) continue;
-    for (uint32_t k = 0; k < list.count; ++k) {
-      attr_matches_[static_cast<size_t>(
-          cache_.emit_pool[list.begin + k])] += list.replays;
-    }
-    list.replays = 0;
-  }
+                   "lazy-dfa stream fell back to fused");
 }
 
 void LazyDfaSession::FlushAttribution() {
   if (!attr_dirty_) return;
   attr_dirty_ = false;
-  FoldEmitCounts();
   obs::AttributionTable& table = obs::AttributionTable::Default();
   const std::vector<grammar::TokenDef>& tokens = tagger_->grammar().tokens();
   for (size_t tok = 0; tok < attr_matches_.size(); ++tok) {
@@ -434,69 +633,11 @@ void LazyDfaSession::FlushAttribution() {
   attr_dfa_hits_ = attr_dfa_misses_ = 0;
 }
 
-void LazyDfaSession::Flush() {
-  ++flushes_;
-  DfaCacheMetrics::Get().flushes->Increment();
-  obs::RecordEvent(obs::EventKind::kDfaCacheFlush,
-                   static_cast<int64_t>(cache_bytes_),
-                   static_cast<int64_t>(flushes_), "dfa transition cache flush");
-  if (flushes_ >= tagger_->options().dfa_flush_fallback) {
-    EnterFallback();
-    return;
-  }
-  if (state_ < num_aot_) {
-    // The current state is baked: its id survives the flush by
-    // construction, and the session walks the baked table again.
-    ClearCache();
-    return;
-  }
-  // Copy the current configuration out of the pools, drop everything,
-  // re-intern it as the sole survivor.
-  const DfaStateInfo& info = Info(state_);
-  tmp_.Assign(info, Snap(info, state_));
-  ClearCache();
-  state_ = InternState(tmp_);
-}
-
-bool LazyDfaSession::ShedOnMiss() {
-  // The miss path is the only place the cache grows, so it is where
-  // budget pressure (and the dfa.intern fault site) sheds the session to
-  // uncached stepping. The steady-state hit path never reaches here.
-  if (!core::resilience::ResourceBudget::Process().ShouldShedDfa() &&
-      !core::resilience::FaultInjector::ShouldFail("dfa.intern")) {
-    return false;
-  }
-  EnterFallback();
-  return true;
-}
-
-bool LazyDfaSession::CacheFull() const {
-  // A build interns at most one state, so one more row must fit.
-  return cache_bytes_ > tagger_->options().dfa_cache_bytes ||
-         TableFull(next_.size(), num_classes_);
-}
-
 int32_t LazyDfaSession::BuildTransition(uint8_t cls) {
-  if (ShedOnMiss()) return kUnbuilt;
-  if (CacheFull()) {
-    Flush();
-    if (fallback_) return kUnbuilt;
-  }
-  return BuildFrom(state_, cls);
-}
-
-int32_t LazyDfaSession::BuildFrom(int32_t from, uint8_t cls) {
-  OwnTable();
-  const DfaStateInfo& info = Info(from);
-  tmp_.Step(info, Snap(info, from), cls, &scratch_, &tmp_emit_);
-  const int32_t next = InternState(tmp_);  // may move Info(from)
-  const size_t slot = static_cast<size_t>(from) * num_classes_ + cls;
-  const size_t charged =
-      Put(slot, next, ExitFlags(tagger_->fused(), FactsOf(Info(from)), cls),
-          tmp_emit_.data(), tmp_emit_.size());
-  cache_bytes_ += charged;
-  budget_.Add(charged);
-  return next_[slot];
+  const int32_t entry =
+      ShedOnMiss() ? kUnbuilt : cache_->Build(tagger_->fused(), state_, cls);
+  if (entry == kUnbuilt) EnterFallback();
+  return entry;
 }
 
 inline void LazyDfaSession::Emit(const int32_t* toks, size_t count,
@@ -511,26 +652,30 @@ inline void LazyDfaSession::Emit(const int32_t* toks, size_t count,
 }
 
 inline void LazyDfaSession::EmitSlot(size_t slot, const TagSink& sink) {
-  // The session builds only where the bake did not.
-  if (slot < baked_slots_ && aot_->trans[slot].next >= 0) {
-    const DfaTrans& t = aot_->trans[slot];
-    const int32_t* const toks = aot_->emit_pool.data() + t.emit_begin;
-    if (attr_on_) {
-      for (uint32_t k = 0; k < t.emit_count; ++k) {
-        ++attr_matches_[static_cast<size_t>(toks[k])];
-      }
-    }
-    Emit(toks, t.emit_count, sink);
-    return;
+  const LazyDfaCache& c = *cache_;
+  const int32_t* toks;
+  size_t count;
+  // The table builds only where the bake did not.
+  if (slot < c.baked_slots && c.aot->trans[slot].next >= 0) {
+    const DfaTrans& t = c.aot->trans[slot];
+    toks = c.aot->emit_pool.data() + t.emit_begin;
+    count = t.emit_count;
+  } else {
+    const int32_t* const list = c.emit_pool.get() + c.emit_at[slot];
+    toks = list + 1;
+    count = static_cast<size_t>(list[0]);
   }
-  EmitList& list = emits_[emit_ref_[slot]];
-  if (attr_on_) ++list.replays;
-  Emit(cache_.emit_pool.data() + list.begin, list.count, sink);
+  if (attr_on_) {
+    for (size_t k = 0; k < count; ++k) {
+      ++attr_matches_[static_cast<size_t>(toks[k])];
+    }
+  }
+  Emit(toks, count, sink);
 }
 
-size_t LazyDfaSession::Replay(size_t from, size_t to, const char* origin,
-                              uint64_t off, const TagSink& sink) {
-  const TrailEntry* const trail = trail_.get();
+size_t LazyDfaSession::Replay(const TrailEntry* trail, size_t from,
+                              size_t to, const char* origin, uint64_t off,
+                              const TagSink& sink) {
   const uint32_t at = Addr32(origin);
   for (size_t k = from; k < to; ++k) {
     const uint32_t rel = trail[k].pos - at;
@@ -538,8 +683,8 @@ size_t LazyDfaSession::Replay(size_t from, size_t to, const char* origin,
     EmitSlot(trail[k].slot, sink);
     if (stopped_) {
       ++consumed_;
-      state_ = static_cast<int32_t>(Successor(Table()[trail[k].slot]) /
-                                    num_classes_);
+      state_ = static_cast<int32_t>(
+          Successor(LoadEntry(next_, trail[k].slot)) / num_classes_);
       return static_cast<size_t>(rel) + 1;
     }
   }
@@ -555,11 +700,11 @@ void LazyDfaSession::LogPadSkip(SkipMetrics::Kind kind, size_t len) {
 void LazyDfaSession::StepScratch(bool has_next, uint8_t next_cls,
                                  const TagSink& sink) {
   if (pending_cls_ < 0) return;
-  scratch_.ProcessClass(static_cast<uint8_t>(pending_cls_), has_next,
-                        next_cls);
-  Emit(scratch_.emitted_.data(), scratch_.emitted_.size(), sink);
+  scratch_->ProcessClass(static_cast<uint8_t>(pending_cls_), has_next,
+                         next_cls);
+  Emit(scratch_->emitted_.data(), scratch_->emitted_.size(), sink);
   if (attr_on_) {
-    for (const int32_t tok : scratch_.emitted_) {
+    for (const int32_t tok : scratch_->emitted_) {
       ++attr_matches_[static_cast<size_t>(tok)];
     }
   }
@@ -569,8 +714,7 @@ void LazyDfaSession::StepScratch(bool has_next, uint8_t next_cls,
 bool LazyDfaSession::StepSlow(Cursor& c, const TagSink& sink) {
   const FusedTagger& f = tagger_->fused();
   const ByteClassifier& classes = f.classifier();
-  // Copy what the skip checks need before any build can grow the cache.
-  const IdleFacts cur = FactsOf(Info(state_));
+  const IdleFacts cur = FactsOf(cache_->Info(state_));
   const size_t j = TakeSkip(f, cur, c.data, c.i, c.n);
   if (pad_rec_ != nullptr && j != c.i) {
     LogPadSkip(SkipKind(f, cur, classes.ClassOf(
@@ -581,15 +725,14 @@ bool LazyDfaSession::StepSlow(Cursor& c, const TagSink& sink) {
   c.skipped += j - c.i;
   c.i = j;
   const uint8_t cls = classes.ClassOf(static_cast<unsigned char>(c.data[c.i]));
-  int32_t entry = Table()[static_cast<size_t>(state_) * num_classes_ + cls];
+  const size_t slot = static_cast<size_t>(state_) * num_classes_ + cls;
+  int32_t entry = LoadEntry(next_, slot);
   if (entry == kUnbuilt) {
     ++c.misses;
-    entry = BuildTransition(cls);  // a flush may re-intern state_
+    entry = BuildTransition(cls);
     if (fallback_) return false;
   }
-  if ((entry & kEmits) != 0) {
-    EmitSlot(static_cast<size_t>(state_) * num_classes_ + cls, sink);
-  }
+  if ((entry & kEmits) != 0) EmitSlot(slot, sink);
   if (cur.pending_cls >= 0) ++consumed_;
   ++c.i;
   state_ = static_cast<int32_t>(Successor(entry) / num_classes_);
@@ -597,26 +740,24 @@ bool LazyDfaSession::StepSlow(Cursor& c, const TagSink& sink) {
 }
 
 bool LazyDfaSession::StepSegment(Cursor& c, size_t end, const TagSink& sink) {
-  // Pass 1: a one-lane walk of at most kWalkBytes into the ordinary path's
-  // trail region, which follows the lanes'. Its callers often stop early
-  // (the router at the method name), and a short window bounds the walk
-  // past the stop that pass 2 throws away. Like a lane, it takes the step
-  // of an idle run that its byte ends when the next byte lies in the
-  // window, and leaves on any other exit bit.
-  const int32_t* const next = Table();
+  // Pass 1: a one-lane walk of at most kWalkBytes into walk_. Its callers
+  // often stop early (the router at the method name), and a short window
+  // bounds the walk past the stop that pass 2 throws away. Like a lane, it
+  // takes the step of an idle run that its byte ends when the next byte
+  // lies in the window, and leaves on any other exit bit.
+  const int32_t* const next = next_;
   const uint8_t* const class_of = tagger_->fused().classifier().class_map();
   const uint8_t* const run_ends = tagger_->run_ends();
   const unsigned char* const p =
       reinterpret_cast<const unsigned char*>(c.data) + c.i;
   const size_t m = std::min(end - c.i, kWalkBytes);
-  TrailEntry* const trail = trail_.get();
-  const size_t region = kLanes * kTrailStride;
-  size_t t = region;
+  TrailEntry* const trail = walk_;
+  size_t t = 0;
   int32_t s = state_ * static_cast<int32_t>(num_classes_);
   size_t r = 0;
   for (; r < m; ++r) {
     const uint32_t slot = static_cast<uint32_t>(s) + class_of[p[r]];
-    const int32_t e = next[slot];
+    const int32_t e = LoadEntry(next, slot);
     if ((e & kExit) != 0 &&
         (r + 1 == m || !RunEndsBefore(e, p[r + 1], run_ends))) {
       break;
@@ -628,7 +769,7 @@ bool LazyDfaSession::StepSegment(Cursor& c, size_t end, const TagSink& sink) {
   if (r == 0) return StepSlow(c, sink);
   // Pass 2. The walk consumed one pending byte per byte it took.
   const uint64_t off = consumed_;
-  const size_t stop = Replay(region, t, c.data + c.i, off, sink);
+  const size_t stop = Replay(trail, 0, t, c.data + c.i, off, sink);
   if (stop != 0) {
     c.i += stop;
     return false;
@@ -640,11 +781,11 @@ bool LazyDfaSession::StepSegment(Cursor& c, size_t end, const TagSink& sink) {
 }
 
 template <size_t N>
-size_t LazyDfaSession::Lockstep(Lane* const* lanes, const char* data) {
-  const int32_t* const next = Table();
+size_t LazyDfaSession::Lockstep(Lane* const* lanes, TrailEntry* trail,
+                                const char* data) {
+  const int32_t* const next = next_;
   const uint8_t* const class_of = tagger_->fused().classifier().class_map();
   const uint8_t* const run_ends = tagger_->run_ends();
-  TrailEntry* const trail = trail_.get();
   const unsigned char* const base =
       reinterpret_cast<const unsigned char*>(data);
   // Each lane's next byte. The round reads these from memory (volatile):
@@ -672,10 +813,13 @@ size_t LazyDfaSession::Lockstep(Lane* const* lanes, const char* data) {
     size_t exit = N;
     for (; r < m; ++r) {
       size_t k = 0;
+      // Unrolled, so that the lanes' states and trail ends stay scalars in
+      // registers: GCC does not unroll a loop of atomic loads by itself.
+#pragma GCC unroll 4
       for (; k < N; ++k) {
         const unsigned char* const at = p[k] + r;
         const size_t slot = size_t{s[k]} + class_of[*at];
-        const int32_t e = next[slot];
+        const int32_t e = LoadEntry(next, slot);
         if ((e & kExit) != 0) break;
         *t[k] = TrailEntry{Addr32(at), static_cast<uint32_t>(slot)};
         t[k] += e & kEmits;
@@ -694,18 +838,29 @@ size_t LazyDfaSession::Lockstep(Lane* const* lanes, const char* data) {
     // Off the round: when lane `exit`'s byte ends the idle run and the next
     // byte lies before the lane's end, the skip would jump nothing and the
     // per-byte path would take this same entry, so the lane takes it here.
-    const unsigned char* const at = p[exit];
-    const size_t slot = size_t{s[exit]} + class_of[*at];
-    const int32_t e = next[slot];
-    if (at + 1 == base + lanes[exit]->end ||
-        !RunEndsBefore(e, at[1], run_ends)) {
+    // s and t are indexed by constants only, so that they stay registers.
+    bool took = false;
+    const auto take = [&](uint32_t& sk, TrailEntry*& tk, size_t k) {
+      const unsigned char* const at = p[k];
+      const size_t slot = size_t{sk} + class_of[*at];
+      const int32_t e = LoadEntry(next, slot);
+      if (at + 1 == base + lanes[k]->end ||
+          !RunEndsBefore(e, at[1], run_ends)) {
+        return;
+      }
+      *tk = TrailEntry{Addr32(at), static_cast<uint32_t>(slot)};
+      tk += e & kEmits;
+      sk = static_cast<uint32_t>(e) >> kFlagBits;
+      p[k] = at + 1;
+      took = true;
+    };
+    [&]<size_t... K>(std::index_sequence<K...>) {
+      ((exit == K ? take(s[K], t[K], K) : void()), ...);
+    }(std::make_index_sequence<N>{});
+    if (!took) {
       left = exit;
       break;
     }
-    *t[exit] = TrailEntry{Addr32(at), static_cast<uint32_t>(slot)};
-    t[exit] += e & kEmits;
-    s[exit] = static_cast<uint32_t>(e) >> kFlagBits;
-    p[exit] = at + 1;
   }
   for (size_t k = 0; k < N; ++k) {
     lanes[k]->pos = static_cast<size_t>(p[k] - base);
@@ -715,8 +870,8 @@ size_t LazyDfaSession::Lockstep(Lane* const* lanes, const char* data) {
   return left;
 }
 
-void LazyDfaSession::LaneSlowStep(Lane& lane, const char* data,
-                                  size_t base) {
+void LazyDfaSession::LaneSlowStep(Lane& lane, TrailEntry* trail,
+                                  const char* data, size_t base) {
   const FusedTagger& f = tagger_->fused();
   const ByteClassifier& classes = f.classifier();
   const int32_t id =
@@ -724,7 +879,7 @@ void LazyDfaSession::LaneSlowStep(Lane& lane, const char* data,
   // Lanes never start out of the stream-start state, and no step leads
   // into it, so every lane step consumes a pending byte.
   const SkipMetrics::Kind kind =
-      SkipKind(f, FactsOf(Info(id)),
+      SkipKind(f, FactsOf(cache_->Info(id)),
                classes.ClassOf(static_cast<unsigned char>(data[lane.pos])));
   const size_t j = LastInertByte(f, kind, data, lane.pos, lane.end);
   Checkpoint cp{static_cast<uint32_t>(lane.pos - base), id, lane.t, 0,
@@ -734,7 +889,7 @@ void LazyDfaSession::LaneSlowStep(Lane& lane, const char* data,
   // A skip that reaches the slice's end may run on past it: the ordinary
   // path takes it, from this checkpoint.
   const bool cut = kind != kNoSkip && j + 1 == lane.end;
-  const int32_t entry = cut ? kUnbuilt : Table()[slot];
+  const int32_t entry = cut ? kUnbuilt : LoadEntry(next_, slot);
   if (entry == kUnbuilt) {
     lane.cps.push_back(cp);
     // A stall: the lane's state is likely still a wrong guess, so it
@@ -754,27 +909,28 @@ void LazyDfaSession::LaneSlowStep(Lane& lane, const char* data,
   }
   cp.skip_len = static_cast<uint32_t>(j - lane.pos);
   lane.cps.push_back(cp);
-  trail_[lane.t] = TrailEntry{Addr32(data + j), static_cast<uint32_t>(slot)};
+  trail[lane.t] = TrailEntry{Addr32(data + j), static_cast<uint32_t>(slot)};
   lane.t += static_cast<uint32_t>(entry & kEmits);
   lane.s = entry >> kFlagBits;
   lane.pos = j + 1;
 }
 
-size_t LazyDfaSession::Adopt(Cursor& c, const Lane& lane, size_t from,
+size_t LazyDfaSession::Adopt(Cursor& c, const Lane& lane,
+                             const TrailEntry* trail, size_t from,
                              size_t base, const TagSink& sink) {
   const FusedTagger& f = tagger_->fused();
   // The consumed count before the byte at base + pos is off + pos.
   const uint64_t off = consumed_ - (c.i - base);
-  size_t trail = lane.cps[from].trail;
+  size_t t = lane.cps[from].trail;
   size_t q = from;
   for (;; ++q) {
     const Checkpoint& cp = lane.cps[q];
-    const size_t stop = Replay(trail, cp.trail, c.data + base, off, sink);
+    const size_t stop = Replay(trail, t, cp.trail, c.data + base, off, sink);
     if (stop != 0) {
       c.i = base + stop;
       return q;
     }
-    trail = cp.trail;
+    t = cp.trail;
     if (cp.skip_len != 0) {
       CountSkip(f, cp.kind, cp.skip_len);
       c.skipped += cp.skip_len;
@@ -790,17 +946,18 @@ size_t LazyDfaSession::Adopt(Cursor& c, const Lane& lane, size_t from,
 }
 
 void LazyDfaSession::WalkLanes(Lane** live, size_t num_live,
-                               const char* data, size_t base) {
+                               TrailEntry* trail, const char* data,
+                               size_t base) {
   static_assert(kLanes == 4, "WalkLanes dispatches 1 to 4 live lanes");
   while (num_live > 0) {
     size_t left;
     switch (num_live) {
-      case 4: left = Lockstep<4>(live, data); break;
-      case 3: left = Lockstep<3>(live, data); break;
-      case 2: left = Lockstep<2>(live, data); break;
-      default: left = Lockstep<1>(live, data); break;
+      case 4: left = Lockstep<4>(live, trail, data); break;
+      case 3: left = Lockstep<3>(live, trail, data); break;
+      case 2: left = Lockstep<2>(live, trail, data); break;
+      default: left = Lockstep<1>(live, trail, data); break;
     }
-    if (left < num_live) LaneSlowStep(*live[left], data, base);
+    if (left < num_live) LaneSlowStep(*live[left], trail, data, base);
     size_t kept = 0;
     for (size_t k = 0; k < num_live; ++k) {
       Lane& lane = *live[k];
@@ -826,11 +983,20 @@ void LazyDfaSession::NoteGuess(const Cursor& c) {
 }
 
 void LazyDfaSession::Superblock(Cursor& c, const TagSink& sink) {
+  if (!guessed_) {
+    for (size_t b = 0; b < 256; ++b) {
+      guess_[b] = cache_->guesses[b].load(std::memory_order_acquire);
+    }
+    guessed_ = true;
+  }
+  const LaneLease lease;
+  Lane* const lanes = (*lease).lanes;
+  TrailEntry* const trail = (*lease).trail.get();
   const size_t base = c.i;
   // Speculate: lane 0 from the true state, the others from guesses.
   Lane* live[kLanes];
   for (size_t k = 0; k < kLanes; ++k) {
-    Lane& lane = lanes_[k];
+    Lane& lane = lanes[k];
     lane.pos = base + k * kSliceBytes;
     lane.end = lane.pos + kSliceBytes;
     const int32_t guess =
@@ -844,37 +1010,32 @@ void LazyDfaSession::Superblock(Cursor& c, const TagSink& sink) {
                                   start, lane.t, 0, kNoSkip, true});
     live[k] = &lane;
   }
-  WalkLanes(live, kLanes, c.data, base);
+  WalkLanes(live, kLanes, trail, c.data, base);
 
   // Commit: the ordinary path runs from the true state, adopting a lane's
   // guessed stretch at the first of its checkpoints it meets in the lane's
   // state, and notes the states it passes through for later guesses.
   // Checkpoints are in position order, so one cursor per lane finds them.
-  const uint64_t flushes = flushes_;
-  bool speculating = true;
-  for (const Lane& lane : lanes_) {
+  for (size_t k = 0; k < kLanes; ++k) {
+    const Lane& lane = lanes[k];
     size_t q = 0;
     while (c.i < lane.end) {
-      size_t stop = lane.end;
-      if (speculating) {
-        const size_t rel = c.i - base;
-        while (q < lane.cps.size() && lane.cps[q].pos < rel) ++q;
-        if (q < lane.cps.size() && lane.cps[q].pos == rel &&
-            lane.cps[q].state == state_) {
-          q = Adopt(c, lane, q, base, sink) + 1;
-          if (stopped_) return;
-          NoteGuess(c);
-          continue;
-        }
-        // Walk no further than the lane's next checkpoint, to test it.
-        size_t r = q;
-        while (r < lane.cps.size() && lane.cps[r].pos <= rel) ++r;
-        if (r < lane.cps.size()) stop = base + lane.cps[r].pos;
+      const size_t rel = c.i - base;
+      while (q < lane.cps.size() && lane.cps[q].pos < rel) ++q;
+      if (q < lane.cps.size() && lane.cps[q].pos == rel &&
+          lane.cps[q].state == state_) {
+        q = Adopt(c, lane, trail, q, base, sink) + 1;
+        if (stopped_) return;
+        NoteGuess(c);
+        continue;
       }
+      // Walk no further than the lane's next checkpoint, to test it.
+      size_t r = q;
+      while (r < lane.cps.size() && lane.cps[r].pos <= rel) ++r;
+      const size_t stop =
+          r < lane.cps.size() ? base + lane.cps[r].pos : lane.end;
       if (!StepSegment(c, stop, sink)) return;
       NoteGuess(c);
-      // A flush renumbers states: the lanes' logs no longer apply.
-      if (flushes_ != flushes) speculating = false;
     }
   }
 }
@@ -891,11 +1052,13 @@ void LazyDfaSession::Feed(std::string_view chunk, const TagSink& sink) {
   // Only a miss can enter fallback; the byte then goes to the uncached
   // loop below.
   if (!fallback_) {
-    if (!trail_) trail_.reset(new TrailEntry[(kLanes + 1) * kTrailStride]);
     while (c.i < c.n && !stopped_ && !fallback_) {
       if (c.n - c.i >= kLanes * kSliceBytes &&
-          Info(state_).pending_cls >= 0) {
+          cache_->Info(state_).pending_cls >= 0) {
         Superblock(c, sink);
+        for (size_t b = 0; b < 256; ++b) {
+          cache_->guesses[b].store(guess_[b], std::memory_order_release);
+        }
       } else {
         StepSegment(c, c.n, sink);
       }
@@ -914,9 +1077,9 @@ void LazyDfaSession::Feed(std::string_view chunk, const TagSink& sink) {
   // byte, with this byte as its look-ahead.
   while (c.i < c.n) {
     const size_t j = TakeSkip(f,
-                              IdleFacts{scratch_.any_live_,
-                                        scratch_.armed_any_,
-                                        scratch_.prev_was_delim_,
+                              IdleFacts{scratch_->any_live_,
+                                        scratch_->armed_any_,
+                                        scratch_->prev_was_delim_,
                                         pending_cls_},
                               c.data, c.i, c.n);
     consumed_ += j - c.i;
@@ -933,22 +1096,16 @@ void LazyDfaSession::Feed(std::string_view chunk, const TagSink& sink) {
 void LazyDfaSession::FeedPadding(std::string_view pad, const TagSink& sink) {
   // Fallback and attribution are slow paths that the plain Feed keeps
   // exact by construction.
-  if (fallback_ || attr_on_ || finished_ || stopped_) {
+  if (pad.empty() || fallback_ || attr_on_ || finished_ || stopped_) {
     Feed(pad, sink);
     return;
   }
-  if (pad != pad_bytes_) {
-    ClearPadMemo();
-    pad_bytes_.assign(pad);
-  }
-  const auto hit = pad_memo_.find(state_);
-  if (hit != pad_memo_.end()) {
-    ReplayPadding(hit->second, sink);
+  if (const PadMemo* memo = cache_->FindPad(pad, state_)) {
+    ReplayPadding(*memo, sink);
     return;
   }
   const int32_t from = state_;
   const uint64_t base = consumed_;
-  const uint64_t flushes = flushes_;
   PadMemo memo;
   pad_rec_ = &memo;
   Feed(pad, [&](const Tag& t) {
@@ -956,18 +1113,11 @@ void LazyDfaSession::FeedPadding(std::string_view pad, const TagSink& sink) {
     return sink(t);
   });
   pad_rec_ = nullptr;
-  // A flush renumbers the states; a fallback or an early stop leaves the
-  // padding unfinished.
-  if (stopped_ || fallback_ || flushes_ != flushes) return;
+  // A fallback or an early stop leaves the padding unfinished.
+  if (stopped_ || fallback_) return;
   memo.end_state = state_;
   memo.consumed = static_cast<uint32_t>(consumed_ - base);
-  const size_t charged = sizeof(PadMemo) + kIndexNodeBytes +
-                         memo.tags.size() * sizeof(PadTag) +
-                         memo.skips.size() * sizeof(PadSkip);
-  pad_memo_bytes_ += charged;
-  cache_bytes_ += charged;
-  budget_.Add(charged);
-  pad_memo_.emplace(from, std::move(memo));
+  cache_->AddPad(pad, from, std::move(memo));
 }
 
 void LazyDfaSession::ReplayPadding(const PadMemo& memo, const TagSink& sink) {
@@ -988,13 +1138,6 @@ void LazyDfaSession::ReplayPadding(const PadMemo& memo, const TagSink& sink) {
   }
   consumed_ = base + memo.consumed;
   state_ = memo.end_state;
-}
-
-void LazyDfaSession::ClearPadMemo() {
-  pad_memo_.clear();
-  cache_bytes_ -= pad_memo_bytes_;
-  budget_.Release(pad_memo_bytes_);
-  pad_memo_bytes_ = 0;
 }
 
 void LazyDfaSession::Finish(const TagSink& sink) {

@@ -1,9 +1,11 @@
 #ifndef CFGTAG_TAGGER_LAZY_DFA_H_
 #define CFGTAG_TAGGER_LAZY_DFA_H_
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -21,16 +23,16 @@
 namespace cfgtag::tagger {
 
 class LazyDfaTagger;
-class LazyDfaSessionPool;
+// The transition table a LazyDfaTagger shares with its sessions
+// (lazy_dfa.cc).
+struct LazyDfaCache;
 
 // An ahead-of-time determinized transition table: a DfaPool baked into an
-// artifact at serialize time, served back as views into the artifact bytes
-// and shared read-only by every session of the tagger that loaded it.
-// Baked state ids are [0, states.size()); sessions place their own lazily
-// interned states above that range and never mutate the baked rows, so one
-// table serves any number of threads. Transitions the bake left unbuilt
-// (outside the state budget) have next = -1 and are built at run time into
-// the session's private table.
+// artifact at serialize time and served back as views into the artifact
+// bytes. Baked state ids are [0, states.size()); the tagger's shared table
+// holds the baked rows first and interns its own states above that range.
+// Transitions the bake left unbuilt (outside the state budget) have
+// next = -1 and are built at run time into the shared table.
 struct AotDfaTable {
   TableView<DfaStateInfo> states;
   TableView<DfaTrans> trans;  // row-major [state * num_classes + cls]
@@ -54,51 +56,69 @@ struct AotDfaTable {
   }
 };
 
-// Process-wide accounting for the lazy-DFA transition cache, shared by all
-// sessions: states interned, RE2-style cache flushes, and sessions that
-// gave up caching and fell back to uncached fused stepping.
+// Process-wide accounting for the lazy-DFA transition tables: states
+// interned, and streams that missed once no transition could be built and
+// finished on uncached fused steps.
 struct DfaCacheMetrics {
   obs::Counter* states;
-  obs::Counter* flushes;
   obs::Counter* fallbacks;
 
   static const DfaCacheMetrics& Get();
 };
 
-// Streaming session over a LazyDfaTagger, and the only loop in the
-// library that streams bytes through the fused tables: the fused machine
-// step memoized as a lazily built DFA. An interned DFA state is a full
-// machine configuration — the sparse live words of the fused state bitmap,
-// the sparse armed words, the delimiter flag, and the *class* of the
-// pending look-ahead byte (the Fig. 7 one-byte lag; emissions and
-// post-emission arming both depend on the look-ahead's class, so it must
-// live in the state for transitions to be a function of (state, input
-// class) alone). The alphabet is the tagger's ByteClassifier classes:
-// every machine decision factors through the byte class, so one fused
-// step on a pair of classes builds a transition that is exact for every
-// byte of the class.
+// A cursor over a stream of a LazyDfaTagger, and the only loop in the library
+// that streams bytes through the fused tables: the fused machine step
+// memoized as a lazily built DFA. An interned DFA state is a full machine
+// configuration — the sparse live words of the fused state bitmap, the
+// sparse armed words, the delimiter flag, and the *class* of the pending
+// look-ahead byte (the Fig. 7 one-byte lag; emissions and post-emission
+// arming both depend on the look-ahead's class, so it must live in the state
+// for transitions to be a function of (state, input class) alone). The
+// alphabet is the tagger's ByteClassifier classes: every machine decision
+// factors through the byte class, so one fused step on a pair of classes
+// builds a transition that is exact for every byte of the class.
 //
-// Steady state runs out of one flat table, next[id * num_classes + cls],
-// over baked and session state ids alike. A built entry holds
+// One table per tagger. Every cursor of a tagger walks the tagger's one
+// flat table, next[id * num_classes + cls], over baked and interned state
+// ids alike; the cursor itself holds only stream state. The tagger makes
+// the table when its first cursor is made. A built entry holds
 // (premultiplied successor << kFlagBits) | flags: bit 0 when the step
-// emits, bit 1 (exit) when an idle skip may start out of the entry's
-// source state on its class, and in bits 2-3 which skip: a delimiter,
-// resync or armed run, or "leave" (an anchored tail, a step out of the
-// stream-start state). Every idle-skip test is a function of (state
-// facts, byte class), so it is folded into the entry when the entry is
-// installed, and the walk checks it before taking the step; an unbuilt
-// entry (-1) has every bit set, so it is an exit that leaves. Each cached
-// stretch runs in two passes. Pass 1 walks
-// `s = next[s + class_of[byte]] >> kFlagBits` and never branches on
-// emission: it appends (the byte's address, slot) to a trail without a
-// branch and leaves on an exit bit, unless the exit's idle run ends at its
-// byte (the per-byte path would skip nothing and take the same entry).
-// Pass 2 replays the trail in order through Emit, one TagSink call per
-// tag, with an exact consumed_ and an early stop at exactly the tag the
-// sink refused. On the ordinary path pass 1 walks at most kWalkBytes
-// before pass 2 runs, so a sink that stops early costs at most that much
-// walk past its stop. The per-byte path then serves the exit: the idle
-// skip, misses, flushes and fallback.
+// emits, bit 1 (exit) when an idle skip may start out of the entry's source
+// state on its class, and in bits 2-3 which skip: a delimiter, resync or
+// armed run, or "leave" (an anchored tail, a step out of the stream-start
+// state). Every idle-skip test is a function of (state facts, byte class),
+// so it is folded into the entry when the entry is built, and the walk
+// checks it before taking the step; an unbuilt entry (-1) has every bit
+// set, so it is an exit that leaves. Each cached stretch runs in two
+// passes. Pass 1 walks `s = next[s + class_of[byte]] >> kFlagBits` and
+// never branches on emission: it appends (the byte's address, slot) to a
+// trail without a branch and leaves on an exit bit, unless the exit's idle
+// run ends at its byte (the per-byte path would skip nothing and take the
+// same entry). Pass 2 replays the trail in order through Emit, one TagSink
+// call per tag, with an exact consumed_ and an early stop at exactly the
+// tag the sink refused. On the ordinary path pass 1 walks at most
+// kWalkBytes before pass 2 runs, so a sink that stops early costs at most
+// that much walk past its stop. The per-byte path then serves the exit:
+// the idle skip, misses and fallback.
+//
+// The publish rule. The table, the emission lists, the interned states and
+// their snapshot words and the flush-padding records sit in storage sized
+// once from TaggerOptions::dfa_cache_bytes and never moved, so pages no
+// build touches stay out of RSS. Entries only ever go from unbuilt to
+// built, and walks read them with acquire loads (a plain load on x86). A
+// miss takes the tagger's build mutex, checks the entry again (another
+// cursor may have built it), takes the construction step the AOT bake also
+// takes (DfaConfig::Step, dfa_state.h), interns the successor with an
+// unbuilt row, writes the emission list, and only then publishes the entry
+// with a release store: whoever reads the entry sees everything it leads
+// to. Growth is charged to dfa_cache_bytes and to the "dfa_cache" budget.
+// There is no flush. Once the table is full (past dfa_cache_bytes, or a
+// premultiplied entry would overflow int32_t), or under the budget's
+// kShedDfa rung or the dfa.intern fault, a cursor that misses takes one
+// uncached fused step per byte for the rest of its stream, until Reset:
+// the configuration then lives in the cursor's scratch FusedSession and
+// the pending class in the cursor, with the same idle skips and emission
+// path as the cached mode.
 //
 // A cached chunk of at least kLanes * kSliceBytes bytes is cut into
 // superblocks of kLanes slices, walked in lockstep so the lanes' load chains
@@ -110,58 +130,41 @@ struct DfaCacheMetrics {
 // step. Lane 0 starts from the true state. Lane k guesses the state the
 // stream was last seen in after the byte that precedes its slice (lane 0's
 // state before anything was seen): a configuration forgets its past within a
-// few tokens, and the byte before fixes the pending class. Lanes take their
-// idle skips (bounded by the slice) but never build, never flush and never
-// shed: on an unbuilt entry a lane stalls and, its state most likely still a
-// wrong guess, guesses again past that byte from the same table. Each lane
-// logs a checkpoint (position, state) at its start, at every per-byte step
-// and every kCheckpointBytes of walk. The commit runs the ordinary path from
+// few tokens, and the byte before fixes the pending class. A cursor seeds
+// its guesses at its first superblock from the tagger's, which every
+// superblock publishes, so the first superblock of a call guesses as well
+// as the later ones. Lanes take their
+// idle skips (bounded by the slice) but never build and never shed: on an
+// unbuilt entry a lane stalls and, its state most likely still a wrong
+// guess, guesses again past that byte from the same table. Each lane logs a
+// checkpoint (position, state) at its start, at every per-byte step and
+// every kCheckpointBytes of walk. The commit runs the ordinary path from
 // the true state and adopts lane k — its trail, skips and end state — at the
 // first checkpoint the ordinary path meets in the lane's state: from there
 // the guessed walk is exact up to the lane's next stall, because the DFA is
 // deterministic. Past a stall, or in a slice whose guess never converged,
 // the ordinary path walks on by itself, building what it lacks. An idle skip
 // that reaches its slice's end may run on past it, so a lane stops before
-// such a skip and the ordinary path takes it. A flush during the commit
-// discards the uncommitted lanes and the rest of the superblock runs on the
-// ordinary path; a shed or fallback ends it at the last committed byte.
-// Since only the ordinary path builds, cache traffic, flushes, sheds and the
-// fallback verdict are those of the ordinary path alone, and skip counts and
-// DFA hits cover committed bytes only.
+// such a skip and the ordinary path takes it. A shed or fallback during the
+// commit ends the superblock at the last committed byte. Since only the
+// ordinary path builds, a cursor's builds, sheds and fallback are those of
+// the ordinary path alone, and skip counts and DFA hits cover committed
+// bytes only.
 //
-// Baked (AOT) rows are shared and immutable. The tagger converts them to
-// the walk's entry format once, when it is created, and a session walks
-// that shared table in place until it first builds a transition of its
-// own; it then copies the baked rows into a private table that also holds
-// its own states. A miss takes the construction step the AOT bake also
-// takes (DfaConfig::Step, dfa_state.h) and interns the result. When the
-// cache — the private table, emit_ref_, the emission lists and the
-// interned states, charged to TaggerOptions::dfa_cache_bytes and the
-// "dfa_cache" budget — grows past the cap, or a premultiplied entry would
-// overflow int32_t, it is dropped wholesale and rebuilt from the current
-// configuration (RE2's flush discipline); after dfa_flush_fallback flushes
-// the session stops caching for the rest of its life (Rebind to a
-// different tagger clears the verdict). In fallback the configuration
-// lives in the scratch FusedSession and the pending class in the session,
-// and each byte takes one uncached fused step, with the same idle skips
-// and emission path as the cached mode.
+// FeedPadding memoizes the end-of-input flush padding per state, in the
+// tagger: the padding's tags, its idle skips, its end state and its
+// consumed count depend only on the state it starts in, so the first
+// padding fed from a state runs the ordinary Feed and publishes a record
+// of them, and later ones, from any cursor, replay the record. Records are
+// charged like rows and are not made once the table is full.
 //
-// Two per-state memos ride on the cache and go with it wherever it is
-// cleared, since a flush renumbers states. Reset returns to the interned
-// stream-start id the session keeps, interning the start configuration
-// again only on the first Reset after a clear. FeedPadding memoizes the
-// end-of-input flush padding per state: the padding's tags, its idle
-// skips, its end state and its consumed count depend only on the state it
-// starts in, so the first padding fed from a state runs the ordinary Feed
-// and records them, and later ones replay the record. Its records are
-// charged to the cache like its rows.
-//
-// Besides the cache, a session that has walked a cached chunk holds fixed
-// scratch outside dfa_cache_bytes: the pass-1 trail, (kLanes + 1) regions
-// of a slice's worth of 8-byte entries (about 330 KiB of address space,
-// of which only the pages walks write become resident), and the lanes'
-// checkpoint logs: 20 bytes per exit a lane takes and per kCheckpointBytes
-// it walks, at most one per byte of a slice.
+// Besides the table, a superblock borrows lane scratch outside
+// dfa_cache_bytes: kLanes regions of a slice's worth of 8-byte trail
+// entries (about 260 KiB of address space, of which only the pages walks
+// write become resident) and the lanes' checkpoint logs, 20 bytes per exit
+// a lane takes and per kCheckpointBytes it walks. Each thread keeps one
+// set; a superblock started from inside a sink while another holds it
+// gets a fresh one.
 //
 // Tag streams are byte-identical, order included, to the functional
 // reference — enforced by the differential and fuzz suites.
@@ -174,7 +177,7 @@ class LazyDfaSession {
   // The flat table's entry format: a premultiplied successor (its row's
   // first slot) above kFlagBits flag bits. Every row start of a table of at
   // most kMaxTableEntries entries encodes into a non-negative int32_t, and
-  // a build that would grow the table past that flushes first.
+  // the table stops growing before a build would take it past that.
   static constexpr int kFlagBits = 4;
   static constexpr size_t kMaxTableEntries =
       static_cast<size_t>(std::numeric_limits<int32_t>::max()) >> kFlagBits;
@@ -197,8 +200,8 @@ class LazyDfaSession {
 
   // Feed(pad, sink), memoized per state (see the class comment): the same
   // tags, early stop, skip counts, consumed count and end state. `pad` is
-  // meant to be one constant; other bytes clear the memo. In fallback and
-  // with attribution on it is the plain Feed.
+  // meant to be one constant; padding other than the first one memoized is
+  // fed plainly. In fallback and with attribution on it is the plain Feed.
   void FeedPadding(std::string_view pad, const TagSink& sink);
 
   // Ends the stream: processes the lagging pending byte with no look-ahead
@@ -210,14 +213,8 @@ class LazyDfaSession {
   // them; Finish and Reset do too. A no-op with attribution off.
   void FlushAttribution();
 
-  // Returns to the stream-start state. The transition cache (and a
-  // standing fallback verdict) survives — pooled sessions get warm caches
-  // across scans of the same tagger.
+  // Returns to the stream-start state and leaves fallback.
   void Reset();
-
-  // Re-targets the session at `tagger` and resets it. A different tagger
-  // invalidates the cache and clears any fallback verdict.
-  void Rebind(const LazyDfaTagger* tagger);
 
   // Bytes fully processed so far (excludes the pending look-ahead byte).
   uint64_t bytes_consumed() const { return consumed_; }
@@ -228,16 +225,13 @@ class LazyDfaSession {
 
   const LazyDfaTagger* tagger() const { return tagger_; }
 
-  // Cache introspection (tests and metrics surfacing). cache_states()
-  // counts only the session's own interned states, not the shared baked
-  // table (aot_states() reports that).
-  size_t cache_states() const { return cache_.states.size(); }
-  size_t aot_states() const { return static_cast<size_t>(num_aot_); }
-  size_t cache_bytes() const { return cache_bytes_; }
-  uint64_t cache_flushes() const { return flushes_; }
+  // Whether this stream missed with no room to build and now takes
+  // uncached fused steps.
   bool fallback_active() const { return fallback_; }
 
  private:
+  friend struct LazyDfaCache;
+
   // Longest lane walk between two checkpoints. A lane's walk is replayed
   // only at the commit, so its length costs nothing when a sink stops.
   static constexpr size_t kCheckpointBytes = 256;
@@ -248,13 +242,6 @@ class LazyDfaSession {
   // Fresh guesses a lane may take after stalls, per superblock.
   static constexpr uint32_t kMaxRestarts = 64;
 
-  // A token list in cache_.emit_pool that emitting entries replay, and
-  // how often pass 2 replayed it since attribution was last folded.
-  struct EmitList {
-    uint32_t begin;
-    uint32_t count;
-    uint64_t replays;
-  };
   // An emitting step recorded by pass 1: the low 32 bits of its byte's
   // address (Replay subtracts the walk's origin) and its table slot. Left
   // uninitialized on purpose.
@@ -289,6 +276,9 @@ class LazyDfaSession {
     bool done;
     std::vector<Checkpoint> cps;
   };
+  // What a superblock borrows for its duration (see the class comment).
+  struct LaneScratch;
+  class LaneLease;
   // FeedPadding's record of the padding fed from one state, in stream
   // order: each tag, by its end past the consumed count the padding
   // started at; each idle skip, after the `tags` tags before it; then the
@@ -318,30 +308,18 @@ class LazyDfaSession {
     uint64_t misses;
   };
 
-  // Resolves a state id across the two regions: baked AOT states occupy
-  // [0, num_aot_), session-interned states live above.
-  const DfaStateInfo& Info(int32_t id) const {
-    return id < num_aot_ ? aot_->states[static_cast<size_t>(id)]
-                         : cache_.states[static_cast<size_t>(id - num_aot_)];
-  }
-  // First snapshot word of `info`, resolved into the owning pool.
-  const WordBits* Snap(const DfaStateInfo& info, int32_t id) const {
-    return (id < num_aot_ ? aot_->snap_pool.data() : cache_.snap_pool.data()) +
-           info.snap_begin;
-  }
-
   // Hands `count` tokens ending at the pending byte to `sink`, until it
   // asks to stop.
   void Emit(const int32_t* toks, size_t count, const TagSink& sink);
   // Emits the tokens of the emitting entry at `slot` and counts them for
   // attribution.
   void EmitSlot(size_t slot, const TagSink& sink);
-  // Pass 2: emits the steps recorded in trail_[from, to) in order, each at
+  // Pass 2: emits the steps recorded in trail[from, to) in order, each at
   // stream offset `off` + its byte's distance from `origin`. On an early
   // stop, sets consumed_ past the refused step and state_ to its
   // successor, and returns that distance + 1; otherwise returns 0.
-  size_t Replay(size_t from, size_t to, const char* origin, uint64_t off,
-                const TagSink& sink);
+  size_t Replay(const TrailEntry* trail, size_t from, size_t to,
+                const char* origin, uint64_t off, const TagSink& sink);
   // Logs an idle skip of `len` bytes of `kind` into the padding being
   // recorded (pad_rec_). The uncached loop never records.
   void LogPadSkip(SkipMetrics::Kind kind, size_t len);
@@ -349,48 +327,19 @@ class LazyDfaSession {
   // leaves consumed_ past the refused tag, as Replay does, and state_ as
   // it was.
   void ReplayPadding(const PadMemo& memo, const TagSink& sink);
-  // Drops FeedPadding's records and their charge.
-  void ClearPadMemo();
   // One uncached fused step on the pending byte held with scratch_, with
   // `next_cls` as its look-ahead (has_next = false at end of stream), and
   // its emissions; nothing without a pending byte.
   void StepScratch(bool has_next, uint8_t next_cls, const TagSink& sink);
 
-  // The global id of `cfg`: a baked state if one matches, else the
-  // session's own, interned on first sight with an unbuilt row.
-  int32_t InternState(const DfaConfig& cfg);
-  // Fills the unbuilt entry at `slot` of the private table with a
-  // transition to `next`, its exit flags and the emission of
-  // `emit[0, count)`, and returns the bytes that adds to the cache (the
-  // caller charges them).
-  size_t Put(size_t slot, int32_t next, int32_t exit, const int32_t* emit,
-             size_t count);
-  // Builds (and caches) the transition out of the current state on input
-  // class `cls`, flushing first if the cache is over budget, and returns
-  // its entry. May enter fallback mode — the caller must check
-  // fallback_active() after a build.
+  // Builds the transition out of the current state on input class `cls`
+  // and returns its entry, or enters fallback (under budget pressure, the
+  // dfa.intern fault, or with the table full) and returns it unbuilt.
   int32_t BuildTransition(uint8_t cls);
-  // Under budget pressure or an injected dfa.intern fault, enters fallback
-  // and returns true.
-  bool ShedOnMiss();
-  // Whether a build must flush first.
-  bool CacheFull() const;
-  // Steps state `from` on `cls`, interns the successor and installs the
-  // transition, returning its entry; no budget checks.
-  int32_t BuildFrom(int32_t from, uint8_t cls);
-  void Flush();
   void EnterFallback();
   // Loads the current interned configuration into scratch_ and its
   // pending class into pending_cls_, ready for an uncached step.
   void LoadScratch();
-  // Drops the session's states, transitions and both memos, back to
-  // walking the tagger's baked table in place.
-  void ClearCache();
-  // Before the first build into the table: copies the tagger's baked
-  // table into next_, which then also takes the session's own rows.
-  void OwnTable();
-  // The table the walks read: the tagger's baked one until OwnTable.
-  const int32_t* Table() const;
 
   // The ordinary cached path from state_ at c.i: one pass-1 walk of at
   // most kWalkBytes toward `end`, taking one-byte idle runs as a lane does,
@@ -404,64 +353,41 @@ class LazyDfaSession {
   void Superblock(Cursor& c, const TagSink& sink);
   // Runs lanes live[0, num_live) to their stops: lockstep walks between
   // per-byte steps.
-  void WalkLanes(Lane** live, size_t num_live, const char* data, size_t base);
+  void WalkLanes(Lane** live, size_t num_live, TrailEntry* trail,
+                 const char* data, size_t base);
   // Walks the N lanes in lockstep for at most kCheckpointBytes rounds,
   // until one reaches its end or stops on an exit it cannot take. Returns
   // that lane, left at the byte it stopped on, or N.
   template <size_t N>
-  size_t Lockstep(Lane* const* lanes, const char* data);
+  size_t Lockstep(Lane* const* lanes, TrailEntry* trail, const char* data);
   // A lane's per-byte step: logs a checkpoint, then takes the idle skip
   // and the step, or stops the lane (a stall, or a skip its end may cut).
-  void LaneSlowStep(Lane& lane, const char* data, size_t base);
+  void LaneSlowStep(Lane& lane, TrailEntry* trail, const char* data,
+                    size_t base);
   // Takes lane `lane` from checkpoint `from` to the end of its guessed
   // stretch: its emissions, skips and end state. Returns the index of the
   // stretch's last checkpoint (or of the one an early stop fell before).
-  size_t Adopt(Cursor& c, const Lane& lane, size_t from, size_t base,
-               const TagSink& sink);
+  size_t Adopt(Cursor& c, const Lane& lane, const TrailEntry* trail,
+               size_t from, size_t base, const TagSink& sink);
   // Records that the stream was in state_ after c.data[c.i - 1], for
   // later lanes to guess from.
   void NoteGuess(const Cursor& c);
 
-  // Expands the per-list replay counts into per-token counts, before the
-  // emission lists go away.
-  void FoldEmitCounts();
-
   const LazyDfaTagger* tagger_;
-  FusedSession scratch_;
+  // The tagger's shared table, and its shape.
+  LazyDfaCache* cache_;
+  const int32_t* next_;
+  size_t num_classes_;
 
-  // The shared baked table (may be null) and the size of its id region.
-  const AotDfaTable* aot_ = nullptr;
-  int32_t num_aot_ = 0;
+  // Uncached stepping (fallback and Finish's last step), made on first use.
+  std::optional<FusedSession> scratch_;
 
-  // Session-private cache. cache_.states[k] has global id num_aot_ + k;
-  // cache_.emit_pool holds the tags emits_ replays. Once own_table_ is
-  // set, next_ is the flat table above; emit_ref_ parallels it and indexes
-  // emits_ at the slots the session built. Baked transitions emit straight
-  // out of the baked table.
-  DfaPool cache_;
-  bool own_table_ = false;
-  std::vector<int32_t> next_;
-  std::vector<uint32_t> emit_ref_;
-  std::vector<EmitList> emits_;
-  size_t baked_slots_ = 0;  // num_aot_ * num_classes_
-  size_t cache_bytes_ = 0;
-  size_t num_classes_ = 0;
-  // Mirrors cache_bytes_ into the process resource budget so a fleet of
-  // sessions shows up as one "dfa_cache" footprint; under budget pressure
-  // the kShedDfa rung stops further growth (see BuildTransition).
-  core::resilience::ScopedCharge budget_{"dfa_cache"};
-
-  // Scratch for build steps, kept allocated across steps.
-  DfaConfig tmp_;
-  std::vector<int32_t> tmp_emit_;
-
-  // Pass-1 trail: one region per lane, then one for the ordinary path,
-  // each holding a slice's worth of entries. Allocated on first use and
-  // never zero-filled, so the pages no walk touches stay out of RSS.
-  std::unique_ptr<TrailEntry[]> trail_;
-  Lane lanes_[kLanes];
+  // The ordinary path's pass-1 trail.
+  TrailEntry walk_[kWalkBytes];
   // The state the stream was last seen in right after each byte value
-  // (-1: not seen since the cache was last cleared): lane guesses.
+  // (-1: not seen), lane guesses; seeded from the tagger's at the
+  // cursor's first superblock.
+  bool guessed_ = false;
   int32_t guess_[256];
 
   int32_t state_ = 0;
@@ -470,44 +396,40 @@ class LazyDfaSession {
   int16_t pending_cls_ = -1;
   uint64_t consumed_ = 0;
   uint64_t tags_ = 0;
-  uint64_t flushes_ = 0;
   bool fallback_ = false;
   bool finished_ = false;
   bool stopped_ = false;
 
   // Hot-path attribution (see obs::AttributionTable), sampled at Reset().
-  // Pass 2 counts replayed entries the session built (EmitList::replays);
-  // baked entries and uncached steps count tokens.
   bool attr_on_ = false;
   bool attr_dirty_ = false;
   std::vector<uint64_t> attr_matches_;
   uint64_t attr_dfa_hits_ = 0;  // stepped bytes minus misses
   uint64_t attr_dfa_misses_ = 0;
 
-  // The interned stream-start state (-1: not interned since the cache was
-  // last cleared), and FeedPadding's records by the state they start in,
-  // for the padding bytes pad_bytes_, with their charge and the record
-  // being made while one is.
-  int32_t start_id_ = -1;
-  std::unordered_map<int32_t, PadMemo> pad_memo_;
-  std::string pad_bytes_;
-  size_t pad_memo_bytes_ = 0;
+  // The padding record being made while FeedPadding runs a plain Feed.
   PadMemo* pad_rec_ = nullptr;
 };
 
 // The production tagging engine: owns the fused tables whose step it
-// memoizes (its miss path and fallback) and hands out pooled
-// LazyDfaSessions. See LazyDfaSession for the execution model.
+// memoizes (its miss path and fallback) and the one transition table every
+// LazyDfaSession of it walks. See LazyDfaSession for the execution model.
+// Sessions and cursors read the table concurrently; the tagger is
+// thread-safe, and must not move while a session of it exists.
 class LazyDfaTagger {
  public:
   // The grammar must outlive the tagger.
   static StatusOr<LazyDfaTagger> Create(const grammar::Grammar* grammar,
                                         const TaggerOptions& options);
 
-  // Wraps already-built fused tables. With a non-null `aot`, sessions
-  // start warm out of the baked transition table (the artifact load path).
+  // Wraps already-built fused tables. With a non-null `aot`, the table
+  // starts warm out of the baked rows (the artifact load path).
   static LazyDfaTagger Wrap(FusedTagger fused,
                             std::shared_ptr<const AotDfaTable> aot = nullptr);
+
+  LazyDfaTagger(LazyDfaTagger&& other) noexcept;
+  LazyDfaTagger& operator=(LazyDfaTagger&&) = delete;
+  ~LazyDfaTagger();
 
   // Scans `input`, calling `sink` for every detected token in stream
   // order (token-id order within a byte).
@@ -519,10 +441,6 @@ class LazyDfaTagger {
   // Streaming interface: feed the input in arbitrary chunks.
   LazyDfaSession NewSession() const { return LazyDfaSession(this); }
 
-  // Shared scratch pool behind Run(); see tagger/session_pool.h.
-  // Thread-safe.
-  LazyDfaSessionPool& session_pool() const { return *session_pool_; }
-
   const FusedTagger& fused() const { return fused_; }
   const grammar::Grammar& grammar() const { return fused_.grammar(); }
   const TaggerOptions& options() const { return fused_.options(); }
@@ -530,12 +448,11 @@ class LazyDfaTagger {
   // The baked AOT transition table, or null when compiled in-process.
   const AotDfaTable* aot() const { return aot_.get(); }
 
-  // The stream-start configuration every session resets to.
-  const DfaConfig& start_config() const { return start_; }
-
-  // The baked table in the sessions' walk format (see LazyDfaSession),
-  // one row per baked state; empty without one.
-  const std::vector<int32_t>& baked_next() const { return baked_next_; }
+  // Table introspection (tests): the states interned at run time, not
+  // counting the baked ones, and the bytes charged for them, their rows,
+  // emission lists and padding records.
+  size_t cache_states() const;
+  size_t cache_bytes() const;
 
   // Per byte value, bit k set when the byte ends an idle run of walk kind
   // k (see LazyDfaSession): it is not a delimiter (delimiter runs), it is
@@ -543,14 +460,18 @@ class LazyDfaTagger {
   const uint8_t* run_ends() const { return run_ends_; }
 
  private:
+  friend class LazyDfaSession;
+
   LazyDfaTagger(FusedTagger fused, std::shared_ptr<const AotDfaTable> aot);
+
+  // The table, made on first use: a tagger that never tags (a compile
+  // that only serializes) reserves and touches none of its storage.
+  LazyDfaCache& Cache() const;
 
   FusedTagger fused_;
   std::shared_ptr<const AotDfaTable> aot_;
-  DfaConfig start_;
-  std::vector<int32_t> baked_next_;
   uint8_t run_ends_[256];
-  std::shared_ptr<LazyDfaSessionPool> session_pool_;
+  mutable std::atomic<LazyDfaCache*> cache_{nullptr};
 };
 
 }  // namespace cfgtag::tagger

@@ -65,14 +65,12 @@ struct TaggerOptions {
   // consume the next byte. Disable to see every intermediate detection.
   bool longest_match = true;
 
-  // Lazy DFA: per-session budget for the transition cache
-  // (interned states, transition rows, emission lists). Crossing it drops
-  // the whole cache and rebuilds from the current configuration (RE2's
-  // flush discipline); sessions whose cache flushes dfa_flush_fallback
-  // times stop caching and take one uncached fused step per byte for the
-  // rest of their life.
+  // Lazy DFA: budget for the tagger's one transition table (interned
+  // states, transition rows, emission lists, flush-padding records),
+  // shared by all its sessions. Its storage is sized from this once, up
+  // to 1 GiB's worth. Once it is full nothing is dropped: a stream that
+  // misses takes one uncached fused step per byte until its Reset.
   size_t dfa_cache_bytes = 16u << 20;
-  uint32_t dfa_flush_fallback = 4;
 
   // Artifact serialization only: cap on the machine configurations the
   // ahead-of-time determinizer interns into the saved transition table.

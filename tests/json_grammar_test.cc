@@ -17,38 +17,15 @@
 namespace cfgtag {
 namespace {
 
-const std::string& JsonGrammarText() {
-  static const std::string* const kText = [] {
-    // The checked-in grammar file is the source of truth so the CLI and
-    // the tests exercise the same bytes.
-    std::ifstream in("examples/grammars/json_lite.grm");
-    auto* s = new std::string;
-    if (in) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      *s = ss.str();
-    }
-    if (s->empty()) {
-      // Fallback when the test runs from another directory.
-      *s = R"grm(
-STR    \"[^"]*\"
-NUM    -?[0-9]+
-%%
-json:    value;
-value:   obj | arr | STR | NUM | "true" | "false" | "null";
-obj:     "{" members "}";
-members: | pair more_pairs;
-more_pairs: | "," pair more_pairs;
-pair:    STR ":" value;
-arr:     "[" elems "]";
-elems:   | value more_elems;
-more_elems: | "," value more_elems;
-%%
-)grm";
-    }
-    return s;
-  }();
-  return *kText;
+// The checked-in grammar file, so that the CLI and the tests exercise the
+// same bytes; a failure if it cannot be read.
+std::string JsonGrammarText() {
+  const char* const path = CFGTAG_EXAMPLE_GRAMMARS "/json_lite.grm";
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << "cannot read " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 grammar::Grammar Json() {

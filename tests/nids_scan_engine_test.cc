@@ -266,9 +266,10 @@ std::vector<std::string> ShortFlows(size_t n) {
   return flows;
 }
 
-// Engine workers hold one pooled session each for their whole share of a
-// run, so once a warm-up batch has built both, the next batch creates and
-// drops none — however the two workers' scans interleave.
+// Engine workers hold one session each for their whole share of a run, all
+// cursors over the filter's one table, so once a warm-up batch has built
+// what the flows need, the next batch interns no state and no stream falls
+// back — however the two workers' scans interleave.
 TEST(ScanEngineTest, BatchKeepsItsSessionsWithoutChurn) {
   obs::FlightRecorder& rec = obs::FlightRecorder::Default();
   const ContextFilter filter = ResyncFilter();
@@ -279,17 +280,14 @@ TEST(ScanEngineTest, BatchKeepsItsSessionsWithoutChurn) {
   const std::vector<std::string_view> streams(flows.begin(), flows.end());
   engine.ScanBatch(streams);
 
-  const tagger::LazyDfaSessionPool& pool =
-      filter.tagger().lazy_model()->session_pool();
-  const uint64_t created = pool.sessions_created();
-  const uint64_t dropped = pool.sessions_dropped();
+  const tagger::LazyDfaTagger& table = *filter.tagger().lazy_model();
+  const size_t states = table.cache_states();
   const uint64_t recorded_before = rec.total_recorded();
   engine.ScanBatch(streams);
-  EXPECT_EQ(pool.sessions_created(), created);
-  EXPECT_EQ(pool.sessions_dropped(), dropped);
+  EXPECT_EQ(table.cache_states(), states);
   for (const obs::Event& e : rec.Snapshot()) {
     if (e.seq <= recorded_before) continue;
-    EXPECT_NE(e.kind, obs::EventKind::kSessionPoolDrop) << e.detail;
+    EXPECT_NE(e.kind, obs::EventKind::kDfaCacheFallback) << e.detail;
   }
 }
 

@@ -7,11 +7,12 @@
 //     the histogram CAS paths, /events the flight-recorder seqlock
 //     readers, /rules the attribution table under its mutex),
 //   * obs::AttributionTable::set_enabled flips mid-scan (sessions sample
-//     the switch at pool-checkout Reset(), so alerts must not change),
+//     the switch at Reset(), so alerts must not change),
 //   * the FlightRecorder is hammered with events and snapshotted
 //     concurrently (the starved-cache filter also records
-//     dfa_cache_flush/fallback events from inside the scan workers), and
-//   * pooled sessions churn through LazyDfaSessionPool retention.
+//     dfa_cache_fallback events from inside the scan workers), and
+//   * the workers' sessions build into each filter's one shared table
+//     concurrently, the starved one until it is full.
 //
 // The oracle: every parallel result is byte-identical to the same
 // filter's sequential Scan() computed before the storm, both filters agree,
@@ -151,9 +152,9 @@ TEST(ThreadedStressOracleTest, CacheConfigsByteIdenticalUnderLiveObservation) {
   };
   std::vector<Config> configs;
   configs.push_back({"lazy", MakeFilter(0), {}, {}});
-  // Starvation-sized transition cache: every worker constantly flushes
-  // (dfa_cache_flush flight events from inside scan threads) and
-  // eventually takes the sticky fused fallback.
+  // Starvation-sized transition cache: the shared table fills within the
+  // first flows, and every worker's streams then fall back to fused steps
+  // (dfa_cache_fallback flight events from inside scan threads).
   configs.push_back({"lazy-starved", MakeFilter(1 << 10), {}, {}});
 
   std::vector<std::string> storage;
@@ -262,8 +263,8 @@ TEST(ThreadedStressOracleTest, CacheConfigsByteIdenticalUnderLiveObservation) {
 
 // Chaos leg: the same differential oracle with the fault injector armed at
 // random scan-path sites. Faults that degrade (dfa.intern sheds the DFA
-// cache, stalls slow workers, budget pressure trims pools) must leave the
-// alert streams byte-identical; faults that trip a finite deadline must
+// cache, stalls slow workers, budget pressure climbs the ladder) must leave
+// the alert streams byte-identical; faults that trip a finite deadline must
 // surface as a typed status with sane partial results — and nothing may
 // crash, hang, or tear a result vector either way.
 TEST(ThreadedStressOracleTest, ChaosFaultsPreserveOrFailCleanly) {
@@ -316,7 +317,7 @@ TEST(ThreadedStressOracleTest, ChaosFaultsPreserveOrFailCleanly) {
     for (const Chaos& chaos : kChaos) {
       ASSERT_TRUE(injector.ArmFromSpec(chaos.spec).ok()) << chaos.spec;
       // Random budget pressure rides along on some rounds: the ladder may
-      // shed DFA caches and trim pools mid-scan without changing alerts.
+      // shed DFA caches mid-scan without changing alerts.
       const bool pressured = rng.NextIndex(2) == 0;
       if (pressured) {
         res::ResourceBudget::Process().SetLimit(100);

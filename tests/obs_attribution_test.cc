@@ -37,7 +37,6 @@ const char kCalcGrammar[] =
 std::vector<tagger::TaggerOptions> CachedAndFallback() {
   tagger::TaggerOptions uncached;
   uncached.dfa_cache_bytes = 0;
-  uncached.dfa_flush_fallback = 1;
   return {tagger::TaggerOptions{}, uncached};
 }
 

@@ -19,7 +19,7 @@ TEST(FlightRecorderTest, RecordsAndSnapshotsInOrder) {
   FlightRecorder rec(/*capacity=*/8);
   rec.Record(EventKind::kNidsAlert, /*correlation_id=*/7, /*a=*/100, /*b=*/2,
              "rule-a");
-  rec.Record(EventKind::kDfaCacheFlush, 0, 1 << 20, 3, "flush");
+  rec.Record(EventKind::kDfaCacheFallback, 0, 1 << 20, 3, "fallback");
   const std::vector<Event> events = rec.Snapshot();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind, EventKind::kNidsAlert);
@@ -28,7 +28,7 @@ TEST(FlightRecorderTest, RecordsAndSnapshotsInOrder) {
   EXPECT_EQ(events[0].b, 2);
   EXPECT_STREQ(events[0].detail, "rule-a");
   EXPECT_EQ(events[0].seq, 1u);
-  EXPECT_EQ(events[1].kind, EventKind::kDfaCacheFlush);
+  EXPECT_EQ(events[1].kind, EventKind::kDfaCacheFallback);
   EXPECT_EQ(events[1].seq, 2u);
   EXPECT_LE(events[0].t_us, events[1].t_us);
 }
@@ -247,12 +247,9 @@ TEST(CorrelationTest, RecordEventPicksUpTheCurrentScope) {
 TEST(EventKindTest, NamesAreStableIdentifiers) {
   EXPECT_STREQ(EventKindName(EventKind::kStatusError), "status_error");
   EXPECT_STREQ(EventKindName(EventKind::kNidsAlert), "nids_alert");
-  EXPECT_STREQ(EventKindName(EventKind::kDfaCacheFlush), "dfa_cache_flush");
   EXPECT_STREQ(EventKindName(EventKind::kDfaCacheFallback),
                "dfa_cache_fallback");
   EXPECT_STREQ(EventKindName(EventKind::kSlowShard), "slow_shard");
-  EXPECT_STREQ(EventKindName(EventKind::kSessionPoolDrop),
-               "session_pool_drop");
 }
 
 }  // namespace

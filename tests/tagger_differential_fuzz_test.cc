@@ -3,7 +3,7 @@
 // identical to the functional reference — for every arm mode, with and
 // without the longest-match look-ahead, chunked or whole-buffer, under
 // both scalar and vectorized SIMD dispatch, with a warm cache, under a
-// starvation-sized cache (constant flushing, then the fallback), and
+// starvation-sized cache (a table that fills, then the fallback), and
 // falling back to uncached fused steps at its first miss.
 // CompiledTagger::Tag must match the same reference and the gate-level
 // simulation of its netlist. The artifact leg closes the loop through the
@@ -185,11 +185,10 @@ TEST(DifferentialFuzzTest, FusedMatchesFunctionalEverywhere) {
     // the fused tables uncached for every byte after.
     TaggerOptions uncached = opt;
     uncached.dfa_cache_bytes = 0;
-    uncached.dfa_flush_fallback = 1;
     auto fallback = LazyDfaTagger::Create(&g, uncached);
-    // Starvation-sized cache: interning even a handful of states blows the
-    // budget, so every path through Flush() — and, past dfa_flush_fallback
-    // flushes, the sticky fallback — is exercised on real streams.
+    // Starvation-sized cache: interning even a handful of states fills the
+    // table, so streams that miss past that point fall back mid-stream —
+    // exercised on real streams.
     TaggerOptions tiny = opt;
     tiny.dfa_cache_bytes = 1 << 10;
     auto lazy_tiny = LazyDfaTagger::Create(&g, tiny);
@@ -239,9 +238,9 @@ TEST(DifferentialFuzzTest, ArtifactRoundTripMatchesDirectCompile) {
     options.tagger.longest_match = (iter % 2) == 0;
     // Every fourth iteration strips the AOT table so both artifact shapes
     // (baked DFA present / absent) go through the loader. Another fourth
-    // bakes only three states under a starved cache: sessions build
-    // their own transitions out of baked states, flush while standing on a
-    // baked state, and finally fall back to uncached stepping.
+    // bakes only three states under a starved cache: the table builds
+    // transitions out of baked states until it is full, and streams that
+    // miss after that fall back to uncached stepping.
     if (iter % 4 == 1) options.tagger.aot_state_budget = 0;
     if (iter % 4 == 3) {
       options.tagger.aot_state_budget = 3;
@@ -320,7 +319,6 @@ TEST(DifferentialFuzzTest, PaddedFeedEndsBeforeScanEnd) {
     opt.longest_match = (iter / 3) % 2 == 0;
     TaggerOptions uncached = opt;
     uncached.dfa_cache_bytes = 0;
-    uncached.dfa_flush_fallback = 1;
     for (const TaggerOptions& o : {opt, uncached}) {
       auto lazy = LazyDfaTagger::Create(&g, o);
       ASSERT_TRUE(lazy.ok()) << lazy.status();
@@ -345,7 +343,7 @@ TEST(DifferentialFuzzTest, PaddedFeedEndsBeforeScanEnd) {
 
 // Random streams concatenated past one superblock (LazyDfaSession::kLanes
 // slices of kSliceBytes), so cached sessions walk speculative lanes from
-// guessed states: the default cache, a starved one (flushing mid-
+// guessed states: the default cache, a starved one (filling mid-
 // superblock, then falling back) and no cache at all (uncached fallback
 // from the first miss) must each match the functional reference, whole
 // and in chunks that cut superblocks at random points.
@@ -364,7 +362,6 @@ TEST(DifferentialFuzzTest, SuperblockStreamsMatchAcrossCacheSizes) {
     starved.dfa_cache_bytes = 1 << 10;
     TaggerOptions uncached = opt;
     uncached.dfa_cache_bytes = 0;
-    uncached.dfa_flush_fallback = 1;
     auto functional = FunctionalTagger::Create(&g, opt);
     ASSERT_TRUE(functional.ok()) << functional.status();
     std::string input;
@@ -438,8 +435,8 @@ void ExpectSameRun(const PadRun& want, const PadRun& got,
 
 // The flush padding's per-state memo (LazyDfaSession::FeedPadding) in
 // every arm mode, with and without longest-match, on a cached session, in
-// fallback, from an AOT artifact and on a cache so small that it flushes
-// between calls. Each input is tagged twice on one held TagSlot, so the
+// fallback, from an AOT artifact and on a cache so small that it fills
+// within the first calls. Each input is tagged twice on one held TagSlot, so the
 // first call records the padding and the second replays it, and both
 // equal the oracle. At the session level, a recording, a replay and an
 // early stop at every tag of the padding deliver the same tags, tag and
@@ -459,11 +456,8 @@ TEST(DifferentialFuzzTest, FlushMemoReplaysThePlainFeed) {
     options.tagger.longest_match = (iter / 3) % 2 == 0;
     hwgen::HwOptions fallback_options = options;
     fallback_options.tagger.dfa_cache_bytes = 0;
-    fallback_options.tagger.dfa_flush_fallback = 1;
     hwgen::HwOptions tiny_options = options;
     tiny_options.tagger.dfa_cache_bytes = 1 << 10;
-    tiny_options.tagger.dfa_flush_fallback =
-        std::numeric_limits<uint32_t>::max();
     auto cached = core::CompiledTagger::Compile(g.Clone(), options);
     auto fallback = core::CompiledTagger::Compile(g.Clone(), fallback_options);
     auto tiny = core::CompiledTagger::Compile(g.Clone(), tiny_options);

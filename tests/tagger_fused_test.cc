@@ -38,7 +38,6 @@ std::vector<Tag> Functional(const grammar::Grammar& g,
 // steps at its first miss and stays there.
 TaggerOptions FusedSteps(TaggerOptions opt) {
   opt.dfa_cache_bytes = 0;
-  opt.dfa_flush_fallback = 1;
   return opt;
 }
 

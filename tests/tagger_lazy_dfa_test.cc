@@ -1,12 +1,12 @@
 // LazyDfaTagger — the lazily built DFA memoizing the fused step — must be
 // tag-for-tag identical to the FunctionalTagger reference on every option
 // combination, including streaming, early-stop sinks, the idle skip
-// paths, cache flushes under a starvation-sized budget, and the sticky
-// fallback to uncached fused steps, both after repeated flush thrash and
-// from the very first miss. Sessions over baked AOT rows and sessions
-// split at every point of an XML-RPC stream must match the oracle too, and
-// so must streams long enough for the speculative lanes, whatever their
-// guesses do.
+// paths, a table that fills under a starvation-sized budget, and the
+// fallback to uncached fused steps, both once the table is full and from
+// the very first miss. Sessions over baked AOT rows and sessions split at
+// every point of an XML-RPC stream must match the oracle too, and so must
+// streams long enough for the speculative lanes, whatever their guesses
+// do, even when a sink tags from inside a superblock.
 
 #include <gtest/gtest.h>
 
@@ -84,18 +84,27 @@ SessionRun RunSession(const LazyDfaTagger& t, std::string_view input,
   return run;
 }
 
-// The two ways a session steps: out of its transition cache (the
-// options as given) and, with no cache at all, falling back to uncached
-// fused steps at its first miss.
+// The two ways a session steps: out of its tagger's transition table (the
+// options as given) and, with no room for a table at all, falling back to
+// uncached fused steps at its first miss.
 std::vector<TaggerOptions> CachedAndFallback(const TaggerOptions& opt) {
   TaggerOptions uncached = opt;
   uncached.dfa_cache_bytes = 0;
-  uncached.dfa_flush_fallback = 1;
   return {opt, uncached};
 }
 
 bool FallsBackAtFirstMiss(const TaggerOptions& opt) {
-  return opt.dfa_flush_fallback == 1;
+  return opt.dfa_cache_bytes == 0;
+}
+
+// A tagger over `t`'s tables (and baked rows, which `t` keeps alive) with
+// a transition table of its own that nothing has built into yet: what a
+// cold session meets.
+LazyDfaTagger ColdCopy(const LazyDfaTagger& t) {
+  return LazyDfaTagger::Wrap(
+      t.fused(),
+      std::shared_ptr<const AotDfaTable>(std::shared_ptr<const void>(),
+                                         t.aot()));
 }
 
 // Bytes the given idle skip has jumped over so far, over all strategies.
@@ -390,14 +399,13 @@ TEST(LazyDfaTaggerTest, KWayCachedSkipsEqualFallbackSkips) {
   }
 }
 
-TEST(LazyDfaTaggerTest, TinyCacheFlushesButStaysExact) {
+TEST(LazyDfaTaggerTest, TinyCacheFillsButStaysExact) {
   grammar::Grammar g = MustParse(kCalcGrammar);
   TaggerOptions opt;
   opt.arm_mode = ArmMode::kResync;
-  // Budget below the cost of even a few interned states: every stretch of
-  // input churns the cache through Flush().
+  // Budget below the cost of even a few interned states: the table fills
+  // early in the stream, and the stream finishes on uncached steps.
   opt.dfa_cache_bytes = 1 << 9;
-  opt.dfa_flush_fallback = 1u << 30;  // never give up caching
   auto t = LazyDfaTagger::Create(&g, opt);
   ASSERT_TRUE(t.ok()) << t.status();
   const std::string input = "  12+34 junk 99*1   abc 5-5 12 34 xyzzy 7/8 ";
@@ -411,13 +419,13 @@ TEST(LazyDfaTaggerTest, TinyCacheFlushesButStaysExact) {
   session.Feed(input, sink);
   session.Finish(sink);
   ExpectSameTags(want, got);
-  EXPECT_GT(session.cache_flushes(), 0u);
-  EXPECT_FALSE(session.fallback_active());
-  EXPECT_LE(session.cache_bytes(), opt.dfa_cache_bytes * 2);
+  EXPECT_TRUE(session.fallback_active());
+  EXPECT_GT(t->cache_states(), 0u);
+  EXPECT_LE(t->cache_bytes(), opt.dfa_cache_bytes * 2);
 }
 
-// The entry encoding at its edge. A session flushes before a build would
-// grow its table past kMaxTableEntries (TableFull, checked by every build),
+// The entry encoding at its edge. A table stops growing before a build
+// would take it past kMaxTableEntries (TableFull, checked by every build),
 // so every row it can hold starts at most kMaxTableEntries - num_classes,
 // and that row start encodes with every flag set into a non-negative
 // int32_t that decodes back. A row start past the limit would not.
@@ -442,12 +450,15 @@ TEST(LazyDfaTaggerTest, TableLimitKeepsEveryEntryInInt32) {
   EXPECT_LT(Session::EncodeEntry(Session::kMaxTableEntries + 1, 0), 0);
 }
 
-TEST(LazyDfaTaggerTest, FlushThrashFallsBackToFused) {
+// Once the table is full, a stream that misses falls back to fused steps
+// for the rest of the stream. Reset starts the next stream cached again; it
+// walks what the table holds and falls back at the same miss, building
+// nothing.
+TEST(LazyDfaTaggerTest, FullTableFallsBackToFused) {
   grammar::Grammar g = MustParse(kCalcGrammar);
   TaggerOptions opt;
   opt.arm_mode = ArmMode::kResync;
   opt.dfa_cache_bytes = 1 << 9;
-  opt.dfa_flush_fallback = 2;
   auto t = LazyDfaTagger::Create(&g, opt);
   ASSERT_TRUE(t.ok()) << t.status();
   const std::string input = "  12+34 junk 99*1   abc 5-5 12 34 xyzzy 7/8 ";
@@ -462,20 +473,17 @@ TEST(LazyDfaTaggerTest, FlushThrashFallsBackToFused) {
   session.Finish(sink);
   ExpectSameTags(want, got);
   EXPECT_TRUE(session.fallback_active());
-  EXPECT_GE(session.cache_flushes(), 2u);
-  // The verdict is sticky across Reset(): the session stays fused.
+  const size_t full_states = t->cache_states();
+  const size_t full_bytes = t->cache_bytes();
   session.Reset();
-  EXPECT_TRUE(session.fallback_active());
+  EXPECT_FALSE(session.fallback_active());
   got.clear();
   session.Feed(input, sink);
   session.Finish(sink);
   ExpectSameTags(want, got);
-  // Rebinding to a different tagger clears the verdict with the cache.
-  auto t2 = LazyDfaTagger::Create(&g, opt);
-  ASSERT_TRUE(t2.ok());
-  session.Rebind(&*t2);
-  EXPECT_FALSE(session.fallback_active());
-  EXPECT_EQ(session.cache_flushes(), 0u);
+  EXPECT_TRUE(session.fallback_active());
+  EXPECT_EQ(t->cache_states(), full_states);
+  EXPECT_EQ(t->cache_bytes(), full_bytes);
 }
 
 TEST(LazyDfaTaggerTest, ResetKeepsWarmCache) {
@@ -495,7 +503,7 @@ TEST(LazyDfaTaggerTest, ResetKeepsWarmCache) {
   session.Feed(input, sink);
   session.Finish(sink);
   ExpectSameTags(want, got);
-  const size_t warm_states = session.cache_states();
+  const size_t warm_states = t->cache_states();
   EXPECT_GT(warm_states, 0u);
   // A second pass over the same stream runs out of cached transitions:
   // identical output and not a single new state interned.
@@ -504,26 +512,32 @@ TEST(LazyDfaTaggerTest, ResetKeepsWarmCache) {
   session.Feed(input, sink);
   session.Finish(sink);
   ExpectSameTags(want, got);
-  EXPECT_EQ(session.cache_states(), warm_states);
+  EXPECT_EQ(t->cache_states(), warm_states);
 }
 
+// Named for the pool that once handed each run a warm private table; runs
+// now reuse the tagger's one table, and it moves with the tagger.
 TEST(LazyDfaTaggerTest, SessionPoolReusesSessions) {
   grammar::Grammar g = MustParse(kCalcGrammar);
   auto t = LazyDfaTagger::Create(&g, {});
   ASSERT_TRUE(t.ok());
-  (void)t->TagAll("12+34");
-  (void)t->TagAll("56-7");
-  EXPECT_EQ(t->session_pool().IdleCount(), 1u);
-  EXPECT_GE(t->session_pool().sessions_reused(), 1u);
-  // Pool survives a tagger move (shared_ptr semantics).
+  const auto first = t->TagAll("12+34");
+  const auto second = t->TagAll("56-7");
+  const size_t warm = t->cache_states();
+  EXPECT_GT(warm, 0u);
+  // Runs over streams of the same shape intern nothing new.
+  EXPECT_EQ(t->TagAll("12+34"), first);
+  EXPECT_EQ(t->TagAll("56-7"), second);
+  EXPECT_EQ(t->cache_states(), warm);
+  // The table survives a tagger move, built rows included.
   LazyDfaTagger moved = std::move(t).value();
+  EXPECT_EQ(moved.cache_states(), warm);
   ASSERT_EQ(moved.TagAll("1+1").size(), 3u);  // NUM OP NUM
 }
 
 TEST(LazyDfaTaggerTest, CacheMetricsAreRegistered) {
   const DfaCacheMetrics& m = DfaCacheMetrics::Get();
   ASSERT_NE(m.states, nullptr);
-  ASSERT_NE(m.flushes, nullptr);
   ASSERT_NE(m.fallbacks, nullptr);
   const uint64_t states_before = m.states->Value();
   grammar::Grammar g = MustParse(kCalcGrammar);
@@ -534,23 +548,20 @@ TEST(LazyDfaTaggerTest, CacheMetricsAreRegistered) {
 }
 
 // Under cache pressure every registry-side cache counter must move: a
-// starvation-sized budget forces flushes, and a tiny flush-fallback bound
-// forces the fused fallback — both visible at /metrics, not just through
-// the session accessors.
+// starvation-sized budget fills the table after a few states, and the
+// stream then falls back to fused steps — both visible at /metrics, not
+// just through the tagger and session accessors.
 TEST(LazyDfaTaggerTest, CachePressureMovesRegistryCounters) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   obs::Counter* states = reg.GetCounter("cfgtag_dfa_cache_states");
-  obs::Counter* flushes = reg.GetCounter("cfgtag_dfa_cache_flushes");
   obs::Counter* fallbacks = reg.GetCounter("cfgtag_dfa_cache_fallbacks");
   const uint64_t states_before = states->Value();
-  const uint64_t flushes_before = flushes->Value();
   const uint64_t fallbacks_before = fallbacks->Value();
 
   grammar::Grammar g = MustParse(kCalcGrammar);
   TaggerOptions opt;
   opt.arm_mode = ArmMode::kResync;
   opt.dfa_cache_bytes = 1 << 9;
-  opt.dfa_flush_fallback = 2;
   auto t = LazyDfaTagger::Create(&g, opt);
   ASSERT_TRUE(t.ok()) << t.status();
   const std::string input = "  12+34 junk 99*1   abc 5-5 12 34 xyzzy 7/8 ";
@@ -559,12 +570,11 @@ TEST(LazyDfaTaggerTest, CachePressureMovesRegistryCounters) {
   ExpectSameTags(want, got);
 
   EXPECT_GT(states->Value(), states_before);
-  EXPECT_GT(flushes->Value(), flushes_before);
   EXPECT_GT(fallbacks->Value(), fallbacks_before);
 }
 
-// Flushes and fallbacks also land in the flight recorder, so a crash dump
-// shows whether the cache was thrashing in the run-up.
+// Fallbacks also land in the flight recorder, so a crash dump shows
+// whether streams were running uncached in the run-up.
 TEST(LazyDfaTaggerTest, CachePressureRecordsFlightEvents) {
   obs::FlightRecorder& rec = obs::FlightRecorder::Default();
   const uint64_t recorded_before = rec.total_recorded();
@@ -573,20 +583,16 @@ TEST(LazyDfaTaggerTest, CachePressureRecordsFlightEvents) {
   TaggerOptions opt;
   opt.arm_mode = ArmMode::kResync;
   opt.dfa_cache_bytes = 1 << 9;
-  opt.dfa_flush_fallback = 2;
   auto t = LazyDfaTagger::Create(&g, opt);
   ASSERT_TRUE(t.ok()) << t.status();
   (void)t->TagAll("  12+34 junk 99*1   abc 5-5 12 34 xyzzy 7/8 ");
 
   ASSERT_GT(rec.total_recorded(), recorded_before);
-  bool saw_flush = false;
   bool saw_fallback = false;
   for (const obs::Event& e : rec.Snapshot()) {
     if (e.seq <= recorded_before) continue;
-    if (e.kind == obs::EventKind::kDfaCacheFlush) saw_flush = true;
     if (e.kind == obs::EventKind::kDfaCacheFallback) saw_fallback = true;
   }
-  EXPECT_TRUE(saw_flush);
   EXPECT_TRUE(saw_fallback);
 }
 
@@ -624,9 +630,9 @@ std::vector<Tag> FeedSplit(LazyDfaSession* session, std::string_view stream,
 }
 
 // CompiledTagger::Tag's stream contract (the input plus flush padding)
-// fed straight into sessions split in two at every byte: warm, cold,
-// flushing, and out of baked AOT rows must all deliver the oracle's
-// tags, and exactly its prefix on early stop.
+// fed straight into sessions split in two at every byte: warm, cold, on a
+// table that fills and falls back, and out of baked AOT rows must all
+// deliver the oracle's tags, and exactly its prefix on early stop.
 TEST(LazyDfaTaggerTest, EverySplitPointMatchesOracle) {
   auto parsed = xmlrpc::XmlRpcGrammar();
   ASSERT_TRUE(parsed.ok()) << parsed.status();
@@ -647,7 +653,6 @@ TEST(LazyDfaTaggerTest, EverySplitPointMatchesOracle) {
   ASSERT_TRUE(lazy.ok()) << lazy.status();
   TaggerOptions tiny_opt = opt.tagger;
   tiny_opt.dfa_cache_bytes = 1 << 10;
-  tiny_opt.dfa_flush_fallback = 1u << 30;  // keep flushing, never fall back
   auto tiny = LazyDfaTagger::Create(&g, tiny_opt);
   ASSERT_TRUE(tiny.ok()) << tiny.status();
   hwgen::HwOptions aot_opt = opt;
@@ -666,7 +671,7 @@ TEST(LazyDfaTaggerTest, EverySplitPointMatchesOracle) {
   struct Case {
     const char* name;
     const LazyDfaTagger* tagger;
-    LazyDfaSession* reused;  // null: a cold session per run
+    LazyDfaSession* reused;  // null: a cold table per run
   };
   const Case cases[] = {{"warm", &*lazy, &warm},
                         {"cold", &*lazy, nullptr},
@@ -674,17 +679,21 @@ TEST(LazyDfaTaggerTest, EverySplitPointMatchesOracle) {
                         {"aot-budget-3", baked, nullptr}};
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    uint64_t flushes = 0;
+    uint64_t fallbacks = 0;
     auto run = [&](size_t split, size_t limit) {
       if (c.reused != nullptr) {
         return FeedSplit(c.reused, stream, split, limit, scan_end);
       }
-      LazyDfaSession session = c.tagger->NewSession();
+      const LazyDfaTagger cold = ColdCopy(*c.tagger);
+      LazyDfaSession session = cold.NewSession();
       std::vector<Tag> tags =
           FeedSplit(&session, stream, split, limit, scan_end);
-      flushes += session.cache_flushes();
-      EXPECT_FALSE(session.fallback_active());
-      EXPECT_EQ(session.aot_states(), c.tagger == baked ? 3u : 0u);
+      fallbacks += session.fallback_active();
+      if (c.tagger != &*tiny) {
+        EXPECT_FALSE(session.fallback_active());
+      }
+      EXPECT_EQ(cold.aot() != nullptr ? cold.aot()->states.size() : 0u,
+                c.tagger == baked ? 3u : 0u);
       return tags;
     };
     for (size_t split = 0; split <= stream.size(); ++split) {
@@ -703,7 +712,7 @@ TEST(LazyDfaTaggerTest, EverySplitPointMatchesOracle) {
       }
     }
     if (c.tagger == &*tiny) {
-      EXPECT_GT(flushes, 0u);
+      EXPECT_GT(fallbacks, 0u);
     }
   }
 }
@@ -741,7 +750,6 @@ std::string KWayStream(size_t end, size_t len) {
 struct KWayRun {
   std::vector<Tag> tags;  // the tags before scan_end
   uint64_t consumed = 0;  // bytes_consumed() before Finish
-  uint64_t flushes = 0;
   bool fallback = false;
 };
 
@@ -764,14 +772,13 @@ KWayRun FeedKWay(LazyDfaSession* session, const std::string& input,
   session->Feed(stream, sink);
   run.consumed = session->bytes_consumed();
   session->Finish(sink);
-  run.flushes = session->cache_flushes();
   run.fallback = session->fallback_active();
   return run;
 }
 
 // The taggers the speculative tests run: the default cache, a starved one
-// that keeps flushing (never falling back), and one loaded from an
-// artifact that baked only three states.
+// that fills within the first messages (and falls back), and one loaded
+// from an artifact that baked only three states.
 struct KWayTaggers {
   grammar::Grammar g;
   TaggerOptions opt;
@@ -793,7 +800,6 @@ std::unique_ptr<KWayTaggers> MakeKWayTaggers() {
   t->lazy.emplace(std::move(lazy).value());
   TaggerOptions tiny_opt = t->opt;
   tiny_opt.dfa_cache_bytes = 1 << 10;
-  tiny_opt.dfa_flush_fallback = 1u << 30;  // keep flushing, never fall back
   auto tiny = LazyDfaTagger::Create(&t->g, tiny_opt);
   EXPECT_TRUE(tiny.ok()) << tiny.status();
   t->tiny.emplace(std::move(tiny).value());
@@ -818,8 +824,8 @@ std::string WarmUpStream() {
 }
 
 // Runs `input` warm (after WarmUpStream), cold, starved and from a
-// budget-3 artifact: every run must deliver the oracle's tags and consume
-// every byte but the pending one.
+// budget-3 artifact, each but the warm one on a cold table: every run must
+// deliver the oracle's tags and consume every byte but the pending one.
 void ExpectKWayMatchesOracle(const KWayTaggers& t, const std::string& input) {
   const auto want = testing_oracle::OracleTags(t.g, t.opt, input);
   ASSERT_TRUE(want.ok()) << want.status();
@@ -840,16 +846,15 @@ void ExpectKWayMatchesOracle(const KWayTaggers& t, const std::string& input) {
       (void)FeedKWay(&warm, WarmUpStream());
       run = FeedKWay(&warm, input);
     } else {
-      LazyDfaSession session = c.tagger->NewSession();
+      const LazyDfaTagger cold = ColdCopy(*c.tagger);
+      LazyDfaSession session = cold.NewSession();
       run = FeedKWay(&session, input);
-      EXPECT_EQ(session.aot_states(), c.tagger == t.baked() ? 3u : 0u);
+      EXPECT_EQ(cold.aot() != nullptr ? cold.aot()->states.size() : 0u,
+                c.tagger == t.baked() ? 3u : 0u);
     }
     ExpectSameTags(*want, run.tags);
     EXPECT_EQ(run.consumed, fed - 1);
-    EXPECT_FALSE(run.fallback);
-    if (c.tagger == &*t.tiny) {
-      EXPECT_GT(run.flushes, 0u);
-    }
+    EXPECT_EQ(run.fallback, c.tagger == &*t.tiny);
   }
 }
 
@@ -910,7 +915,8 @@ TEST(LazyDfaKWayTest, GuessConvergingOnSliceLastByteMatchesOracle) {
         for (const bool warm : {false, true}) {
           SCOPED_TRACE(std::string(warm ? "warm" : "cold") + " run at " +
                        std::to_string(run));
-          LazyDfaSession session = t->NewSession();
+          const LazyDfaTagger cold = ColdCopy(*t);
+          LazyDfaSession session = cold.NewSession();
           if (warm) (void)FeedKWay(&session, warm_up);
           const KWayRun run_out = FeedKWay(&session, input);
           ExpectSameTags(*want, run_out.tags);
@@ -952,12 +958,59 @@ TEST(LazyDfaKWayTest, EarlyStopInEveryLaneMatchesOracle) {
       if (tagger == nullptr) {
         run = FeedKWay(&warm, input, limit);
       } else {
-        LazyDfaSession session = tagger->NewSession();
+        const LazyDfaTagger cold = ColdCopy(*tagger);
+        LazyDfaSession session = cold.NewSession();
         run = FeedKWay(&session, input, limit);
       }
       ExpectSameTags(prefix, run.tags);
       EXPECT_EQ(run.consumed, prefix.back().end + 1);
     }
+  }
+}
+
+// A sink may tag another input from inside its callback while the
+// superblock that called it is still committing its lanes: on the same
+// tagger, whose table the inner scan builds into, and on a second one. The
+// inner scans are long enough for superblocks of their own, which must not
+// touch the outer superblock's lane scratch; every scan, outer and inner,
+// delivers the oracle's tags.
+TEST(LazyDfaKWayTest, SinkThatTagsInsideASuperblockMatchesOracle) {
+  const auto t = MakeKWayTaggers();
+  std::string outer;
+  while (outer.size() < 2 * kBlock + kSlice) {
+    outer += std::string(kXmlRpcStream) + "\n";
+  }
+  xmlrpc::MessageGenerator gen({}, /*seed=*/11);
+  const std::string inner = gen.GenerateStream(0, 2 * kBlock + 100);
+  const auto want_outer = testing_oracle::OracleTags(t->g, t->opt, outer);
+  ASSERT_TRUE(want_outer.ok()) << want_outer.status();
+  const auto want_inner = testing_oracle::OracleTags(t->g, t->opt, inner);
+  ASSERT_TRUE(want_inner.ok()) << want_inner.status();
+  std::string stream = outer;
+  stream.append(core::CompiledTagger::kFlushPadding + 1,
+                core::CompiledTagger::kFlushByte);
+  const uint64_t scan_end = outer.size() + core::CompiledTagger::kFlushPadding;
+  const LazyDfaTagger* const nested_taggers[] = {&*t->lazy, t->baked()};
+  for (const LazyDfaTagger* nested : nested_taggers) {
+    SCOPED_TRACE(nested == &*t->lazy ? "same tagger" : "second tagger");
+    std::vector<Tag> got;
+    size_t inner_runs = 0;
+    const TagSink sink = [&](const Tag& tag) {
+      if (tag.end < scan_end) got.push_back(tag);
+      // A few inner scans, all while the outer scan is in its superblocks.
+      if (got.size() % 150 == 75 && inner_runs < 4) {
+        ++inner_runs;
+        LazyDfaSession session = nested->NewSession();
+        ExpectSameTags(*want_inner, FeedKWay(&session, inner).tags);
+      }
+      return true;
+    };
+    LazyDfaSession session = t->lazy->NewSession();
+    session.Feed(stream, sink);
+    EXPECT_EQ(session.bytes_consumed(), stream.size() - 1);
+    session.Finish(sink);
+    EXPECT_EQ(inner_runs, 4u);
+    ExpectSameTags(*want_outer, got);
   }
 }
 
@@ -975,7 +1028,8 @@ TEST(LazyDfaKWayTest, ShedDuringSuperblockMatchesOracle) {
   for (const uint64_t period : {2u, 3u, 7u, 40u}) {
     SCOPED_TRACE("dfa.intern period " + std::to_string(period));
     ASSERT_TRUE(res::FaultInjector::Instance().Arm("dfa.intern", period).ok());
-    LazyDfaSession session = t->lazy->NewSession();
+    const LazyDfaTagger cold = ColdCopy(*t->lazy);
+    LazyDfaSession session = cold.NewSession();
     const KWayRun run = FeedKWay(&session, input);
     res::FaultInjector::Instance().DisarmAll();
     ExpectSameTags(*want, run.tags);
@@ -984,14 +1038,15 @@ TEST(LazyDfaKWayTest, ShedDuringSuperblockMatchesOracle) {
   }
   EXPECT_TRUE(fell_back);
   // The ladder sheds at 85% of the limit: limits just above the usage of
-  // everything else shed once the session's own cache has grown a little.
+  // everything else shed once the cold table has grown a little.
   res::ResourceBudget& budget = res::ResourceBudget::Process();
   fell_back = false;
   for (const uint64_t headroom : {uint64_t{16} << 10, uint64_t{64} << 10,
                                   uint64_t{256} << 10}) {
     SCOPED_TRACE("headroom " + std::to_string(headroom));
+    const LazyDfaTagger cold = ColdCopy(*t->lazy);
     budget.SetLimit(budget.used() + headroom);
-    LazyDfaSession session = t->lazy->NewSession();
+    LazyDfaSession session = cold.NewSession();
     const KWayRun run = FeedKWay(&session, input);
     budget.SetLimit(0);
     ExpectSameTags(*want, run.tags);
@@ -1001,23 +1056,23 @@ TEST(LazyDfaKWayTest, ShedDuringSuperblockMatchesOracle) {
   EXPECT_TRUE(fell_back);
 }
 
-// What a scan leaves in and reports of a session's cache.
+// What a scan leaves in its tagger's table and reports of it.
 struct CacheTraffic {
   std::vector<Tag> tags;
   size_t states = 0;
   size_t bytes = 0;
-  uint64_t flushes = 0;
   bool fallback = false;
   uint64_t hits = 0;
   uint64_t misses = 0;
 };
 
-// Lanes never build, flush or shed, so speculation leaves a stream's
-// cache traffic — the states interned, the bytes charged, the flushes,
-// the fallback verdict, the DFA hits and misses — exactly as the walk
-// from the true state alone makes it: a stream fed whole, in superblocks,
-// matches the same stream fed in chunks too short for one, cold and warm,
-// with caps just above the stream's reachable set and below it.
+// Lanes never build or shed, so speculation leaves a stream's cache
+// traffic — the states interned, the bytes charged, the fallback once the
+// table is full, the DFA hits and misses — exactly as the walk from the
+// true state alone makes it: a stream fed whole, in superblocks, into one
+// table matches the same stream fed in chunks too short for one into
+// another, cold and warm, with caps just above the stream's reachable set
+// and below it.
 TEST(LazyDfaKWayTest, SpeculationLeavesCacheTrafficSequential) {
   auto parsed = xmlrpc::XmlRpcGrammar();
   ASSERT_TRUE(parsed.ok()) << parsed.status();
@@ -1026,7 +1081,8 @@ TEST(LazyDfaKWayTest, SpeculationLeavesCacheTrafficSequential) {
   const std::string input = gen.GenerateStream(0, 3 * kBlock);
   TaggerOptions opt;
   opt.arm_mode = ArmMode::kResync;
-  const auto scan = [&input](LazyDfaSession* session, size_t chunk) {
+  const auto scan = [&input](const LazyDfaTagger& t, LazyDfaSession* session,
+                             size_t chunk) {
     obs::AttributionTable::Default().Clear();
     CacheTraffic traffic;
     const TagSink sink = [&traffic](const Tag& tag) {
@@ -1038,9 +1094,8 @@ TEST(LazyDfaKWayTest, SpeculationLeavesCacheTrafficSequential) {
       session->Feed(std::string_view(input).substr(i, chunk), sink);
     }
     session->Finish(sink);
-    traffic.states = session->cache_states();
-    traffic.bytes = session->cache_bytes();
-    traffic.flushes = session->cache_flushes();
+    traffic.states = t.cache_states();
+    traffic.bytes = t.cache_bytes();
     traffic.fallback = session->fallback_active();
     traffic.hits = obs::AttributionTable::Default().dfa_cache_hits();
     traffic.misses = obs::AttributionTable::Default().dfa_cache_misses();
@@ -1053,11 +1108,10 @@ TEST(LazyDfaKWayTest, SpeculationLeavesCacheTrafficSequential) {
     auto t = LazyDfaTagger::Create(&g, opt);
     ASSERT_TRUE(t.ok()) << t.status();
     LazyDfaSession session = t->NewSession();
-    const CacheTraffic cold = scan(&session, kSlice);
-    ASSERT_EQ(cold.flushes, 0u);
+    const CacheTraffic cold = scan(*t, &session, kSlice);
+    ASSERT_FALSE(cold.fallback);
     reach = cold.bytes;
   }
-  bool flushed = false;
   bool fell_back = false;
   for (const size_t cap :
        {reach + 1024, reach, reach / 2, reach / 3, reach / 6}) {
@@ -1066,28 +1120,26 @@ TEST(LazyDfaKWayTest, SpeculationLeavesCacheTrafficSequential) {
     opt.dfa_cache_bytes = cap;
     auto t = LazyDfaTagger::Create(&g, opt);
     ASSERT_TRUE(t.ok()) << t.status();
+    const LazyDfaTagger other = ColdCopy(*t);
     LazyDfaSession whole = t->NewSession();
-    LazyDfaSession chunked = t->NewSession();
+    LazyDfaSession chunked = other.NewSession();
     for (const char* pass : {"cold", "warm"}) {
       SCOPED_TRACE(pass);
-      const CacheTraffic a = scan(&whole, input.size());
-      const CacheTraffic b = scan(&chunked, kSlice);
+      const CacheTraffic a = scan(*t, &whole, input.size());
+      const CacheTraffic b = scan(other, &chunked, kSlice);
       ExpectSameTags(b.tags, a.tags);
       EXPECT_EQ(a.states, b.states);
       EXPECT_EQ(a.bytes, b.bytes);
-      EXPECT_EQ(a.flushes, b.flushes);
       EXPECT_EQ(a.fallback, b.fallback);
       EXPECT_EQ(a.hits, b.hits);
       EXPECT_EQ(a.misses, b.misses);
       if (cap >= reach) {
-        EXPECT_EQ(a.flushes, 0u);
+        EXPECT_FALSE(a.fallback);
       }
-      flushed |= a.flushes > 0;
       fell_back |= a.fallback;
     }
   }
   obs::AttributionTable::set_enabled(false);
-  EXPECT_TRUE(flushed);
   EXPECT_TRUE(fell_back);
 }
 
@@ -1194,7 +1246,8 @@ TEST(LazyDfaKWayTest, OneByteRunsAtSliceEdgesMatchOracle) {
       const Scan ref = scan(&reference, chunk);
       ASSERT_TRUE(reference.fallback_active());
       ExpectSameTags(*want, ref.tags);
-      LazyDfaSession session = cached->NewSession();
+      const LazyDfaTagger cold = ColdCopy(*cached);
+      LazyDfaSession session = cold.NewSession();
       for (const char* pass : {"cold", "warm"}) {
         SCOPED_TRACE(std::string(pass) + " chunk " + std::to_string(chunk));
         const Scan got = scan(&session, chunk);
@@ -1295,7 +1348,8 @@ TEST(LazyDfaTaggerTest, OneByteRunsAtWindowEdgesMatchFallback) {
           for (size_t limit = 0; limit <= all.tags.size(); ++limit) {
             SCOPED_TRACE("limit " + std::to_string(limit));
             const Scan want = scan(&reference, unit, chunk, limit);
-            LazyDfaSession cold = cached->NewSession();
+            const LazyDfaTagger cold_table = ColdCopy(*cached);
+            LazyDfaSession cold = cold_table.NewSession();
             expect_same(scan(&cold, unit, chunk, limit), want);
             expect_same(scan(&warm, unit, chunk, limit), want);
             EXPECT_FALSE(warm.fallback_active());
